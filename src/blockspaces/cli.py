@@ -30,7 +30,6 @@ from ._version import __version__
 from .blocks import decompose_homogeneous, decompose_nonhomogeneous, rl_norm_upper_bound
 from .norms import norm_profile, weighted_lp_norm
 from .operators import (
-    EvalGrid,
     carleson,
     dirichlet_sn,
     geometric_schedule,
@@ -53,7 +52,7 @@ class RunConfig:
 
     subcommand: str
     input: str | None = None
-    params: tuple[float, float, float, float] | None = None  # (n, p, s, alpha)
+    params: WeightParams | None = None
     op: str | None = None
     theorem: str | None = None
     schedule: tuple[float, ...] | None = None
@@ -67,7 +66,11 @@ class RunConfig:
 
     def provenance(self) -> dict:
         cfg = asdict(self)
-        cfg["params"] = list(self.params) if self.params else None
+        cfg["params"] = (
+            [float(self.params.n), self.params.p, self.params.s, self.params.alpha]
+            if self.params
+            else None
+        )
         cfg["schedule"] = list(self.schedule) if self.schedule is not None else None
         return {"config": cfg, "seed": self.seed, "version": __version__}
 
@@ -130,8 +133,7 @@ def _load_input(cfg: RunConfig):
 def _require_params(cfg: RunConfig) -> WeightParams:
     if cfg.params is None:
         raise InputError(f"{cfg.subcommand} needs --params n,p,s,alpha")
-    n, p, s, alpha = cfg.params
-    return WeightParams(int(n), p, s, alpha)
+    return cfg.params
 
 
 def _out_base(cfg: RunConfig) -> str:
@@ -150,20 +152,21 @@ def cmd_norm(cfg: RunConfig) -> int:
     params = _require_params(cfg)
     norm = weighted_lp_norm(f, params.p, params.alpha)
     profile = norm_profile(f, params, cfg.k_range)
-    enc = bsio.encode_maybe_infinite
-    report = {
-        "norm": enc(norm),
-        "divergent": not math.isfinite(norm),
-        "profile": {
-            "terms": [
-                {"k": t.k, "contribution": enc(t.contribution), "comparable": enc(t.comparable)}
-                for t in profile.terms
-            ],
-            "remainder": enc(profile.remainder),
-            "total": enc(profile.total),
-        },
-        "provenance": cfg.provenance(),
-    }
+    report = bsio.jsonsafe(
+        {
+            "norm": norm,
+            "divergent": not math.isfinite(norm),
+            "profile": {
+                "terms": [
+                    {"k": t.k, "contribution": t.contribution, "comparable": t.comparable}
+                    for t in profile.terms
+                ],
+                "remainder": profile.remainder,
+                "total": profile.total,
+            },
+        }
+    )
+    report["provenance"] = cfg.provenance()
     path = _out_base(cfg) + ".json"
     bsio.write_json(path, report)
     print(f"norm {report['norm']} -> {path}")
@@ -219,31 +222,30 @@ def cmd_apply(cfg: RunConfig) -> int:
     if cfg.grid is None:
         raise InputError("apply needs --grid a:b:count")
     points = parse_grid(cfg.grid)
-    grid = EvalGrid.for_function(f, points)
     schedule = cfg.schedule if cfg.schedule is not None else _APPLY_DEFAULT_SCHEDULES[cfg.op]
     if cfg.schedule is None and schedule:
         cfg.defaults_used.append(f"schedule={list(schedule)}")
 
     if cfg.op == "hilbert":
-        values = hilbert(f, grid)
+        values = hilbert(f, points)
     elif cfg.op == "hilbert_truncated":
-        values = hilbert_truncated(f, schedule[0], grid)
+        values = hilbert_truncated(f, schedule[0], points)
     elif cfg.op == "hilbert_maximal":
-        values = hilbert_maximal(f, np.asarray(schedule), grid)
+        values = hilbert_maximal(f, np.asarray(schedule), points)
     elif cfg.op == "sn":
-        values = dirichlet_sn(f, schedule[0], grid)
+        values = dirichlet_sn(f, schedule[0], points)
     elif cfg.op == "carleson":
         tol = cfg.tolerance if cfg.tolerance is not None else 1e-8
-        values = carleson(f, np.asarray(schedule), grid, refine_tolerance=tol)
+        values = carleson(f, np.asarray(schedule), points, refine_tolerance=tol)
     else:  # maximal
-        values = maximal_1d_exact(f, grid)
+        values = maximal_1d_exact(f, points)
 
     base = _out_base(cfg)
-    bsio.write_csv(base + ".csv", zip(grid.points, values))
+    bsio.write_csv(base + ".csv", zip(points, values))
     report = {
         "operator": cfg.op,
         "schedule": list(schedule),
-        "grid": [float(x) for x in grid.points],
+        "grid": [float(x) for x in points],
         "values": [float(v) for v in values],
         "provenance": cfg.provenance(),
     }
@@ -363,9 +365,7 @@ def main(argv=None) -> int:
         cfg = RunConfig(
             subcommand=args.subcommand,
             input=args.input,
-            params=tuple(_parse_number(t) for t in args.params.split(","))
-            if args.params
-            else None,
+            params=parse_params(args.params) if args.params else None,
             op=args.op,
             theorem=args.theorem,
             schedule=parse_schedule(args.schedule) if args.schedule is not None else None,
@@ -374,10 +374,6 @@ def main(argv=None) -> int:
             out=args.out,
             tolerance=args.tolerance,
         )
-        if cfg.params is not None and len(cfg.params) != 4:
-            raise InputError(f"--params wants n,p,s,alpha, got {args.params!r}")
-        if cfg.params is not None:
-            parse_params(args.params)  # validate early, uniform diagnostics
         return _DISPATCH[args.subcommand](cfg)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,11 +29,6 @@ def write_json(path: str, obj) -> None:
         fh.write(dumps(obj))
 
 
-def encode_maybe_infinite(x: float):
-    """JSON-safe scalar: inf -> "inf" (paired with a divergent flag by callers)."""
-    return "inf" if math.isinf(x) else float(x)
-
-
 _NONFINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
 
 
@@ -103,7 +98,7 @@ def decomposition_to_dict(d: Decomposition) -> dict:
             for t in d.terms
         ],
         "residual": None if d.residual is None else function_to_dict(d.residual),
-        "residual_norm": encode_maybe_infinite(d.residual_norm),
+        "residual_norm": jsonsafe(d.residual_norm),
         "coefficient_cost": d.coefficient_cost,
     }
 
@@ -118,13 +113,8 @@ def decomposition_from_dict(d: dict) -> Decomposition:
         for t in d["terms"]
     )
     residual = None if d["residual"] is None else function_from_dict(d["residual"])
-    rn = d["residual_norm"]
     return Decomposition(
-        params,
-        terms,
-        bool(d["homogeneous"]),
-        residual,
-        math.inf if rn == "inf" else float(rn),
+        params, terms, bool(d["homogeneous"]), residual, float(jsonthaw(d["residual_norm"]))
     )
 
 

@@ -1,9 +1,9 @@
-"""Sampled functions on a uniform cubic lattice in dimension 1, 2, or 3.
+"""Sampled functions on a uniform one-dimensional lattice.
 
-Cells are closed-open boxes of side h tiling [-L, L)^n with L/h an integer,
-indexed lexicographically; the function is the cell value on each cell and
-zero outside the domain.  This substrate carries the maximal operator and
-weighted norms in dimensions where no exact piecewise representation exists.
+Cells are closed-open intervals of side h tiling [-L, L) with L/h an integer,
+indexed left to right; the function is the cell value on each cell and zero
+outside the domain.  This substrate carries the discretized maximal operator
+and its weighted norms.
 """
 
 from __future__ import annotations
@@ -19,21 +19,19 @@ class LatticeFunction:
     n: int
     h: float
     L: float
-    values: np.ndarray  # flat, length (2L/h)^n, lexicographic
+    values: np.ndarray  # length 2L/h, left to right
 
     def __post_init__(self) -> None:
-        if self.n not in (1, 2, 3):
-            raise ValueError(f"lattice dimension must be 1, 2, or 3, got {self.n}")
+        if self.n != 1:
+            raise ValueError(f"lattice dimension must be 1, got {self.n}")
         if not self.h > 0:
             raise ValueError("cell width must be positive")
         ratio = self.L / self.h
         if not np.isclose(ratio, round(ratio)) or round(ratio) < 1:
             raise ValueError(f"L/h must be a positive integer, got {ratio}")
         vals = np.asarray(self.values, dtype=float)
-        if vals.size != self.cells_per_axis ** self.n:
-            raise ValueError(
-                f"expected {self.cells_per_axis ** self.n} values, got {vals.size}"
-            )
+        if vals.size != self.cells_per_axis:
+            raise ValueError(f"expected {self.cells_per_axis} values, got {vals.size}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
         vals = vals.reshape(-1).copy()
@@ -44,47 +42,22 @@ class LatticeFunction:
     def cells_per_axis(self) -> int:
         return 2 * round(self.L / self.h)
 
-    def to_nd(self) -> np.ndarray:
-        return self.values.reshape((self.cells_per_axis,) * self.n)
-
     def axis_midpoints(self) -> np.ndarray:
-        """Cell-center coordinates along one axis."""
+        """Cell-center coordinates."""
         m = self.cells_per_axis
         return -self.L + (np.arange(m) + 0.5) * self.h
 
     def midpoint_radii(self) -> np.ndarray:
-        """|cell center| for every cell, flat, lexicographic."""
-        c = self.axis_midpoints()
-        if self.n == 1:
-            return np.abs(c)
-        grids = np.meshgrid(*([c] * self.n), indexing="ij")
-        return np.sqrt(sum(g * g for g in grids)).reshape(-1)
-
-    def origin_cell_mask(self) -> np.ndarray:
-        """Cells whose closure touches the origin (2^n of them), flat mask."""
-        c = self.axis_midpoints()
-        near = np.abs(np.abs(c) - self.h / 2) < self.h / 4
-        if self.n == 1:
-            return near
-        grids = np.meshgrid(*([near] * self.n), indexing="ij")
-        out = grids[0]
-        for g in grids[1:]:
-            out = out & g
-        return out.reshape(-1)
+        """|cell center| for every cell."""
+        return np.abs(self.axis_midpoints())
 
     def with_values(self, values: np.ndarray) -> "LatticeFunction":
         return LatticeFunction(self.n, self.h, self.L, values)
 
     @classmethod
     def from_callable(
-        cls, fn: Callable[..., np.ndarray], n: int, h: float, L: float
+        cls, fn: Callable[[np.ndarray], np.ndarray], n: int, h: float, L: float
     ) -> "LatticeFunction":
-        """Sample fn at cell centers; fn maps coordinate arrays to values."""
-        probe = cls(n, h, L, np.zeros((2 * round(L / h)) ** n))
-        c = probe.axis_midpoints()
-        if n == 1:
-            vals = np.asarray(fn(c), dtype=float)
-        else:
-            grids = np.meshgrid(*([c] * n), indexing="ij")
-            vals = np.asarray(fn(*grids), dtype=float).reshape(-1)
-        return cls(n, h, L, vals)
+        """Sample fn at cell centers; fn maps a coordinate array to values."""
+        probe = cls(n, h, L, np.zeros(2 * round(L / h)))
+        return cls(n, h, L, np.asarray(fn(probe.axis_midpoints()), dtype=float))

@@ -3,10 +3,8 @@
 Piecewise-constant functions integrate in closed form (power antiderivative,
 log branch at alpha = -1, split at the origin); divergent integrals return
 math.inf as a distinguished value rather than raising, because the sharpness
-harnesses need to observe divergence.  Lattice functions use per-cell
-midpoint weights, with the 2^n cells touching the origin handled by exact
-two-sided radial bounds so that a singular weight does not wreck the error
-budget.
+harnesses need to observe divergence.  Lattice functions use the exact
+weight mass of each cell.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import LatticeFunction
-from .params import DyadicAnnulus, WeightParams, unit_ball_volume
+from .params import DyadicAnnulus, WeightParams
 from .piecewise import PiecewiseConstant1D
 
 
@@ -44,38 +42,23 @@ def weight_integral(a: float, b: float, alpha: float) -> float:
 
 
 def _lattice_weights(f: LatticeFunction, alpha: float) -> np.ndarray:
-    """Per-cell masses int_cell |x|^alpha dx.
+    """Per-cell masses int_cell |x|^alpha dx, exact.
 
-    In 1D these are exact (power/log antiderivative per cell, with inf for
-    the origin cells when alpha <= -1).  In higher dimensions: midpoint rule
-    away from 0, and the origin-touching cells get the midpoint of exact
-    lower/upper radial bounds — the cell contains the orthant ball of radius
-    h and sits inside the orthant ball of radius h*sqrt(n).
+    Power/log antiderivative per cell, with inf for the origin cells when
+    alpha <= -1.
     """
     r = f.midpoint_radii()
-    if f.n == 1:
-        lo = np.maximum(r - 0.5 * f.h, 0.0)
-        hi = r + 0.5 * f.h
-        if alpha == 0.0:
-            return np.full_like(r, f.h)
-        w = np.full_like(r, math.inf)
-        # origin cells (lo = 0) stay inf only when the singularity is non-integrable
-        pos = lo > 0.0 if alpha <= -1.0 else np.ones_like(lo, dtype=bool)
-        if alpha == -1.0:
-            w[pos] = np.log(hi[pos] / lo[pos])
-        else:
-            w[pos] = (hi[pos] ** (alpha + 1.0) - lo[pos] ** (alpha + 1.0)) / (alpha + 1.0)
-        return w
-    w = f.h ** f.n * r ** alpha
-    mask = f.origin_cell_mask()
-    if alpha + f.n <= 0:
-        w[mask] = math.inf
-        return w
-    sigma = f.n * unit_ball_volume(f.n)  # unit-sphere surface measure
-    orthant = sigma / 2 ** f.n / (alpha + f.n)
-    lo = orthant * f.h ** (alpha + f.n)
-    hi = orthant * (f.h * math.sqrt(f.n)) ** (alpha + f.n)
-    w[mask] = 0.5 * (lo + hi)
+    lo = np.maximum(r - 0.5 * f.h, 0.0)
+    hi = r + 0.5 * f.h
+    if alpha == 0.0:
+        return np.full_like(r, f.h)
+    w = np.full_like(r, math.inf)
+    # origin cells (lo = 0) stay inf only when the singularity is non-integrable
+    pos = lo > 0.0 if alpha <= -1.0 else np.ones_like(lo, dtype=bool)
+    if alpha == -1.0:
+        w[pos] = np.log(hi[pos] / lo[pos])
+    else:
+        w[pos] = (hi[pos] ** (alpha + 1.0) - lo[pos] ** (alpha + 1.0)) / (alpha + 1.0)
     return w
 
 

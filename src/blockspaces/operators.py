@@ -37,6 +37,22 @@ def pv_exclusion_radius(f: PiecewiseConstant1D) -> float:
     return PV_EXCLUSION_SCALE * f.min_piece_length
 
 
+def nearest_breakpoint(x: np.ndarray, breakpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of and distance to the nearest of the sorted breakpoints, per point.
+
+    Float subtraction is monotone, so the minimum of |x - b| over all
+    breakpoints is attained at one of the two neighbours searchsorted finds:
+    the distance equals the dense points x breakpoints minimum bit for bit,
+    in O(points) memory.  Ties go to the lower breakpoint.
+    """
+    hi = np.minimum(np.searchsorted(breakpoints, x), breakpoints.size - 1)
+    lo = np.maximum(hi - 1, 0)
+    d_lo = np.abs(x - breakpoints[lo])
+    d_hi = np.abs(x - breakpoints[hi])
+    take_hi = d_hi < d_lo
+    return np.where(take_hi, hi, lo), np.where(take_hi, d_hi, d_lo)
+
+
 @dataclass(frozen=True)
 class EvalGrid:
     """Evaluation abscissae kept clear of a function's singular points."""
@@ -48,9 +64,8 @@ class EvalGrid:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.size and self.singular_points:
-            sing = np.asarray(self.singular_points, dtype=float)
-            dist = np.abs(pts[:, None] - sing[None, :])
-            hit = dist.min(axis=1) <= self.exclusion_radius
+            sing = np.sort(np.asarray(self.singular_points, dtype=float))
+            hit = nearest_breakpoint(pts, sing)[1] <= self.exclusion_radius
             if hit.any():
                 x_bad = float(pts[hit][0])
                 raise DomainEvaluationError(
@@ -69,9 +84,7 @@ class EvalGrid:
         pts = np.atleast_1d(np.asarray(points, dtype=float))
         r = pv_exclusion_radius(f)
         if f.breakpoints:
-            sing = np.asarray(f.breakpoints, dtype=float)
-            keep = np.abs(pts[:, None] - sing[None, :]).min(axis=1) > r
-            pts = pts[keep]
+            pts = pts[nearest_breakpoint(pts, np.asarray(f.breakpoints))[1] > r]
         return cls(tuple(pts), r, f.breakpoints)
 
 
@@ -86,9 +99,8 @@ def _require_pv_clear(f: PiecewiseConstant1D, x: np.ndarray) -> None:
         return
     bps = np.asarray(f.breakpoints, dtype=float)
     r = pv_exclusion_radius(f)
-    dist = np.abs(x[:, None] - bps[None, :])
-    nearest = dist.argmin(axis=1)
-    hit = dist[np.arange(x.size), nearest] <= r
+    nearest, dist = nearest_breakpoint(x, bps)
+    hit = dist <= r
     if hit.any():
         i = int(np.flatnonzero(hit)[0])
         raise DomainEvaluationError(
@@ -120,6 +132,11 @@ def hilbert(f: PiecewiseConstant1D, grid) -> np.ndarray:
     return logs @ c / math.pi
 
 
+def _clipped_log(num: np.ndarray, den: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """log(num / den) where mask holds, 0 elsewhere; the ratio is formed only under the mask."""
+    return np.log(np.divide(num, den, out=np.ones(mask.shape), where=mask))
+
+
 def hilbert_truncated(f: PiecewiseConstant1D, eps: float, grid) -> np.ndarray:
     """Integral of f(y)/(pi (x-y)) over |x - y| > eps, by exact interval clipping."""
     if not eps > 0:
@@ -131,13 +148,9 @@ def hilbert_truncated(f: PiecewiseConstant1D, eps: float, grid) -> np.ndarray:
     v = np.asarray(f.values, dtype=float)
     a, b = bps[:-1][None, :], bps[1:][None, :]
     xx = x[:, None]
-    out = np.zeros((x.size, v.size))
     bl = np.minimum(b, xx - eps)
-    left = a < bl
-    out += np.where(left, np.log(np.where(left, (xx - a) / (xx - bl), 1.0)), 0.0)
     ar = np.maximum(a, xx + eps)
-    right = ar < b
-    out += np.where(right, np.log(np.where(right, (ar - xx) / (b - xx), 1.0)), 0.0)
+    out = _clipped_log(xx - a, xx - bl, a < bl) + _clipped_log(ar - xx, b - xx, ar < b)
     return (out @ v) / math.pi
 
 
@@ -291,7 +304,7 @@ def carleson(
 
 
 def hl_maximal(f: LatticeFunction, window_halfwidths) -> LatticeFunction:
-    """Uncentered lattice maximal function over cube windows.
+    """Uncentered lattice maximal function over interval windows.
 
     At each cell the value is the maximum, over windows of side (2w+1)h for
     every supplied halfwidth w plus the degenerate single-cell window, of the
@@ -307,13 +320,13 @@ def hl_maximal(f: LatticeFunction, window_halfwidths) -> LatticeFunction:
         raise ValueError(
             f"window halfwidth {max(widths)} exceeds the domain's {f.cells_per_axis} cells"
         )
-    absf = np.abs(f.to_nd())
+    absf = np.abs(f.values)
     out = absf.copy()
     for w in sorted(set(widths)):
         size = 2 * w + 1
         avg = ndimage.uniform_filter(absf, size=size, mode="constant", cval=0.0)
         np.maximum(out, ndimage.maximum_filter(avg, size=size, mode="constant", cval=0.0), out=out)
-    return f.with_values(out.ravel())
+    return f.with_values(out)
 
 
 def maximal_1d_exact(f: PiecewiseConstant1D, grid) -> np.ndarray:

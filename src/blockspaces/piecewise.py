@@ -58,10 +58,6 @@ class PiecewiseConstant1D:
             raise ValueError(f"need a < b, got [{a}, {b}]")
         return cls((a, b), (value,))
 
-    @classmethod
-    def from_samples(cls, edges: Sequence[float], values: Sequence[float]) -> "PiecewiseConstant1D":
-        return cls(edges, values)
-
     # -- basic queries -----------------------------------------------------
 
     @property

@@ -57,11 +57,16 @@ def shell_grid(
     return x, w
 
 
-def weighted_power_integral(values, x, w, p: float, alpha: float) -> float:
-    """sum of w * |values|^p * |x|^alpha -- the integrand of the weighted norm."""
+def weighted_power_terms(values, x, w, p: float, alpha: float) -> np.ndarray:
+    """w * |values|^p * |x|^alpha per node -- the integrand of the weighted norm."""
     values = np.asarray(values, dtype=float)
     x = np.asarray(x, dtype=float)
-    return float(np.sum(np.asarray(w) * np.abs(values) ** p * np.abs(x) ** alpha))
+    return np.asarray(w) * np.abs(values) ** p * np.abs(x) ** alpha
+
+
+def weighted_power_integral(values, x, w, p: float, alpha: float) -> float:
+    """sum of w * |values|^p * |x|^alpha over the nodes."""
+    return float(np.sum(weighted_power_terms(values, x, w, p, alpha)))
 
 
 def weighted_norm_from_samples(values, x, w, p: float, alpha: float) -> float:

@@ -19,7 +19,7 @@ Reports are deterministic given (params, seeds, resolutions).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .quadrature import (
     shell_grid,
     weighted_norm_from_samples,
     weighted_power_integral,
+    weighted_power_terms,
 )
 from .operators import (
     carleson,
@@ -50,6 +51,7 @@ from .operators import (
     hilbert_maximal,
     hl_maximal,
     maximal_1d_exact,
+    nearest_breakpoint,
     pv_exclusion_radius,
 )
 
@@ -96,6 +98,30 @@ class VerificationReport:
         return any(v.out_of_hypothesis for v in self.verdicts)
 
 
+def _below(
+    criterion: str,
+    measurement: str,
+    tolerance: float,
+    value: float,
+    note: str = "",
+    in_hypothesis: bool = True,
+) -> Verdict:
+    """Verdict that passes when value < tolerance; an abstention outside the hypotheses."""
+    passed = bool(value < tolerance) if in_hypothesis else None
+    return Verdict(criterion, measurement, tolerance, value, passed, not in_hypothesis, note)
+
+
+def _eventually_decreasing(
+    criterion: str, measurement: str, errs: np.ndarray, in_hypothesis: bool = True
+) -> Verdict:
+    """Verdict that passes when errs peaks in its first half and strictly decreases after."""
+    i0, half = int(np.argmax(errs)), errs.size // 2
+    passed = i0 <= half and bool(np.all(np.diff(errs[i0:]) < 0.0))
+    if not in_hypothesis:
+        passed = None
+    return Verdict(criterion, measurement, float(half), float(i0), passed, not in_hypothesis)
+
+
 def _curve(xs, ys) -> list:
     return [[float(a), float(b)] for a, b in zip(xs, ys)]
 
@@ -130,9 +156,7 @@ def _block_norm(op: str, params: WeightParams, k: int, shape: str, seed: int, N:
     if op == "dirichlet_sn":
         edges = oscillation_edges(f.breakpoints, 1024.0, 1.0 / (8.0 * N), 40)
         x, w = panel_nodes(edges, 4)
-        r = pv_exclusion_radius(f)
-        bps = np.asarray(f.breakpoints)
-        keep = np.abs(x[:, None] - bps[None, :]).min(axis=1) > r
+        keep = nearest_breakpoint(x, np.asarray(f.breakpoints))[1] > pv_exclusion_radius(f)
         vals = dirichlet_sn(f, N, x[keep])
         return weighted_norm_from_samples(vals, x[keep], w[keep], params.p, params.alpha)
     x, w = _scaled_shell_quadrature(k)
@@ -200,17 +224,8 @@ def verify_uniform_block_bound(
     positive = [v for v in all_norms if v > 0.0]
     ratio = max(positive) / min(positive) if positive else 1.0
     measurements["ratio"] = ratio
-    verdicts.append(
-        Verdict(
-            criterion=f"uniform-norm-ratio({op})",
-            measurement="ratio",
-            tolerance=tol,
-            value=ratio,
-            passed=None if not in_range else bool(ratio < tol),
-            out_of_hypothesis=not in_range,
-            note="" if in_range else "parameters outside the main range",
-        )
-    )
+    note = "" if in_range else "parameters outside the main range"
+    verdicts.append(_below(f"uniform-norm-ratio({op})", "ratio", tol, ratio, note, in_range))
     boundary = params.alpha == params.n * (params.p - 1.0)
     if boundary and op == "hilbert":
         block = make_canonical_block(params, 0, shape="indicator")
@@ -259,18 +274,107 @@ def verify_uniform_block_bound(
 # sharpness of the maximal-function range
 
 
-def _shell_integrals(values_fn, edges: np.ndarray, p: float, alpha: float, nodes: int) -> np.ndarray:
+def _shell_integrals(values_fn, edges: np.ndarray, p: float, alpha: float, nodes: int):
     """Integral of |values_fn|^p |x|^alpha over each panel between edges (one side)."""
-    out = np.empty(edges.size - 1)
-    for i in range(edges.size - 1):
-        x, w = panel_nodes(edges[i : i + 2], nodes)
-        out[i] = weighted_power_integral(values_fn(x), x, w, p, alpha)
-    return out
+    x, w = panel_nodes(edges, nodes)
+    return weighted_power_terms(values_fn(x), x, w, p, alpha).reshape(-1, nodes).sum(axis=1)
+
+
+def _two_sided_shell_integrals(values_fn, edges: np.ndarray, p: float, alpha: float, nodes: int):
+    """Per-panel integrals over the panels between edges plus their mirror images."""
+    return _shell_integrals(values_fn, edges, p, alpha, nodes) + _shell_integrals(
+        lambda x: values_fn(-x), edges, p, alpha, nodes
+    )
+
+
+def _near_zero_growth(values_fn, top: float, j_max: int, p: float, alpha: float, nodes: int):
+    """Integral over delta < |x| < top for delta = top 2^-1, ..., top 2^-j_max."""
+    deltas = top * 2.0 ** -np.arange(1, j_max + 1)
+    edges = np.concatenate([deltas[::-1], [top]])
+    per_shell = _two_sided_shell_integrals(values_fn, edges, p, alpha, nodes)
+    return deltas, np.cumsum(per_shell[::-1])
 
 
 def _fit_slope(log_x: np.ndarray, y: np.ndarray, last: int = 6) -> float:
     lx, ly = log_x[-last:], y[-last:]
     return float(np.polyfit(lx, ly, 1)[0])
+
+
+def _boundary_log_slope(per_shell, edges, target, tag, nodes_per_shell, measurements, verdicts):
+    """Tail integral's slope in log R' against target, at two quadrature refinements.
+
+    per_shell(nodes) gives the per-panel integrals over the panels between
+    edges; the slope must be within 10 % of target and must not move away
+    from it when the node count doubles.
+    """
+    slopes = []
+    for nodes in (nodes_per_shell, 2 * nodes_per_shell):
+        tails = np.cumsum(per_shell(nodes))
+        slopes.append(_fit_slope(np.log(edges[1:]), tails))
+        if nodes == nodes_per_shell:
+            measurements[f"tail|{tag}"] = _curve(edges[1:], tails)
+    slope, slope_fine = slopes
+    measurements[f"tail_slope|{tag}"] = slope
+    measurements[f"tail_slope_refined|{tag}"] = slope_fine
+    verdicts.append(
+        _below(
+            f"boundary-log-slope[{tag}]",
+            f"tail_slope|{tag}",
+            0.10,
+            abs(slope / target - 1.0),
+            note=f"analytic target {target:g}",
+        )
+    )
+    verdicts.append(
+        Verdict(
+            criterion=f"slope-refinement-monotone[{tag}]",
+            measurement=f"tail_slope_refined|{tag}",
+            tolerance=1e-12,
+            value=abs(slope_fine - target) - abs(slope - target),
+            passed=bool(abs(slope_fine - target) <= abs(slope - target) + 1e-12),
+        )
+    )
+
+
+def _inner_divergence(deltas, growth, alpha, n, name, tag, measurements, verdicts):
+    """Divergence of the integral over [delta, top] as delta -> 0.
+
+    At alpha = -n the growth is logarithmic: the per-halving slopes must be
+    positive and flat to 15 %, and they are returned.  Below -n it is a
+    power law whose fitted exponent must be within 25 % of -(alpha + n);
+    None is returned.  name prefixes the measurement keys ("inner",
+    "near_zero") and, hyphenated, the criteria.
+    """
+    crit = name.replace("_", "-")
+    measurements[f"{name}_growth|{tag}"] = _curve(np.log(1.0 / deltas), growth)
+    if alpha == -n:
+        step_slopes = np.diff(growth) / math.log(2.0)
+        tail_slopes = step_slopes[-5:]
+        spread = float(np.max(tail_slopes) / np.min(tail_slopes) - 1.0)
+        measurements[f"{name}_slope_spread|{tag}"] = spread
+        verdicts.append(
+            Verdict(
+                criterion=f"{crit}-log-divergence[{tag}]",
+                measurement=f"{name}_slope_spread|{tag}",
+                tolerance=0.15,
+                value=spread,
+                passed=bool(spread < 0.15 and np.all(tail_slopes > 0.0)),
+            )
+        )
+        return step_slopes
+    expo = _fit_slope(np.log(1.0 / deltas), np.log(growth), last=5)
+    target = -(alpha + n)
+    measurements[f"{name}_power_exponent|{tag}"] = expo
+    verdicts.append(
+        _below(
+            f"{crit}-polynomial-divergence[{tag}]",
+            f"{name}_power_exponent|{tag}",
+            0.25,
+            abs(expo / target - 1.0),
+            note=f"target exponent {target:g}",
+        )
+    )
+    return None
 
 
 def verify_maximal_sharpness(
@@ -305,64 +409,22 @@ def verify_maximal_sharpness(
     )
     measurements["uncentered_oracle_max_dev"] = oracle_dev
     verdicts.append(
-        Verdict(
-            criterion="exact-evaluator-matches-2/(x+1)",
-            measurement="uncentered_oracle_max_dev",
-            tolerance=1e-12,
-            value=oracle_dev,
-            passed=bool(oracle_dev < 1e-12),
-        )
+        _below("exact-evaluator-matches-2/(x+1)", "uncentered_oracle_max_dev", 1e-12, oracle_dev)
     )
 
+    mf = lambda x: maximal_1d_exact(f, x)
     for params in params_grid:
         p, alpha = params.p, params.alpha
         tag = f"p={p:g},alpha={alpha:g}"
         boundary = params.n * (p - 1.0)
+        edges = 2.0 ** np.arange(1, j_tail_max + 1)
         if alpha == boundary:
-            target = 2.0 ** (p + 1.0)
-            slopes = {}
-            for nodes in (nodes_per_shell, 2 * nodes_per_shell):
-                edges = 2.0 ** np.arange(1, j_tail_max + 1)
-                per_shell = _shell_integrals(
-                    lambda x: maximal_1d_exact(f, x), edges, p, alpha, nodes
-                ) + _shell_integrals(
-                    lambda x: maximal_1d_exact(f, -x), edges, p, alpha, nodes
-                )
-                tails = np.cumsum(per_shell)
-                slopes[nodes] = _fit_slope(np.log(edges[1:]), tails)
-                if nodes == nodes_per_shell:
-                    measurements[f"tail|{tag}"] = _curve(edges[1:], tails)
-            slope, slope_fine = slopes[nodes_per_shell], slopes[2 * nodes_per_shell]
-            measurements[f"tail_slope|{tag}"] = slope
-            measurements[f"tail_slope_refined|{tag}"] = slope_fine
-            verdicts.append(
-                Verdict(
-                    criterion=f"boundary-log-slope[{tag}]",
-                    measurement=f"tail_slope|{tag}",
-                    tolerance=0.10,
-                    value=abs(slope / target - 1.0),
-                    passed=bool(abs(slope / target - 1.0) < 0.10),
-                    note=f"analytic target {target:g}",
-                )
-            )
-            verdicts.append(
-                Verdict(
-                    criterion=f"slope-refinement-monotone[{tag}]",
-                    measurement=f"tail_slope_refined|{tag}",
-                    tolerance=1e-12,
-                    value=abs(slope_fine - target) - abs(slope - target),
-                    passed=bool(
-                        abs(slope_fine - target) <= abs(slope - target) + 1e-12
-                    ),
-                )
+            _boundary_log_slope(
+                lambda nodes: _two_sided_shell_integrals(mf, edges, p, alpha, nodes),
+                edges, 2.0 ** (p + 1.0), tag, nodes_per_shell, measurements, verdicts,
             )
         elif alpha > -params.n:
-            edges = 2.0 ** np.arange(1, j_tail_max + 1)
-            per_shell = _shell_integrals(
-                lambda x: maximal_1d_exact(f, x), edges, p, alpha, nodes_per_shell
-            ) + _shell_integrals(
-                lambda x: maximal_1d_exact(f, -x), edges, p, alpha, nodes_per_shell
-            )
+            per_shell = _two_sided_shell_integrals(mf, edges, p, alpha, nodes_per_shell)
             tails = np.cumsum(per_shell)
             ratios = per_shell[1:] / per_shell[:-1]
             measurements[f"tail|{tag}"] = _curve(edges[1:], tails)
@@ -372,21 +434,19 @@ def verify_maximal_sharpness(
             last_change = float((tails[-1] - tails[-2]) / tails[-1])
             measurements[f"final_doubling_change|{tag}"] = last_change
             verdicts.append(
-                Verdict(
-                    criterion=f"interior-tail-geometric[{tag}]",
-                    measurement=f"increment_ratios|{tag}",
-                    tolerance=0.9,
-                    value=float(np.max(ratios[-5:])),
-                    passed=bool(np.max(ratios[-5:]) < 0.9),
+                _below(
+                    f"interior-tail-geometric[{tag}]",
+                    f"increment_ratios|{tag}",
+                    0.9,
+                    float(np.max(ratios[-5:])),
                 )
             )
             verdicts.append(
-                Verdict(
-                    criterion=f"final-doubling-under-5%[{tag}]",
-                    measurement=f"final_doubling_change|{tag}",
-                    tolerance=0.05,
-                    value=last_change,
-                    passed=bool(last_change < 0.05),
+                _below(
+                    f"final-doubling-under-5%[{tag}]",
+                    f"final_doubling_change|{tag}",
+                    0.05,
+                    last_change,
                 )
             )
         else:
@@ -402,46 +462,14 @@ def verify_maximal_sharpness(
                     passed=bool(min_ball >= 0.25),
                 )
             )
-            deltas = 2.0 ** -np.arange(1, j_tail_max + 1)
-            edges = np.concatenate([deltas[::-1], [1.0]])
-            per_shell = _shell_integrals(
-                lambda x: maximal_1d_exact(shell, x), edges, p, alpha, nodes_per_shell
-            ) + _shell_integrals(
-                lambda x: maximal_1d_exact(shell, -x), edges, p, alpha, nodes_per_shell
+            deltas, inner = _near_zero_growth(
+                lambda x: maximal_1d_exact(shell, x), 1.0, j_tail_max, p, alpha, nodes_per_shell
             )
-            inner = np.cumsum(per_shell[::-1])  # integral over [delta, 1], delta shrinking
-            measurements[f"inner_growth|{tag}"] = _curve(np.log(1.0 / deltas), inner)
-            if alpha == -params.n:
-                step_slopes = np.diff(inner) / math.log(2.0)
-                measurements[f"inner_slopes|{tag}"] = _curve(
-                    np.log(1.0 / deltas[1:]), step_slopes
-                )
-                tail_slopes = step_slopes[-5:]
-                spread = float(np.max(tail_slopes) / np.min(tail_slopes) - 1.0)
-                measurements[f"inner_slope_spread|{tag}"] = spread
-                verdicts.append(
-                    Verdict(
-                        criterion=f"inner-log-divergence[{tag}]",
-                        measurement=f"inner_slope_spread|{tag}",
-                        tolerance=0.15,
-                        value=spread,
-                        passed=bool(spread < 0.15 and np.all(tail_slopes > 0.0)),
-                    )
-                )
-            else:
-                expo = _fit_slope(np.log(1.0 / deltas), np.log(inner), last=5)
-                target = -(alpha + params.n)
-                measurements[f"inner_power_exponent|{tag}"] = expo
-                verdicts.append(
-                    Verdict(
-                        criterion=f"inner-polynomial-divergence[{tag}]",
-                        measurement=f"inner_power_exponent|{tag}",
-                        tolerance=0.25,
-                        value=abs(expo / target - 1.0),
-                        passed=bool(abs(expo / target - 1.0) < 0.25),
-                        note=f"target exponent {target:g}",
-                    )
-                )
+            slopes = _inner_divergence(
+                deltas, inner, alpha, params.n, "inner", tag, measurements, verdicts
+            )
+            if slopes is not None:
+                measurements[f"inner_slopes|{tag}"] = _curve(np.log(1.0 / deltas[1:]), slopes)
     return VerificationReport(
         theorem=theorem,
         params={"grid": [q.as_dict() for q in params_grid]},
@@ -509,35 +537,9 @@ def verify_hilbert_sharpness(
         boundary = p - 1.0
         edges = np.concatenate([[3.0], 2.0 ** np.arange(2, j_tail_max + 1)])
         if alpha == boundary:
-            target = math.pi ** -p
-            slopes = {}
-            for nodes in (nodes_per_shell, 2 * nodes_per_shell):
-                per_shell = _shell_integrals(hf, edges, p, alpha, nodes)
-                tails = np.cumsum(per_shell)
-                slopes[nodes] = _fit_slope(np.log(edges[1:]), tails)
-                if nodes == nodes_per_shell:
-                    measurements[f"tail|{tag}"] = _curve(edges[1:], tails)
-            slope, slope_fine = slopes[nodes_per_shell], slopes[2 * nodes_per_shell]
-            measurements[f"tail_slope|{tag}"] = slope
-            measurements[f"tail_slope_refined|{tag}"] = slope_fine
-            verdicts.append(
-                Verdict(
-                    criterion=f"boundary-log-slope[{tag}]",
-                    measurement=f"tail_slope|{tag}",
-                    tolerance=0.10,
-                    value=abs(slope / target - 1.0),
-                    passed=bool(abs(slope / target - 1.0) < 0.10),
-                    note=f"analytic target {target:g}",
-                )
-            )
-            verdicts.append(
-                Verdict(
-                    criterion=f"slope-refinement-monotone[{tag}]",
-                    measurement=f"tail_slope_refined|{tag}",
-                    tolerance=1e-12,
-                    value=abs(slope_fine - target) - abs(slope - target),
-                    passed=bool(abs(slope_fine - target) <= abs(slope - target) + 1e-12),
-                )
+            _boundary_log_slope(
+                lambda nodes: _shell_integrals(hf, edges, p, alpha, nodes),
+                edges, math.pi ** -p, tag, nodes_per_shell, measurements, verdicts,
             )
         elif alpha > boundary:
             per_shell = _shell_integrals(hf, edges, p, alpha, nodes_per_shell)
@@ -547,12 +549,11 @@ def verify_hilbert_sharpness(
             measurements[f"tail|{tag}"] = _curve(edges[1:], tails)
             measurements[f"tail_power_exponent|{tag}"] = expo
             verdicts.append(
-                Verdict(
-                    criterion=f"above-boundary-polynomial-growth[{tag}]",
-                    measurement=f"tail_power_exponent|{tag}",
-                    tolerance=0.25,
-                    value=abs(expo / target - 1.0),
-                    passed=bool(abs(expo / target - 1.0) < 0.25),
+                _below(
+                    f"above-boundary-polynomial-growth[{tag}]",
+                    f"tail_power_exponent|{tag}",
+                    0.25,
+                    abs(expo / target - 1.0),
                     note=f"target exponent {target:g}",
                 )
             )
@@ -560,14 +561,7 @@ def verify_hilbert_sharpness(
             per_shell = _shell_integrals(hf, edges, p, alpha, nodes_per_shell)
             tails = np.cumsum(per_shell)
             tail_change = float((tails[-1] - tails[-2]) / tails[-1])
-            deltas = 0.5 * 2.0 ** -np.arange(1, j_tail_max + 1)
-            near_edges = np.concatenate([deltas[::-1], [0.5]])
-            near = np.cumsum(
-                (
-                    _shell_integrals(hf, near_edges, p, alpha, nodes_per_shell)
-                    + _shell_integrals(lambda x: hf(-x), near_edges, p, alpha, nodes_per_shell)
-                )[::-1]
-            )
+            deltas, near = _near_zero_growth(hf, 0.5, j_tail_max, p, alpha, nodes_per_shell)
             near_change = float((near[-1] - near[-2]) / near[-1])
             measurements[f"tail|{tag}"] = _curve(edges[1:], tails)
             measurements[f"near_zero|{tag}"] = _curve(np.log(1.0 / deltas), near)
@@ -583,42 +577,8 @@ def verify_hilbert_sharpness(
                 )
             )
         else:
-            deltas = 0.5 * 2.0 ** -np.arange(1, j_tail_max + 1)
-            near_edges = np.concatenate([deltas[::-1], [0.5]])
-            per = (
-                _shell_integrals(hf, near_edges, p, alpha, nodes_per_shell)
-                + _shell_integrals(lambda x: hf(-x), near_edges, p, alpha, nodes_per_shell)
-            )
-            near = np.cumsum(per[::-1])
-            measurements[f"near_zero_growth|{tag}"] = _curve(np.log(1.0 / deltas), near)
-            if alpha == -1.0:
-                step_slopes = np.diff(near) / math.log(2.0)
-                tail_slopes = step_slopes[-5:]
-                spread = float(np.max(tail_slopes) / np.min(tail_slopes) - 1.0)
-                measurements[f"near_zero_slope_spread|{tag}"] = spread
-                verdicts.append(
-                    Verdict(
-                        criterion=f"near-zero-log-divergence[{tag}]",
-                        measurement=f"near_zero_slope_spread|{tag}",
-                        tolerance=0.15,
-                        value=spread,
-                        passed=bool(spread < 0.15 and np.all(tail_slopes > 0.0)),
-                    )
-                )
-            else:
-                expo = _fit_slope(np.log(1.0 / deltas), np.log(near), last=5)
-                target = -(alpha + 1.0)
-                measurements[f"near_zero_power_exponent|{tag}"] = expo
-                verdicts.append(
-                    Verdict(
-                        criterion=f"near-zero-polynomial-divergence[{tag}]",
-                        measurement=f"near_zero_power_exponent|{tag}",
-                        tolerance=0.25,
-                        value=abs(expo / target - 1.0),
-                        passed=bool(abs(expo / target - 1.0) < 0.25),
-                        note=f"target exponent {target:g}",
-                    )
-                )
+            deltas, near = _near_zero_growth(hf, 0.5, j_tail_max, p, alpha, nodes_per_shell)
+            _inner_divergence(deltas, near, alpha, 1.0, "near_zero", tag, measurements, verdicts)
     return VerificationReport(
         theorem=theorem,
         params={"grid": [q.as_dict() for q in params_grid]},
@@ -683,19 +643,18 @@ def verify_decomposition_independence(
             bps.update(t.block.data.breakpoints)
     sing = np.asarray(sorted(bps))
     r = max(pv_exclusion_radius(t.block.data) for d in decomps.values() for t in d.terms)
-    keep = np.abs(x[:, None] - sing[None, :]).min(axis=1) > r
+    keep = nearest_breakpoint(x, sing)[1] > r
     x, w = x[keep], w[keep]
+
+    apply_op = (lambda g: hilbert(g, x)) if op == "hilbert" else (lambda g: dirichlet_sn(g, N, x))
 
     def apply_terms(d: Decomposition) -> np.ndarray:
         out = np.zeros_like(x)
         for t in d.terms:
-            if op == "hilbert":
-                out += t.lam * hilbert(t.block.data, x)
-            else:
-                out += t.lam * dirichlet_sn(t.block.data, N, x)
+            out += t.lam * apply_op(t.block.data)
         return out
 
-    direct = hilbert(f, x) if op == "hilbert" else dirichlet_sn(f, N, x)
+    direct = apply_op(f)
     denom = weighted_norm_from_samples(direct, x, w, params.p, params.alpha)
     denom = denom if denom > 0.0 else 1.0
     routed = {name: apply_terms(d) for name, d in decomps.items()}
@@ -712,39 +671,16 @@ def verify_decomposition_independence(
             for name, d in decomps.items()
         },
     }
+    first = names[0]
+    comparisons = [
+        (f"pair-agreement({first}, {n})", f"rel_diff|{first}|{n}", routed[n] - routed[first])
+        for n in names[1:]
+    ] + [(f"direct-agreement({n})", f"rel_diff_direct|{n}", routed[n] - direct) for n in names]
     verdicts: list[Verdict] = []
-    for i in range(1, len(names)):
-        rel = (
-            weighted_norm_from_samples(
-                routed[names[i]] - routed[names[0]], x, w, params.p, params.alpha
-            )
-            / denom
-        )
-        measurements[f"rel_diff|{names[0]}|{names[i]}"] = rel
-        verdicts.append(
-            Verdict(
-                criterion=f"pair-agreement({names[0]}, {names[i]})",
-                measurement=f"rel_diff|{names[0]}|{names[i]}",
-                tolerance=1e-8,
-                value=rel,
-                passed=bool(rel < 1e-8),
-            )
-        )
-    for name in names:
-        rel = (
-            weighted_norm_from_samples(routed[name] - direct, x, w, params.p, params.alpha)
-            / denom
-        )
-        measurements[f"rel_diff_direct|{name}"] = rel
-        verdicts.append(
-            Verdict(
-                criterion=f"direct-agreement({name})",
-                measurement=f"rel_diff_direct|{name}",
-                tolerance=1e-8,
-                value=rel,
-                passed=bool(rel < 1e-8),
-            )
-        )
+    for criterion, key, diff in comparisons:
+        rel = weighted_norm_from_samples(diff, x, w, params.p, params.alpha) / denom
+        measurements[key] = rel
+        verdicts.append(_below(criterion, key, 1e-8, rel))
     return VerificationReport(
         theorem=theorem,
         params=params.as_dict(),
@@ -811,31 +747,19 @@ def verify_norm_convergence(
                     out_of_hypothesis=not in_hyp)
         )
     else:
-        i0 = int(np.argmax(errs))
-        decreasing_after = bool(np.all(np.diff(errs[i0:]) < 0.0))
-        early_peak = i0 <= errs.size // 2
-        measurements["peak_index"] = i0
+        measurements["peak_index"] = int(np.argmax(errs))
         terminal_ratio = float(errs[-1] / errs[0])
         measurements["terminal_ratio"] = terminal_ratio
+        verdicts.append(_eventually_decreasing("eventually-decreasing", "peak_index", errs, in_hyp))
+        note = f"e(N_max)/e(N_min) over N in [{sched[0]:g}, {sched[-1]:g}]"
         verdicts.append(
-            Verdict(
-                criterion="eventually-decreasing",
-                measurement="peak_index",
-                tolerance=float(errs.size // 2),
-                value=float(i0),
-                passed=(decreasing_after and early_peak) if in_hyp else None,
-                out_of_hypothesis=not in_hyp,
-            )
-        )
-        verdicts.append(
-            Verdict(
-                criterion="terminal-error-ratio",
-                measurement="terminal_ratio",
-                tolerance=ratio_tolerance,
-                value=terminal_ratio,
-                passed=bool(terminal_ratio < ratio_tolerance) if in_hyp else None,
-                out_of_hypothesis=not in_hyp,
-                note=f"e(N_max)/e(N_min) over N in [{sched[0]:g}, {sched[-1]:g}]",
+            _below(
+                "terminal-error-ratio",
+                "terminal_ratio",
+                ratio_tolerance,
+                terminal_ratio,
+                note,
+                in_hyp,
             )
         )
     return VerificationReport(
@@ -881,7 +805,7 @@ def verify_pointwise_convergence(
     if grid is None:
         pts = np.linspace(0.0, 3.0, 769)
         bps = np.asarray(f.breakpoints) if not f.is_zero else np.asarray([math.inf])
-        grid = pts[np.abs(pts[:, None] - bps[None, :]).min(axis=1) >= 0.125]
+        grid = pts[nearest_breakpoint(pts, bps)[1] >= 0.125]
     x = np.atleast_1d(np.asarray(grid, dtype=float))
     fx = f(x)
     sup_errs = np.array(
@@ -892,24 +816,11 @@ def verify_pointwise_convergence(
     final = float(sup_errs[-1]) if sup_errs.size else 0.0
     measurements["final_sup_error"] = final
     verdicts.append(
-        Verdict(
-            criterion="sup-error-final",
-            measurement="final_sup_error",
-            tolerance=sup_tolerance,
-            value=final,
-            passed=bool(final < sup_tolerance),
-        )
+        _below("sup-error-final", "final_sup_error", sup_tolerance, final)
     )
     if np.any(sup_errs > 0.0):
-        i0 = int(np.argmax(sup_errs))
         verdicts.append(
-            Verdict(
-                criterion="sup-error-eventually-decreasing",
-                measurement="sup_error",
-                tolerance=float(sup_errs.size // 2),
-                value=float(i0),
-                passed=bool(i0 <= sup_errs.size // 2 and np.all(np.diff(sup_errs[i0:]) < 0.0)),
-            )
+            _eventually_decreasing("sup-error-eventually-decreasing", "sup_error", sup_errs)
         )
     xq, wq = shell_grid(-20, 6, 16)
     c_vals = carleson(f, geometric_schedule(0.25, 32.0), xq)
@@ -1061,30 +972,21 @@ def verify_inclusions(
 # dispatch
 
 
-def _merged(theorem: str, reports: list[VerificationReport], **prov) -> VerificationReport:
+def _merged(
+    theorem: str, parts: list[tuple[str, VerificationReport]], **prov
+) -> VerificationReport:
+    """One report from (prefix, report) pairs, each key and criterion prefixed."""
     measurements: dict = {}
     verdicts: list[Verdict] = []
-    sub_params = []
-    for rep in reports:
-        prefix = rep.provenance.get("op", rep.theorem)
-        sub_params.append(rep.params)
+    for prefix, rep in parts:
         for name, val in rep.measurements.items():
             measurements[f"{prefix}|{name}"] = val
         for v in rep.verdicts:
-            verdicts.append(
-                Verdict(
-                    criterion=f"{prefix}|{v.criterion}",
-                    measurement=f"{prefix}|{v.measurement}",
-                    tolerance=v.tolerance,
-                    value=v.value,
-                    passed=v.passed,
-                    out_of_hypothesis=v.out_of_hypothesis,
-                    note=v.note,
-                )
-            )
+            criterion, measurement = f"{prefix}|{v.criterion}", f"{prefix}|{v.measurement}"
+            verdicts.append(replace(v, criterion=criterion, measurement=measurement))
     return VerificationReport(
         theorem=theorem,
-        params={"sub": sub_params},
+        params={"sub": [rep.params for _, rep in parts]},
         measurements=measurements,
         verdicts=tuple(verdicts),
         provenance=_provenance(**prov),
@@ -1092,31 +994,14 @@ def _merged(theorem: str, reports: list[VerificationReport], **prov) -> Verifica
 
 
 def _theorem_3_1(seed: int) -> VerificationReport:
-    reports = []
     grid = (WeightParams(1, 1.0, 2.0, -0.5), WeightParams(1, 0.5, 2.0, -0.75))
-    for op in ("hilbert", "hilbert_maximal", "carleson", "dirichlet_sn"):
-        for params in grid:
-            rep = verify_uniform_block_bound(op, params, seed=seed)
-            reports.append(
-                VerificationReport(
-                    rep.theorem,
-                    rep.params,
-                    rep.measurements,
-                    rep.verdicts,
-                    {**rep.provenance, "op": f"{op}|p={params.p:g}"},
-                )
-            )
-    rep = verify_uniform_block_bound("hl_maximal", grid[0], seed=seed)
-    reports.append(
-        VerificationReport(
-            rep.theorem,
-            rep.params,
-            rep.measurements,
-            rep.verdicts,
-            {**rep.provenance, "op": "hl_maximal|p=1"},
-        )
-    )
-    return _merged("3.1", reports, seed=seed)
+    parts = [
+        (f"{op}|p={params.p:g}", verify_uniform_block_bound(op, params, seed=seed))
+        for op in ("hilbert", "hilbert_maximal", "carleson", "dirichlet_sn")
+        for params in grid
+    ]
+    parts.append(("hl_maximal|p=1", verify_uniform_block_bound("hl_maximal", grid[0], seed=seed)))
+    return _merged("3.1", parts, seed=seed)
 
 
 def run_theorem(theorem: str, seed: int = 0) -> VerificationReport:

@@ -9,7 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import sici
 
+from blockspaces import PiecewiseConstant1D, dirichlet_sn
 from blockspaces.cli import main
 from blockspaces.io import read_csv
 
@@ -216,6 +218,20 @@ def test_apply_sn_zero_input(tmp_path):
     assert rc == 0
     rows = read_csv(str(tmp_path / "a.csv"))
     assert len(rows) == 5 and all(v == 0.0 for _, v in rows)
+
+
+def test_apply_sn_readme_grid_meets_jumps(tmp_path, ball):
+    # S_N is entire: the README grid hits the jumps at +-1 and still exits 0
+    out = tmp_path / "a"
+    argv = ["apply", "--input", ball, "--op", "sn", "--schedule", "16", "--grid=-1:1:201"]
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 0
+    x, got = np.asarray(read_csv(str(tmp_path / "a.csv"))).T
+    ball_fn = PiecewiseConstant1D.indicator(-1.0, 1.0)
+    np.testing.assert_array_equal(got, dirichlet_sn(ball_fn, 16.0, x))
+    z = 2.0 * math.pi * 16.0
+    want = (sici(z * (x + 1.0))[0] - sici(z * (x - 1.0))[0]) / math.pi
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_apply_unknown_op_exits_2(tmp_path, ball):

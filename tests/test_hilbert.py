@@ -1,6 +1,7 @@
 """Hilbert transform of step functions: exact log formula, truncations, sup."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from blockspaces import (
     pv_exclusion_radius,
     refine_schedule,
 )
+from blockspaces.operators import _require_pv_clear, nearest_breakpoint
 
 chi = PiecewiseConstant1D.indicator
 
@@ -78,6 +80,33 @@ def test_eval_grid_strict_vs_filtered():
     assert g.points == (0.5,)
 
 
+@settings(max_examples=200)
+@given(
+    st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=12, unique=True),
+    st.lists(st.floats(-2e3, 2e3), max_size=20),
+)
+def test_nearest_breakpoint_matches_dense_scan(bps, extra):
+    b = np.sort(np.asarray(bps))
+    f = PiecewiseConstant1D(b, np.ones(b.size - 1))
+    r = pv_exclusion_radius(f)
+    # points exactly at the breakpoints, at +-r around them and one ulp outside
+    x = np.concatenate(
+        [extra, b, b - r, b + r, np.nextafter(b - r, -np.inf), np.nextafter(b + r, np.inf)]
+    )
+    idx, dist = nearest_breakpoint(x, b)
+    dense = np.abs(x[:, None] - b[None, :])
+    np.testing.assert_array_equal(dist, dense.min(axis=1))
+    np.testing.assert_array_equal(dense[np.arange(x.size), idx], dist)
+    # EvalGrid strict/filtered and the PV check keep their boundary semantics
+    clear = dense.min(axis=1) > r
+    np.testing.assert_array_equal(EvalGrid.filtered(f, x).points, x[clear])
+    for check in (EvalGrid.for_function, _require_pv_clear):
+        check(f, x[clear])
+        for bad in x[~clear][:4]:
+            with pytest.raises(DomainEvaluationError):
+                check(f, np.array([bad]))
+
+
 def test_anti_self_duality():
     # int (Hf) g = - int f (Hg) for disjointly supported steps, by quadrature
     f, g = chi(-2.0, -1.0), chi(1.0, 2.0)
@@ -112,6 +141,14 @@ def test_truncation_converges_inside_support():
     want = h_indicator(1.0, 2.0, x)
     got = hilbert_truncated(f, 1e-9, x)
     np.testing.assert_allclose(got, want, atol=1e-7)
+
+
+def test_truncation_at_breakpoint_is_finite_and_silent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hilbert_truncated(chi(-1.0, 1.0), 0.25, np.array([-1.0, 1.0]))
+    want = math.log(8.0) / math.pi
+    np.testing.assert_allclose(got, [-want, want], rtol=1e-15)
 
 
 def test_truncation_rejects_bad_eps():

@@ -121,3 +121,10 @@ def test_lattice_monotone_in_window_set():
     m_small = hl_maximal(lat, [1, 2])
     m_big = hl_maximal(lat, [1, 2, 4, 8])
     assert np.all(m_big.values >= m_small.values - 1e-15)
+
+
+def test_lattice_is_one_dimensional():
+    with pytest.raises(ValueError):
+        LatticeFunction(2, 0.25, 1.0, np.zeros(64))
+    with pytest.raises(ValueError):
+        LatticeFunction.from_callable(lambda x, y: x + y, 2, 0.25, 1.0)

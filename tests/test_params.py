@@ -113,3 +113,11 @@ def test_contains_radius_half_open():
     assert c1.contains_radius(2.0)
     assert not c1.contains_radius(2.5)
     assert DyadicAnnulus(0, 1, restrict_type=True).contains_radius(0.0)
+
+
+def test_general_dimension():
+    q = WeightParams(3, 2.0, 4.0, -1.0)
+    assert q.in_main_range and not WeightParams(3, 2.0, 4.0, -3.0).in_main_range
+    assert math.isclose(q.block_size_exponent, 1.0 / 6.0 - 0.5 + 0.25, rel_tol=1e-15)
+    assert DyadicAnnulus(1, 2).ball_measure == unit_ball_volume(2) * 4.0
+    assert DyadicAnnulus(1, 3).measure == unit_ball_volume(3) * 8.0 * (1.0 - 2.0 ** -3)
