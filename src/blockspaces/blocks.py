@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeFunction
 from .norms import restrict_to_annulus, weighted_lp_norm
 from .params import DyadicAnnulus, HypothesisViolation, WeightParams
 from .piecewise import PiecewiseConstant1D
@@ -32,12 +31,11 @@ class Block:
     params: WeightParams
     k: int
     restrict_type: bool
-    data: object  # PiecewiseConstant1D or LatticeFunction
+    data: PiecewiseConstant1D
 
     @property
     def annulus(self) -> DyadicAnnulus:
-        n = self.data.n if isinstance(self.data, LatticeFunction) else self.params.n
-        return DyadicAnnulus(self.k, n, self.restrict_type)
+        return DyadicAnnulus(self.k, self.params.n, self.restrict_type)
 
     @property
     def ls_bound(self) -> float:
@@ -58,23 +56,13 @@ class BlockValidation:
 def validate_block(candidate: Block) -> BlockValidation:
     """Check the support condition and the L^s size bound.
 
-    The support check is exact for piecewise data and by cell-midpoint
-    membership on lattices; the size bound allows 1e-10 relative slack so a
-    block normalized to equality in exact arithmetic validates cleanly.
+    The support check is exact; the size bound allows 1e-10 relative slack so
+    a block normalized to equality in exact arithmetic validates cleanly.
     """
     data = candidate.data
-    inside = restrict_to_annulus(data, candidate.k, candidate.restrict_type)
-    if isinstance(data, PiecewiseConstant1D):
-        stray = (data - inside).simplify()
-        support_ok = stray.is_zero
-        leakage = None if support_ok else f"support leaks into {stray.support_bounds}"
-    else:
-        stray = data.values - inside.values
-        support_ok = bool(np.all(stray == 0.0))
-        leakage = None
-        if not support_ok:
-            radii = data.midpoint_radii()[stray != 0.0]
-            leakage = f"cells at radii [{radii.min():g}, {radii.max():g}] outside the shell"
+    stray = (data - restrict_to_annulus(data, candidate.k, candidate.restrict_type)).simplify()
+    support_ok = stray.is_zero
+    leakage = None if support_ok else f"support leaks into {stray.support_bounds}"
     measured = weighted_lp_norm(data, candidate.params.s, 0.0)
     bound = candidate.ls_bound
     slack = measured / bound
@@ -220,6 +208,18 @@ def decompose_nonhomogeneous(f: PiecewiseConstant1D, params: WeightParams) -> De
     return Decomposition(params, tuple(terms), False)
 
 
+def decompose_split(f: PiecewiseConstant1D, params: WeightParams, cuts) -> list[Decomposition]:
+    """Restrict-type decompositions of the nonzero pieces of f between the sorted cuts.
+
+    The first piece starts below and the last ends above the support, so the
+    pieces sum to f.
+    """
+    lo, hi = f.support_bounds
+    edges = [lo - 1.0, *cuts, hi + 1.0]
+    pieces = (f.restrict(a, b) for a, b in zip(edges, edges[1:]))
+    return [decompose_nonhomogeneous(piece, params) for piece in pieces if not piece.is_zero]
+
+
 def _tail_cost(f: PiecewiseConstant1D, params: WeightParams, k_tail: int) -> float:
     """Exact cost of the infinite shell family below scale k_tail.
 
@@ -260,16 +260,16 @@ def rl_norm_upper_bound(
     params: WeightParams,
     strategy: str = "greedy",
     seed: int = 0,
-    rounds: int = 4,
 ) -> float:
     """Upper bound on the block-space quasinorm of f.
 
     Returns the best coefficient cost^(1/pbar) over the tried decompositions:
     the restrict-type route always, the homogeneous route (with its exact
     geometric tail) when f is supported in the unit ball, and, under
-    strategy="greedy+perturbations", additional decompositions obtained by
-    splitting f at seeded points and decomposing both halves.  The result is
-    monotone nonincreasing in rounds and always >= the true quasinorm.
+    strategy="greedy+perturbations", four more decompositions, each obtained
+    by splitting f at one or two seeded points and decomposing every piece.
+    The result is never above the greedy bound and always >= the true
+    quasinorm.
     """
     if strategy not in ("greedy", "greedy+perturbations"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -284,17 +284,7 @@ def rl_norm_upper_bound(
     if strategy == "greedy+perturbations":
         rng = np.random.default_rng(seed)
         lo, hi = bounds
-        for _ in range(rounds):
+        for _ in range(4):
             cuts = np.sort(rng.uniform(lo, hi, size=int(rng.integers(1, 3))))
-            pieces = []
-            prev = lo - 1.0
-            for c in list(cuts) + [hi + 1.0]:
-                pieces.append(f.restrict(prev, c))
-                prev = c
-            cost = 0.0
-            for piece in pieces:
-                if piece.is_zero:
-                    continue
-                cost += decompose_nonhomogeneous(piece, params).coefficient_cost
-            costs.append(cost)
+            costs.append(sum(d.coefficient_cost for d in decompose_split(f, params, cuts)))
     return min(costs) ** (1.0 / pbar)

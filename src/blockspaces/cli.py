@@ -225,6 +225,8 @@ def cmd_apply(cfg: RunConfig) -> int:
     schedule = cfg.schedule if cfg.schedule is not None else _APPLY_DEFAULT_SCHEDULES[cfg.op]
     if cfg.schedule is None and schedule:
         cfg.defaults_used.append(f"schedule={list(schedule)}")
+    if cfg.op in ("hilbert_truncated", "sn") and not schedule:
+        raise InputError(f"{cfg.op} needs one level in --schedule, got none")
 
     if cfg.op == "hilbert":
         values = hilbert(f, points)
@@ -310,7 +312,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         ks = [int(x) for x in schedule]
         if any(float(k) != x for k, x in zip(ks, schedule)):
             raise InputError("block-scale sweep wants integer scales in --schedule")
-        rows = [(k, _block_norm(op, params, k, "indicator", cfg.seed, 1.0)) for k in ks]
+        rows = [(k, _block_norm(op, params, k)) for k in ks]
         header = ("k", "norm")
     else:
         raise InputError(f"unknown sweep kind {cfg.op!r}")

@@ -96,19 +96,15 @@ def weighted_lp_norm(f, p: float, alpha: float) -> float:
     raise TypeError(f"unsupported function type {type(f).__name__}")
 
 
-def restrict_to_annulus(f, k: int, restrict_type: bool = False):
+def restrict_to_annulus(
+    f: PiecewiseConstant1D, k: int, restrict_type: bool = False
+) -> PiecewiseConstant1D:
     """f times the indicator of the dyadic shell C_k (or its k = 0 ball variant)."""
-    if isinstance(f, PiecewiseConstant1D):
-        ann = DyadicAnnulus(k, 1, restrict_type)
-        r1, r2 = ann.inner_radius, ann.outer_radius
-        if r1 == 0.0:
-            return f.restrict(-r2, r2)
-        return (f.restrict(-r2, -r1) + f.restrict(r1, r2)).simplify()
-    if isinstance(f, LatticeFunction):
-        ann = DyadicAnnulus(k, f.n, restrict_type)
-        keep = ann.contains_radius(f.midpoint_radii())
-        return f.with_values(np.where(keep, f.values, 0.0))
-    raise TypeError(f"unsupported function type {type(f).__name__}")
+    ann = DyadicAnnulus(k, 1, restrict_type)
+    r1, r2 = ann.inner_radius, ann.outer_radius
+    if r1 == 0.0:
+        return f.restrict(-r2, r2)
+    return (f.restrict(-r2, -r1) + f.restrict(r1, r2)).simplify()
 
 
 @dataclass(frozen=True)
@@ -139,7 +135,9 @@ class NormProfile:
         return sum(t.contribution for t in self.terms)
 
 
-def norm_profile(f, params: WeightParams, k_range: tuple[int, int]) -> NormProfile:
+def norm_profile(
+    f: PiecewiseConstant1D, params: WeightParams, k_range: tuple[int, int]
+) -> NormProfile:
     """Shell-by-shell weighted mass of f over k_range = (k_lo, k_hi)."""
     if math.isinf(params.p):
         raise ValueError("norm profiles need finite p")
@@ -147,8 +145,7 @@ def norm_profile(f, params: WeightParams, k_range: tuple[int, int]) -> NormProfi
     if k_lo > k_hi:
         raise ValueError(f"empty annulus range {k_range}")
     p, alpha = params.p, params.alpha
-    is_lattice = isinstance(f, LatticeFunction)
-    covered = np.zeros_like(f.values) if is_lattice else PiecewiseConstant1D.zero()
+    covered = PiecewiseConstant1D.zero()
     terms = []
     for k in range(k_lo, k_hi + 1):
         fk = restrict_to_annulus(f, k)
@@ -158,8 +155,7 @@ def norm_profile(f, params: WeightParams, k_range: tuple[int, int]) -> NormProfi
             * weighted_lp_norm(fk, p, 0.0) ** p
         )
         terms.append(ProfileTerm(k, contribution, comparable))
-        covered = covered + fk.values if is_lattice else covered + fk
-    outside = f.with_values(f.values - covered) if is_lattice else f - covered
-    remainder = weighted_lp_norm(outside, p, alpha) ** p
+        covered = covered + fk
+    remainder = weighted_lp_norm(f - covered, p, alpha) ** p
     mass = sum(t.contribution for t in terms) + remainder
     return NormProfile(params=params, terms=tuple(terms), remainder=remainder, total=mass)

@@ -114,9 +114,9 @@ def test_criterion_04_uniform_block_constants():
     ratios = {}
     for params in grids:
         for op in ("hilbert", "dirichlet_sn"):
-            rep = verify_uniform_block_bound(op, params, k_range=(-6, 6), N=1.0)
+            rep = verify_uniform_block_bound(op, params)
             ratios[f"{op}@p={params.p:g}"] = rep.measurements["ratio"]
-    rep = verify_uniform_block_bound("hl_maximal", grids[0], lattice_h=2.0 ** -8)
+    rep = verify_uniform_block_bound("hl_maximal", grids[0])
     ratios["hl_maximal@p=1"] = rep.measurements["ratio"]
     dt = time.time() - t0
     failures = []
@@ -156,9 +156,7 @@ def test_criterion_05_maximal_sharpness():
 
 def test_criterion_06_decomposition_independence():
     t0 = time.time()
-    rep = verify_decomposition_independence(
-        op="hilbert", f=chi(-2.0, 2.0), params=WeightParams(1, 1.0, 2.0, -0.5)
-    )
+    rep = verify_decomposition_independence()
     worst = max(
         v for k, v in rep.measurements.items() if k.startswith("rel_diff")
     )
@@ -201,7 +199,7 @@ def test_criterion_07_norm_convergence():
 
 def test_criterion_08_inclusion_constants():
     t0 = time.time()
-    rep = verify_inclusions(seeds=range(20), legs=("ambient", "block-cost"))
+    rep = verify_inclusions(legs=("ambient", "block-cost"))
     spreads = {
         v.criterion: v.value for v in rep.verdicts if not v.out_of_hypothesis
     }

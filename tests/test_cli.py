@@ -6,6 +6,7 @@ Exit codes are a contract: 0 success (divergence included), 2 input error,
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,6 +235,13 @@ def test_apply_sn_readme_grid_meets_jumps(tmp_path, ball):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+@pytest.mark.parametrize("op", ["sn", "hilbert_truncated"])
+def test_apply_empty_schedule_exits_2(tmp_path, ball, op, capsys):
+    argv = ["apply", "--input", ball, "--op", op, "--schedule=", "--grid=-1:1:5"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 2
+    assert "--schedule" in capsys.readouterr().err
+
+
 def test_apply_unknown_op_exits_2(tmp_path, ball):
     rc = main(["apply", "--input", ball, "--op", "fft", "--grid", "0:1:2", "--out", str(tmp_path / "a")])
     assert rc == 2
@@ -354,6 +362,23 @@ def test_sweep_block_scale_flat(tmp_path):
     rows = read_csv(str(tmp_path / "s.csv"))
     vals = [r[1] for r in rows]
     assert max(vals) / min(vals) < 1.0 + 1e-6  # dilation covariance end to end
+
+
+REFERENCE_3_1 = Path(__file__).resolve().parents[1] / "perfbench/reference/verify/seed0/claim.3.1.json"
+
+
+@pytest.mark.parametrize("op, claim_op", [("sn", "dirichlet_sn"), ("hilbert", "hilbert")])
+def test_sweep_block_scale_matches_claim_3_1(tmp_path, op, claim_op):
+    # the CLI sweep and claim 3.1 measure the same block norms, bit for bit
+    out = tmp_path / "s"
+    rc = main(["sweep", "--op", op, "--params", "1,1,2,-1/2", "--schedule=-1,0,1", "--out", str(out)])
+    assert rc == 0
+    claim = json.loads(REFERENCE_3_1.read_text())["measurements"]
+    want = dict(claim[f"{claim_op}|p=1|norms|indicator"])
+    rows = read_csv(str(tmp_path / "s.csv"))
+    assert [k for k, _ in rows] == [-1.0, 0.0, 1.0]
+    for k, norm in rows:
+        assert norm == want[k]
 
 
 def test_sweep_rejects_fractional_scales(tmp_path):

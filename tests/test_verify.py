@@ -74,11 +74,6 @@ def test_inclusions_reject_unknown_leg():
         verify_inclusions(legs=("ambient", "bogus"))
 
 
-def test_independence_rejects_nonlinear_op():
-    with pytest.raises(ValueError):
-        verify_decomposition_independence(op="carleson")
-
-
 def test_measurements_are_json_ready():
     rep = run_theorem("5.3")
     s = dumps(report_to_dict(rep))
