@@ -1,10 +1,10 @@
-"""Central blocks on dyadic shells and decompositions into them.
+"""Central blocks on dyadic shells of the real line and decompositions into them.
 
 A block at scale k is supported on the shell C_k (or, in the restrict-type
 variant used for the nonhomogeneous space, on C-tilde_k, which is the full
 unit ball when k = 0) and obeys the size bound
 
-    ||a||_{L^s} <= |B_k|^e,   e = -alpha/(p n) - 1/p + 1/s.
+    ||a||_{L^s} <= |B_k|^e,   e = -alpha/p - 1/p + 1/s,   |B_k| = 2^(k+1).
 
 The constructive decompositions normalize each shell restriction of f to a
 block with equality in the size bound, carrying the scale factor in the
@@ -35,7 +35,7 @@ class Block:
 
     @property
     def annulus(self) -> DyadicAnnulus:
-        return DyadicAnnulus(self.k, self.params.n, self.restrict_type)
+        return DyadicAnnulus(self.k, restrict_type=self.restrict_type)
 
     @property
     def ls_bound(self) -> float:
@@ -81,10 +81,10 @@ def make_canonical_block(
 
     shape="indicator" gives c * chi on the shell; shape="random" splits the
     shell into 8 equal-length pieces carrying seeded signs +-c, so its L^s
-    norm matches the indicator's exactly.  1D only.
+    norm matches the indicator's exactly.
     """
     params.require_p_le_s()
-    ann = DyadicAnnulus(k, 1, restrict_type)
+    ann = DyadicAnnulus(k, restrict_type=restrict_type)
     bound = ann.ball_measure ** params.block_size_exponent
     c = bound if math.isinf(params.s) else bound / ann.measure ** (1.0 / params.s)
     r1, r2 = ann.inner_radius, ann.outer_radius
@@ -147,7 +147,7 @@ def _shell_term(f: PiecewiseConstant1D, params: WeightParams, k: int, restrict_t
     if fk.is_zero:
         return None
     norm_s = weighted_lp_norm(fk, params.s, 0.0)
-    scale = DyadicAnnulus(k, params.n).ball_measure ** params.block_coefficient_exponent
+    scale = DyadicAnnulus(k).ball_measure ** params.block_coefficient_exponent
     lam = scale * norm_s
     return DecompositionTerm(lam, Block(params, k, restrict_type, fk * (1.0 / lam)))
 
@@ -166,7 +166,7 @@ def decompose_homogeneous(
         raise HypothesisViolation(
             f"shell decomposition requires p < s, got p={params.p}, s={params.s}"
         )
-    if params.alpha <= -params.n:
+    if params.alpha <= -1.0:
         raise HypothesisViolation(
             f"shell decomposition requires alpha > -n, got alpha={params.alpha}"
         )

@@ -67,9 +67,7 @@ class RunConfig:
     def provenance(self) -> dict:
         cfg = asdict(self)
         cfg["params"] = (
-            [float(self.params.n), self.params.p, self.params.s, self.params.alpha]
-            if self.params
-            else None
+            [1.0, self.params.p, self.params.s, self.params.alpha] if self.params else None
         )
         cfg["schedule"] = list(self.schedule) if self.schedule is not None else None
         return {"config": cfg, "seed": self.seed, "version": __version__}
@@ -88,10 +86,12 @@ def parse_params(text: str) -> WeightParams:
     if len(parts) != 4:
         raise InputError(f"--params wants n,p,s,alpha, got {text!r}")
     n, p, s, alpha = (_parse_number(t) for t in parts)
-    if n != int(n):
-        raise InputError(f"dimension n must be an integer, got {n}")
+    if n != 1:
+        raise InputError(
+            f"--params n must be 1: every function here lives on the real line, got n={n:g}"
+        )
     try:
-        return WeightParams(int(n), p, s, alpha)
+        return WeightParams(1, p, s, alpha)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -225,8 +225,8 @@ def cmd_apply(cfg: RunConfig) -> int:
     schedule = cfg.schedule if cfg.schedule is not None else _APPLY_DEFAULT_SCHEDULES[cfg.op]
     if cfg.schedule is None and schedule:
         cfg.defaults_used.append(f"schedule={list(schedule)}")
-    if cfg.op in ("hilbert_truncated", "sn") and not schedule:
-        raise InputError(f"{cfg.op} needs one level in --schedule, got none")
+    if cfg.op in ("hilbert_truncated", "sn") and len(schedule) != 1:
+        raise InputError(f"{cfg.op} needs one level in --schedule, got {len(schedule) or 'none'}")
 
     if cfg.op == "hilbert":
         values = hilbert(f, points)

@@ -64,6 +64,8 @@ def function_to_dict(f: PiecewiseConstant1D) -> dict:
 def function_from_dict(d: dict) -> PiecewiseConstant1D:
     """Accepts {"breakpoints", "values"} or the shorthand forms
     {"type": "indicator", "a", "b", "value"?} and {"type": "zero"}."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a function spec must be a JSON object, got {type(d).__name__}")
     kind = d.get("type", "piecewise")
     if kind == "zero":
         return PiecewiseConstant1D.zero()

@@ -66,7 +66,7 @@ def weighted_lp_norm(f, p: float, alpha: float) -> float:
     """(int |f|^p |x|^alpha dx)^(1/p); math.inf when the integral diverges.
 
     p = math.inf computes the essential sup over pieces/cells and ignores
-    alpha (the weight does not change null sets while alpha > -n).
+    alpha (the weight does not change null sets while alpha > -1).
     """
     if isinstance(f, PiecewiseConstant1D):
         if math.isinf(p):
@@ -100,7 +100,7 @@ def restrict_to_annulus(
     f: PiecewiseConstant1D, k: int, restrict_type: bool = False
 ) -> PiecewiseConstant1D:
     """f times the indicator of the dyadic shell C_k (or its k = 0 ball variant)."""
-    ann = DyadicAnnulus(k, 1, restrict_type)
+    ann = DyadicAnnulus(k, restrict_type=restrict_type)
     r1, r2 = ann.inner_radius, ann.outer_radius
     if r1 == 0.0:
         return f.restrict(-r2, r2)
@@ -111,7 +111,7 @@ def restrict_to_annulus(
 class ProfileTerm:
     k: int
     contribution: float  # exact int_{C_k} |f|^p |x|^alpha dx
-    comparable: float    # |B_k|^(alpha/n) * ||f chi_{C_k}||_{L^p}^p
+    comparable: float    # |B_k|^alpha * ||f chi_{C_k}||_{L^p}^p
 
 
 @dataclass(frozen=True)
@@ -150,10 +150,7 @@ def norm_profile(
     for k in range(k_lo, k_hi + 1):
         fk = restrict_to_annulus(f, k)
         contribution = weighted_lp_norm(fk, p, alpha) ** p
-        comparable = (
-            DyadicAnnulus(k, params.n).ball_measure ** (alpha / params.n)
-            * weighted_lp_norm(fk, p, 0.0) ** p
-        )
+        comparable = DyadicAnnulus(k).ball_measure ** alpha * weighted_lp_norm(fk, p, 0.0) ** p
         terms.append(ProfileTerm(k, contribution, comparable))
         covered = covered + fk
     remainder = weighted_lp_norm(f - covered, p, alpha) ** p

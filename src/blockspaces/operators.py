@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .blocks import Block
 from .lattice import LatticeFunction
@@ -159,7 +158,7 @@ def geometric_schedule(lo: float, hi: float, ratio: float = DEFAULT_SCHEDULE_RAT
     if not (0 < lo <= hi) or ratio <= 1:
         raise ValueError("need 0 < lo <= hi and ratio > 1")
     count = int(math.ceil(math.log(hi / lo) / math.log(ratio) - 1e-12)) + 1
-    return lo * ratio ** np.arange(count + 1) if count else np.array([lo])
+    return lo * ratio ** np.arange(count + 1)
 
 
 def refine_schedule(schedule: np.ndarray) -> np.ndarray:
@@ -320,6 +319,8 @@ def hl_maximal(f: LatticeFunction, window_halfwidths) -> LatticeFunction:
         raise ValueError(
             f"window halfwidth {max(widths)} exceeds the domain's {f.cells_per_axis} cells"
         )
+    from scipy import ndimage  # only claim 3.1 needs it; kept out of `import blockspaces`
+
     absf = np.abs(f.values)
     out = absf.copy()
     for w in sorted(set(widths)):
@@ -358,9 +359,6 @@ def maximal_1d_exact(f: PiecewiseConstant1D, grid) -> np.ndarray:
         b = np.tile(right, left.size)
         ok = b > a
         a, b = a[ok], b[ok]
-        if a.size == 0:
-            out[i] = float(g(np.asarray(xi)))
-            continue
         avg = (mass_upto(b) - mass_upto(a)) / (b - a)
         out[i] = max(float(avg.max()), float(g(np.asarray(xi))))
     return out
@@ -398,8 +396,6 @@ def check_size_conditions(
     """
     if condition not in _OUTER_CONDITIONS + _INNER_CONDITIONS:
         raise ValueError(f"unknown size condition {condition!r}")
-    if not isinstance(block.data, PiecewiseConstant1D):
-        raise ValueError("size-condition probes are defined for 1D piecewise blocks")
     k = block.k
     data = block.data
     l1 = weighted_lp_norm(data, 1.0, 0.0)

@@ -1,17 +1,19 @@
-"""Exponent bookkeeping and dyadic geometry.
+"""Exponent bookkeeping and dyadic geometry on the real line.
 
 Everything downstream is parametrized by the tuple (n, p, s, alpha): the
 dimension, the outer Lebesgue exponent, the inner block exponent, and the
-power-weight exponent of the measure |x|^alpha dx.  This module owns the
-derived quantities (pbar, conjugate exponents, admissible-range flags, block
-size exponents) and the dyadic ball/annulus geometry, so no other module
+power-weight exponent of the measure |x|^alpha dx.  Every function this
+package evaluates lives on R, so n is always 1; it stays in the tuple only
+because the paper's parameter format and the reports carry it.  This module
+owns the derived quantities (pbar, admissible-range flags, block size
+exponents) and the dyadic ball/annulus geometry, so no other module
 hand-rolls an exponent formula.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 
 class HypothesisViolation(ValueError):
@@ -22,21 +24,6 @@ class DomainEvaluationError(ValueError):
     """An evaluator was asked for a value at a point where it is singular."""
 
 
-def unit_ball_volume(n: int) -> float:
-    """Volume of the Euclidean unit ball in dimension n (2, pi, 4pi/3, ...).
-
-    Computed by the two-step recurrence V_n = (2 pi / n) V_{n-2} so that the
-    low dimensions come out exact in floating point (the gamma-function form
-    loses the last ulp already at n = 1).
-    """
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got {n}")
-    v = 2.0 if n % 2 else math.pi
-    for m in range(4 - (n % 2), n + 1, 2):
-        v *= 2.0 * math.pi / m
-    return v
-
-
 @dataclass(frozen=True)
 class WeightParams:
     """Parameter tuple (n, p, s, alpha) with derived exponents and range flags.
@@ -44,7 +31,7 @@ class WeightParams:
     Parameters
     ----------
     n : int
-        Space dimension, positive.
+        Space dimension; must be 1, the dimension of every evaluated object.
     p : float
         Outer exponent, positive and finite.
     s : float
@@ -61,8 +48,8 @@ class WeightParams:
     alpha: float
 
     def __post_init__(self) -> None:
-        if self.n < 1 or int(self.n) != self.n:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        if self.n != 1:
+            raise ValueError(f"only dimension n = 1 is supported, got n={self.n!r}")
         if not (self.p > 0) or math.isinf(self.p):
             raise ValueError(f"p must be positive and finite, got {self.p!r}")
         if not (self.s >= 1):
@@ -76,33 +63,24 @@ class WeightParams:
         return min(self.p, 1.0)
 
     @property
-    def s_conj(self) -> float:
-        """Conjugate exponent of s (inf for s = 1, 1 for s = inf)."""
-        if math.isinf(self.s):
-            return 1.0
-        if self.s == 1.0:
-            return math.inf
-        return self.s / (self.s - 1.0)
-
-    @property
     def inv_s(self) -> float:
         """1/s, with the s = inf convention 1/s = 0."""
         return 0.0 if math.isinf(self.s) else 1.0 / self.s
 
     @property
     def in_main_range(self) -> bool:
-        """Whether -n < alpha < n(p-1), the open range of the main bounds."""
-        return -self.n < self.alpha < self.n * (self.p - 1.0)
+        """Whether -1 < alpha < p-1, the open range of the main bounds."""
+        return -1.0 < self.alpha < self.p - 1.0
 
     @property
     def in_inclusion_range(self) -> bool:
-        """Whether -n < alpha <= n(p/s - 1), the range of the L^s inclusion."""
-        return -self.n < self.alpha <= self.n * (self.p * self.inv_s - 1.0)
+        """Whether -1 < alpha <= p/s - 1, the range of the L^s inclusion."""
+        return -1.0 < self.alpha <= self.p * self.inv_s - 1.0
 
     @property
     def block_size_exponent(self) -> float:
         """Exponent e with ||a||_{L^s} <= |B_k|^e for an admissible block."""
-        return -self.alpha / (self.p * self.n) - 1.0 / self.p + self.inv_s
+        return -self.alpha / self.p - 1.0 / self.p + self.inv_s
 
     @property
     def block_coefficient_exponent(self) -> float:
@@ -122,19 +100,17 @@ class WeightParams:
 
 @dataclass(frozen=True)
 class DyadicAnnulus:
-    """The shell C_k between the balls of radius 2^(k-1) and 2^k.
+    """The shell C_k = {2^(k-1) < |x| <= 2^k} of the real line, inside B_k = [-2^k, 2^k].
 
     The restrict-type variant replaces C_0 by the whole unit ball B_0 and is
     only defined for k >= 0.
     """
 
     k: int
-    n: int = 1
+    _: KW_ONLY
     restrict_type: bool = False
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be positive, got {self.n}")
         if self.restrict_type and self.k < 0:
             raise ValueError("restrict-type annuli are indexed by k >= 0")
 
@@ -151,21 +127,12 @@ class DyadicAnnulus:
 
     @property
     def ball_measure(self) -> float:
-        """Lebesgue measure of the enclosing ball B_k."""
-        return unit_ball_volume(self.n) * 2.0 ** (self.k * self.n)
+        """Lebesgue measure of the enclosing ball B_k, 2^(k+1)."""
+        return 2.0 * 2.0 ** self.k
 
     @property
     def measure(self) -> float:
         """Lebesgue measure of the shell itself."""
         if self.restrict_type and self.k == 0:
             return self.ball_measure
-        return self.ball_measure * (1.0 - 2.0 ** (-self.n))
-
-    def contains_radius(self, r):
-        """Membership test inner < r <= outer (closed at 0 for the ball)."""
-        import numpy as np
-
-        r = np.asarray(r)
-        if self.restrict_type and self.k == 0:
-            return r <= self.outer_radius
-        return (r > self.inner_radius) & (r <= self.outer_radius)
+        return 0.5 * self.ball_measure

@@ -292,45 +292,28 @@ def _boundary_log_slope(per_shell, edges, target, tag, measurements, verdicts):
     )
 
 
-def _inner_divergence(deltas, growth, alpha, n, name, tag, measurements, verdicts):
-    """Divergence of the integral over [delta, top] as delta -> 0.
+def _log_divergence(deltas, growth, name, tag, measurements, verdicts):
+    """Logarithmic divergence of the integral over [delta, top] as delta -> 0.
 
-    At alpha = -n the growth is logarithmic: the per-halving slopes must be
-    positive and flat to 15 %, and they are returned.  Below -n it is a
-    power law whose fitted exponent must be within 25 % of -(alpha + n);
-    None is returned.  name prefixes the measurement keys ("inner",
-    "near_zero") and, hyphenated, the criteria.
+    At alpha = -1 the per-halving slopes of the growth must be positive and
+    flat to 15 %; they are returned.  name prefixes the measurement keys
+    ("inner", "near_zero") and, hyphenated, the criteria.
     """
-    crit = name.replace("_", "-")
     measurements[f"{name}_growth|{tag}"] = _curve(np.log(1.0 / deltas), growth)
-    if alpha == -n:
-        step_slopes = np.diff(growth) / math.log(2.0)
-        tail_slopes = step_slopes[-5:]
-        spread = float(np.max(tail_slopes) / np.min(tail_slopes) - 1.0)
-        measurements[f"{name}_slope_spread|{tag}"] = spread
-        verdicts.append(
-            Verdict(
-                criterion=f"{crit}-log-divergence[{tag}]",
-                measurement=f"{name}_slope_spread|{tag}",
-                tolerance=0.15,
-                value=spread,
-                passed=bool(spread < 0.15 and np.all(tail_slopes > 0.0)),
-            )
-        )
-        return step_slopes
-    expo = _fit_slope(np.log(1.0 / deltas), np.log(growth), last=5)
-    target = -(alpha + n)
-    measurements[f"{name}_power_exponent|{tag}"] = expo
+    step_slopes = np.diff(growth) / math.log(2.0)
+    tail_slopes = step_slopes[-5:]
+    spread = float(np.max(tail_slopes) / np.min(tail_slopes) - 1.0)
+    measurements[f"{name}_slope_spread|{tag}"] = spread
     verdicts.append(
-        _below(
-            f"{crit}-polynomial-divergence[{tag}]",
-            f"{name}_power_exponent|{tag}",
-            0.25,
-            abs(expo / target - 1.0),
-            note=f"target exponent {target:g}",
+        Verdict(
+            criterion=f"{name.replace('_', '-')}-log-divergence[{tag}]",
+            measurement=f"{name}_slope_spread|{tag}",
+            tolerance=0.15,
+            value=spread,
+            passed=bool(spread < 0.15 and np.all(tail_slopes > 0.0)),
         )
     )
-    return None
+    return step_slopes
 
 
 _MAXIMAL_GRID = (
@@ -343,14 +326,14 @@ _MAXIMAL_GRID = (
 def verify_maximal_sharpness() -> VerificationReport:
     """Convergence/divergence profile of the maximal function at p = 1, alpha = 0, -1/2, -1.
 
-    Boundary alpha = n(p-1): the tail integral of (Mf)^p |x|^alpha grows
+    Boundary alpha = p-1: the tail integral of (Mf)^p |x|^alpha grows
     linearly in log R' with analytic slope 2^(p+1) (= 4 at p = 1), and the
     fitted slope must move toward that target under quadrature refinement.
     Interior alpha: tail increments shrink geometrically per doubling.
-    alpha = -n: the inner integral grows like log(1/delta); below -n,
-    polynomially.  All measurements use the exact 1D maximal evaluator on
-    indicator(-1, 1) (tails) and a shell around the origin (inner integrals),
-    with 16 Gauss-Legendre nodes per dyadic shell out to 2^12.
+    alpha = -1: the inner integral grows like log(1/delta).  All measurements
+    use the exact 1D maximal evaluator on indicator(-1, 1) (tails) and a
+    shell around the origin (inner integrals), with 16 Gauss-Legendre nodes
+    per dyadic shell out to 2^12.
     """
     f = PiecewiseConstant1D.indicator(-1.0, 1.0)
     shell = PiecewiseConstant1D((-1.0, -0.5, 0.5, 1.0), (1.0, 0.0, 1.0))
@@ -370,14 +353,14 @@ def verify_maximal_sharpness() -> VerificationReport:
     for params in _MAXIMAL_GRID:
         p, alpha = params.p, params.alpha
         tag = f"p={p:g},alpha={alpha:g}"
-        boundary = params.n * (p - 1.0)
+        boundary = p - 1.0
         edges = 2.0 ** np.arange(1, _J_TAIL_MAX + 1)
         if alpha == boundary:
             _boundary_log_slope(
                 lambda nodes: _two_sided_shell_integrals(mf, edges, p, alpha, nodes),
                 edges, 2.0 ** (p + 1.0), tag, measurements, verdicts,
             )
-        elif alpha > -params.n:
+        elif alpha > -1.0:
             per_shell = _two_sided_shell_integrals(mf, edges, p, alpha, _NODES_PER_SHELL)
             tails = np.cumsum(per_shell)
             ratios = per_shell[1:] / per_shell[:-1]
@@ -417,11 +400,8 @@ def verify_maximal_sharpness() -> VerificationReport:
                 )
             )
             deltas, inner = _near_zero_growth(lambda x: maximal_1d_exact(shell, x), 1.0, p, alpha)
-            slopes = _inner_divergence(
-                deltas, inner, alpha, params.n, "inner", tag, measurements, verdicts
-            )
-            if slopes is not None:
-                measurements[f"inner_slopes|{tag}"] = _curve(np.log(1.0 / deltas[1:]), slopes)
+            slopes = _log_divergence(deltas, inner, "inner", tag, measurements, verdicts)
+            measurements[f"inner_slopes|{tag}"] = _curve(np.log(1.0 / deltas[1:]), slopes)
     return VerificationReport(
         theorem="4.1",
         params={"grid": [q.as_dict() for q in _MAXIMAL_GRID]},
@@ -446,7 +426,7 @@ def verify_hilbert_sharpness() -> VerificationReport:
     Boundary alpha = p-1: the one-sided tail integral over [3, R'] grows in
     log R' with analytic slope pi^-p (= 1/pi at p = 1); above the boundary the
     growth is polynomial; in the interior both the tail and the near-zero
-    piece stabilize under refinement; at alpha <= -1 the near-zero integral
+    piece stabilize under refinement; at alpha = -1 the near-zero integral
     diverges logarithmically because |Hf| is bounded away from 0 on [0, 1/2].
     The points are p = 1, alpha = 0, -1/2, -1, 1/2, with the quadrature of
     verify_maximal_sharpness.
@@ -522,7 +502,7 @@ def verify_hilbert_sharpness() -> VerificationReport:
             )
         else:
             deltas, near = _near_zero_growth(hf, 0.5, p, alpha)
-            _inner_divergence(deltas, near, alpha, 1.0, "near_zero", tag, measurements, verdicts)
+            _log_divergence(deltas, near, "near_zero", tag, measurements, verdicts)
     return VerificationReport(
         theorem="5.2",
         params={"grid": [q.as_dict() for q in _HILBERT_GRID]},

@@ -75,6 +75,13 @@ def test_norm_bad_json_exits_2(tmp_path, capsys):
     assert "bad.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", [[1, 2], "x"], ids=["list", "string"])
+def test_norm_non_object_spec_exits_2(tmp_path, spec, capsys):
+    f = write_spec(tmp_path / "f.json", spec)
+    assert main(["norm", "--input", f, "--params", "1,1,2,0", "--out", str(tmp_path / "n")]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
 def test_norm_missing_params_exits_2(ball, tmp_path):
     assert main(["norm", "--input", ball, "--out", str(tmp_path / "n")]) == 2
 
@@ -237,9 +244,12 @@ def test_apply_sn_readme_grid_meets_jumps(tmp_path, ball):
 
 @pytest.mark.parametrize("op", ["sn", "hilbert_truncated"])
 def test_apply_empty_schedule_exits_2(tmp_path, ball, op, capsys):
-    argv = ["apply", "--input", ball, "--op", op, "--schedule=", "--grid=-1:1:5"]
-    assert main(argv + ["--out", str(tmp_path / "a")]) == 2
-    assert "--schedule" in capsys.readouterr().err
+    # these operators use exactly one level; extra levels would be echoed but unused
+    for schedule in ("", "4,8"):
+        argv = ["apply", "--input", ball, "--op", op, f"--schedule={schedule}", "--grid=-1:1:5"]
+        assert main(argv + ["--out", str(tmp_path / "a")]) == 2
+        assert "--schedule" in capsys.readouterr().err
+    assert not (tmp_path / "a.json").exists()
 
 
 def test_apply_unknown_op_exits_2(tmp_path, ball):

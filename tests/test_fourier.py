@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockspaces import (
     DomainEvaluationError,
@@ -178,3 +180,19 @@ def test_carleson_schedule_validation():
         carleson(chi(0.0, 1.0), [], np.array([0.5]))
     with pytest.raises(ValueError):
         carleson(chi(0.0, 1.0), [1.0, -2.0], np.array([0.5]))
+
+
+@settings(deadline=None, max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), j=st.integers(-8, 8))
+def test_partial_sums_commute_with_dyadic_dilation(seed, j):
+    # S_N f(x) = S_{N/2^j} f(./2^j)(2^j x) bit for bit: every Si argument is the
+    # same product with one factor scaled by 2^-j and the other by 2^j
+    rng = np.random.default_rng(seed)
+    f = PiecewiseConstant1D(np.sort(rng.uniform(-4.0, 4.0, 6)), rng.uniform(-3.0, 3.0, 5))
+    N = rng.uniform(0.25, 16.0)
+    x = rng.uniform(-6.0, 6.0, 16)
+    lam = 2.0 ** j
+    assert np.array_equal(dirichlet_sn(f.dilate(lam), N / lam, x * lam), dirichlet_sn(f, N, x))
+    sched = geometric_schedule(0.5, 8.0, ratio=2.0)
+    got = carleson(f.dilate(lam), sched / lam, x * lam, refine_tolerance=1e-12, max_refinements=2)
+    assert np.array_equal(got, carleson(f, sched, x, refine_tolerance=1e-12, max_refinements=2))

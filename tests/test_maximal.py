@@ -5,12 +5,17 @@ Oracle: for f = chi_{[c,d]} and x outside [c,d], the best interval is
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blockspaces
 from blockspaces import (
     LatticeFunction,
     PiecewiseConstant1D,
@@ -128,3 +133,12 @@ def test_lattice_is_one_dimensional():
         LatticeFunction(2, 0.25, 1.0, np.zeros(64))
     with pytest.raises(ValueError):
         LatticeFunction.from_callable(lambda x, y: x + y, 2, 0.25, 1.0)
+
+
+def test_import_leaves_ndimage_unloaded():
+    # only hl_maximal needs scipy.ndimage, which dominates the package's import time
+    src = str(Path(blockspaces.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, blockspaces; print('scipy.ndimage' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"
