@@ -25,9 +25,7 @@ from .lattice import LatticeFunction
 from .norms import NormProfile, norm_profile, restrict_to_annulus, weighted_lp_norm
 from .operators import (
     EvalGrid,
-    SizeConditionReport,
     carleson,
-    check_size_conditions,
     dirichlet_sn,
     dirichlet_sn_via_hilbert,
     geometric_schedule,
@@ -39,7 +37,6 @@ from .operators import (
     modulate,
     pv_exclusion_radius,
     refine_schedule,
-    size_condition_sweep,
 )
 from .params import (
     DomainEvaluationError,
@@ -78,13 +75,11 @@ __all__ = [
     "LatticeFunction",
     "NormProfile",
     "PiecewiseConstant1D",
-    "SizeConditionReport",
     "THEOREM_IDS",
     "Verdict",
     "VerificationReport",
     "WeightParams",
     "carleson",
-    "check_size_conditions",
     "decompose_homogeneous",
     "decompose_nonhomogeneous",
     "dirichlet_sn",
@@ -107,7 +102,6 @@ __all__ = [
     "run_all",
     "run_theorem",
     "sine_integral",
-    "size_condition_sweep",
     "validate_block",
     "verify_decomposition_independence",
     "verify_hilbert_sharpness",

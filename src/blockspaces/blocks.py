@@ -70,43 +70,14 @@ def validate_block(candidate: Block) -> BlockValidation:
     return BlockValidation(ok, measured, bound, slack, support_ok, leakage)
 
 
-def make_canonical_block(
-    params: WeightParams,
-    k: int,
-    shape: str = "indicator",
-    seed: int = 0,
-    restrict_type: bool = False,
-) -> Block:
-    """A block meeting the size bound with equality.
-
-    shape="indicator" gives c * chi on the shell; shape="random" splits the
-    shell into 8 equal-length pieces carrying seeded signs +-c, so its L^s
-    norm matches the indicator's exactly.
-    """
+def make_canonical_block(params: WeightParams, k: int) -> Block:
+    """The indicator block c * chi on the shell C_k, meeting the size bound with equality."""
     params.require_p_le_s()
-    ann = DyadicAnnulus(k, restrict_type=restrict_type)
+    ann = DyadicAnnulus(k)
     bound = ann.ball_measure ** params.block_size_exponent
     c = bound if math.isinf(params.s) else bound / ann.measure ** (1.0 / params.s)
     r1, r2 = ann.inner_radius, ann.outer_radius
-    if shape == "indicator":
-        if r1 == 0.0:
-            data = PiecewiseConstant1D.indicator(-r2, r2, c)
-        else:
-            data = PiecewiseConstant1D((-r2, -r1, r1, r2), (c, 0.0, c))
-        return Block(params, k, restrict_type, data)
-    if shape == "random":
-        signs = np.random.default_rng(seed).integers(0, 2, size=8) * 2 - 1
-        if r1 == 0.0:
-            edges = np.linspace(-r2, r2, 9)
-            vals = signs * c
-        else:
-            step = (r2 - r1) / 4.0
-            neg = [-r2 + j * step for j in range(5)]
-            pos = [r1 + j * step for j in range(5)]
-            edges = neg + pos
-            vals = np.concatenate([signs[:4] * c, [0.0], signs[4:] * c])
-        return Block(params, k, restrict_type, PiecewiseConstant1D(edges, vals))
-    raise ValueError(f"unknown block shape {shape!r}")
+    return Block(params, k, False, PiecewiseConstant1D((-r2, -r1, r1, r2), (c, 0.0, c)))
 
 
 @dataclass(frozen=True)

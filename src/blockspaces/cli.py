@@ -7,7 +7,8 @@ reports plus CSV curves.  Exit codes are a stable contract:
     2  input error: unparsable file/flag, unknown operator or claim id
     3  hypothesis violation (the named constraint is in the message)
     4  numerical-domain error (e.g. PV evaluation at a breakpoint)
-    5  verification ran and an in-hypothesis check failed (report still written)
+    5  verification ran and an in-hypothesis check failed (report still written,
+       each failed verdict named on stderr)
 
 Every output embeds the parsed config, the seed, and the version string, so a
 report names everything needed to rerun it bit-identically.
@@ -77,7 +78,7 @@ def _parse_number(text: str) -> float:
     # accepts "0.5" and "1/2" alike
     try:
         return float(Fraction(text.strip()))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"not a number: {text!r}") from exc
 
 
@@ -201,6 +202,9 @@ def cmd_decompose(cfg: RunConfig) -> int:
     return 0
 
 
+#: block scales whose 2^k-scaled shell grid (2^-40 .. 2^41) keeps finite, normal nodes
+_SWEEP_SCALES = range(-982, 983)
+
 _APPLY_DEFAULT_SCHEDULES = {
     "hilbert": (),
     "hilbert_truncated": (0.25,),
@@ -287,6 +291,10 @@ def cmd_verify(cfg: RunConfig) -> int:
             bsio.write_csv(f"{path[:-5]}.{safe}.csv", curve)
         flags = "" if not report.out_of_hypothesis else " (has out-of-hypothesis legs)"
         print(f"{tid}: {'pass' if report.passed else 'FAIL'}{flags} -> {path}")
+        for v in report.verdicts:
+            if v.passed is False and not v.out_of_hypothesis:
+                detail = f"{v.measurement} = {v.value!r}, tolerance {v.tolerance!r}"
+                print(f"{tid}: failed {v.criterion}: {detail}", file=sys.stderr)
         all_passed = all_passed and report.passed
     return 0 if all_passed else 5
 
@@ -312,6 +320,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
         ks = [int(x) for x in schedule]
         if any(float(k) != x for k, x in zip(ks, schedule)):
             raise InputError("block-scale sweep wants integer scales in --schedule")
+        outside = [k for k in ks if k not in _SWEEP_SCALES]
+        if outside:
+            raise InputError(
+                f"block-scale sweep wants scales {_SWEEP_SCALES[0]} <= k <= {_SWEEP_SCALES[-1]}, "
+                "where the nodes of the 2^k-scaled quadrature grid stay finite and normal, "
+                f"got k={outside[0]}"
+            )
         rows = [(k, _block_norm(op, params, k)) for k in ks]
         header = ("k", "norm")
     else:

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import Block
 from .lattice import LatticeFunction
-from .norms import weighted_lp_norm
-from .params import DomainEvaluationError, WeightParams
+from .params import DomainEvaluationError
 from .piecewise import PiecewiseConstant1D
 from .sine_integral import sine_integral
 
@@ -362,102 +360,3 @@ def maximal_1d_exact(f: PiecewiseConstant1D, grid) -> np.ndarray:
         avg = (mass_upto(b) - mass_upto(a)) / (b - a)
         out[i] = max(float(avg.max()), float(g(np.asarray(xi))))
     return out
-
-
-@dataclass(frozen=True)
-class SizeConditionReport:
-    """Empirical constant for one pointwise kernel-size bound at one scale."""
-
-    condition: str
-    k: int
-    region: str
-    c_emp: float
-    probe_count: int
-    finite: bool
-
-
-_OUTER_CONDITIONS = ("3.1", "3.4", "3.6")
-_INNER_CONDITIONS = ("3.2", "3.5")
-
-
-def check_size_conditions(
-    op: str,
-    block: Block,
-    condition: str,
-    probe_count: int = 256,
-    x0: float | None = None,
-) -> SizeConditionReport:
-    """Measure C_emp = max over probes of |T a(x)| / (claimed bound sans constant).
-
-    Conditions 3.1/3.6 probe the far region |x| >= 2^(k+1) with bounds
-    ||a||_1/|x| and ||a||_1/dist(x, supp a); condition 3.2 probes the inner
-    hole |x| <= 2^(k-2) with bound 2^-k ||a||_1; 3.4/3.5 are the same two
-    geometries recentered at x0 for the translated block.
-    """
-    if condition not in _OUTER_CONDITIONS + _INNER_CONDITIONS:
-        raise ValueError(f"unknown size condition {condition!r}")
-    k = block.k
-    data = block.data
-    l1 = weighted_lp_norm(data, 1.0, 0.0)
-    center = 0.0
-    if condition in ("3.4", "3.5"):
-        center = 5.0 * 2.0 ** k if x0 is None else float(x0)
-        data = data.translate(center)
-    per_side = max(probe_count // 2, 1)
-    if condition in _OUTER_CONDITIONS:
-        radii = np.geomspace(2.0 ** (k + 1), 2.0 ** (k + 7), per_side)
-        region = f"|x - {center:g}| in [2^{k + 1}, 2^{k + 7}]"
-    else:
-        if block.restrict_type and k == 0:
-            raise ValueError("probe region empty: the unit-ball block has no inner hole")
-        radii = np.geomspace(2.0 ** (k - 8), 2.0 ** (k - 2), per_side)
-        region = f"|x - {center:g}| in [2^{k - 8}, 2^{k - 2}]"
-    x = np.concatenate([center - radii[::-1], center + radii])
-    if l1 == 0.0:
-        return SizeConditionReport(condition, k, region, 0.0, x.size, True)
-    if op in ("hilbert",):
-        vals = hilbert(data, x)
-    elif op == "hilbert_truncated":
-        vals = hilbert_truncated(data, 2.0 ** (k - 4), x)
-    elif op in ("hl_maximal", "maximal"):
-        vals = maximal_1d_exact(data, x)
-    else:
-        raise ValueError(f"unsupported operator {op!r} for size conditions")
-    if condition in ("3.1", "3.4"):
-        bound = l1 / np.abs(x - center)
-    elif condition == "3.6":
-        lo, hi = data.support_bounds
-        bound = l1 / np.maximum(x - hi, lo - x)
-    else:
-        bound = np.full_like(x, 2.0 ** (-k) * l1)
-    c_emp = float(np.max(np.abs(vals) / bound))
-    return SizeConditionReport(condition, k, region, c_emp, x.size, math.isfinite(c_emp))
-
-
-@dataclass(frozen=True)
-class SizeConditionSweep:
-    reports: tuple[SizeConditionReport, ...]
-    ratio: float
-    stable: bool
-
-
-def size_condition_sweep(
-    op: str,
-    condition: str,
-    params: WeightParams,
-    k_range: tuple[int, int] = (-4, 4),
-    shape: str = "indicator",
-    seed: int = 0,
-    probe_count: int = 256,
-) -> SizeConditionSweep:
-    """C_emp across block scales; stable when finite with max/min < 2."""
-    from .blocks import make_canonical_block
-
-    reports = []
-    for k in range(k_range[0], k_range[1] + 1):
-        blk = make_canonical_block(params, k, shape=shape, seed=seed)
-        reports.append(check_size_conditions(op, blk, condition, probe_count))
-    cs = [r.c_emp for r in reports if r.c_emp > 0.0]
-    ratio = max(cs) / min(cs) if cs else 1.0
-    stable = bool(cs) and all(r.finite for r in reports) and ratio < 2.0
-    return SizeConditionSweep(tuple(reports), ratio, stable)

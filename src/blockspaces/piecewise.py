@@ -189,11 +189,6 @@ class PiecewiseConstant1D:
     def abs(self) -> "PiecewiseConstant1D":
         return PiecewiseConstant1D(self.breakpoints, tuple(abs(v) for v in self.values))
 
-    def translate(self, dx: float) -> "PiecewiseConstant1D":
-        if len(self.values) == 0:
-            return self
-        return PiecewiseConstant1D(tuple(x + dx for x in self.breakpoints), self.values)
-
     def dilate(self, lam: float) -> "PiecewiseConstant1D":
         """x -> f(x / lam) for lam > 0, the support stretched by lam."""
         if lam <= 0:

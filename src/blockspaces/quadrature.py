@@ -39,18 +39,16 @@ def panel_nodes(edges, nodes: int = 8) -> tuple[np.ndarray, np.ndarray]:
     return x.ravel(), wts.ravel()
 
 
-def shell_grid(
-    j_min: int, j_max: int, nodes_per_shell: int = 24, scale: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric quadrature over scale * (2^j_min, 2^j_max+1] on both half-lines.
+def shell_grid(j_min: int, j_max: int, nodes_per_shell: int = 24) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric quadrature over (2^j_min, 2^j_max+1] on both half-lines.
 
-    One Gauss-Legendre panel per dyadic shell per sign.  With scale an exact
-    power of two the returned nodes and weights are exactly the scale-1 ones
-    multiplied by that power.
+    One Gauss-Legendre panel per dyadic shell per sign.  Multiplying the
+    nodes and weights by an exact power of two (np.ldexp) gives, bit for bit,
+    the grid of the dilated shells, as long as the products stay normal floats.
     """
     if j_max < j_min:
         raise ValueError(f"empty shell range [{j_min}, {j_max}]")
-    edges = scale * np.ldexp(1.0, np.arange(j_min, j_max + 2))
+    edges = np.ldexp(1.0, np.arange(j_min, j_max + 2))
     x_pos, w_pos = panel_nodes(edges, nodes_per_shell)
     x = np.concatenate([-x_pos[::-1], x_pos])
     w = np.concatenate([w_pos[::-1], w_pos])
@@ -78,22 +76,18 @@ def graded_edges_near_zero(depth: int = 40, top: float = 1.0) -> np.ndarray:
     return top * np.ldexp(1.0, np.arange(-depth, 1))
 
 
-def oscillation_edges(
-    breakpoints,
-    x_max: float,
-    spacing: float,
-    singular_depth: int = 40,
-) -> np.ndarray:
+def oscillation_edges(breakpoints, x_max: float, spacing: float) -> np.ndarray:
     """Panel edges on [-x_max, x_max] resolving oscillation and a weight singularity at 0.
 
     Union of a uniform grid at the requested spacing, geometric grading
-    toward 0 on both sides, and the supplied breakpoints; sorted, deduplicated.
+    toward 0 on both sides (down to min(1, x_max) * 2^-40), and the supplied
+    breakpoints; sorted, deduplicated.
     """
     if x_max <= 0 or spacing <= 0:
         raise ValueError("x_max and spacing must be positive")
     count = int(math.ceil(x_max / spacing))
     uniform = np.linspace(0.0, x_max, count + 1)
-    graded = graded_edges_near_zero(singular_depth, top=min(1.0, x_max))
+    graded = graded_edges_near_zero(top=min(1.0, x_max))
     pos = np.concatenate([uniform, graded])
     bps = np.asarray([b for b in breakpoints if abs(b) <= x_max], dtype=float)
     edges = np.concatenate([-pos, pos, bps])

@@ -151,7 +151,7 @@ def _block_norm(op: str, params: WeightParams, k: int) -> float:
     """
     f = make_canonical_block(params, k).data
     if op == "dirichlet_sn":
-        edges = oscillation_edges(f.breakpoints, 1024.0, 1.0 / 8.0, 40)
+        edges = oscillation_edges(f.breakpoints, 1024.0, 1.0 / 8.0)
         x, w = panel_nodes(edges, 4)
         keep = nearest_breakpoint(x, np.asarray(f.breakpoints))[1] > pv_exclusion_radius(f)
         vals = dirichlet_sn(f, 1.0, x[keep])
@@ -184,13 +184,12 @@ def _lattice_block_norms(params: WeightParams, ks) -> list[float]:
     return norms
 
 
-def verify_uniform_block_bound(op: str, params: WeightParams, seed: int = 0) -> VerificationReport:
+def verify_uniform_block_bound(op: str, params: WeightParams) -> VerificationReport:
     """Max/min ratio of weighted operator norms of indicator blocks over scales k = -6..6.
 
     op is one of hl_maximal (lattice route, h = 2^-8 on [-1024, 1024]),
     hilbert, hilbert_maximal, dirichlet_sn (at N = 1), carleson.  Parameters
-    outside the main range give an out-of-hypothesis verdict.  seed is echoed
-    in the provenance only: indicator blocks draw no random numbers.
+    outside the main range give an out-of-hypothesis verdict.
     """
     ks = list(range(_K_RANGE[0], _K_RANGE[1] + 1))
     lattice = op == "hl_maximal"
@@ -212,7 +211,6 @@ def verify_uniform_block_bound(op: str, params: WeightParams, seed: int = 0) -> 
             op=op,
             k_range=list(_K_RANGE),
             shapes=["indicator"],
-            seed=seed,
             N=1.0,
             lattice={"h": _LATTICE_H, "halfwidth": _LATTICE_HALFWIDTH} if lattice else None,
             quadrature="dyadic shells, 24-node Gauss-Legendre, scaled 2^k per block"
@@ -609,7 +607,9 @@ def partial_sum_error_norm(f: PiecewiseConstant1D, params: WeightParams, N: floa
     singularity at 0 (geometric grading to 2^-40), with 4 Gauss-Legendre
     nodes each; the domain truncation is the one documented approximation.
     """
-    edges = oscillation_edges(f.breakpoints, _X_MAX, 1.0 / (4.0 * N), 40)
+    if not N > 0:
+        raise ValueError(f"N must be positive, got {N}")
+    edges = oscillation_edges(f.breakpoints, _X_MAX, 1.0 / (4.0 * N))
     x, w = panel_nodes(edges, 4)
     diff = dirichlet_sn(f, N, x) - f(x)
     return weighted_power_integral(diff, x, w, params.p, params.alpha) ** (1.0 / params.p)
@@ -829,11 +829,11 @@ def _merged(
 def _theorem_3_1(seed: int) -> VerificationReport:
     grid = (WeightParams(1, 1.0, 2.0, -0.5), WeightParams(1, 0.5, 2.0, -0.75))
     parts = [
-        (f"{op}|p={params.p:g}", verify_uniform_block_bound(op, params, seed=seed))
+        (f"{op}|p={params.p:g}", verify_uniform_block_bound(op, params))
         for op in ("hilbert", "hilbert_maximal", "carleson", "dirichlet_sn")
         for params in grid
     ]
-    parts.append(("hl_maximal|p=1", verify_uniform_block_bound("hl_maximal", grid[0], seed=seed)))
+    parts.append(("hl_maximal|p=1", verify_uniform_block_bound("hl_maximal", grid[0])))
     return _merged("3.1", parts, seed=seed)
 
 

@@ -24,7 +24,6 @@ from blockspaces import (
     make_canonical_block,
     rl_norm_upper_bound,
     validate_block,
-    weighted_lp_norm,
 )
 
 P0 = WeightParams(1, 1.0, 2.0, 0.0)
@@ -62,20 +61,6 @@ def test_canonical_indicator_block_meets_bound_with_equality():
         rep = validate_block(blk)
         assert rep.ok and rep.support_ok
         assert math.isclose(rep.slack_ratio, 1.0, rel_tol=1e-12)
-
-
-def test_canonical_random_block_same_norm_as_indicator():
-    ind = make_canonical_block(PMID, 1, shape="indicator")
-    rnd = make_canonical_block(PMID, 1, shape="random", seed=7)
-    ni = weighted_lp_norm(ind.data, PMID.s, 0.0)
-    nr = weighted_lp_norm(rnd.data, PMID.s, 0.0)
-    assert math.isclose(ni, nr, rel_tol=1e-12)
-    assert validate_block(rnd).ok
-
-
-def test_canonical_block_rejects_unknown_shape():
-    with pytest.raises(ValueError):
-        make_canonical_block(P0, 0, shape="triangle")
 
 
 def test_validation_flags_support_leakage():

@@ -90,6 +90,7 @@ def test_norm_invalid_params_exit_2(ball, tmp_path):
     assert main(["norm", "--input", ball, "--params", "1,0,2,0", "--out", str(tmp_path / "n")]) == 2
     assert main(["norm", "--input", ball, "--params", "1,1,2", "--out", str(tmp_path / "n")]) == 2
     assert main(["norm", "--input", ball, "--params", "1,1,2,x", "--out", str(tmp_path / "n")]) == 2
+    assert main(["norm", "--input", ball, "--params", "1,1e400,2,0", "--out", str(tmp_path / "n")]) == 2
 
 
 # -- decompose --------------------------------------------------------------------
@@ -296,6 +297,23 @@ def test_verify_unknown_claim_exits_2(tmp_path, capsys):
     assert main(["verify", "--theorem", "9.9", "--out", str(tmp_path / "v")]) == 2
 
 
+def test_verify_failure_names_failed_verdicts(tmp_path, monkeypatch, capsys):
+    import blockspaces.cli as cli
+    from blockspaces.verify import Verdict, VerificationReport
+
+    verdicts = (
+        Verdict("ratio-small", "ratio", 1.05, 1.5, False),
+        Verdict("slope-flat", "slope", 0.1, 0.01, True),
+        Verdict("outside", "ratio", 1.05, 9.0, None, out_of_hypothesis=True),
+    )
+    report = VerificationReport("5.3", {}, {"ratio": 1.5}, verdicts)
+    monkeypatch.setattr(cli, "run_theorem", lambda tid, seed: report)
+    assert main(["verify", "--theorem", "5.3", "--out", str(tmp_path / "v")]) == 5
+    out, err = capsys.readouterr()
+    assert out.startswith("5.3: FAIL")
+    assert err == "5.3: failed ratio-small: ratio = 1.5, tolerance 1.05\n"
+
+
 def test_verify_seed_echoed_in_provenance(tmp_path):
     out = tmp_path / "v"
     assert main(["verify", "--theorem", "5.3", "--seed", "7", "--out", str(out)]) == 0
@@ -331,6 +349,13 @@ def test_sweep_error_curve_decreases(tmp_path):
     assert rows[-1][1] < rows[0][1]
     sidecar = json.loads((tmp_path / "s.json").read_text())
     assert sidecar["rows"] == 3
+
+
+def test_sweep_error_curve_rejects_zero_cutoff(tmp_path, ball, capsys):
+    argv = ["sweep", "--input", ball, "--op", "e-of-N", "--params", "1,1,2,0", "--schedule", "0"]
+    assert main(argv + ["--out", str(tmp_path / "s")]) == 2
+    assert "N must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_sweep_empty_schedule_header_only(tmp_path, ball):
@@ -389,6 +414,24 @@ def test_sweep_block_scale_matches_claim_3_1(tmp_path, op, claim_op):
     assert [k for k, _ in rows] == [-1.0, 0.0, 1.0]
     for k, norm in rows:
         assert norm == want[k]
+
+
+def test_sweep_block_scale_stays_in_float_range(tmp_path, capsys):
+    # the nodes of the 2^k-scaled grid are finite and normal for |k| <= 982;
+    # beyond it the sweep used to print nan or crash, so those are input errors
+    def sweep(k):
+        argv = ["sweep", "--op", "hilbert", "--params", "1,1,2,-1/2", f"--schedule={k}"]
+        return main(argv + ["--out", str(tmp_path / "s")])
+
+    for k in (-983, 983):
+        assert sweep(k) == 2
+        assert "-982 <= k <= 982" in capsys.readouterr().err
+    assert sweep(0) == 0
+    base = read_csv(str(tmp_path / "s.csv"))[0][1]
+    for k in (-982, 982):
+        assert sweep(k) == 0
+        norm = read_csv(str(tmp_path / "s.csv"))[0][1]
+        assert max(norm, base) / min(norm, base) < 1.05  # the exact-route ratio of claim 3.1
 
 
 def test_sweep_rejects_fractional_scales(tmp_path):

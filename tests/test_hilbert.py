@@ -12,10 +12,12 @@ from blockspaces import (
     DomainEvaluationError,
     EvalGrid,
     PiecewiseConstant1D,
+    dirichlet_sn,
     geometric_schedule,
     hilbert,
     hilbert_maximal,
     hilbert_truncated,
+    maximal_1d_exact,
     pv_exclusion_radius,
     refine_schedule,
 )
@@ -220,3 +222,23 @@ def test_hilbert_commutes_with_dilation(k):
     lhs = hilbert(f.dilate(lam), x * lam)
     rhs = hilbert(f, x)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-300)
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_reflection_symmetry(seed):
+    # with g(x) = f(-x): Hg(x) = -Hf(-x) and the same for every truncation,
+    # while S_N and the maximal function are even in this sense.  The mirrored
+    # sums run in reverse order, so the identities hold to rounding, not bitwise.
+    rng = np.random.default_rng(seed)
+    bps = np.sort(rng.uniform(-4.0, 4.0, 6))
+    vals = rng.uniform(-3.0, 3.0, 5)
+    f = PiecewiseConstant1D(bps, vals)
+    g = PiecewiseConstant1D(-bps[::-1], vals[::-1])
+    x = np.asarray(EvalGrid.filtered(g, rng.uniform(-6.0, 6.0, 16)).points)  # so -x clears f
+    eps, N = rng.uniform(0.01, 2.0), rng.uniform(0.25, 16.0)
+    close = dict(rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(hilbert(g, x), -hilbert(f, -x), **close)
+    np.testing.assert_allclose(hilbert_truncated(g, eps, x), -hilbert_truncated(f, eps, -x), **close)
+    np.testing.assert_allclose(dirichlet_sn(g, N, x), dirichlet_sn(f, N, -x), **close)
+    np.testing.assert_allclose(maximal_1d_exact(g, x), maximal_1d_exact(f, -x), **close)

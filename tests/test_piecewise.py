@@ -87,7 +87,6 @@ def test_simplify_merges_and_trims():
 
 def test_translate_dilate():
     f = chi(1.0, 2.0)
-    assert f.translate(3.0).support_bounds == (4.0, 5.0)
     assert f.dilate(2.0).support_bounds == (2.0, 4.0)
     x = np.array([3.0])
     assert f.dilate(2.0)(x) == f(x / 2.0)
