@@ -7,6 +7,14 @@ logarithm, and suprema (truncation families, partial-sum families) are taken
 over explicit geometric schedules.  The one discretized operator is the
 lattice maximal function; an exact 1D maximal evaluator sits beside it for
 cross-checking.
+
+Working sets stay bounded.  The points x breakpoints kernels (S_N and both
+Hilbert forms) run over row blocks of about 256 KiB per float64 temporary
+instead of one dense matrix, so their peak memory does not grow with the
+number of points and each temporary stays in cache.  The blocks reproduce
+the dense matrix-vector product bit for bit, and their results do not depend
+on the BLAS thread count.  The lattice maximal function filters each window
+width only over the cells that window can reach from the support of |f|.
 """
 
 from __future__ import annotations
@@ -26,6 +34,9 @@ DEFAULT_SCHEDULE_RATIO = 2.0 ** 0.25
 
 #: PV evaluation keeps this fraction of the minimal piece length clear of breakpoints
 PV_EXCLUSION_SCALE = 2.0 ** -20
+
+#: bytes of one float64 (block rows x columns) temporary in the row-blocked kernels
+_BLOCK_BYTES = 1 << 18
 
 
 def pv_exclusion_radius(f: PiecewiseConstant1D) -> float:
@@ -106,6 +117,28 @@ def _require_pv_clear(f: PiecewiseConstant1D, x: np.ndarray) -> None:
         )
 
 
+def _rowwise(kernel, x: np.ndarray, ncols: int, coeffs: np.ndarray) -> np.ndarray:
+    """kernel(x) @ coeffs for a kernel giving one row of ncols per point, in row blocks.
+
+    Equal bit for bit to the dense product, whose kernel matrix the blocks
+    never hold at once.
+    """
+    # OpenBLAS dgemv sums rows in groups of 4 (and threads split a block on
+    # such boundaries), so each row's reduction order is the dense one only
+    # if every block starts at a multiple of 4; multiples of 64 keep that
+    # for any kernel width
+    rows = max(64, _BLOCK_BYTES // (8 * ncols) // 64 * 64)
+    starts = list(range(0, x.size, rows))
+    # numpy sends a 1-row matmul to dot, which sums in another order than
+    # gemv: a final 1-row block joins the block before it
+    if len(starts) > 1 and x.size - starts[-1] == 1:
+        starts.pop()
+    out = np.empty(x.size)
+    for lo, hi in zip(starts, starts[1:] + [x.size]):
+        out[lo:hi] = kernel(x[lo:hi]) @ coeffs
+    return out
+
+
 def _jump_coefficients(f: PiecewiseConstant1D) -> np.ndarray:
     """c_j with sum_i v_i (g(x - b_i) - g(x - b_i+1)) = sum_j c_j g(x - b_j)."""
     padded = np.concatenate([[0.0], np.asarray(f.values, dtype=float), [0.0]])
@@ -125,8 +158,8 @@ def hilbert(f: PiecewiseConstant1D, grid) -> np.ndarray:
     _require_pv_clear(f, x)
     bps = np.asarray(f.breakpoints, dtype=float)
     c = _jump_coefficients(f)
-    logs = np.log(np.abs(x[:, None] - bps[None, :]))
-    return logs @ c / math.pi
+    logs = _rowwise(lambda xb: np.log(np.abs(xb[:, None] - bps[None, :])), x, bps.size, c)
+    return logs / math.pi
 
 
 def _clipped_log(num: np.ndarray, den: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -144,11 +177,14 @@ def hilbert_truncated(f: PiecewiseConstant1D, eps: float, grid) -> np.ndarray:
     bps = np.asarray(f.breakpoints, dtype=float)
     v = np.asarray(f.values, dtype=float)
     a, b = bps[:-1][None, :], bps[1:][None, :]
-    xx = x[:, None]
-    bl = np.minimum(b, xx - eps)
-    ar = np.maximum(a, xx + eps)
-    out = _clipped_log(xx - a, xx - bl, a < bl) + _clipped_log(ar - xx, b - xx, ar < b)
-    return (out @ v) / math.pi
+
+    def clipped_logs(xb):
+        xx = xb[:, None]
+        bl = np.minimum(b, xx - eps)
+        ar = np.maximum(a, xx + eps)
+        return _clipped_log(xx - a, xx - bl, a < bl) + _clipped_log(ar - xx, b - xx, ar < b)
+
+    return _rowwise(clipped_logs, x, v.size, v) / math.pi
 
 
 def geometric_schedule(lo: float, hi: float, ratio: float = DEFAULT_SCHEDULE_RATIO) -> np.ndarray:
@@ -200,8 +236,9 @@ def dirichlet_sn(f: PiecewiseConstant1D, N: float, grid) -> np.ndarray:
         return np.zeros_like(x)
     bps = np.asarray(f.breakpoints, dtype=float)
     c = _jump_coefficients(f)
-    si = sine_integral(2.0 * math.pi * N * (x[:, None] - bps[None, :]))
-    return si @ c / math.pi
+    scale = 2.0 * math.pi * N
+    si = _rowwise(lambda xb: sine_integral(scale * (xb[:, None] - bps[None, :])), x, bps.size, c)
+    return si / math.pi
 
 
 def _spectral_hilbert(samples: np.ndarray) -> np.ndarray:
@@ -307,6 +344,11 @@ def hl_maximal(f: LatticeFunction, window_halfwidths) -> LatticeFunction:
     every supplied halfwidth w plus the degenerate single-cell window, of the
     average of |f| over any such window containing the cell.  Averages use
     zero padding outside the domain with the window measure unreduced.
+
+    Width w is filtered only over the cells within 2(2w+1) of the support of
+    |f|; every cell it cannot reach keeps the exact value 0 for it.  A
+    filter over the whole domain would leave a running-sum residue of ulp
+    size past the support there, where the true average is 0.
     """
     widths = [int(w) for w in window_halfwidths]
     if not widths:
@@ -321,10 +363,16 @@ def hl_maximal(f: LatticeFunction, window_halfwidths) -> LatticeFunction:
 
     absf = np.abs(f.values)
     out = absf.copy()
+    support = np.flatnonzero(absf)
+    if not support.size:
+        return f.with_values(out)
+    first, last = int(support[0]), int(support[-1])
     for w in sorted(set(widths)):
         size = 2 * w + 1
-        avg = ndimage.uniform_filter(absf, size=size, mode="constant", cval=0.0)
-        np.maximum(out, ndimage.maximum_filter(avg, size=size, mode="constant", cval=0.0), out=out)
+        lo, hi = max(first - 2 * size, 0), min(last + 1 + 2 * size, absf.size)
+        avg = ndimage.uniform_filter(absf[lo:hi], size=size, mode="constant", cval=0.0)
+        reach = ndimage.maximum_filter(avg, size=size, mode="constant", cval=0.0)
+        np.maximum(out[lo:hi], reach, out=out[lo:hi])
     return f.with_values(out)
 
 

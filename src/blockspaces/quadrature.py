@@ -71,9 +71,9 @@ def weighted_norm_from_samples(values, x, w, p: float, alpha: float) -> float:
     return weighted_power_integral(values, x, w, p, alpha) ** (1.0 / p)
 
 
-def graded_edges_near_zero(depth: int = 40, top: float = 1.0) -> np.ndarray:
-    """Geometric edges top * 2^-depth, ..., top/2, top for integrable singularities at 0."""
-    return top * np.ldexp(1.0, np.arange(-depth, 1))
+def graded_edges_near_zero(top: float = 1.0) -> np.ndarray:
+    """Geometric edges top * 2^-40, ..., top/2, top for integrable singularities at 0."""
+    return top * np.ldexp(1.0, np.arange(-40, 1))
 
 
 def oscillation_edges(breakpoints, x_max: float, spacing: float) -> np.ndarray:

@@ -43,7 +43,6 @@ from .quadrature import (
     panel_nodes,
     shell_grid,
     weighted_norm_from_samples,
-    weighted_power_integral,
     weighted_power_terms,
 )
 from .operators import (
@@ -599,6 +598,9 @@ def verify_decomposition_independence(seeds: tuple[int, ...] = (0, 1)) -> Verifi
 
 _X_MAX = 256.0
 
+#: quadrature panels of e(N) evaluated at once, which bounds its working set
+_E_PANELS = 1 << 14
+
 
 def partial_sum_error_norm(f: PiecewiseConstant1D, params: WeightParams, N: float) -> float:
     """e(N) = weighted norm of S_N f - f on [-256, 256].
@@ -606,13 +608,18 @@ def partial_sum_error_norm(f: PiecewiseConstant1D, params: WeightParams, N: floa
     Panels resolve both the oscillation (spacing 1/(4N)) and the weight
     singularity at 0 (geometric grading to 2^-40), with 4 Gauss-Legendre
     nodes each; the domain truncation is the one documented approximation.
+    The panels are evaluated _E_PANELS at a time into one array of terms,
+    summed once, so memory stays bounded as N grows.
     """
     if not N > 0:
         raise ValueError(f"N must be positive, got {N}")
     edges = oscillation_edges(f.breakpoints, _X_MAX, 1.0 / (4.0 * N))
-    x, w = panel_nodes(edges, 4)
-    diff = dirichlet_sn(f, N, x) - f(x)
-    return weighted_power_integral(diff, x, w, params.p, params.alpha) ** (1.0 / params.p)
+    terms = np.empty(4 * (edges.size - 1))
+    for i in range(0, edges.size - 1, _E_PANELS):
+        x, w = panel_nodes(edges[i : i + _E_PANELS + 1], 4)
+        diff = dirichlet_sn(f, N, x) - f(x)
+        terms[4 * i : 4 * i + x.size] = weighted_power_terms(diff, x, w, params.p, params.alpha)
+    return float(np.sum(terms)) ** (1.0 / params.p)
 
 
 def verify_norm_convergence() -> VerificationReport:

@@ -142,3 +142,47 @@ def test_import_leaves_ndimage_unloaded():
     code = "import sys, blockspaces; print('scipy.ndimage' in sys.modules)"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "False"
+
+
+def _full_domain_hl(values, widths):
+    # the filter pair over every cell of the domain, for each width
+    from scipy import ndimage
+
+    absf = np.abs(values)
+    out = absf.copy()
+    for w in sorted(set(widths)):
+        size = 2 * w + 1
+        avg = ndimage.uniform_filter(absf, size=size, mode="constant", cval=0.0)
+        np.maximum(out, ndimage.maximum_filter(avg, size=size, mode="constant", cval=0.0), out=out)
+    return out
+
+
+@pytest.mark.parametrize("k", range(-6, 7))
+def test_lattice_reach_equals_full_domain_on_claim_lattices(k):
+    from blockspaces import WeightParams, make_canonical_block
+    from blockspaces.verify import _LATTICE_H, _LATTICE_HALFWIDTH
+
+    cells = int(round(2.0 * _LATTICE_HALFWIDTH / _LATTICE_H))
+    widths = np.round(geometric_schedule(1.0, cells, 2.0 ** 0.25)).astype(int)
+    widths = np.unique(np.minimum(widths, cells))
+    block = make_canonical_block(WeightParams(1, 1.0, 2.0, -0.5), k)
+    lat = LatticeFunction.from_callable(block.data, 1, _LATTICE_H, _LATTICE_HALFWIDTH)
+    assert np.array_equal(hl_maximal(lat, widths).values, _full_domain_hl(lat.values, widths))
+
+
+def test_lattice_reach_on_general_input():
+    rng = np.random.default_rng(5)
+    values = np.zeros(2048)
+    first, last = 700, 899
+    values[first : last + 1] = rng.uniform(-10.0, 10.0, last + 1 - first)
+    widths = [1, 2, 3, 5, 8, 13, 21, 34, 55]
+    w_max = max(widths)
+    got = hl_maximal(LatticeFunction(1, 2.0 ** -6, 16.0, values), widths).values
+    want = _full_domain_hl(values, widths)
+    assert np.array_equal(got[: last + w_max + 1], want[: last + w_max + 1])
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(values))
+    # past every width's reach the value is exactly the true 0, where the
+    # full-domain running sum leaves ulp residues
+    tail = last + 1 + 2 * (2 * w_max + 1)
+    assert np.all(got[tail:] == 0.0)
+    assert np.any(want[tail:] != 0.0)
