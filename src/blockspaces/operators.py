@@ -123,10 +123,11 @@ def _rowwise(kernel, x: np.ndarray, ncols: int, coeffs: np.ndarray) -> np.ndarra
     Equal bit for bit to the dense product, whose kernel matrix the blocks
     never hold at once.
     """
-    # OpenBLAS dgemv sums rows in groups of 4 (and threads split a block on
-    # such boundaries), so each row's reduction order is the dense one only
-    # if every block starts at a multiple of 4; multiples of 64 keep that
-    # for any kernel width
+    # OpenBLAS dgemv sums rows in groups of 4, so each row's reduction order
+    # is the dense one only if every block starts at a multiple of 4;
+    # multiples of 64 keep that for any kernel width.  Blocks this small
+    # also give the same bits with one BLAS thread and with two, which the
+    # dense product does not (tests/test_blocking.py)
     rows = max(64, _BLOCK_BYTES // (8 * ncols) // 64 * 64)
     starts = list(range(0, x.size, rows))
     # numpy sends a 1-row matmul to dot, which sums in another order than

@@ -66,6 +66,11 @@ def _points(size: int) -> np.ndarray:
     return np.random.default_rng(size).uniform(-1.5, 1.5, size)
 
 
+def _env(**extra) -> dict:
+    src = str(Path(blockspaces.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra}
+
+
 @pytest.fixture(scope="module")
 def dense(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("dense")
@@ -78,15 +83,9 @@ def dense(tmp_path_factory):
     for size in SIZES:
         inputs[f"x{size}"] = _points(size)
     np.savez(tmp / "inputs.npz", **inputs)
-    src = str(Path(blockspaces.__file__).resolve().parents[1])
-    env = {
-        **os.environ,
-        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-        "OPENBLAS_NUM_THREADS": "1",
-    }
     subprocess.run(
         [sys.executable, "-c", ORACLE, str(tmp / "inputs.npz"), str(tmp / "dense.npz")],
-        env=env,
+        env=_env(OPENBLAS_NUM_THREADS="1"),
         check=True,
     )
     return dict(np.load(tmp / "dense.npz"))
@@ -121,9 +120,7 @@ def test_partial_sum_error_norm_memory_is_bounded():
         "e = partial_sum_error_norm(f, WeightParams(1, 1.0, 2.0, -0.5), 2048.0)\n"
         "print(repr(e), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
-    src = str(Path(blockspaces.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    run = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True)
     value, maxrss_kib = run.stdout.split()
     assert float(value) == 0.001031502908723846
     assert int(maxrss_kib) / 1024 < 300
