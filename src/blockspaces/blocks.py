@@ -102,25 +102,27 @@ class Decomposition:
         pbar = self.params.pbar
         return sum(abs(t.lam) ** pbar for t in self.terms)
 
-    def synthesize(self, include_residual: bool = False) -> PiecewiseConstant1D:
+    def synthesize(self) -> PiecewiseConstant1D:
         """sum lambda_j * a_j, exact up to one rounding per piece value."""
         out = PiecewiseConstant1D.zero()
         for t in self.terms:
             out = out + t.lam * t.block.data
-        if include_residual and self.residual is not None:
-            out = out + self.residual
         return out.simplify()
 
 
-def _shell_term(f: PiecewiseConstant1D, params: WeightParams, k: int, restrict_type: bool):
-    """Normalize the shell restriction of f into (lambda, block), or None."""
-    fk = restrict_to_annulus(f, k, restrict_type)
-    if fk.is_zero:
-        return None
-    norm_s = weighted_lp_norm(fk, params.s, 0.0)
-    scale = DyadicAnnulus(k).ball_measure ** params.block_coefficient_exponent
-    lam = scale * norm_s
-    return DecompositionTerm(lam, Block(params, k, restrict_type, fk * (1.0 / lam)))
+def _shell_terms(
+    f: PiecewiseConstant1D, params: WeightParams, ks, restrict_type: bool
+) -> tuple[DecompositionTerm, ...]:
+    """The nonzero shell restrictions of f, in the order of ks, normalized to (lambda, block)."""
+    terms = []
+    for k in ks:
+        fk = restrict_to_annulus(f, k, restrict_type)
+        if fk.is_zero:
+            continue
+        norm_s = weighted_lp_norm(fk, params.s, 0.0)
+        lam = DyadicAnnulus(k).ball_measure ** params.block_coefficient_exponent * norm_s
+        terms.append(DecompositionTerm(lam, Block(params, k, restrict_type, fk * (1.0 / lam))))
+    return tuple(terms)
 
 
 def decompose_homogeneous(
@@ -148,15 +150,11 @@ def decompose_homogeneous(
         raise HypothesisViolation(
             f"support {bounds} leaks outside the unit ball; this route needs supp f in B_0"
         )
-    terms = []
-    for k in range(0, k_min - 1, -1):
-        term = _shell_term(f, params, k, restrict_type=False)
-        if term is not None:
-            terms.append(term)
+    terms = _shell_terms(f, params, range(0, k_min - 1, -1), restrict_type=False)
     inner = 2.0 ** (k_min - 1)
     residual = f.restrict(-inner, inner)
     residual_norm = weighted_lp_norm(residual, params.s, params.alpha)
-    return Decomposition(params, tuple(terms), True, residual, residual_norm)
+    return Decomposition(params, terms, True, residual, residual_norm)
 
 
 def decompose_nonhomogeneous(f: PiecewiseConstant1D, params: WeightParams) -> Decomposition:
@@ -171,12 +169,7 @@ def decompose_nonhomogeneous(f: PiecewiseConstant1D, params: WeightParams) -> De
         return Decomposition(params, (), False)
     radius = max(abs(bounds[0]), abs(bounds[1]))
     K = max(0, math.ceil(math.log2(radius))) if radius > 0 else 0
-    terms = []
-    for k in range(0, K + 1):
-        term = _shell_term(f, params, k, restrict_type=True)
-        if term is not None:
-            terms.append(term)
-    return Decomposition(params, tuple(terms), False)
+    return Decomposition(params, _shell_terms(f, params, range(0, K + 1), True), False)
 
 
 def decompose_split(f: PiecewiseConstant1D, params: WeightParams, cuts) -> list[Decomposition]:
@@ -205,10 +198,9 @@ def _tail_cost(f: PiecewiseConstant1D, params: WeightParams, k_tail: int) -> flo
         return 0.0
     if params.alpha <= -1.0:
         return math.inf
-    term = _shell_term(f, params, k_tail, restrict_type=False)
-    lam_top = abs(term.lam)
+    (term,) = _shell_terms(f, params, [k_tail], restrict_type=False)
     ratio = 2.0 ** ((params.alpha + 1.0) / params.p * params.pbar)
-    return lam_top ** params.pbar / (1.0 - 1.0 / ratio)
+    return abs(term.lam) ** params.pbar / (1.0 - 1.0 / ratio)
 
 
 def homogeneous_total_cost(f: PiecewiseConstant1D, params: WeightParams) -> float:
@@ -218,12 +210,8 @@ def homogeneous_total_cost(f: PiecewiseConstant1D, params: WeightParams) -> floa
     if not radii:
         return 0.0
     k_tail = math.floor(math.log2(min(radii)))
-    cost = 0.0
-    for k in range(0, k_tail, -1):
-        term = _shell_term(f, params, k, restrict_type=False)
-        if term is not None:
-            cost += abs(term.lam) ** params.pbar
-    return cost + _tail_cost(f, params, k_tail)
+    terms = _shell_terms(f, params, range(0, k_tail, -1), restrict_type=False)
+    return sum(abs(t.lam) ** params.pbar for t in terms) + _tail_cost(f, params, k_tail)
 
 
 def rl_norm_upper_bound(

@@ -68,11 +68,11 @@ def weighted_lp_norm(f, p: float, alpha: float) -> float:
     p = math.inf computes the essential sup over pieces/cells and ignores
     alpha (the weight does not change null sets while alpha > -1).
     """
+    if not p > 0:
+        raise ValueError(f"p must be positive, got {p}")
     if isinstance(f, PiecewiseConstant1D):
         if math.isinf(p):
             return max((abs(v) for v in f.values), default=0.0)
-        if not p > 0:
-            raise ValueError(f"p must be positive, got {p}")
         mass = 0.0
         for a, b, v in zip(f.breakpoints, f.breakpoints[1:], f.values):
             if v == 0.0:
@@ -86,8 +86,6 @@ def weighted_lp_norm(f, p: float, alpha: float) -> float:
         vals = np.abs(f.values)
         if math.isinf(p):
             return float(vals.max(initial=0.0))
-        if not p > 0:
-            raise ValueError(f"p must be positive, got {p}")
         w = _lattice_weights(f, alpha)
         nonzero = vals > 0
         if np.any(np.isinf(w[nonzero])):
@@ -130,17 +128,11 @@ class NormProfile:
     remainder: float
     total: float
 
-    @property
-    def covered_mass(self) -> float:
-        return sum(t.contribution for t in self.terms)
-
 
 def norm_profile(
     f: PiecewiseConstant1D, params: WeightParams, k_range: tuple[int, int]
 ) -> NormProfile:
     """Shell-by-shell weighted mass of f over k_range = (k_lo, k_hi)."""
-    if math.isinf(params.p):
-        raise ValueError("norm profiles need finite p")
     k_lo, k_hi = int(k_range[0]), int(k_range[1])
     if k_lo > k_hi:
         raise ValueError(f"empty annulus range {k_range}")

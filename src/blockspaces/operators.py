@@ -1,12 +1,13 @@
 """Maximal, Hilbert, partial-sum, and Carleson operators on explicit data.
 
-Everything here is evaluated through closed forms: the Hilbert transform of a
-piecewise-constant function is a finite sum of logarithms, the frequency
-partial sum S_N is the same sum with the sine integral in place of the
-logarithm, and suprema (truncation families, partial-sum families) are taken
-over explicit geometric schedules.  The one discretized operator is the
-lattice maximal function; an exact 1D maximal evaluator sits beside it for
-cross-checking.
+Everything here is evaluated through closed forms.  The Hilbert transform
+and the partial sum S_N of a piecewise-constant f are one jump sum,
+(1/pi) sum_j c_j g(x - b_j) over the jumps c_j of f at its breakpoints b_j,
+with g = log|.| or g = Si(2 pi N .).  The maximal truncated Hilbert transform
+and the Carleson operator are one sup over levels: the pointwise max of
+|T f| over an explicit geometric schedule of truncations or frequencies.
+The one discretized operator is the lattice maximal function; an exact 1D
+maximal evaluator sits beside it for cross-checking.
 
 Working sets stay bounded.  The points x breakpoints kernels (S_N and both
 Hilbert forms) run over row blocks of about 256 KiB per float64 temporary
@@ -140,10 +141,25 @@ def _rowwise(kernel, x: np.ndarray, ncols: int, coeffs: np.ndarray) -> np.ndarra
     return out
 
 
-def _jump_coefficients(f: PiecewiseConstant1D) -> np.ndarray:
-    """c_j with sum_i v_i (g(x - b_i) - g(x - b_i+1)) = sum_j c_j g(x - b_j)."""
-    padded = np.concatenate([[0.0], np.asarray(f.values, dtype=float), [0.0]])
-    return np.diff(padded)
+def _jump_sum(f: PiecewiseConstant1D, x: np.ndarray, g) -> np.ndarray:
+    """(1/pi) sum_i v_i (g(x - b_i) - g(x - b_i+1)), summed as (1/pi) sum_j c_j g(x - b_j).
+
+    c_j is the jump of f at b_j.  g acts elementwise on a block of points x
+    breakpoints differences that nothing else holds, and overwrites it: each
+    further block-sized temporary that stays live takes fresh pages from the
+    allocator on every block.
+    """
+    bps = np.asarray(f.breakpoints, dtype=float)
+    c = np.diff(np.concatenate([[0.0], np.asarray(f.values, dtype=float), [0.0]]))
+    return _rowwise(lambda xb: g(xb[:, None] - bps[None, :]), x, bps.size, c) / math.pi
+
+
+def _sup_abs(levels, evaluate, x: np.ndarray) -> np.ndarray:
+    """max over the levels of |evaluate(level)| at the points x."""
+    out = np.zeros_like(x)
+    for level in levels:
+        np.maximum(out, np.abs(evaluate(float(level))), out=out)
+    return out
 
 
 def hilbert(f: PiecewiseConstant1D, grid) -> np.ndarray:
@@ -157,10 +173,7 @@ def hilbert(f: PiecewiseConstant1D, grid) -> np.ndarray:
     if f.is_zero:
         return np.zeros_like(x)
     _require_pv_clear(f, x)
-    bps = np.asarray(f.breakpoints, dtype=float)
-    c = _jump_coefficients(f)
-    logs = _rowwise(lambda xb: np.log(np.abs(xb[:, None] - bps[None, :])), x, bps.size, c)
-    return logs / math.pi
+    return _jump_sum(f, x, lambda d: np.log(np.abs(d, out=d), out=d))
 
 
 def _clipped_log(num: np.ndarray, den: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -213,10 +226,7 @@ def hilbert_maximal(f: PiecewiseConstant1D, eps_schedule, grid) -> np.ndarray:
     if np.any(np.diff(sched) >= 0):
         raise ValueError("eps schedule must be strictly decreasing")
     x = _as_points(grid)
-    out = np.zeros_like(x)
-    for eps in sched:
-        np.maximum(out, np.abs(hilbert_truncated(f, float(eps), x)), out=out)
-    return out
+    return _sup_abs(sched, lambda eps: hilbert_truncated(f, eps, x), x)
 
 
 def modulate(values, x, N: float) -> np.ndarray:
@@ -235,11 +245,8 @@ def dirichlet_sn(f: PiecewiseConstant1D, N: float, grid) -> np.ndarray:
     x = _as_points(grid)
     if f.is_zero:
         return np.zeros_like(x)
-    bps = np.asarray(f.breakpoints, dtype=float)
-    c = _jump_coefficients(f)
     scale = 2.0 * math.pi * N
-    si = _rowwise(lambda xb: sine_integral(scale * (xb[:, None] - bps[None, :])), x, bps.size, c)
-    return si / math.pi
+    return _jump_sum(f, x, lambda d: sine_integral(np.multiply(d, scale, out=d)))
 
 
 def _spectral_hilbert(samples: np.ndarray) -> np.ndarray:
@@ -319,18 +326,15 @@ def carleson(
         raise ValueError("N schedule must be nonempty and positive")
     x = _as_points(grid)
 
-    def sup_over(schedule):
-        out = np.zeros_like(x)
-        for N in schedule:
-            np.maximum(out, np.abs(dirichlet_sn(f, float(N), x)), out=out)
-        return out
+    def sn(N):
+        return dirichlet_sn(f, N, x)
 
-    values = sup_over(sched)
+    values = _sup_abs(sched, sn, x)
     if refine_tolerance is None:
         return values
     for _ in range(max_refinements):
         sched = refine_schedule(sched)
-        refined = sup_over(sched)
+        refined = _sup_abs(sched, sn, x)
         delta = float(np.max(refined - values)) if x.size else 0.0
         values = refined
         if delta < refine_tolerance:

@@ -88,17 +88,10 @@ class PiecewiseConstant1D:
         a finite set.
         """
         x = np.asarray(x, dtype=float)
-        if len(self.values) == 0:
-            return np.zeros_like(x)
-        bp = np.asarray(self.breakpoints)
-        vals = np.concatenate(([0.0], np.asarray(self.values), [0.0]))
-        idx = np.searchsorted(bp, x, side="right")
-        out = vals[idx]
-        hit = np.isin(x, bp)
+        out = self._piece_values_at(x)
+        hit = np.isin(x, self.breakpoints)
         if np.any(hit):
-            left = vals[np.searchsorted(bp, x[hit], side="left")]
-            out = np.where(hit, 0.0, out)
-            out[hit] = 0.5 * (left + vals[idx[hit]])
+            out = np.where(hit, 0.5 * (self._piece_values_at(x, side="left") + out), out)
         return out
 
     # -- algebra -----------------------------------------------------------
@@ -119,72 +112,48 @@ class PiecewiseConstant1D:
         if len(other.values) == 0:
             return self
         bp = np.union1d(self.breakpoints, other.breakpoints)
-        mids = 0.5 * (bp[:-1] + bp[1:])
-        vals = self._piece_values_at(mids) + other._piece_values_at(mids)
+        vals = self._piece_values_at(bp[:-1]) + other._piece_values_at(bp[:-1])
         return PiecewiseConstant1D(bp, vals)
 
     def __sub__(self, other: "PiecewiseConstant1D") -> "PiecewiseConstant1D":
         return self + (-other)
 
-    def _piece_values_at(self, mids: np.ndarray) -> np.ndarray:
-        # interior-point lookup; mids must avoid breakpoints
-        if len(self.values) == 0:
-            return np.zeros_like(mids)
-        bp = np.asarray(self.breakpoints)
-        vals = np.concatenate(([0.0], np.asarray(self.values), [0.0]))
-        return vals[np.searchsorted(bp, mids, side="right")]
+    def _piece_values_at(self, x: np.ndarray, side: str = "right") -> np.ndarray:
+        """Value of the piece right of each x (left of it with side="left"), 0 outside.
 
-    # -- structure ---------------------------------------------------------
-
-    def with_breakpoints(self, extra: Sequence[float]) -> "PiecewiseConstant1D":
-        """Same function, representation refined by the given breakpoints.
-
-        Points outside [x_0, x_m] are ignored; the function is identically
-        zero there and needs no pieces.
+        At a left endpoint this is the value of the piece it starts, so the
+        lookup is exact for pieces of any length.
         """
         if len(self.values) == 0:
-            return self
-        lo, hi = self.breakpoints[0], self.breakpoints[-1]
-        extra = [float(x) for x in extra if lo < x < hi]
-        if not extra:
-            return self
-        bp = np.union1d(self.breakpoints, extra)
-        mids = 0.5 * (bp[:-1] + bp[1:])
-        return PiecewiseConstant1D(bp, self._piece_values_at(mids))
+            return np.zeros_like(x)
+        vals = np.concatenate(([0.0], np.asarray(self.values), [0.0]))
+        return vals[np.searchsorted(self.breakpoints, x, side=side)]
+
+    # -- structure ---------------------------------------------------------
 
     def restrict(self, a: float, b: float) -> "PiecewiseConstant1D":
         """Multiply by the indicator of (a, b); exact, inserts breakpoints."""
         if len(self.values) == 0 or b <= self.breakpoints[0] or a >= self.breakpoints[-1]:
             return PiecewiseConstant1D.zero()
-        refined = self.with_breakpoints([a, b])
-        bp = np.asarray(refined.breakpoints)
-        mids = 0.5 * (bp[:-1] + bp[1:])
-        vals = np.where((mids > a) & (mids < b), np.asarray(refined.values), 0.0)
+        # an end outside [x_0, x_m] adds no piece: the function is zero there
+        ends = np.clip([a, b], self.breakpoints[0], self.breakpoints[-1])
+        bp = np.union1d(self.breakpoints, ends)
+        left = bp[:-1]
+        vals = np.where((left >= a) & (bp[1:] <= b), self._piece_values_at(left), 0.0)
         return PiecewiseConstant1D(bp, vals).simplify()
 
     def simplify(self) -> "PiecewiseConstant1D":
-        """Drop leading/trailing zero pieces and merge equal neighbors."""
-        if len(self.values) == 0:
-            return self
-        bp = list(self.breakpoints)
-        vals = list(self.values)
-        while vals and vals[0] == 0.0:
-            vals.pop(0)
-            bp.pop(0)
-        while vals and vals[-1] == 0.0:
-            vals.pop()
-            bp.pop()
-        if not vals:
+        """Drop leading/trailing zero pieces and merge equal neighbors.
+
+        A merged run keeps its first value, which fixes the sign of a zero run.
+        """
+        nz = np.flatnonzero(self.values)
+        if not nz.size:
             return PiecewiseConstant1D.zero()
-        out_bp = [bp[0]]
-        out_vals = []
-        for i, v in enumerate(vals):
-            if out_vals and v == out_vals[-1]:
-                out_bp[-1] = bp[i + 1]
-                continue
-            out_vals.append(v)
-            out_bp.append(bp[i + 1])
-        return PiecewiseConstant1D(out_bp, out_vals)
+        vals = np.asarray(self.values)[nz[0] : nz[-1] + 1]
+        bp = np.asarray(self.breakpoints)[nz[0] : nz[-1] + 2]
+        starts = np.flatnonzero(np.concatenate(([True], vals[1:] != vals[:-1])))
+        return PiecewiseConstant1D(np.append(bp[starts], bp[-1]), vals[starts])
 
     def abs(self) -> "PiecewiseConstant1D":
         return PiecewiseConstant1D(self.breakpoints, tuple(abs(v) for v in self.values))

@@ -209,7 +209,7 @@ def test_perturbed_upper_bound_never_worse(f, seed):
 @given(f=ball_functions())
 def test_homogeneous_synthesis_reproduces_function(f):
     dec = decompose_homogeneous(f, PMID, k_min=-8)
-    back = dec.synthesize(include_residual=True)
+    back = dec.synthesize() + dec.residual
     diff = (f - back).simplify()
     scale = max(abs(v) for v in f.values)
     assert all(abs(v) <= 1e-12 * scale for v in diff.values)

@@ -67,8 +67,12 @@ def test_sup_norm_ignores_weight():
 
 
 def test_norm_rejects_nonpositive_p():
-    with pytest.raises(ValueError):
-        weighted_lp_norm(chi(0.0, 1.0), 0.0, 0.0)
+    # p = -inf is no sup norm: both types reject it before their p = inf branch
+    f = chi(1.0, 2.0, 3.0)
+    for g in (f, LatticeFunction.from_callable(f, 1, 0.25, 4.0)):
+        for p in (0.0, -math.inf):
+            with pytest.raises(ValueError):
+                weighted_lp_norm(g, p, 0.0)
 
 
 @given(
@@ -177,7 +181,8 @@ def test_profile_total_matches_norm():
     norm = weighted_lp_norm(f, params.p, params.alpha)
     assert math.isclose(prof.total, norm ** params.p, rel_tol=1e-12)
     assert prof.remainder >= 0.0
-    assert math.isclose(prof.covered_mass + prof.remainder, prof.total, rel_tol=1e-12)
+    covered = sum(t.contribution for t in prof.terms)
+    assert math.isclose(covered + prof.remainder, prof.total, rel_tol=1e-12)
 
 
 def test_profile_rejects_bad_range():

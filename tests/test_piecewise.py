@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from blockspaces import PiecewiseConstant1D
 
@@ -117,3 +117,117 @@ def test_scalar_multiplication(f, c):
 def test_abs_pointwise(f):
     xs = np.linspace(-9.0, 9.0, 23) + 0.0003
     np.testing.assert_allclose(f.abs()(xs), np.abs(f(xs)), atol=1e-12)
+
+
+# -- bit-level algebra against the list-and-midpoint forms ---------------------
+
+#: signed zeros included: simplify keeps the first value of a merged run
+SIGNED_VALUES = (-0.0, 0.0, 1.0, -1.0, 2.0)
+
+
+@st.composite
+def functions_and_ends(draw):
+    """A function on quarter-integer breakpoints, and restriction ends a <= b.
+
+    Each end lies on a breakpoint, between two, or outside the span.  No piece
+    is shorter than 1/4, so a midpoint lookup cannot round onto a breakpoint.
+    """
+    m = draw(st.integers(0, 6))
+    if m == 0:
+        return PiecewiseConstant1D.zero(), -1.0, 1.0
+    ints = draw(st.lists(st.integers(-16, 16), min_size=m + 1, max_size=m + 1, unique=True))
+    bp = sorted(i / 4.0 for i in ints)
+    vals = draw(st.lists(st.sampled_from(SIGNED_VALUES), min_size=m, max_size=m))
+    between = [0.5 * (x + y) for x, y in zip(bp, bp[1:])]
+    ends = st.sampled_from([*bp, *between, bp[0] - 1.0, bp[-1] + 1.0])
+    a, b = sorted((draw(ends), draw(ends)))
+    return PiecewiseConstant1D(bp, vals), a, b
+
+
+def _bits(f):
+    return f.breakpoints, f.values, tuple(np.signbit(f.values))
+
+
+def _midpoint_lookup(f, bp):
+    """Value of f on each piece of the refinement bp, read at the piece's midpoint."""
+    padded = [0.0, *f.values, 0.0]
+    mids = 0.5 * (bp[:-1] + bp[1:])
+    return [padded[i] for i in np.searchsorted(f.breakpoints, mids, side="right")]
+
+
+def _oracle_add(f, g):
+    if not f.values:
+        return g
+    if not g.values:
+        return f
+    bp = np.union1d(f.breakpoints, g.breakpoints)
+    vals = [u + v for u, v in zip(_midpoint_lookup(f, bp), _midpoint_lookup(g, bp))]
+    return PiecewiseConstant1D(bp, vals)
+
+
+def _oracle_simplify(f):
+    bp, vals = list(f.breakpoints), list(f.values)
+    while vals and vals[0] == 0.0:
+        vals.pop(0)
+        bp.pop(0)
+    while vals and vals[-1] == 0.0:
+        vals.pop()
+        bp.pop()
+    if not vals:
+        return PiecewiseConstant1D.zero()
+    out_bp, out_vals = [bp[0]], []
+    for i, v in enumerate(vals):
+        if out_vals and v == out_vals[-1]:
+            out_bp[-1] = bp[i + 1]
+            continue
+        out_vals.append(v)
+        out_bp.append(bp[i + 1])
+    return PiecewiseConstant1D(out_bp, out_vals)
+
+
+def _oracle_restrict(f, a, b):
+    if not f.values or b <= f.breakpoints[0] or a >= f.breakpoints[-1]:
+        return PiecewiseConstant1D.zero()
+    lo, hi = f.breakpoints[0], f.breakpoints[-1]
+    bp = np.union1d(f.breakpoints, [x for x in (a, b) if lo < x < hi])
+    mids = 0.5 * (bp[:-1] + bp[1:])
+    vals = [v if a < m < b else 0.0 for m, v in zip(mids, _midpoint_lookup(f, bp))]
+    return _oracle_simplify(PiecewiseConstant1D(bp, vals))
+
+
+def _oracle_call(f, xs):
+    padded = [0.0, *f.values, 0.0]
+    out = []
+    for x in xs:
+        right = padded[np.searchsorted(f.breakpoints, x, side="right")] if f.values else 0.0
+        if x in f.breakpoints:
+            right = 0.5 * (padded[np.searchsorted(f.breakpoints, x, side="left")] + right)
+        out.append(right)
+    return np.array(out)
+
+
+@example(
+    fab=(PiecewiseConstant1D((0.0, 1.0, 2.0, 3.0, 4.0), (1.0, -0.0, 0.0, 1.0)), 1.0, 3.0),
+    g=PiecewiseConstant1D((1.0, 2.0), (0.0,)),
+)
+@given(fab=functions_and_ends(), g=functions_and_ends().map(lambda t: t[0]))
+def test_algebra_matches_midpoint_oracle_bit_for_bit(fab, g):
+    f, a, b = fab
+    assert _bits(f.simplify()) == _bits(_oracle_simplify(f))
+    assert _bits(f.restrict(a, b)) == _bits(_oracle_restrict(f, a, b))
+    assert _bits(f + g) == _bits(_oracle_add(f, g))
+    assert _bits(f - g) == _bits(_oracle_add(f, -g))
+    xs = np.array([*f.breakpoints, *g.breakpoints, a, b, 0.5 * (a + b)])
+    got, want = f(xs), _oracle_call(f, xs)
+    assert got.tolist() == want.tolist()
+    assert np.signbit(got).tolist() == np.signbit(want).tolist()
+
+
+def test_one_ulp_piece_survives_add_and_restrict():
+    # the midpoint of [a, b] rounds onto b, so a midpoint lookup reads the 9 piece
+    a = float(np.nextafter(1.0, 2.0))
+    b = float(np.nextafter(a, 2.0))
+    f = PiecewiseConstant1D((0.0, a, b, 2.0), (5.0, 7.0, 9.0))
+    assert (f + chi(-1.0, 3.0, 0.0)).values == (0.0, 5.0, 7.0, 9.0, 0.0)
+    assert f.restrict(-1.0, 1.5).breakpoints == (0.0, a, b, 1.5)
+    assert f.restrict(-1.0, 1.5).values == (5.0, 7.0, 9.0)
