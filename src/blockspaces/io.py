@@ -1,10 +1,10 @@
-"""JSON and CSV serialization with lossless float round-trips.
+"""JSON/CSV writers with lossless floats; readers for function specs and CSVs.
 
 json writes floats with repr (shortest string that parses back to the same
-double), so every file round-trips bit-identically; non-finite norms are
-encoded as the string "inf" with a sibling "divergent" flag because JSON has
-no Infinity literal.  All JSON is emitted with sorted keys and a fixed indent
-so byte-identical inputs yield byte-identical files.
+double), so every written float parses back bit-identically; non-finite
+norms are encoded as the string "inf" with a sibling "divergent" flag
+because JSON has no Infinity literal.  All JSON is emitted with sorted keys
+and a fixed indent so byte-identical inputs yield byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,11 +13,13 @@ import csv
 import json
 import math
 from dataclasses import asdict
+from typing import TYPE_CHECKING
 
-from .blocks import Block, Decomposition, DecompositionTerm
-from .params import WeightParams
 from .piecewise import PiecewiseConstant1D
-from .verify import VerificationReport, Verdict
+
+if TYPE_CHECKING:
+    from .blocks import Decomposition
+    from .verify import VerificationReport
 
 
 def dumps(obj) -> str:
@@ -29,9 +31,6 @@ def write_json(path: str, obj) -> None:
         fh.write(dumps(obj))
 
 
-_NONFINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
-
-
 def jsonsafe(obj):
     """Recursively encode non-finite floats as the strings inf/-inf/nan."""
     if isinstance(obj, float) and not math.isfinite(obj):
@@ -40,17 +39,6 @@ def jsonsafe(obj):
         return {k: jsonsafe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonsafe(v) for v in obj]
-    return obj
-
-
-def jsonthaw(obj):
-    """Inverse of jsonsafe: decode the non-finite marker strings to floats."""
-    if isinstance(obj, str) and obj in _NONFINITE:
-        return _NONFINITE[obj]
-    if isinstance(obj, dict):
-        return {k: jsonthaw(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [jsonthaw(v) for v in obj]
     return obj
 
 
@@ -105,21 +93,6 @@ def decomposition_to_dict(d: Decomposition) -> dict:
     }
 
 
-def decomposition_from_dict(d: dict) -> Decomposition:
-    params = WeightParams(**d["params"])
-    terms = tuple(
-        DecompositionTerm(
-            float(t["lambda"]),
-            Block(params, int(t["k"]), bool(t["restrict_type"]), function_from_dict(t["block"])),
-        )
-        for t in d["terms"]
-    )
-    residual = None if d["residual"] is None else function_from_dict(d["residual"])
-    return Decomposition(
-        params, terms, bool(d["homogeneous"]), residual, float(jsonthaw(d["residual_norm"]))
-    )
-
-
 # -- verification reports -----------------------------------------------------
 
 
@@ -133,17 +106,6 @@ def report_to_dict(r: VerificationReport) -> dict:
             "passed": r.passed,
             "provenance": r.provenance,
         }
-    )
-
-
-def report_from_dict(d: dict) -> VerificationReport:
-    d = jsonthaw(d)
-    return VerificationReport(
-        d["theorem"],
-        d["params"],
-        d["measurements"],
-        tuple(Verdict(**v) for v in d["verdicts"]),
-        d["provenance"],
     )
 
 

@@ -64,28 +64,19 @@ def nearest_breakpoint(x: np.ndarray, breakpoints: np.ndarray) -> tuple[np.ndarr
 
 @dataclass(frozen=True)
 class EvalGrid:
-    """Evaluation abscissae kept clear of a function's singular points."""
+    """Evaluation abscissae cleared for principal-value evaluation of f.
+
+    for_function keeps the points and raises, as hilbert does, if one lies
+    within pv_exclusion_radius(f) of a breakpoint of f; filtered drops those.
+    """
 
     points: tuple[float, ...]
-    exclusion_radius: float
-    singular_points: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.size and self.singular_points:
-            sing = np.sort(np.asarray(self.singular_points, dtype=float))
-            hit = nearest_breakpoint(pts, sing)[1] <= self.exclusion_radius
-            if hit.any():
-                x_bad = float(pts[hit][0])
-                raise DomainEvaluationError(
-                    f"abscissa {x_bad!r} lies within the exclusion radius "
-                    f"{float(self.exclusion_radius)!r} of a singular point"
-                )
 
     @classmethod
     def for_function(cls, f: PiecewiseConstant1D, points) -> "EvalGrid":
-        pts = tuple(float(x) for x in np.atleast_1d(points))
-        return cls(pts, pv_exclusion_radius(f), f.breakpoints)
+        pts = np.atleast_1d(np.asarray(points, dtype=float))
+        _require_pv_clear(f, pts)
+        return cls(tuple(pts.tolist()))
 
     @classmethod
     def filtered(cls, f: PiecewiseConstant1D, points) -> "EvalGrid":
@@ -94,7 +85,7 @@ class EvalGrid:
         r = pv_exclusion_radius(f)
         if f.breakpoints:
             pts = pts[nearest_breakpoint(pts, np.asarray(f.breakpoints))[1] > r]
-        return cls(tuple(pts), r, f.breakpoints)
+        return cls(tuple(pts))
 
 
 def _as_points(grid) -> np.ndarray:

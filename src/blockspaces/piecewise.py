@@ -11,13 +11,9 @@ beyond floating-point rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-
-def _as_tuple(xs: Iterable[float]) -> tuple[float, ...]:
-    return tuple(float(x) for x in xs)
 
 
 @dataclass(frozen=True)
@@ -28,22 +24,24 @@ class PiecewiseConstant1D:
     values: tuple[float, ...]
 
     def __init__(self, breakpoints: Sequence[float], values: Sequence[float]):
-        bp = _as_tuple(breakpoints)
-        vals = _as_tuple(values)
-        if len(bp) < 2 and not (len(bp) == 0 and len(vals) == 0):
+        bp = np.asarray(breakpoints, dtype=float)
+        vals = np.asarray(values, dtype=float)
+        if bp.ndim != 1 or vals.ndim != 1:
+            raise ValueError("breakpoints and values must be flat sequences of numbers")
+        if bp.size < 2 and not (bp.size == 0 and vals.size == 0):
             raise ValueError("need at least two breakpoints (or none for the zero function)")
-        if len(vals) != max(len(bp) - 1, 0):
+        if vals.size != max(bp.size - 1, 0):
             raise ValueError(
-                f"{len(bp)} breakpoints require {max(len(bp) - 1, 0)} values, got {len(vals)}"
+                f"{bp.size} breakpoints require {max(bp.size - 1, 0)} values, got {vals.size}"
             )
-        if any(not np.isfinite(x) for x in bp):
+        if not np.isfinite(bp).all():
             raise ValueError("breakpoints must be finite")
-        if any(b <= a for a, b in zip(bp, bp[1:])):
+        if not (bp[1:] > bp[:-1]).all():
             raise ValueError("breakpoints must be strictly increasing")
-        if any(not np.isfinite(v) for v in vals):
+        if not np.isfinite(vals).all():
             raise ValueError("values must be finite")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "breakpoints", tuple(bp.tolist()))
+        object.__setattr__(self, "values", tuple(vals.tolist()))
 
     # -- constructors ------------------------------------------------------
 

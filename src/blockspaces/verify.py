@@ -67,9 +67,6 @@ _RATIO_CONVENTIONS = {
     "seed-stability": SEED_STABILITY_RATIO,
 }
 
-THEOREM_IDS = ("2.1", "2.2", "3.1", "4.1", "5.2", "5.3", "6.1.pointwise", "6.3")
-
-
 @dataclass(frozen=True)
 class Verdict:
     criterion: str
@@ -146,9 +143,15 @@ def _block_norm(op: str, params: WeightParams, k: int) -> float:
     quadrature grids and schedules scaled by 2^k, so the mathematical scale
     invariance is isolated from discretization choices; dirichlet_sn at N = 1
     is measured on an absolute oscillation-resolving grid because no scaled
-    grid is faithful to a fixed-frequency cutoff.
+    grid is faithful to a fixed-frequency cutoff, and hl_maximal on the lattice.
     """
     f = make_canonical_block(params, k).data
+    if op == "hl_maximal":
+        cells = int(round(2.0 * _LATTICE_HALFWIDTH / _LATTICE_H))
+        widths = np.round(geometric_schedule(1.0, cells, 2.0 ** 0.25)).astype(int)
+        widths = np.unique(np.minimum(widths, cells))
+        lat = LatticeFunction.from_callable(f, 1, _LATTICE_H, _LATTICE_HALFWIDTH)
+        return weighted_lp_norm(hl_maximal(lat, widths), params.p, params.alpha)
     if op == "dirichlet_sn":
         edges = oscillation_edges(f.breakpoints, 1024.0, 1.0 / 8.0)
         x, w = panel_nodes(edges, 4)
@@ -170,19 +173,6 @@ def _block_norm(op: str, params: WeightParams, k: int) -> float:
     return weighted_norm_from_samples(vals, x, w, params.p, params.alpha)
 
 
-def _lattice_block_norms(params: WeightParams, ks) -> list[float]:
-    """Weighted norms of the lattice maximal function of the indicator block at each scale."""
-    cells = int(round(2.0 * _LATTICE_HALFWIDTH / _LATTICE_H))
-    widths = np.round(geometric_schedule(1.0, cells, 2.0 ** 0.25)).astype(int)
-    widths = np.unique(np.minimum(widths, cells))
-    norms = []
-    for k in ks:
-        block = make_canonical_block(params, k)
-        lat = LatticeFunction.from_callable(block.data, 1, _LATTICE_H, _LATTICE_HALFWIDTH)
-        norms.append(weighted_lp_norm(hl_maximal(lat, widths), params.p, params.alpha))
-    return norms
-
-
 def verify_uniform_block_bound(op: str, params: WeightParams) -> VerificationReport:
     """Max/min ratio of weighted operator norms of indicator blocks over scales k = -6..6.
 
@@ -192,10 +182,7 @@ def verify_uniform_block_bound(op: str, params: WeightParams) -> VerificationRep
     """
     ks = list(range(_K_RANGE[0], _K_RANGE[1] + 1))
     lattice = op == "hl_maximal"
-    if lattice:
-        norms = _lattice_block_norms(params, ks)
-    else:
-        norms = [_block_norm(op, params, k) for k in ks]
+    norms = [_block_norm(op, params, k) for k in ks]
     positive = [v for v in norms if v > 0.0]
     ratio = max(positive) / min(positive) if positive else 1.0
     in_range = params.in_main_range
@@ -844,25 +831,26 @@ def _theorem_3_1(seed: int) -> VerificationReport:
     return _merged("3.1", parts, seed=seed)
 
 
+#: claim id -> harness for one seed, in report order
+_HARNESSES = {
+    "2.1": lambda seed: verify_inclusions(("ambient", "block-cost")),
+    "2.2": lambda seed: verify_inclusions(("ls-nonhomogeneous",), "2.2"),
+    "3.1": _theorem_3_1,
+    "4.1": lambda seed: verify_maximal_sharpness(),
+    "5.2": lambda seed: verify_hilbert_sharpness(),
+    "5.3": lambda seed: verify_decomposition_independence(seeds=(seed, seed + 1)),
+    "6.1.pointwise": lambda seed: verify_pointwise_convergence(),
+    "6.3": lambda seed: verify_norm_convergence(),
+}
+
+THEOREM_IDS = tuple(_HARNESSES)
+
+
 def run_theorem(theorem: str, seed: int = 0) -> VerificationReport:
     """Run the harness registered for one claim id."""
-    if theorem == "2.1":
-        return verify_inclusions(("ambient", "block-cost"))
-    if theorem == "2.2":
-        return verify_inclusions(("ls-nonhomogeneous",), "2.2")
-    if theorem == "3.1":
-        return _theorem_3_1(seed)
-    if theorem == "4.1":
-        return verify_maximal_sharpness()
-    if theorem == "5.2":
-        return verify_hilbert_sharpness()
-    if theorem == "5.3":
-        return verify_decomposition_independence(seeds=(seed, seed + 1))
-    if theorem == "6.1.pointwise":
-        return verify_pointwise_convergence()
-    if theorem == "6.3":
-        return verify_norm_convergence()
-    raise ValueError(f"unknown theorem id {theorem!r}; known: {', '.join(THEOREM_IDS)}")
+    if theorem not in _HARNESSES:
+        raise ValueError(f"unknown theorem id {theorem!r}; known: {', '.join(THEOREM_IDS)}")
+    return _HARNESSES[theorem](seed)
 
 
 def run_all(seed: int = 0) -> dict[str, VerificationReport]:

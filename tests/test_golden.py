@@ -2,10 +2,12 @@
 
 `perfbench/reference/verify/seed{k}/claim.<tid>.json` holds the report that
 `blockspaces verify --theorem <tid> --seed <k> --out claim.<tid>` writes.
-The cheap claims are rerun here for seeds 0-3 and compared byte for byte;
-3.1 and 6.3 take tens of seconds each and are left to the benchmark.
+The cheap claims are rerun here for seeds 0-3 and compared byte for byte.
+3.1 and 6.3 take about 18 s together, so they are compared at seed 0 only;
+the benchmark compares them at every seed.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -14,13 +16,15 @@ from blockspaces.cli import main
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify"
 CHEAP_CLAIMS = ("2.1", "2.2", "4.1", "5.2", "5.3", "6.1.pointwise")
+CASES = [(tid, seed) for seed in range(4) for tid in CHEAP_CLAIMS]
+CASES += [("3.1", 0), ("6.3", 0)]
 
 
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("tid", CHEAP_CLAIMS)
+@pytest.mark.parametrize(("tid", "seed"), CASES)
 def test_report_bytes_match_reference(tid, seed, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    want = (REFERENCE / f"seed{seed}" / f"claim.{tid}.json").read_bytes()
     rc = main(["verify", "--theorem", tid, "--seed", str(seed), "--out", f"claim.{tid}"])
-    assert rc == 0
-    got = (tmp_path / f"claim.{tid}.json").read_bytes()
-    assert got == (REFERENCE / f"seed{seed}" / f"claim.{tid}.json").read_bytes()
+    # exit 5 marks a failed report: 3.1 holds criterion 04's red dirichlet_sn leg
+    assert rc == (0 if json.loads(want)["passed"] else 5)
+    assert (tmp_path / f"claim.{tid}.json").read_bytes() == want

@@ -80,6 +80,10 @@ def test_eval_grid_strict_vs_filtered():
         EvalGrid.for_function(f, [0.5, 1.0])
     g = EvalGrid.filtered(f, [0.5, 1.0])
     assert g.points == (0.5,)
+    # an all-zero f has no PV singularity: hilbert evaluates at its breakpoints too
+    z = PiecewiseConstant1D((0.0, 1.0), (0.0,))
+    assert EvalGrid.for_function(z, [0.0, 1.0]).points == (0.0, 1.0)
+    np.testing.assert_array_equal(hilbert(z, np.array([0.0, 1.0])), [0.0, 0.0])
 
 
 @settings(max_examples=200)

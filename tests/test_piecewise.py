@@ -38,6 +38,14 @@ def test_constructor_validation():
         PiecewiseConstant1D((0.0, 1.0), (np.inf,))
     with pytest.raises(ValueError):
         chi(2.0, 2.0)
+    with pytest.raises(ValueError):
+        PiecewiseConstant1D((0.0, np.nan, 1.0), (1.0, 1.0))
+    with pytest.raises(ValueError):
+        PiecewiseConstant1D((-0.0, 0.0), (1.0,))
+    with pytest.raises((ValueError, TypeError)):
+        PiecewiseConstant1D(((0.0, 1.0), (2.0, 3.0)), (1.0,))
+    with pytest.raises((ValueError, TypeError)):
+        PiecewiseConstant1D((0.0, 1.0), (None,))
 
 
 def test_evaluation_convention():

@@ -1,4 +1,4 @@
-"""Lossless round trips for functions, decompositions, reports, and curves."""
+"""Lossless written floats for functions, decompositions, reports, and curves."""
 
 import json
 import math
@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 
 from blockspaces import PiecewiseConstant1D, WeightParams, decompose_nonhomogeneous
 from blockspaces.io import (
-    decomposition_from_dict,
     decomposition_to_dict,
     dumps,
     function_from_dict,
     function_to_dict,
     jsonsafe,
-    jsonthaw,
     load_function,
     read_csv,
     write_csv,
@@ -40,9 +38,7 @@ def test_nonfinite_markers_round_trip():
     obj = {"a": math.inf, "b": [-math.inf, 1.0], "c": {"d": math.nan}}
     safe = jsonsafe(obj)
     json.dumps(safe, allow_nan=False)  # must not raise
-    back = jsonthaw(safe)
-    assert back["a"] == math.inf and back["b"][0] == -math.inf
-    assert math.isnan(back["c"]["d"])
+    assert safe == {"a": "inf", "b": ["-inf", 1.0], "c": {"d": "nan"}}
     assert jsonsafe(math.inf) == "inf" and jsonsafe(2.5) == 2.5
 
 
@@ -71,15 +67,14 @@ def test_load_function_from_file(tmp_path):
 def test_decomposition_round_trip_lossless():
     params = WeightParams(1, 1.0, 2.0, -0.5)
     dec = decompose_nonhomogeneous(chi(-4.0, 4.0), params)
-    d = decomposition_to_dict(dec)
-    json.dumps(d, allow_nan=False)
-    back = decomposition_from_dict(d)
-    assert back.coefficient_cost == dec.coefficient_cost
-    assert len(back.terms) == len(dec.terms)
-    for a, b in zip(back.terms, dec.terms):
-        assert a.lam == b.lam and a.block.k == b.block.k
-        assert a.block.data.values == b.block.data.values
-    assert back.synthesize().equal_as_functions(dec.synthesize())
+    back = json.loads(dumps(decomposition_to_dict(dec)))
+    assert back["coefficient_cost"] == dec.coefficient_cost
+    assert len(back["terms"]) == len(dec.terms)
+    for a, b in zip(back["terms"], dec.terms):
+        assert a["lambda"] == b.lam and a["k"] == b.block.k
+        block = function_from_dict(a["block"])
+        assert block.breakpoints == b.block.data.breakpoints
+        assert block.values == b.block.data.values
 
 
 def test_decomposition_infinite_residual_encodes():
@@ -89,7 +84,6 @@ def test_decomposition_infinite_residual_encodes():
     dec = Decomposition(params, (), True, PiecewiseConstant1D.zero(), math.inf)
     d = decomposition_to_dict(dec)
     assert d["residual_norm"] == "inf"
-    assert decomposition_from_dict(d).residual_norm == math.inf
 
 
 def test_csv_round_trip_exact(tmp_path):
