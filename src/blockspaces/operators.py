@@ -82,10 +82,7 @@ class EvalGrid:
     def filtered(cls, f: PiecewiseConstant1D, points) -> "EvalGrid":
         """Like for_function but silently dropping offending abscissae."""
         pts = np.atleast_1d(np.asarray(points, dtype=float))
-        r = pv_exclusion_radius(f)
-        if f.breakpoints:
-            pts = pts[nearest_breakpoint(pts, np.asarray(f.breakpoints))[1] > r]
-        return cls(tuple(pts))
+        return cls(tuple(pts[~_pv_hits(f, pts)[0]].tolist()))
 
 
 def _as_points(grid) -> np.ndarray:
@@ -94,18 +91,21 @@ def _as_points(grid) -> np.ndarray:
     return np.atleast_1d(np.asarray(grid, dtype=float))
 
 
-def _require_pv_clear(f: PiecewiseConstant1D, x: np.ndarray) -> None:
+def _pv_hits(f: PiecewiseConstant1D, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which x lie within pv_exclusion_radius(f) of a breakpoint (none if f is 0), and each nearest."""
     if f.is_zero or not x.size:
-        return
-    bps = np.asarray(f.breakpoints, dtype=float)
-    r = pv_exclusion_radius(f)
-    nearest, dist = nearest_breakpoint(x, bps)
-    hit = dist <= r
+        return np.zeros(x.size, dtype=bool), np.zeros(x.size, dtype=int)
+    nearest, dist = nearest_breakpoint(x, np.asarray(f.breakpoints, dtype=float))
+    return dist <= pv_exclusion_radius(f), nearest
+
+
+def _require_pv_clear(f: PiecewiseConstant1D, x: np.ndarray) -> None:
+    hit, nearest = _pv_hits(f, x)
     if hit.any():
         i = int(np.flatnonzero(hit)[0])
         raise DomainEvaluationError(
-            f"principal-value evaluation at x={float(x[i])!r} within {float(r)!r} "
-            f"of breakpoint {float(bps[nearest[i]])!r}"
+            f"principal-value evaluation at x={float(x[i])!r} within "
+            f"{float(pv_exclusion_radius(f))!r} of breakpoint {f.breakpoints[nearest[i]]!r}"
         )
 
 
@@ -310,7 +310,9 @@ def carleson(
 
     With refine_tolerance set, the schedule density doubles until the sup
     changes by less than the tolerance everywhere or the cap is hit; the
-    values are monotone nondecreasing under refinement.
+    values are monotone nondecreasing under refinement.  Refinement stops at
+    the first doubling that moves the sup by less than the tolerance, even
+    when that move is exactly 0 and a later doubling would move it by more.
     """
     sched = np.atleast_1d(np.asarray(N_schedule, dtype=float))
     if sched.size == 0 or np.any(sched <= 0):

@@ -110,14 +110,12 @@ def test_criterion_03_gibbs_anchor():
 
 def test_criterion_04_uniform_block_constants():
     t0 = time.time()
-    grids = (WeightParams(1, 1.0, 2.0, -0.5), WeightParams(1, 0.5, 2.0, -0.75))
+    measured = verify_uniform_block_bound().measurements
     ratios = {}
-    for params in grids:
+    for p in ("1", "0.5"):
         for op in ("hilbert", "dirichlet_sn"):
-            rep = verify_uniform_block_bound(op, params)
-            ratios[f"{op}@p={params.p:g}"] = rep.measurements["ratio"]
-    rep = verify_uniform_block_bound("hl_maximal", grids[0])
-    ratios["hl_maximal@p=1"] = rep.measurements["ratio"]
+            ratios[f"{op}@p={p}"] = measured[f"{op}|p={p}|ratio"]
+    ratios["hl_maximal@p=1"] = measured["hl_maximal|p=1|ratio"]
     dt = time.time() - t0
     failures = []
     for name, ratio in ratios.items():

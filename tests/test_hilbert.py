@@ -84,6 +84,10 @@ def test_eval_grid_strict_vs_filtered():
     z = PiecewiseConstant1D((0.0, 1.0), (0.0,))
     assert EvalGrid.for_function(z, [0.0, 1.0]).points == (0.0, 1.0)
     np.testing.assert_array_equal(hilbert(z, np.array([0.0, 1.0])), [0.0, 0.0])
+    # filtered drops exactly what for_function refuses, as Python floats
+    for g in (EvalGrid.filtered(z, [0.0, 0.5, 1.0]), EvalGrid.filtered(f, [0.5, 1.0, 2.0])):
+        assert all(type(v) is float for v in g.points)
+    assert EvalGrid.filtered(z, [0.0, 0.5, 1.0]).points == (0.0, 0.5, 1.0)
 
 
 @settings(max_examples=200)

@@ -4,6 +4,7 @@ import json
 import math
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from blockspaces import (
@@ -15,6 +16,8 @@ from blockspaces import (
     verify_pointwise_convergence,
     verify_uniform_block_bound,
 )
+from blockspaces import verify
+from blockspaces.blocks import make_canonical_block
 from blockspaces.io import dumps, report_to_dict
 
 
@@ -41,14 +44,34 @@ def test_report_round_trip_preserves_verdicts():
 
 
 def test_out_of_hypothesis_verdicts_are_abstentions():
-    # alpha beyond n(p-1) leaves the main range: the harness must neither
-    # pass nor fail, and the report's pass is vacuous
-    params = WeightParams(1, 1.0, 2.0, 0.5)
-    rep = verify_uniform_block_bound("hilbert", params)
-    v = rep.verdicts[0]
+    # alpha = -1/4 exceeds p/s - 1 at (p, s) = (1, 2), outside the L^s
+    # inclusion's range: that verdict must neither pass nor fail, and the
+    # report's pass rests on the in-hypothesis verdicts alone
+    assert not WeightParams(1, 1.0, 2.0, -0.25).in_inclusion_range
+    rep = run_theorem("2.2")
+    (v,) = [v for v in rep.verdicts if v.criterion.endswith("[p=1,s=2,alpha=-0.25]")]
     assert v.out_of_hypothesis and v.passed is None
     assert rep.out_of_hypothesis
-    assert rep.passed  # vacuously: no in-hypothesis verdict failed
+    assert rep.passed  # no in-hypothesis verdict failed
+
+
+def test_block_bound_applies_each_operator_once_per_block(monkeypatch):
+    # both parameter points of claim 3.1 give the same canonical block at
+    # every scale, so each operator runs once per scale: 13 scales x 5
+    # operators, where one run per (operator, point) would be 117
+    a, b = verify._BLOCK_GRID
+    for k in range(-6, 7):
+        assert make_canonical_block(a, k).data == make_canonical_block(b, k).data
+    calls = []
+
+    def fake_block_values(op, f, k):
+        calls.append((op, k))
+        return np.ones(3), np.ones(3), np.ones(3)
+
+    monkeypatch.setattr(verify, "_block_values", fake_block_values)
+    rep = verify_uniform_block_bound()
+    assert len(calls) == len(set(calls)) == 65
+    assert len(rep.verdicts) == 9
 
 
 def test_in_hypothesis_verdicts_carry_booleans():
