@@ -306,13 +306,14 @@ def carleson(
     refine_tolerance: float | None = None,
     max_refinements: int = 8,
 ) -> np.ndarray:
-    """max over the schedule of |S_N f|; optionally refined until stable.
+    """max over the schedule of |S_N f|, each distinct level evaluated once.
 
     With refine_tolerance set, the schedule density doubles until the sup
-    changes by less than the tolerance everywhere or the cap is hit; the
-    values are monotone nondecreasing under refinement.  Refinement stops at
-    the first doubling that moves the sup by less than the tolerance, even
-    when that move is exactly 0 and a later doubling would move it by more.
+    changes by less than the tolerance everywhere or the cap is hit; each
+    doubling evaluates only the levels it inserts, so the values are
+    monotone nondecreasing.  Refinement stops at the first doubling that
+    moves the sup by less than the tolerance, even when that move is
+    exactly 0 and a later doubling would move it by more.
     """
     sched = np.atleast_1d(np.asarray(N_schedule, dtype=float))
     if sched.size == 0 or np.any(sched <= 0):
@@ -322,14 +323,14 @@ def carleson(
     def sn(N):
         return dirichlet_sn(f, N, x)
 
-    values = _sup_abs(sched, sn, x)
+    values = _sup_abs(np.unique(sched), sn, x)
     if refine_tolerance is None:
         return values
     for _ in range(max_refinements):
-        sched = refine_schedule(sched)
-        refined = _sup_abs(sched, sn, x)
+        finer = refine_schedule(sched)
+        refined = np.maximum(values, _sup_abs(np.setdiff1d(finer, sched), sn, x))
         delta = float(np.max(refined - values)) if x.size else 0.0
-        values = refined
+        values, sched = refined, finer
         if delta < refine_tolerance:
             break
     return values
@@ -380,11 +381,12 @@ def maximal_1d_exact(f: PiecewiseConstant1D, grid) -> np.ndarray:
     The average over [a, b] containing x is maximized at endpoints drawn from
     the breakpoints and x itself (the derivative in each endpoint has the
     sign of (average - boundary value), which is constant per piece), so the
-    supremum over all intervals reduces to a finite candidate set.
+    supremum over all intervals reduces to a finite candidate set.  Its
+    averages share one mass per endpoint; a non-finite x gives NaN.
     """
     x = _as_points(grid)
     if f.is_zero:
-        return np.zeros_like(x)
+        return np.where(np.isfinite(x), 0.0, np.nan)
     g = f.abs()
     bps = np.asarray(g.breakpoints, dtype=float)
     v = np.asarray(g.values, dtype=float)
@@ -395,14 +397,12 @@ def maximal_1d_exact(f: PiecewiseConstant1D, grid) -> np.ndarray:
         j = np.clip(np.searchsorted(bps, tt, side="right") - 1, 0, v.size - 1)
         return cum[j] + v[j] * (tt - bps[j])
 
-    out = np.empty_like(x)
-    for i, xi in enumerate(x):
-        left = np.concatenate([bps[bps < xi], [xi]])
-        right = np.concatenate([[xi], bps[bps > xi]])
-        a = np.repeat(left, right.size)
-        b = np.tile(right, left.size)
-        ok = b > a
-        a, b = a[ok], b[ok]
-        avg = (mass_upto(b) - mass_upto(a)) / (b - a)
-        out[i] = max(float(avg.max()), float(g(np.asarray(xi))))
+    out = np.full_like(x, np.nan)  # no interval contains a non-finite x
+    for i in np.flatnonzero(np.isfinite(x)):
+        a = np.append(bps[bps < x[i]], x[i])
+        b = np.insert(bps[bps > x[i]], 0, x[i])
+        span = b - a[:, None]
+        mass = mass_upto(b) - mass_upto(a)[:, None]
+        avg = np.divide(mass, span, out=np.full(span.shape, -np.inf), where=span > 0)
+        out[i] = max(float(avg.max()), float(g(x[i])))
     return out

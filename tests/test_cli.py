@@ -445,3 +445,43 @@ def test_sweep_rejects_fractional_scales(tmp_path):
 
 def test_sweep_unknown_kind_exits_2(tmp_path):
     assert main(["sweep", "--op", "resolvent", "--params", "1,1,2,0", "--out", str(tmp_path / "s")]) == 2
+
+
+# -- exit-code contract -------------------------------------------------------------
+
+_APPLY = ["apply", "--input", "{i12}", "--op", "maximal"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, outputs",
+    [
+        (_APPLY + ["--grid", "1:2"], 2, {}),
+        (_APPLY + ["--grid", "0:1:x"], 2, {}),
+        (_APPLY + ["--grid", "0:1:0"], 2, {}),
+        (["norm", "--params", "1,1,2,0"], 2, {}),
+        (["norm", "--input", "missing.json", "--params", "1,1,2,0"], 2, {}),
+        (["apply", "--input", "{i12}", "--grid", "0:1:3"], 2, {}),
+        (_APPLY, 2, {}),
+        (["verify"], 2, {}),
+        (["sweep", "--params", "1,1,2,0"], 2, {}),
+        (_APPLY + ["--grid", "0.5,3/2,2.5"], 0, {"apply.csv": None, "apply.json": [0.5, 1.5, 2.5]}),
+        (["norm", "--input", "{i12}", "--params", "1,1,2,0", "--out", "n.json"], 0, {"n.json": None}),
+        (["decompose", "--input", "{i12}", "--params", "1,1,2,-1", "--op", "homogeneous"], 3, {}),
+    ],
+    ids=[
+        "grid-two-fields", "grid-count-not-integer", "grid-count-zero", "no-input",
+        "unreadable-input", "apply-no-op", "apply-no-grid", "verify-no-theorem", "sweep-no-op",
+        "grid-comma-list", "out-with-extension", "homogeneous-alpha-minus-1",
+    ],
+)
+def test_exit_code_contract(tmp_path, monkeypatch, i12, argv, code, outputs):
+    # outputs: every file the run writes in the working directory, with the
+    # grid its JSON report must echo where one is given
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main([a.format(i12=i12) for a in argv]) == code
+    assert sorted(p.name for p in work.iterdir()) == sorted(outputs)
+    for name, grid in outputs.items():
+        if grid is not None:
+            assert json.loads((work / name).read_text())["grid"] == grid

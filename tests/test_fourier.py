@@ -21,6 +21,8 @@ from blockspaces import (
     dirichlet_sn_via_hilbert,
     geometric_schedule,
     modulate,
+    operators,
+    refine_schedule,
     sine_integral,
 )
 
@@ -173,6 +175,24 @@ def test_carleson_monotone_under_refinement():
     coarse = carleson(f, sched, x)
     fine = carleson(f, sched, x, refine_tolerance=0.0, max_refinements=2)
     assert np.all(fine >= coarse - 1e-15)
+
+
+def test_carleson_refinement_evaluates_only_inserted_levels(monkeypatch):
+    # 34 levels, then the 33 midpoints of one doubling: 67 S_N evaluations
+    # where re-evaluating the whole refined schedule would take 34 + 67
+    f = chi(1.0, 2.0)
+    sched = geometric_schedule(0.25, 64.0)
+    x = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
+    calls = []
+
+    def counting_sn(f, N, grid):
+        calls.append(N)
+        return dirichlet_sn(f, N, grid)
+
+    monkeypatch.setattr(operators, "dirichlet_sn", counting_sn)
+    got = carleson(f, sched, x, refine_tolerance=100.0)
+    assert len(calls) == 67 == len(set(calls))
+    assert np.array_equal(got, carleson(f, refine_schedule(sched), x))
 
 
 def test_carleson_schedule_validation():

@@ -88,6 +88,9 @@ def test_eval_grid_strict_vs_filtered():
     for g in (EvalGrid.filtered(z, [0.0, 0.5, 1.0]), EvalGrid.filtered(f, [0.5, 1.0, 2.0])):
         assert all(type(v) is float for v in g.points)
     assert EvalGrid.filtered(z, [0.0, 0.5, 1.0]).points == (0.0, 0.5, 1.0)
+    # operators take an EvalGrid in place of its points
+    pts = [-0.5, 0.25, 0.5, 3.0]
+    assert np.array_equal(hilbert(f, EvalGrid.for_function(f, pts)), hilbert(f, pts))
 
 
 @settings(max_examples=200)

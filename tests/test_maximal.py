@@ -58,6 +58,61 @@ def test_zero_function():
     np.testing.assert_array_equal(maximal_1d_exact(z, np.array([0.0, 5.0])), [0.0, 0.0])
 
 
+def test_non_finite_points_give_nan():
+    # no interval contains a non-finite point
+    x = np.array([np.nan, np.inf, -np.inf, 1.5])
+    for f in (chi(1.0, 2.0), PiecewiseConstant1D.zero()):
+        got = maximal_1d_exact(f, x)
+        assert np.isnan(got[:3]).all() and got[3] == abs(f(1.5))
+
+
+def all_pairs_maximal(f, x):
+    """The sup over every (left, right) candidate pair, with one mass lookup per pair."""
+    g = f.abs()
+    bps = np.asarray(g.breakpoints, dtype=float)
+    v = np.asarray(g.values, dtype=float)
+    cum = np.concatenate([[0.0], np.cumsum(v * np.diff(bps))])
+
+    def mass_upto(t):
+        tt = np.clip(t, bps[0], bps[-1])
+        j = np.clip(np.searchsorted(bps, tt, side="right") - 1, 0, v.size - 1)
+        return cum[j] + v[j] * (tt - bps[j])
+
+    out = np.empty_like(x)
+    for i, xi in enumerate(x):
+        left = np.concatenate([bps[bps < xi], [xi]])
+        right = np.concatenate([[xi], bps[bps > xi]])
+        a = np.repeat(left, right.size)
+        b = np.tile(right, left.size)
+        ok = b > a
+        a, b = a[ok], b[ok]
+        avg = (mass_upto(b) - mass_upto(a)) / (b - a)
+        out[i] = max(float(avg.max()), float(g(np.asarray(xi))))
+    return out
+
+
+# few distinct values, so adjacent pieces are often equal or zero
+_PIECE_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 1e-300, -3e-300, 7e-301, 2.5]),
+    st.floats(-1e3, 1e3),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    bps=st.lists(st.floats(-64.0, 64.0), min_size=2, max_size=9, unique=True),
+    data=st.data(),
+    extra=st.lists(st.floats(-100.0, 100.0), max_size=4),
+)
+def test_exact_matches_all_pairs_bit_for_bit(bps, data, extra):
+    b = np.sort(np.asarray(bps))
+    vals = data.draw(st.lists(_PIECE_VALUES, min_size=b.size - 1, max_size=b.size - 1))
+    f = PiecewiseConstant1D(b, vals)
+    # every breakpoint, one ulp to either side of it, and free points
+    x = np.concatenate([b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), extra])
+    assert np.array_equal(maximal_1d_exact(f, x), all_pairs_maximal(f, x))
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     vals=st.lists(st.integers(-4, 4), min_size=1, max_size=4),
