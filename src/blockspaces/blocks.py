@@ -125,6 +125,15 @@ def _shell_terms(
     return tuple(terms)
 
 
+def _require_unit_ball_support(f: PiecewiseConstant1D) -> None:
+    """The shell decompositions cover k <= 0 only, so mass outside B_0 would be dropped."""
+    bounds = f.support_bounds
+    if bounds is not None and max(abs(bounds[0]), abs(bounds[1])) > 1.0:
+        raise HypothesisViolation(
+            f"support {bounds} leaks outside the unit ball; this route needs supp f in B_0"
+        )
+
+
 def decompose_homogeneous(
     f: PiecewiseConstant1D, params: WeightParams, k_min: int
 ) -> Decomposition:
@@ -145,11 +154,7 @@ def decompose_homogeneous(
         )
     if k_min > 0:
         raise ValueError(f"k_min must be <= 0, got {k_min}")
-    bounds = f.support_bounds
-    if bounds is not None and max(abs(bounds[0]), abs(bounds[1])) > 1.0:
-        raise HypothesisViolation(
-            f"support {bounds} leaks outside the unit ball; this route needs supp f in B_0"
-        )
+    _require_unit_ball_support(f)
     terms = _shell_terms(f, params, range(0, k_min - 1, -1), restrict_type=False)
     inner = 2.0 ** (k_min - 1)
     residual = f.restrict(-inner, inner)
@@ -206,6 +211,7 @@ def _tail_cost(f: PiecewiseConstant1D, params: WeightParams, k_tail: int) -> flo
 def homogeneous_total_cost(f: PiecewiseConstant1D, params: WeightParams) -> float:
     """Cost of the full shell decomposition of f (support in the unit ball),
     including the exact closed-form tail over the infinitely many inner shells."""
+    _require_unit_ball_support(f)
     radii = [abs(x) for x in f.breakpoints if x != 0.0]
     if not radii:
         return 0.0

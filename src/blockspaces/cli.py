@@ -149,6 +149,7 @@ def _out_base(cfg: RunConfig) -> str:
 
 
 def cmd_norm(cfg: RunConfig) -> int:
+    """weighted norm and per-shell profile of a function spec"""
     f = _load_input(cfg)
     params = _require_params(cfg)
     norm = weighted_lp_norm(f, params.p, params.alpha)
@@ -175,6 +176,7 @@ def cmd_norm(cfg: RunConfig) -> int:
 
 
 def cmd_decompose(cfg: RunConfig) -> int:
+    """split a function into scaled blocks and report the cost"""
     f = _load_input(cfg)
     params = _require_params(cfg)
     route = cfg.op or "nonhomogeneous"
@@ -205,46 +207,40 @@ def cmd_decompose(cfg: RunConfig) -> int:
 #: block scales whose 2^k-scaled shell grid (2^-40 .. 2^41) keeps finite, normal nodes
 _SWEEP_SCALES = range(-982, 983)
 
-_APPLY_DEFAULT_SCHEDULES = {
-    "hilbert": (),
-    "hilbert_truncated": (0.25,),
-    "hilbert_maximal": tuple(geometric_schedule(2.0**-6, 4.0)[::-1]),
-    "sn": (8.0,),
-    "carleson": tuple(geometric_schedule(0.25, 64.0)),
-    "maximal": (),
+#: operator -> (default levels, evaluation on (f, levels, points, tolerance))
+_APPLY_OPS = {
+    "hilbert": ((), lambda f, s, x, t: hilbert(f, x)),
+    "hilbert_truncated": ((0.25,), lambda f, s, x, t: hilbert_truncated(f, s[0], x)),
+    "hilbert_maximal": (
+        tuple(geometric_schedule(2.0**-6, 4.0)[::-1]), lambda f, s, x, t: hilbert_maximal(f, s, x)
+    ),
+    "sn": ((8.0,), lambda f, s, x, t: dirichlet_sn(f, s[0], x)),
+    "carleson": (
+        tuple(geometric_schedule(0.25, 64.0)),
+        lambda f, s, x, t: carleson(f, s, x, refine_tolerance=1e-8 if t is None else t),
+    ),
+    "maximal": ((), lambda f, s, x, t: maximal_1d_exact(f, x)),
 }
 
 
 def cmd_apply(cfg: RunConfig) -> int:
+    """evaluate an operator on a grid, emit CSV + JSON"""
     f = _load_input(cfg)
     if cfg.op is None:
         raise InputError("apply needs --op")
-    if cfg.op not in _APPLY_DEFAULT_SCHEDULES:
-        raise InputError(
-            f"unknown operator {cfg.op!r}; expected one of {sorted(_APPLY_DEFAULT_SCHEDULES)}"
-        )
+    if cfg.op not in _APPLY_OPS:
+        raise InputError(f"unknown operator {cfg.op!r}; expected one of {sorted(_APPLY_OPS)}")
     if cfg.grid is None:
         raise InputError("apply needs --grid a:b:count")
     points = parse_grid(cfg.grid)
-    schedule = cfg.schedule if cfg.schedule is not None else _APPLY_DEFAULT_SCHEDULES[cfg.op]
+    default, evaluate = _APPLY_OPS[cfg.op]
+    schedule = cfg.schedule if cfg.schedule is not None else default
     if cfg.schedule is None and schedule:
         cfg.defaults_used.append(f"schedule={list(schedule)}")
-    if cfg.op in ("hilbert_truncated", "sn") and len(schedule) != 1:
+    # an operator with a one-level default reads exactly one level
+    if len(default) == 1 and len(schedule) != 1:
         raise InputError(f"{cfg.op} needs one level in --schedule, got {len(schedule) or 'none'}")
-
-    if cfg.op == "hilbert":
-        values = hilbert(f, points)
-    elif cfg.op == "hilbert_truncated":
-        values = hilbert_truncated(f, schedule[0], points)
-    elif cfg.op == "hilbert_maximal":
-        values = hilbert_maximal(f, np.asarray(schedule), points)
-    elif cfg.op == "sn":
-        values = dirichlet_sn(f, schedule[0], points)
-    elif cfg.op == "carleson":
-        tol = cfg.tolerance if cfg.tolerance is not None else 1e-8
-        values = carleson(f, np.asarray(schedule), points, refine_tolerance=tol)
-    else:  # maximal
-        values = maximal_1d_exact(f, points)
+    values = evaluate(f, schedule, points, cfg.tolerance)
 
     base = _out_base(cfg)
     bsio.write_csv(base + ".csv", zip(points, values))
@@ -272,6 +268,7 @@ def _report_curves(report_dict: dict) -> list[tuple[str, list]]:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    """run a verification harness by claim id (or 'all')"""
     if cfg.theorem is None:
         raise InputError("verify needs --theorem ID or --theorem all")
     ids = THEOREM_IDS if cfg.theorem == "all" else (cfg.theorem,)
@@ -300,6 +297,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
+    """emit a curve: e-of-N or a block-scale operator sweep"""
     if cfg.op is None:
         raise InputError("sweep needs --op e-of-N or --op <operator> (block-scale sweep)")
     base = _out_base(cfg)
@@ -340,58 +338,50 @@ def cmd_sweep(cfg: RunConfig) -> int:
 # -- dispatch -----------------------------------------------------------------
 
 
+#: subcommand -> (handler, whose docstring is its help, the flags it reads)
+_SUBCOMMANDS = {
+    "norm": (cmd_norm, ("input", "params", "out")),
+    "decompose": (cmd_decompose, ("input", "params", "op", "seed", "out")),
+    "apply": (cmd_apply, ("input", "op", "schedule", "grid", "out", "tolerance")),
+    "verify": (cmd_verify, ("theorem", "seed", "out")),
+    "sweep": (cmd_sweep, ("input", "params", "op", "schedule", "out")),
+}
+
+_FLAGS = {
+    "input": {"help": "path to a function spec (JSON)"},
+    "params": {"help": "n,p,s,alpha (fractions like 1/2 accepted)"},
+    "op": {"help": "operator or route name"},
+    "theorem": {"help": "claim id for verify (e.g. 3.1, or 'all')"},
+    "schedule": {"help": "comma list of levels (N, eps, or scales)"},
+    "grid": {"help": "evaluation grid, a:b:count or comma list"},
+    "seed": {"type": int},
+    "out": {"help": "output path base (default: subcommand name)"},
+    "tolerance": {"type": float, "help": "override the default tolerance"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blockspaces",
         description="Weighted block-space norms, decompositions, and operator checks.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    specs = {
-        "norm": "weighted norm and per-shell profile of a function spec",
-        "decompose": "split a function into scaled blocks and report the cost",
-        "apply": "evaluate an operator on a grid, emit CSV + JSON",
-        "verify": "run a verification harness by claim id (or 'all')",
-        "sweep": "emit a curve: e-of-N or a block-scale operator sweep",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", help="path to a function spec (JSON)")
-        p.add_argument("--params", help="n,p,s,alpha (fractions like 1/2 accepted)")
-        p.add_argument("--op", help="operator or route name")
-        p.add_argument("--theorem", help="claim id for verify (e.g. 3.1, or 'all')")
-        p.add_argument("--schedule", help="comma list of levels (N, eps, or scales)")
-        p.add_argument("--grid", help="evaluation grid, a:b:count or comma list")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", help="output path base (default: subcommand name)")
-        p.add_argument("--tolerance", type=float, help="override the default tolerance")
+    for name, (handler, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=handler.__doc__)
+        for flag in flags:
+            # an absent flag stays out of the namespace and keeps its RunConfig default
+            p.add_argument(f"--{flag}", default=argparse.SUPPRESS, **_FLAGS[flag])
     return parser
 
 
-_DISPATCH = {
-    "norm": cmd_norm,
-    "decompose": cmd_decompose,
-    "apply": cmd_apply,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
-}
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    opts = vars(build_parser().parse_args(argv))
     try:
-        cfg = RunConfig(
-            subcommand=args.subcommand,
-            input=args.input,
-            params=parse_params(args.params) if args.params else None,
-            op=args.op,
-            theorem=args.theorem,
-            schedule=parse_schedule(args.schedule) if args.schedule is not None else None,
-            grid=args.grid,
-            seed=args.seed,
-            out=args.out,
-            tolerance=args.tolerance,
-        )
-        return _DISPATCH[args.subcommand](cfg)
+        opts["params"] = parse_params(opts["params"]) if opts.get("params") else None
+        if "schedule" in opts:
+            opts["schedule"] = parse_schedule(opts["schedule"])
+        cfg = RunConfig(**opts)
+        return _SUBCOMMANDS[cfg.subcommand][0](cfg)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -318,12 +318,13 @@ def carleson(
     sched = np.atleast_1d(np.asarray(N_schedule, dtype=float))
     if sched.size == 0 or np.any(sched <= 0):
         raise ValueError("N schedule must be nonempty and positive")
+    sched = np.unique(sched)  # refine_schedule splits the gaps between neighbours
     x = _as_points(grid)
 
     def sn(N):
         return dirichlet_sn(f, N, x)
 
-    values = _sup_abs(np.unique(sched), sn, x)
+    values = _sup_abs(sched, sn, x)
     if refine_tolerance is None:
         return values
     for _ in range(max_refinements):

@@ -104,9 +104,11 @@ def _below(
     value: float,
     note: str = "",
     in_hypothesis: bool = True,
+    holds: bool = True,
 ) -> Verdict:
-    """Verdict that passes when value < tolerance; an abstention outside the hypotheses."""
-    passed = bool(value < tolerance) if in_hypothesis else None
+    """Verdict that passes when value < tolerance and the side condition holds;
+    an abstention outside the hypotheses."""
+    passed = bool(value < tolerance and holds) if in_hypothesis else None
     return Verdict(criterion, measurement, tolerance, value, passed, not in_hypothesis, note)
 
 
@@ -317,12 +319,12 @@ def _log_divergence(deltas, growth, name, tag, measurements, verdicts):
     spread = float(np.max(tail_slopes) / np.min(tail_slopes) - 1.0)
     measurements[f"{name}_slope_spread|{tag}"] = spread
     verdicts.append(
-        Verdict(
-            criterion=f"{name.replace('_', '-')}-log-divergence[{tag}]",
-            measurement=f"{name}_slope_spread|{tag}",
-            tolerance=0.15,
-            value=spread,
-            passed=bool(spread < 0.15 and np.all(tail_slopes > 0.0)),
+        _below(
+            f"{name.replace('_', '-')}-log-divergence[{tag}]",
+            f"{name}_slope_spread|{tag}",
+            0.15,
+            spread,
+            holds=bool(np.all(tail_slopes > 0.0)),
         )
     )
     return step_slopes
@@ -455,16 +457,13 @@ def verify_hilbert_sharpness() -> VerificationReport:
     measurements["min_abs_on_[0,1/2]"] = min_small
     measurements["min_abs_analytic"] = analytic_min
     verdicts.append(
-        Verdict(
-            criterion="nonvanishing-near-zero",
-            measurement="min_abs_on_[0,1/2]",
-            tolerance=1e-10,
-            value=abs(min_small / analytic_min - 1.0),
-            passed=bool(
-                abs(min_small / analytic_min - 1.0) < 1e-10
-                and np.all(np.diff(small_vals) >= 0.0)
-            ),
+        _below(
+            "nonvanishing-near-zero",
+            "min_abs_on_[0,1/2]",
+            1e-10,
+            abs(min_small / analytic_min - 1.0),
             note="minimum attained at 0 with value log(2)/pi; |Hf| monotone on [0, 1/2]",
+            holds=bool(np.all(np.diff(small_vals) >= 0.0)),
         )
     )
 
@@ -800,18 +799,14 @@ def verify_inclusions(
             spread = max(finite) / min(finite) if finite else math.inf
             measurements[f"stability|{leg}|{tag}"] = spread
             verdicts.append(
-                Verdict(
-                    criterion=f"seed-stability({leg})[{tag}]",
-                    measurement=f"stability|{leg}|{tag}",
-                    tolerance=SEED_STABILITY_RATIO,
-                    value=spread,
-                    passed=bool(
-                        len(finite) == len(ratios) and spread < SEED_STABILITY_RATIO
-                    )
-                    if in_hyp
-                    else None,
-                    out_of_hypothesis=not in_hyp,
+                _below(
+                    f"seed-stability({leg})[{tag}]",
+                    f"stability|{leg}|{tag}",
+                    SEED_STABILITY_RATIO,
+                    spread,
                     note="" if in_hyp else "outside this inclusion's hypotheses",
+                    in_hypothesis=in_hyp,
+                    holds=len(finite) == len(ratios),
                 )
             )
     return VerificationReport(

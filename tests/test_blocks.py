@@ -169,6 +169,13 @@ def test_total_cost_infinite_at_critical_weight():
     assert math.isfinite(homogeneous_total_cost(chi(-1.0, 1.0), near))
 
 
+@pytest.mark.parametrize("a, b", [(1.5, 3.0), (0.5, 3.0)])
+def test_total_cost_requires_ball_support(a, b):
+    # the shells k <= 0 cover only B_0; the mass outside it would be dropped
+    with pytest.raises(HypothesisViolation, match="unit ball"):
+        homogeneous_total_cost(chi(a, b), PMID)
+
+
 def test_tail_zero_when_origin_clean():
     # support away from 0: finitely many shells, the tail contributes nothing
     f = chi(0.25, 1.0)

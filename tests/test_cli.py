@@ -4,8 +4,10 @@ Exit codes are a contract: 0 success (divergence included), 2 input error,
 3 hypothesis violation, 4 numerical-domain error, 5 verification failure.
 """
 
+import argparse
 import json
 import math
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from scipy.special import sici
 
 from blockspaces import PiecewiseConstant1D, dirichlet_sn
-from blockspaces.cli import main
+from blockspaces.cli import build_parser, main
 from blockspaces.io import read_csv
 
 
@@ -485,3 +487,63 @@ def test_exit_code_contract(tmp_path, monkeypatch, i12, argv, code, outputs):
     for name, grid in outputs.items():
         if grid is not None:
             assert json.loads((work / name).read_text())["grid"] == grid
+
+
+# -- the flags each subcommand reads ------------------------------------------------
+
+FLAGS_READ = {
+    "norm": {"input", "params", "out"},
+    "decompose": {"input", "params", "op", "seed", "out"},
+    "apply": {"input", "op", "schedule", "grid", "tolerance", "out"},
+    "verify": {"theorem", "seed", "out"},
+    "sweep": {"input", "params", "op", "schedule", "out"},
+}
+
+# one complete run per subcommand, each exiting 0 and writing its report on its own
+_RUNS = {
+    "norm": ["norm", "--input", "{ball}", "--params", "1,1,2,0"],
+    "decompose": ["decompose", "--input", "{ball}", "--params", "1,1,2,0"],
+    "apply": ["apply", "--input", "{ball}", "--op", "maximal", "--grid", "0:1:3"],
+    "verify": ["verify", "--theorem", "5.3"],
+    "sweep": ["sweep", "--op", "e-of-N", "--input", "{ball}", "--params", "1,1,2,0", "--schedule", "1"],
+}
+_VALUES = {
+    "input": "{ball}", "params": "1,1,2,0", "op": "hilbert", "theorem": "4.1", "schedule": "1",
+    "grid": "0:1:3", "seed": "1", "out": "x", "tolerance": "1e-4",
+}
+
+
+def test_each_subcommand_exposes_only_the_flags_it_reads():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: {a.dest for a in sub._actions if a.dest != "help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert got == FLAGS_READ
+    assert sum(len(flags) for flags in got.values()) == 22
+
+
+@pytest.mark.parametrize(
+    "sub, flag",
+    [(sub, flag) for sub in FLAGS_READ for flag in _VALUES if flag not in FLAGS_READ[sub]],
+)
+def test_unread_flag_exits_2(tmp_path, monkeypatch, capsys, ball, sub, flag):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    argv = [a.format(ball=ball) for a in _RUNS[sub] + [f"--{flag}", _VALUES[flag]]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+    assert list(work.iterdir()) == []
+
+
+def test_readme_cli_examples_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line for line in readme.read_text().splitlines() if line.startswith("blockspaces ")]
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
+    assert {shlex.split(line)[1] for line in lines} == set(FLAGS_READ)

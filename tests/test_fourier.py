@@ -195,6 +195,15 @@ def test_carleson_refinement_evaluates_only_inserted_levels(monkeypatch):
     assert np.array_equal(got, carleson(f, refine_schedule(sched), x))
 
 
+def test_carleson_refines_the_sorted_schedule():
+    # refinement splits the gaps between neighbouring levels, so their order must not matter
+    f = chi(1.0, 2.0)
+    x = np.linspace(-3.0, 5.0, 41) + 0.013
+    want = carleson(f, [0.5, 1.0, 3.0, 7.0], x, refine_tolerance=1.0)
+    for sched in ([3.0, 0.5, 7.0, 1.0], [0.5, 1.0, 1.0, 3.0, 7.0]):
+        assert np.array_equal(carleson(f, sched, x, refine_tolerance=1.0), want)
+
+
 def test_carleson_schedule_validation():
     with pytest.raises(ValueError):
         carleson(chi(0.0, 1.0), [], np.array([0.5]))
