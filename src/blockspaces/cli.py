@@ -4,7 +4,8 @@ One binary, five subcommands (norm, decompose, apply, verify, sweep), JSON
 reports plus CSV curves.  Exit codes are a stable contract:
 
     0  success (including divergent norms, which are data, not errors)
-    2  input error: unparsable file/flag, unknown operator or claim id
+    2  input error: a malformed command line (argparse prints the usage line and
+       names the flag), or a bad flag value or input file (`error: ...`)
     3  hypothesis violation (the named constraint is in the message)
     4  numerical-domain error (e.g. PV evaluation at a breakpoint)
     5  verification ran and an in-hypothesis check failed (report still written,
@@ -91,10 +92,7 @@ def parse_params(text: str) -> WeightParams:
         raise InputError(
             f"--params n must be 1: every function here lives on the real line, got n={n:g}"
         )
-    try:
-        return WeightParams(1, p, s, alpha)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return WeightParams(1, p, s, alpha)
 
 
 def parse_schedule(text: str) -> tuple[float, ...]:
@@ -121,20 +119,12 @@ def parse_grid(text: str) -> np.ndarray:
 
 
 def _load_input(cfg: RunConfig):
-    if cfg.input is None:
-        raise InputError(f"{cfg.subcommand} needs --input FILE")
     try:
         return bsio.load_function(cfg.input)
     except OSError as exc:
         raise InputError(f"cannot read {cfg.input}: {exc}") from exc
     except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad function spec in {cfg.input}: {exc}") from exc
-
-
-def _require_params(cfg: RunConfig) -> WeightParams:
-    if cfg.params is None:
-        raise InputError(f"{cfg.subcommand} needs --params n,p,s,alpha")
-    return cfg.params
 
 
 def _out_base(cfg: RunConfig) -> str:
@@ -145,15 +135,23 @@ def _out_base(cfg: RunConfig) -> str:
     return base
 
 
+def _write(cfg: RunConfig, report: dict, rows=None, header=("x", "value")) -> str:
+    """Write report plus cfg's provenance to <base>.json, and rows (if any) to <base>.csv."""
+    base = _out_base(cfg)
+    bsio.write_json(base + ".json", {**report, "provenance": cfg.provenance()})
+    if rows is not None:
+        bsio.write_csv(base + ".csv", rows, header=header)
+    return base
+
+
 # -- subcommands --------------------------------------------------------------
 
 
 def cmd_norm(cfg: RunConfig) -> int:
     """weighted norm and per-shell profile of a function spec"""
     f = _load_input(cfg)
-    params = _require_params(cfg)
-    norm = weighted_lp_norm(f, params.p, params.alpha)
-    profile = norm_profile(f, params, cfg.k_range)
+    norm = weighted_lp_norm(f, cfg.params.p, cfg.params.alpha)
+    profile = norm_profile(f, cfg.params, cfg.k_range)
     report = bsio.jsonsafe(
         {
             "norm": norm,
@@ -168,28 +166,19 @@ def cmd_norm(cfg: RunConfig) -> int:
             },
         }
     )
-    report["provenance"] = cfg.provenance()
-    path = _out_base(cfg) + ".json"
-    bsio.write_json(path, report)
-    print(f"norm {report['norm']} -> {path}")
+    print(f"norm {report['norm']} -> {_write(cfg, report)}.json")
     return 0
 
 
 def cmd_decompose(cfg: RunConfig) -> int:
     """split a function into scaled blocks and report the cost"""
-    f = _load_input(cfg)
-    params = _require_params(cfg)
-    route = cfg.op or "nonhomogeneous"
-    if route == "homogeneous":
+    f, params = _load_input(cfg), cfg.params
+    if cfg.op == "homogeneous":
         dec = decompose_homogeneous(f, params, cfg.k_min)
-    elif route in ("nonhomogeneous", "upper-bound"):
-        dec = decompose_nonhomogeneous(f, params)
     else:
-        raise InputError(
-            f"unknown route {route!r}; expected homogeneous, nonhomogeneous, or upper-bound"
-        )
+        dec = decompose_nonhomogeneous(f, params)
     report = bsio.decomposition_to_dict(dec)
-    if route == "upper-bound":
+    if cfg.op == "upper-bound":
         bound = rl_norm_upper_bound(f, params, strategy="greedy+perturbations", seed=cfg.seed)
         report["quasinorm_upper_bound"] = bound
     elif dec.residual_norm == 0.0:
@@ -197,10 +186,8 @@ def cmd_decompose(cfg: RunConfig) -> int:
     else:
         # a nonzero residual means the listed terms alone do not synthesize f
         report["quasinorm_upper_bound"] = None
-    report["provenance"] = cfg.provenance()
-    path = _out_base(cfg) + ".json"
-    bsio.write_json(path, report)
-    print(f"{len(dec.terms)} terms, cost {dec.coefficient_cost} -> {path}")
+    base = _write(cfg, report)
+    print(f"{len(dec.terms)} terms, cost {dec.coefficient_cost} -> {base}.json")
     return 0
 
 
@@ -226,12 +213,6 @@ _APPLY_OPS = {
 def cmd_apply(cfg: RunConfig) -> int:
     """evaluate an operator on a grid, emit CSV + JSON"""
     f = _load_input(cfg)
-    if cfg.op is None:
-        raise InputError("apply needs --op")
-    if cfg.op not in _APPLY_OPS:
-        raise InputError(f"unknown operator {cfg.op!r}; expected one of {sorted(_APPLY_OPS)}")
-    if cfg.grid is None:
-        raise InputError("apply needs --grid a:b:count")
     points = parse_grid(cfg.grid)
     default, evaluate = _APPLY_OPS[cfg.op]
     schedule = cfg.schedule if cfg.schedule is not None else default
@@ -241,17 +222,13 @@ def cmd_apply(cfg: RunConfig) -> int:
     if len(default) == 1 and len(schedule) != 1:
         raise InputError(f"{cfg.op} needs one level in --schedule, got {len(schedule) or 'none'}")
     values = evaluate(f, schedule, points, cfg.tolerance)
-
-    base = _out_base(cfg)
-    bsio.write_csv(base + ".csv", zip(points, values))
     report = {
         "operator": cfg.op,
         "schedule": list(schedule),
         "grid": [float(x) for x in points],
         "values": [float(v) for v in values],
-        "provenance": cfg.provenance(),
     }
-    bsio.write_json(base + ".json", report)
+    base = _write(cfg, report, rows=zip(points, values))
     print(f"{cfg.op} on {len(points)} points -> {base}.csv")
     return 0
 
@@ -269,16 +246,11 @@ def _report_curves(report_dict: dict) -> list[tuple[str, list]]:
 
 def cmd_verify(cfg: RunConfig) -> int:
     """run a verification harness by claim id (or 'all')"""
-    if cfg.theorem is None:
-        raise InputError("verify needs --theorem ID or --theorem all")
     ids = THEOREM_IDS if cfg.theorem == "all" else (cfg.theorem,)
     base = _out_base(cfg)
     all_passed = True
     for tid in ids:
-        try:
-            report = run_theorem(tid, seed=cfg.seed)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        report = run_theorem(tid, seed=cfg.seed)
         rd = bsio.report_to_dict(report)
         rd["provenance"] = {**rd["provenance"], **cfg.provenance()}
         path = f"{base}.{tid}.json" if len(ids) > 1 else base + ".json"
@@ -298,23 +270,15 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     """emit a curve: e-of-N or a block-scale operator sweep"""
-    if cfg.op is None:
-        raise InputError("sweep needs --op e-of-N or --op <operator> (block-scale sweep)")
-    base = _out_base(cfg)
     if cfg.op == "e-of-N":
         f = _load_input(cfg)
-        params = _require_params(cfg)
         schedule = cfg.schedule if cfg.schedule is not None else tuple(2.0**j for j in range(11))
-        rows = [(N, partial_sum_error_norm(f, params, N)) for N in schedule]
+        rows = [(N, partial_sum_error_norm(f, cfg.params, N)) for N in schedule]
         header = ("N", "error_norm")
-    elif cfg.op in ("hilbert", "hilbert_maximal", "carleson", "sn"):
-        params = _require_params(cfg)
+    else:
         op = "dirichlet_sn" if cfg.op == "sn" else cfg.op
-        schedule = (
-            cfg.schedule
-            if cfg.schedule is not None
-            else tuple(float(k) for k in range(cfg.k_range[0], cfg.k_range[1] + 1))
-        )
+        default = range(cfg.k_range[0], cfg.k_range[1] + 1)
+        schedule = cfg.schedule if cfg.schedule is not None else default
         ks = [int(x) for x in schedule]
         if any(float(k) != x for k, x in zip(ks, schedule)):
             raise InputError("block-scale sweep wants integer scales in --schedule")
@@ -325,12 +289,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 "where the nodes of the 2^k-scaled quadrature grid stay finite and normal, "
                 f"got k={outside[0]}"
             )
-        rows = [(k, _block_norm(op, params, k)) for k in ks]
+        rows = [(k, _block_norm(op, cfg.params, k)) for k in ks]
         header = ("k", "norm")
-    else:
-        raise InputError(f"unknown sweep kind {cfg.op!r}")
-    bsio.write_csv(base + ".csv", rows, header=header)
-    bsio.write_json(base + ".json", {"rows": len(rows), "provenance": cfg.provenance()})
+    base = _write(cfg, {"rows": len(rows)}, rows, header)
     print(f"{len(rows)} rows -> {base}.csv")
     return 0
 
@@ -338,20 +299,36 @@ def cmd_sweep(cfg: RunConfig) -> int:
 # -- dispatch -----------------------------------------------------------------
 
 
-#: subcommand -> (handler, whose docstring is its help, the flags it reads)
+#: subcommand -> (handler, whose docstring is its help, the flags it needs, the flags it may take)
 _SUBCOMMANDS = {
-    "norm": (cmd_norm, ("input", "params", "out")),
-    "decompose": (cmd_decompose, ("input", "params", "op", "seed", "out")),
-    "apply": (cmd_apply, ("input", "op", "schedule", "grid", "out", "tolerance")),
-    "verify": (cmd_verify, ("theorem", "seed", "out")),
-    "sweep": (cmd_sweep, ("input", "params", "op", "schedule", "out")),
+    "norm": (cmd_norm, ("input", "params"), ("out",)),
+    "decompose": (cmd_decompose, ("input", "params"), ("op", "seed", "out")),
+    "apply": (cmd_apply, ("input", "op", "grid"), ("schedule", "tolerance", "out")),
+    "verify": (cmd_verify, ("theorem",), ("seed", "out")),
+    "sweep": (cmd_sweep, ("op", "params"), ("input", "schedule", "out")),
 }
+
+#: subcommand -> its --op routes (the first is taken without --op) -> the flags
+#: that only this route reads; every other route exits 2 on them
+_ROUTES = {
+    "decompose": {"nonhomogeneous": (), "homogeneous": (), "upper-bound": ("seed",)},
+    # an operator reads --schedule when it has default levels; only carleson reads --tolerance
+    "apply": {
+        op: ("schedule",) * bool(levels) + ("tolerance",) * (op == "carleson")
+        for op, (levels, _) in _APPLY_OPS.items()
+    },
+    "sweep": {"e-of-N": ("input",), "hilbert": (), "hilbert_maximal": (), "carleson": (), "sn": ()},
+}
+
+#: (subcommand, route) -> the route-only flags that route cannot run without
+_ROUTE_NEEDS = {("sweep", "e-of-N"): ("input",)}
+
 
 _FLAGS = {
     "input": {"help": "path to a function spec (JSON)"},
     "params": {"help": "n,p,s,alpha (fractions like 1/2 accepted)"},
     "op": {"help": "operator or route name"},
-    "theorem": {"help": "claim id for verify (e.g. 3.1, or 'all')"},
+    "theorem": {"choices": (*THEOREM_IDS, "all"), "help": "claim id for verify, or 'all'"},
     "schedule": {"help": "comma list of levels (N, eps, or scales)"},
     "grid": {"help": "evaluation grid, a:b:count or comma list"},
     "seed": {"type": int},
@@ -366,25 +343,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weighted block-space norms, decompositions, and operator checks.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (handler, flags) in _SUBCOMMANDS.items():
+    for name, (handler, needs, takes) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=handler.__doc__)
-        for flag in flags:
+        for flag in needs + takes:
+            spec = dict(_FLAGS[flag], required=flag in needs)
+            if flag == "op":
+                spec["choices"] = tuple(_ROUTES[name])
             # an absent flag stays out of the namespace and keeps its RunConfig default
-            p.add_argument(f"--{flag}", default=argparse.SUPPRESS, **_FLAGS[flag])
+            p.add_argument(f"--{flag}", default=argparse.SUPPRESS, **spec)
     return parser
 
 
+def _parse_argv(argv=None) -> dict:
+    """The parsed flags; exits 2 with a usage line on any flag the command line cannot take."""
+    parser = build_parser()
+    opts = vars(parser.parse_args(argv))
+    # numpy's generators take no negative seed
+    if opts.get("seed", 0) < 0:
+        parser.error(f"argument --seed: wants a non-negative integer, got {opts['seed']}")
+    if not 0 < opts.get("tolerance", 1) < math.inf:
+        parser.error(f"argument --tolerance: wants a finite number > 0, got {opts['tolerance']}")
+    sub = opts["subcommand"]
+    routes = _ROUTES.get(sub)
+    if routes:
+        route = opts.get("op", next(iter(routes)))
+        route_only = {flag for flags in routes.values() for flag in flags}
+        for flag in sorted(route_only.difference(routes[route]).intersection(opts)):
+            parser.error(f"{sub} --op {route} does not read --{flag}")
+        for flag in set(_ROUTE_NEEDS.get((sub, route), ())).difference(opts):
+            parser.error(f"{sub} --op {route} needs --{flag}")
+    return opts
+
+
 def main(argv=None) -> int:
-    opts = vars(build_parser().parse_args(argv))
+    opts = _parse_argv(argv)
     try:
-        opts["params"] = parse_params(opts["params"]) if opts.get("params") else None
-        if "schedule" in opts:
-            opts["schedule"] = parse_schedule(opts["schedule"])
+        for flag, parse in (("params", parse_params), ("schedule", parse_schedule)):
+            if flag in opts:
+                opts[flag] = parse(opts[flag])
         cfg = RunConfig(**opts)
         return _SUBCOMMANDS[cfg.subcommand][0](cfg)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except HypothesisViolation as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 3
@@ -392,7 +390,7 @@ def main(argv=None) -> int:
         print(f"domain error: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:
-        # schedules/grids that fail module preconditions are still input errors
+        # InputError, and flag values that fail module preconditions (WeightParams, schedules)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

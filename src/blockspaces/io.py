@@ -27,8 +27,9 @@ def dumps(obj) -> str:
 
 
 def write_json(path: str, obj) -> None:
+    text = dumps(obj)  # before opening, so an object json cannot encode leaves no file
     with open(path, "w") as fh:
-        fh.write(dumps(obj))
+        fh.write(text)
 
 
 def jsonsafe(obj):

@@ -7,6 +7,7 @@ Exit codes are a contract: 0 success (divergence included), 2 input error,
 import argparse
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 from scipy.special import sici
 
 from blockspaces import PiecewiseConstant1D, dirichlet_sn
+from blockspaces import cli
 from blockspaces.cli import build_parser, main
 from blockspaces.io import read_csv
 
@@ -22,6 +24,14 @@ from blockspaces.io import read_csv
 def write_spec(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def usage_error(argv, capsys) -> str:
+    """Run argv, which argparse must refuse with exit code 2; return the stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
 
 
 @pytest.fixture
@@ -84,8 +94,10 @@ def test_norm_non_object_spec_exits_2(tmp_path, spec, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
-def test_norm_missing_params_exits_2(ball, tmp_path):
-    assert main(["norm", "--input", ball, "--out", str(tmp_path / "n")]) == 2
+def test_norm_missing_params_exits_2(ball, tmp_path, capsys):
+    err = usage_error(["norm", "--input", ball, "--out", str(tmp_path / "n")], capsys)
+    assert "required: --params" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["ball.json"]
 
 
 def test_norm_invalid_params_exit_2(ball, tmp_path):
@@ -186,11 +198,22 @@ def test_decompose_upper_bound_route(tmp_path, ball):
     assert rep["quasinorm_upper_bound"] <= direct ** 1.0 + 1e-12
 
 
-def test_decompose_unknown_route_exits_2(tmp_path, ball):
-    rc = main(
-        ["decompose", "--input", ball, "--params", "1,1,2,0", "--op", "svd", "--out", str(tmp_path / "d")]
-    )
-    assert rc == 2
+def test_decompose_unknown_route_exits_2(tmp_path, ball, capsys):
+    argv = ["decompose", "--input", ball, "--params", "1,1,2,0", "--op", "svd"]
+    err = usage_error(argv + ["--out", str(tmp_path / "d")], capsys)
+    assert "argument --op: invalid choice: 'svd'" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["ball.json"]
+
+
+def test_decompose_residual_leaves_upper_bound_null(tmp_path, ball):
+    # the homogeneous ladder stops at k_min = -12 and leaves chi(-2^-13, 2^-13) over
+    out = tmp_path / "d"
+    argv = ["decompose", "--input", ball, "--params", "1,1,2,0", "--op", "homogeneous"]
+    assert main(argv + ["--out", str(out)]) == 0
+    rep = json.loads((tmp_path / "d.json").read_text())
+    assert rep["quasinorm_upper_bound"] is None
+    assert rep["residual_norm"] == 0.015625
+    assert rep["residual"] == {"breakpoints": [-(2.0**-13), 2.0**-13], "values": [1.0]}
 
 
 # -- apply ------------------------------------------------------------------------
@@ -257,9 +280,37 @@ def test_apply_empty_schedule_exits_2(tmp_path, ball, op, capsys):
     assert not (tmp_path / "a.json").exists()
 
 
-def test_apply_unknown_op_exits_2(tmp_path, ball):
-    rc = main(["apply", "--input", ball, "--op", "fft", "--grid", "0:1:2", "--out", str(tmp_path / "a")])
-    assert rc == 2
+def test_apply_unknown_op_exits_2(tmp_path, ball, capsys):
+    argv = ["apply", "--input", ball, "--op", "fft", "--grid", "0:1:2"]
+    err = usage_error(argv + ["--out", str(tmp_path / "a")], capsys)
+    assert "argument --op: invalid choice: 'fft'" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["ball.json"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["apply", "--input", "{i12}", "--op", "carleson", "--grid", "1.5:1.5:1"], "--tolerance=inf"),
+        (["apply", "--input", "{i12}", "--op", "carleson", "--grid", "1.5:1.5:1"], "--tolerance=nan"),
+        (["apply", "--input", "{i12}", "--op", "carleson", "--grid", "1.5:1.5:1"], "--tolerance=-1"),
+        (["apply", "--input", "{i12}", "--op", "carleson", "--grid", "1.5:1.5:1"], "--tolerance=0"),
+        (["decompose", "--input", "{i12}", "--params", "1,1,2,0", "--op", "upper-bound"], "--seed=-1"),
+        (["verify", "--theorem", "all"], "--seed=-1"),
+    ],
+    ids=["tolerance-inf", "tolerance-nan", "tolerance-negative", "tolerance-zero",
+         "decompose-seed-negative", "verify-seed-negative"],
+)
+def test_out_of_range_seed_or_tolerance_exits_2_before_any_work(
+    tmp_path, monkeypatch, capsys, i12, argv, flag
+):
+    # a tolerance must be finite and > 0, a seed a non-negative integer; json cannot
+    # encode inf/nan, -1 ran every refinement, and numpy's refusal of seed -1 named no flag
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    err = usage_error([a.format(i12=i12) for a in argv] + [flag], capsys)
+    assert f"argument {flag.split('=')[0]}: wants" in err
+    assert list(work.iterdir()) == []
 
 
 def test_apply_schedule_override(tmp_path, i12):
@@ -298,7 +349,9 @@ def test_verify_single_claim_passes(tmp_path):
 
 
 def test_verify_unknown_claim_exits_2(tmp_path, capsys):
-    assert main(["verify", "--theorem", "9.9", "--out", str(tmp_path / "v")]) == 2
+    err = usage_error(["verify", "--theorem", "9.9", "--out", str(tmp_path / "v")], capsys)
+    assert "argument --theorem: invalid choice: '9.9'" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_failure_names_failed_verdicts(tmp_path, monkeypatch, capsys):
@@ -445,8 +498,10 @@ def test_sweep_rejects_fractional_scales(tmp_path):
     assert rc == 2
 
 
-def test_sweep_unknown_kind_exits_2(tmp_path):
-    assert main(["sweep", "--op", "resolvent", "--params", "1,1,2,0", "--out", str(tmp_path / "s")]) == 2
+def test_sweep_unknown_kind_exits_2(tmp_path, capsys):
+    argv = ["sweep", "--op", "resolvent", "--params", "1,1,2,0", "--out", str(tmp_path / "s")]
+    assert "argument --op: invalid choice: 'resolvent'" in usage_error(argv, capsys)
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- exit-code contract -------------------------------------------------------------
@@ -455,34 +510,42 @@ _APPLY = ["apply", "--input", "{i12}", "--op", "maximal"]
 
 
 @pytest.mark.parametrize(
-    "argv, code, outputs",
+    "argv, code, outputs, stderr",
     [
-        (_APPLY + ["--grid", "1:2"], 2, {}),
-        (_APPLY + ["--grid", "0:1:x"], 2, {}),
-        (_APPLY + ["--grid", "0:1:0"], 2, {}),
-        (["norm", "--params", "1,1,2,0"], 2, {}),
-        (["norm", "--input", "missing.json", "--params", "1,1,2,0"], 2, {}),
-        (["apply", "--input", "{i12}", "--grid", "0:1:3"], 2, {}),
-        (_APPLY, 2, {}),
-        (["verify"], 2, {}),
-        (["sweep", "--params", "1,1,2,0"], 2, {}),
-        (_APPLY + ["--grid", "0.5,3/2,2.5"], 0, {"apply.csv": None, "apply.json": [0.5, 1.5, 2.5]}),
-        (["norm", "--input", "{i12}", "--params", "1,1,2,0", "--out", "n.json"], 0, {"n.json": None}),
-        (["decompose", "--input", "{i12}", "--params", "1,1,2,-1", "--op", "homogeneous"], 3, {}),
+        (_APPLY + ["--grid", "1:2"], 2, {}, "error: --grid wants a:b:count"),
+        (_APPLY + ["--grid", "0:1:x"], 2, {}, "error: grid count must be an integer"),
+        (_APPLY + ["--grid", "0:1:0"], 2, {}, "error: grid count must be >= 1"),
+        (["norm", "--params", "1,1,2,0"], 2, {}, "required: --input"),
+        (["norm", "--input", "missing.json", "--params", "1,1,2,0"], 2, {}, "error: cannot read"),
+        (["apply", "--input", "{i12}", "--grid", "0:1:3"], 2, {}, "required: --op"),
+        (_APPLY, 2, {}, "required: --grid"),
+        (["verify"], 2, {}, "required: --theorem"),
+        (["sweep", "--params", "1,1,2,0"], 2, {}, "required: --op"),
+        (["sweep", "--op", "e-of-N", "--params", "1,1,2,0"], 2, {}, "e-of-N needs --input"),
+        (_APPLY + ["--grid", "0.5,3/2,2.5"], 0, {"apply.csv": None, "apply.json": [0.5, 1.5, 2.5]}, ""),
+        (["norm", "--input", "{i12}", "--params", "1,1,2,0", "--out", "n.json"], 0, {"n.json": None}, ""),
+        (["decompose", "--input", "{i12}", "--params", "1,1,2,-1", "--op", "homogeneous"], 3, {},
+         "hypothesis violation"),
     ],
     ids=[
         "grid-two-fields", "grid-count-not-integer", "grid-count-zero", "no-input",
         "unreadable-input", "apply-no-op", "apply-no-grid", "verify-no-theorem", "sweep-no-op",
-        "grid-comma-list", "out-with-extension", "homogeneous-alpha-minus-1",
+        "e-of-N-no-input", "grid-comma-list", "out-with-extension", "homogeneous-alpha-minus-1",
     ],
 )
-def test_exit_code_contract(tmp_path, monkeypatch, i12, argv, code, outputs):
+def test_exit_code_contract(tmp_path, monkeypatch, capsys, i12, argv, code, outputs, stderr):
     # outputs: every file the run writes in the working directory, with the
-    # grid its JSON report must echo where one is given
+    # grid its JSON report must echo where one is given.  A missing flag is a
+    # usage error (argparse exits 2); a bad value or file returns 2 with "error: ...".
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
-    assert main([a.format(i12=i12) for a in argv]) == code
+    try:
+        rc = main([a.format(i12=i12) for a in argv])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code
+    assert stderr in capsys.readouterr().err
     assert sorted(p.name for p in work.iterdir()) == sorted(outputs)
     for name, grid in outputs.items():
         if grid is not None:
@@ -513,12 +576,132 @@ _VALUES = {
 }
 
 
-def test_each_subcommand_exposes_only_the_flags_it_reads():
+FLAGS_NEEDED = {
+    "norm": {"input", "params"},
+    "decompose": {"input", "params"},
+    "apply": {"input", "op", "grid"},
+    "verify": {"theorem"},
+    "sweep": {"op", "params"},
+}
+
+# subcommand -> --op route -> the flags that only this route reads
+ROUTE_FLAGS = {
+    "decompose": {"nonhomogeneous": set(), "homogeneous": set(), "upper-bound": {"seed"}},
+    "apply": {
+        "hilbert": set(),
+        "hilbert_truncated": {"schedule"},
+        "hilbert_maximal": {"schedule"},
+        "sn": {"schedule"},
+        "carleson": {"schedule", "tolerance"},
+        "maximal": set(),
+    },
+    "sweep": {"e-of-N": {"input"}, "hilbert": set(), "hilbert_maximal": set(), "carleson": set(), "sn": set()},
+}
+
+# each subcommand with its needed flags but no --op
+_ROUTE_RUNS = {
+    "decompose": ["decompose", "--input", "{ball}", "--params", "1,1,2,0"],
+    "apply": ["apply", "--input", "{ball}", "--grid", "0:1:3"],
+    "sweep": ["sweep", "--params", "1,1,2,0"],
+}
+
+
+def _subparsers():
     parser = build_parser()
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices
+
+
+def test_each_subcommand_needs_its_required_flags():
+    got = {
+        name: {a.dest for a in sub._actions if a.required}
+        for name, sub in _subparsers().items()
+    }
+    assert got == FLAGS_NEEDED
+
+
+def test_op_and_theorem_take_only_known_choices():
+    got = {
+        name: {a.dest: set(a.choices) for a in sub._actions if a.choices is not None}
+        for name, sub in _subparsers().items()
+    }
+    theorems = {"2.1", "2.2", "3.1", "4.1", "5.2", "5.3", "6.1.pointwise", "6.3", "all"}
+    assert got == {
+        "norm": {},
+        "decompose": {"op": set(ROUTE_FLAGS["decompose"])},
+        "apply": {"op": set(ROUTE_FLAGS["apply"])},
+        "verify": {"theorem": theorems},
+        "sweep": {"op": set(ROUTE_FLAGS["sweep"])},
+    }
+    assert {sub: {r: set(f) for r, f in routes.items()} for sub, routes in cli._ROUTES.items()} == ROUTE_FLAGS
+
+
+@pytest.mark.parametrize(
+    "sub, route, flag",
+    [("decompose", None, "seed")]
+    + [
+        (sub, route, flag)
+        for sub, routes in ROUTE_FLAGS.items()
+        for route in routes
+        for flag in sorted(set().union(*routes.values()) - routes[route])
+    ],
+)
+def test_flag_the_route_does_not_read_exits_2(tmp_path, monkeypatch, capsys, ball, sub, route, flag):
+    # a route-only flag on any other route would be echoed as if it took effect
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    op = [] if route is None else ["--op", route]
+    argv = [a.format(ball=ball) for a in _ROUTE_RUNS[sub] + op + [f"--{flag}", _VALUES[flag]]]
+    err = usage_error(argv, capsys)
+    assert f"{sub} --op {route or 'nonhomogeneous'} does not read --{flag}" in err
+    assert list(work.iterdir()) == []
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_table(header: str) -> list[list[str]]:
+    """The body rows of the README table whose header row starts with header, as cells."""
+    lines = README.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(header))
+    rows = []
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def _names(cell: str) -> tuple[str, ...]:
+    return tuple(name.removeprefix("--") for name in re.findall(r"`([^`]+)`", cell))
+
+
+def test_readme_flag_tables_match_the_parser():
+    flags = {
+        _names(sub)[0]: (_names(needs), _names(takes))
+        for sub, needs, takes in _readme_table("| subcommand  | needs")
+    }
+    assert flags == {name: (needs, takes) for name, (_, needs, takes) in cli._SUBCOMMANDS.items()}
+
+    routes, needed, defaults = {}, {}, {}
+    for sub, ops, only in _readme_table("| subcommand  | `--op` routes"):
+        (sub,) = _names(sub)
+        for op in _names(ops):
+            routes.setdefault(sub, {})[op] = set(_names(only))
+            if "(needed)" in only:
+                needed[(sub, op)] = _names(only)
+        defaults.update((sub, op) for op in re.findall(r"`([^`]+)` \(the default\)", ops))
+    assert routes == {sub: {r: set(f) for r, f in rs.items()} for sub, rs in cli._ROUTES.items()}
+    assert needed == cli._ROUTE_NEEDS
+    # the first route of a table is the one taken without --op
+    assert defaults == {"decompose": next(iter(cli._ROUTES["decompose"]))}
+
+
+def test_each_subcommand_exposes_only_the_flags_it_reads():
     got = {
         name: {a.dest for a in sub._actions if a.dest != "help"}
-        for name, sub in subparsers.choices.items()
+        for name, sub in _subparsers().items()
     }
     assert got == FLAGS_READ
     assert sum(len(flags) for flags in got.values()) == 22
@@ -541,9 +724,7 @@ def test_unread_flag_exits_2(tmp_path, monkeypatch, capsys, ball, sub, flag):
 
 
 def test_readme_cli_examples_parse():
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    lines = [line for line in readme.read_text().splitlines() if line.startswith("blockspaces ")]
-    parser = build_parser()
+    lines = [line for line in README.read_text().splitlines() if line.startswith("blockspaces ")]
     for line in lines:
-        parser.parse_args(shlex.split(line, comments=True)[1:])
+        cli._parse_argv(shlex.split(line, comments=True)[1:])
     assert {shlex.split(line)[1] for line in lines} == set(FLAGS_READ)

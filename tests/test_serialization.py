@@ -42,6 +42,13 @@ def test_nonfinite_markers_round_trip():
     assert jsonsafe(math.inf) == "inf" and jsonsafe(2.5) == 2.5
 
 
+def test_write_json_leaves_no_file_when_encoding_fails(tmp_path):
+    p = tmp_path / "r.json"
+    with pytest.raises(ValueError):
+        write_json(str(p), {"a": math.nan})
+    assert not p.exists()
+
+
 def test_function_dict_round_trip():
     f = PiecewiseConstant1D((-1.0, 0.1, 2.0), (0.3, -7.25))
     g = function_from_dict(function_to_dict(f))
