@@ -323,7 +323,6 @@ _ROUTES = {
 #: (subcommand, route) -> the route-only flags that route cannot run without
 _ROUTE_NEEDS = {("sweep", "e-of-N"): ("input",)}
 
-
 _FLAGS = {
     "input": {"help": "path to a function spec (JSON)"},
     "params": {"help": "n,p,s,alpha (fractions like 1/2 accepted)"},
