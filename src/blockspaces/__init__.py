@@ -53,13 +53,6 @@ from .verify import (
     partial_sum_error_norm,
     run_all,
     run_theorem,
-    verify_decomposition_independence,
-    verify_hilbert_sharpness,
-    verify_inclusions,
-    verify_maximal_sharpness,
-    verify_norm_convergence,
-    verify_pointwise_convergence,
-    verify_uniform_block_bound,
 )
 
 __all__ = [
@@ -103,12 +96,5 @@ __all__ = [
     "run_theorem",
     "sine_integral",
     "validate_block",
-    "verify_decomposition_independence",
-    "verify_hilbert_sharpness",
-    "verify_inclusions",
-    "verify_maximal_sharpness",
-    "verify_norm_convergence",
-    "verify_pointwise_convergence",
-    "verify_uniform_block_bound",
     "weighted_lp_norm",
 ]

@@ -41,7 +41,7 @@ from .operators import (
     maximal_1d_exact,
 )
 from .params import DomainEvaluationError, HypothesisViolation, WeightParams
-from .verify import THEOREM_IDS, _block_norm, partial_sum_error_norm, run_theorem
+from .verify import _BLOCK_SHELLS, THEOREM_IDS, _block_norm, partial_sum_error_norm, run_theorem
 
 
 class InputError(ValueError):
@@ -191,8 +191,9 @@ def cmd_decompose(cfg: RunConfig) -> int:
     return 0
 
 
-#: block scales whose 2^k-scaled shell grid (2^-40 .. 2^41) keeps finite, normal nodes
-_SWEEP_SCALES = range(-982, 983)
+#: block scales whose 2^k-scaled shell grid keeps finite, normal nodes: its
+#: edges 2^(j_min+k) and 2^(j_max+1+k) stay within the normal exponents -1022 .. 1023
+_SWEEP_SCALES = range(-1022 - _BLOCK_SHELLS[0], 1023 - _BLOCK_SHELLS[1])
 
 #: operator -> (default levels, evaluation on (f, levels, points, tolerance))
 _APPLY_OPS = {

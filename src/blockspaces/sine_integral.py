@@ -118,14 +118,14 @@ def _si_asymptotic(t: np.ndarray) -> np.ndarray:
 
 
 def sine_integral(t):
-    """Si(t) for scalar or array t; exactly odd, |error| < 1e-12 on |t| <= 1e3."""
+    """Si(t) for scalar or array t; exactly odd, |error| < 1e-12 on |t| <= 1e3, pi/2 at inf."""
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
     a = np.abs(np.atleast_1d(arr))
-    out = np.empty_like(a)
+    out = np.full_like(a, 0.5 * math.pi)  # the limit, kept where |t| is infinite
     small = a <= _DD_CUTOFF
     mid = (a > _DD_CUTOFF) & (a < _ASYMPTOTIC_CUTOFF)
-    large = a >= _ASYMPTOTIC_CUTOFF
+    large = (a >= _ASYMPTOTIC_CUTOFF) & (a < np.inf)
     if np.any(small):
         out[small] = _si_taylor_plain(a[small])
     if np.any(mid):

@@ -15,7 +15,7 @@ pass/fail tolerances and returns a VerificationReport.  Conventions:
 
 Each harness is the fixed experiment its claim names: the test functions,
 parameter points, sweeps and resolutions are constants of this module, and a
-report depends only on the seed or legs it is given.
+report depends only on the seed it is given.
 """
 
 from __future__ import annotations
@@ -134,6 +134,8 @@ def _provenance(**kwargs) -> dict:
 
 
 _K_RANGE = (-6, 6)
+#: dyadic shells (2^j_min, 2^(j_max+1)] of the grid the covariant operators are measured on
+_BLOCK_SHELLS = (-40, 40)
 _LATTICE_H = 2.0 ** -8
 _LATTICE_HALFWIDTH = 1024.0
 
@@ -159,7 +161,7 @@ def _block_values(op: str, f: PiecewiseConstant1D, k: int):
         x, w = panel_nodes(edges, 4)
         keep = nearest_breakpoint(x, np.asarray(f.breakpoints))[1] > pv_exclusion_radius(f)
         return dirichlet_sn(f, 1.0, x[keep]), x[keep], w[keep]
-    x, w = shell_grid(-40, 40, 24)
+    x, w = shell_grid(*_BLOCK_SHELLS, 24)
     x, w = np.ldexp(x, k), np.ldexp(w, k)  # scaled by 2^k, bit-exactly
     if op == "hilbert":
         vals = hilbert(f, x)
@@ -192,7 +194,7 @@ _BLOCK_GRID = (WeightParams(1, 1.0, 2.0, -0.5), WeightParams(1, 0.5, 2.0, -0.75)
 _BLOCK_OPS = ("hilbert", "hilbert_maximal", "carleson", "dirichlet_sn", "hl_maximal")
 
 
-def verify_uniform_block_bound(seed: int = 0) -> VerificationReport:
+def _uniform_block_bound(seed: int) -> VerificationReport:
     """Max/min ratio of weighted operator norms of indicator blocks over scales k = -6..6.
 
     hilbert, hilbert_maximal, carleson and dirichlet_sn (at N = 1) are
@@ -337,7 +339,7 @@ _MAXIMAL_GRID = (
 )
 
 
-def verify_maximal_sharpness() -> VerificationReport:
+def _maximal_sharpness() -> VerificationReport:
     """Convergence/divergence profile of the maximal function at p = 1, alpha = 0, -1/2, -1.
 
     Boundary alpha = p-1: the tail integral of (Mf)^p |x|^alpha grows
@@ -434,7 +436,7 @@ def verify_maximal_sharpness() -> VerificationReport:
 _HILBERT_GRID = _MAXIMAL_GRID + (WeightParams(1, 1.0, 2.0, 0.5),)
 
 
-def verify_hilbert_sharpness() -> VerificationReport:
+def _hilbert_sharpness() -> VerificationReport:
     """Weighted-norm behavior of the exact Hilbert transform of the unit indicator on [1,2].
 
     Boundary alpha = p-1: the one-sided tail integral over [3, R'] grows in
@@ -443,7 +445,7 @@ def verify_hilbert_sharpness() -> VerificationReport:
     piece stabilize under refinement; at alpha = -1 the near-zero integral
     diverges logarithmically because |Hf| is bounded away from 0 on [0, 1/2].
     The points are p = 1, alpha = 0, -1/2, -1, 1/2, with the quadrature of
-    verify_maximal_sharpness.
+    _maximal_sharpness.
     """
     f = PiecewiseConstant1D.indicator(1.0, 2.0)
     hf = lambda x: hilbert(f, x)
@@ -539,16 +541,17 @@ def _presplit_decomposition(
     return Decomposition(params, tuple(terms), False)
 
 
-def verify_decomposition_independence(seeds: tuple[int, ...] = (0, 1)) -> VerificationReport:
+def _decomposition_independence(seed: int) -> VerificationReport:
     """Term-by-term Hilbert synthesis must not depend on the decomposition.
 
     Applies the Hilbert transform to every block of the greedy decomposition
-    of indicator(-2, 2) and of one presplit decomposition per seed
-    (n, p, s, alpha = 1, 1, 2, -1/2), synthesizes sum lambda_i H a_i, and
-    compares the results with each other and with H f in the weighted norm.
+    of indicator(-2, 2) and of the presplit decompositions seeded by seed and
+    seed + 1 (n, p, s, alpha = 1, 1, 2, -1/2), synthesizes sum lambda_i H a_i,
+    and compares the results with each other and with H f in the weighted norm.
     """
     f = PiecewiseConstant1D.indicator(-2.0, 2.0)
     params = WeightParams(1, 1.0, 2.0, -0.5)
+    seeds = (seed, seed + 1)
     decomps = {"greedy": decompose_nonhomogeneous(f, params)}
     for s in seeds:
         decomps[f"presplit[{s}]"] = _presplit_decomposition(f, params, s)
@@ -636,7 +639,7 @@ def partial_sum_error_norm(f: PiecewiseConstant1D, params: WeightParams, N: floa
     return float(np.sum(terms)) ** (1.0 / params.p)
 
 
-def verify_norm_convergence() -> VerificationReport:
+def _norm_convergence() -> VerificationReport:
     """e(N) = ||S_N f - f|| for N = 1, 2, ..., 2^10: eventually decreasing, small terminal ratio.
 
     f = indicator(1/4, 1/2) and (n, p, s, alpha) = (1, 1, 2, -1/2), inside the
@@ -673,7 +676,7 @@ def verify_norm_convergence() -> VerificationReport:
 # pointwise convergence and the maximal partial-sum bound
 
 
-def verify_pointwise_convergence() -> VerificationReport:
+def _pointwise_convergence() -> VerificationReport:
     """sup over a breakpoint-excluding grid of |S_N f - f| must fall below 1e-2 by N = 2^8.
 
     f = indicator(1, 2), sampled on 769 points of [0, 3] kept at distance
@@ -741,7 +744,8 @@ def _random_test_function(seed: int) -> PiecewiseConstant1D:
     return PiecewiseConstant1D(bps, values)
 
 
-_INCLUSION_LEGS = ("ambient", "block-cost", "ls-nonhomogeneous")
+#: claim id -> the inclusion legs it measures
+_INCLUSION_LEGS = {"2.1": ("ambient", "block-cost"), "2.2": ("ls-nonhomogeneous",)}
 _INCLUSION_GRID = (
     WeightParams(1, 1.0, 2.0, -0.5),
     WeightParams(1, 0.5, 2.0, -0.75),
@@ -749,9 +753,7 @@ _INCLUSION_GRID = (
 )
 
 
-def verify_inclusions(
-    legs: tuple[str, ...] = _INCLUSION_LEGS, theorem: str = "2.1"
-) -> VerificationReport:
+def _inclusions(theorem: str) -> VerificationReport:
     """Stability of inclusion constants across the random functions of seeds 0-19.
 
     ambient: ||f||_{L^p_alpha} <= C * shell quasinorm (main range, p < s).
@@ -760,11 +762,9 @@ def verify_inclusions(
     ls-nonhomogeneous: restrict-type cost <= C ||f||_{L^s}^pbar (needs
     alpha <= n(p/s - 1)).  Each constant's max/min over seeds must stay
     below the seed-stability ratio 2 at each of (p, s, alpha) = (1, 2, -1/2),
-    (1/2, 2, -3/4), (1, 2, -1/4); theorem names the report.
+    (1/2, 2, -3/4), (1, 2, -1/4).  theorem selects the legs, 2.1 or 2.2.
     """
-    unknown = set(legs) - set(_INCLUSION_LEGS)
-    if unknown:
-        raise ValueError(f"unknown inclusion legs {sorted(unknown)}")
+    legs = _INCLUSION_LEGS[theorem]
     seeds = list(range(20))
     fs = {s: _random_test_function(s) for s in seeds}
     measurements: dict = {}
@@ -824,14 +824,14 @@ def verify_inclusions(
 
 #: claim id -> harness for one seed, in report order
 _HARNESSES = {
-    "2.1": lambda seed: verify_inclusions(("ambient", "block-cost")),
-    "2.2": lambda seed: verify_inclusions(("ls-nonhomogeneous",), "2.2"),
-    "3.1": verify_uniform_block_bound,
-    "4.1": lambda seed: verify_maximal_sharpness(),
-    "5.2": lambda seed: verify_hilbert_sharpness(),
-    "5.3": lambda seed: verify_decomposition_independence(seeds=(seed, seed + 1)),
-    "6.1.pointwise": lambda seed: verify_pointwise_convergence(),
-    "6.3": lambda seed: verify_norm_convergence(),
+    "2.1": lambda seed: _inclusions("2.1"),
+    "2.2": lambda seed: _inclusions("2.2"),
+    "3.1": _uniform_block_bound,
+    "4.1": lambda seed: _maximal_sharpness(),
+    "5.2": lambda seed: _hilbert_sharpness(),
+    "5.3": _decomposition_independence,
+    "6.1.pointwise": lambda seed: _pointwise_convergence(),
+    "6.3": lambda seed: _norm_convergence(),
 }
 
 THEOREM_IDS = tuple(_HARNESSES)

@@ -21,11 +21,8 @@ from blockspaces import (
     geometric_schedule,
     hilbert,
     run_all,
+    run_theorem,
     sine_integral,
-    verify_decomposition_independence,
-    verify_inclusions,
-    verify_maximal_sharpness,
-    verify_uniform_block_bound,
 )
 from blockspaces.io import dumps, report_to_dict
 from blockspaces.verify import partial_sum_error_norm
@@ -110,7 +107,7 @@ def test_criterion_03_gibbs_anchor():
 
 def test_criterion_04_uniform_block_constants():
     t0 = time.time()
-    measured = verify_uniform_block_bound().measurements
+    measured = run_theorem("3.1").measurements
     ratios = {}
     for p in ("1", "0.5"):
         for op in ("hilbert", "dirichlet_sn"):
@@ -130,7 +127,7 @@ def test_criterion_04_uniform_block_constants():
 
 def test_criterion_05_maximal_sharpness():
     t0 = time.time()
-    rep = verify_maximal_sharpness()
+    rep = run_theorem("4.1")
     slope = rep.measurements["tail_slope|p=1,alpha=0"]
     shrink = rep.measurements["increment_shrink_factor|p=1,alpha=-0.5"]
     spread = rep.measurements["inner_slope_spread|p=1,alpha=-1"]
@@ -154,7 +151,7 @@ def test_criterion_05_maximal_sharpness():
 
 def test_criterion_06_decomposition_independence():
     t0 = time.time()
-    rep = verify_decomposition_independence()
+    rep = run_theorem("5.3")
     worst = max(
         v for k, v in rep.measurements.items() if k.startswith("rel_diff")
     )
@@ -197,7 +194,7 @@ def test_criterion_07_norm_convergence():
 
 def test_criterion_08_inclusion_constants():
     t0 = time.time()
-    rep = verify_inclusions(legs=("ambient", "block-cost"))
+    rep = run_theorem("2.1")
     spreads = {
         v.criterion: v.value for v in rep.verdicts if not v.out_of_hypothesis
     }

@@ -77,6 +77,17 @@ def test_zero_function():
     np.testing.assert_array_equal(out, [0.0, 0.0])
 
 
+def test_far_points_where_the_phase_overflows_give_zero():
+    # 2 pi N (x - b) overflows to +-inf there, and Si(+-inf) = +-pi/2 cancels
+    # across each jump pair, so S_N f and its sup over N are 0, not NaN
+    x = np.array([-1e308, 1e308])
+    with np.errstate(over="ignore"):
+        sn = dirichlet_sn(chi(1.0, 2.0), 8.0, x)
+        sup = carleson(chi(1.0, 2.0), geometric_schedule(1.0, 8.0), x)
+    np.testing.assert_array_equal(sn, [0.0, 0.0])
+    np.testing.assert_array_equal(sup, [0.0, 0.0])
+
+
 def test_modulation_preserves_magnitude():
     rng = np.random.default_rng(0)
     v = rng.standard_normal(64)

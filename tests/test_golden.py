@@ -5,6 +5,11 @@
 The cheap claims are rerun here for seeds 0-3 and compared byte for byte.
 3.1 and 6.3 take about 13 s together, so they are compared at seed 0 only;
 the benchmark compares them at every seed.
+
+The bytes hold for one numpy build at one CPU feature level: numpy's AVX512
+ufunc loops round differently from its baseline loops, so a machine or a
+`NPY_DISABLE_CPU_FEATURES` setting that changes the dispatch can change
+claims 5.3 and 3.1 in the last bits (README, Design constraints).
 """
 
 import json

@@ -64,6 +64,17 @@ def test_limit_at_infinity():
         assert abs(sine_integral(t) - math.pi / 2) < 1.1 / t
 
 
+def test_infinite_arguments_give_the_limit():
+    # the asymptotic form reads cos(inf) = nan there; the limit is exact
+    assert sine_integral(math.inf) == math.pi / 2
+    assert sine_integral(-math.inf) == -math.pi / 2
+    np.testing.assert_array_equal(
+        sine_integral(np.array([-np.inf, 1e3, np.inf])),
+        [-math.pi / 2, sine_integral(1e3), math.pi / 2],
+    )
+    assert math.isnan(sine_integral(math.nan))
+
+
 def test_scalar_and_array_forms_agree():
     assert isinstance(sine_integral(2.0), float)
     arr = sine_integral(np.array([[2.0, 3.0]]))
