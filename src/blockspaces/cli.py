@@ -97,7 +97,7 @@ def parse_params(text: str) -> WeightParams:
 
 def parse_schedule(text: str) -> tuple[float, ...]:
     if text.strip() == "":
-        return ()
+        raise InputError("--schedule wants at least one level")
     return tuple(_parse_number(t) for t in text.split(","))
 
 
@@ -199,7 +199,7 @@ _SWEEP_SCALES = range(-1022 - _BLOCK_SHELLS[0], 1023 - _BLOCK_SHELLS[1])
 _APPLY_OPS = {
     "hilbert": ((), lambda f, s, x, t: hilbert(f, x)),
     "hilbert_truncated": ((0.25,), lambda f, s, x, t: hilbert_truncated(f, s[0], x)),
-    "hilbert_maximal": (
+    "hilbert_maximal": (  # any order serves; descending is the order reports echo
         tuple(geometric_schedule(2.0**-6, 4.0)[::-1]), lambda f, s, x, t: hilbert_maximal(f, s, x)
     ),
     "sn": ((8.0,), lambda f, s, x, t: dirichlet_sn(f, s[0], x)),
@@ -221,7 +221,7 @@ def cmd_apply(cfg: RunConfig) -> int:
         cfg.defaults_used.append(f"schedule={list(schedule)}")
     # an operator with a one-level default reads exactly one level
     if len(default) == 1 and len(schedule) != 1:
-        raise InputError(f"{cfg.op} needs one level in --schedule, got {len(schedule) or 'none'}")
+        raise InputError(f"{cfg.op} needs one level in --schedule, got {len(schedule)}")
     values = evaluate(f, schedule, points, cfg.tolerance)
     report = {
         "operator": cfg.op,

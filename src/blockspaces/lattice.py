@@ -9,21 +9,19 @@ and its weighted norms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class LatticeFunction:
-    n: int
+    n: ClassVar[int] = 1  # the dimension: not a field, kept for readers of f.n (perfbench's tracer)
     h: float
     L: float
     values: np.ndarray  # length 2L/h, left to right
 
     def __post_init__(self) -> None:
-        if self.n != 1:
-            raise ValueError(f"lattice dimension must be 1, got {self.n}")
         if not self.h > 0:
             raise ValueError("cell width must be positive")
         ratio = self.L / self.h
@@ -52,12 +50,12 @@ class LatticeFunction:
         return np.abs(self.axis_midpoints())
 
     def with_values(self, values: np.ndarray) -> "LatticeFunction":
-        return LatticeFunction(self.n, self.h, self.L, values)
+        return LatticeFunction(self.h, self.L, values)
 
     @classmethod
     def from_callable(
-        cls, fn: Callable[[np.ndarray], np.ndarray], n: int, h: float, L: float
+        cls, fn: Callable[[np.ndarray], np.ndarray], h: float, L: float
     ) -> "LatticeFunction":
         """Sample fn at cell centers; fn maps a coordinate array to values."""
-        probe = cls(n, h, L, np.zeros(2 * round(L / h)))
-        return cls(n, h, L, np.asarray(fn(probe.axis_midpoints()), dtype=float))
+        probe = cls(h, L, np.zeros(2 * round(L / h)))
+        return cls(h, L, np.asarray(fn(probe.axis_midpoints()), dtype=float))

@@ -192,12 +192,12 @@ def hilbert_truncated(f: PiecewiseConstant1D, eps: float, grid) -> np.ndarray:
     return _rowwise(clipped_logs, x, v.size, v) / math.pi
 
 
-def geometric_schedule(lo: float, hi: float, ratio: float = DEFAULT_SCHEDULE_RATIO) -> np.ndarray:
-    """Ascending geometric schedule from lo to at least hi."""
-    if not (0 < lo <= hi) or ratio <= 1:
-        raise ValueError("need 0 < lo <= hi and ratio > 1")
-    count = int(math.ceil(math.log(hi / lo) / math.log(ratio) - 1e-12)) + 1
-    return lo * ratio ** np.arange(count + 1)
+def geometric_schedule(lo: float, hi: float) -> np.ndarray:
+    """Ascending lo * DEFAULT_SCHEDULE_RATIO^i, ending one level past the first one >= hi."""
+    if not 0 < lo <= hi:
+        raise ValueError("need 0 < lo <= hi")
+    count = int(math.ceil(math.log(hi / lo) / math.log(DEFAULT_SCHEDULE_RATIO) - 1e-12)) + 1
+    return lo * DEFAULT_SCHEDULE_RATIO ** np.arange(count + 1)
 
 
 def refine_schedule(schedule: np.ndarray) -> np.ndarray:
@@ -209,15 +209,18 @@ def refine_schedule(schedule: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([s, mids]))
 
 
+def _levels(schedule, name: str) -> np.ndarray:
+    """A sup operator's distinct levels, ascending: a sup ignores their order and repeats."""
+    levels = np.unique(np.asarray(schedule, dtype=float))
+    if not (levels.size and np.all(levels > 0)):  # NaN fails > 0 too
+        raise ValueError(f"{name} schedule must be nonempty and positive")
+    return levels
+
+
 def hilbert_maximal(f: PiecewiseConstant1D, eps_schedule, grid) -> np.ndarray:
-    """sup over the schedule of |truncated Hilbert transform|."""
-    sched = np.atleast_1d(np.asarray(eps_schedule, dtype=float))
-    if sched.size == 0 or np.any(sched <= 0):
-        raise ValueError("eps schedule must be nonempty and positive")
-    if np.any(np.diff(sched) >= 0):
-        raise ValueError("eps schedule must be strictly decreasing")
+    """sup over the schedule's levels, in any order, of |truncated Hilbert transform|."""
     x = _as_points(grid)
-    return _sup_abs(sched, lambda eps: hilbert_truncated(f, eps, x), x)
+    return _sup_abs(_levels(eps_schedule, "eps"), lambda eps: hilbert_truncated(f, eps, x), x)
 
 
 def modulate(values, x, N: float) -> np.ndarray:
@@ -237,7 +240,13 @@ def dirichlet_sn(f: PiecewiseConstant1D, N: float, grid) -> np.ndarray:
     if f.is_zero:
         return np.zeros_like(x)
     scale = 2.0 * math.pi * N
-    return _jump_sum(f, x, lambda d: sine_integral(np.multiply(d, scale, out=d)))
+
+    def si_of_phase(d):
+        with np.errstate(over="ignore"):  # an overflowing phase is exact: Si(+-inf) = +-pi/2
+            np.multiply(d, scale, out=d)
+        return sine_integral(d)
+
+    return _jump_sum(f, x, si_of_phase)
 
 
 def _spectral_hilbert(samples: np.ndarray) -> np.ndarray:
@@ -315,10 +324,7 @@ def carleson(
     moves the sup by less than the tolerance, even when that move is
     exactly 0 and a later doubling would move it by more.
     """
-    sched = np.atleast_1d(np.asarray(N_schedule, dtype=float))
-    if sched.size == 0 or np.any(sched <= 0):
-        raise ValueError("N schedule must be nonempty and positive")
-    sched = np.unique(sched)  # refine_schedule splits the gaps between neighbours
+    sched = _levels(N_schedule, "N")  # sorted: refine_schedule splits the gaps between neighbours
     x = _as_points(grid)
 
     def sn(N):

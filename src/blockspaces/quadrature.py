@@ -71,11 +71,6 @@ def weighted_norm_from_samples(values, x, w, p: float, alpha: float) -> float:
     return weighted_power_integral(values, x, w, p, alpha) ** (1.0 / p)
 
 
-def graded_edges_near_zero(top: float = 1.0) -> np.ndarray:
-    """Geometric edges top * 2^-40, ..., top/2, top for integrable singularities at 0."""
-    return top * np.ldexp(1.0, np.arange(-40, 1))
-
-
 def oscillation_edges(breakpoints, x_max: float, spacing: float) -> np.ndarray:
     """Panel edges on [-x_max, x_max] resolving oscillation and a weight singularity at 0.
 
@@ -87,9 +82,6 @@ def oscillation_edges(breakpoints, x_max: float, spacing: float) -> np.ndarray:
         raise ValueError("x_max and spacing must be positive")
     count = int(math.ceil(x_max / spacing))
     uniform = np.linspace(0.0, x_max, count + 1)
-    graded = graded_edges_near_zero(top=min(1.0, x_max))
-    pos = np.concatenate([uniform, graded])
+    pos = np.concatenate([uniform, min(1.0, x_max) * np.ldexp(1.0, np.arange(-40, 1))])
     bps = np.asarray([b for b in breakpoints if abs(b) <= x_max], dtype=float)
-    edges = np.concatenate([-pos, pos, bps])
-    edges = np.unique(edges)
-    return edges
+    return np.unique(np.concatenate([-pos, pos, bps]))

@@ -108,7 +108,8 @@ def _si_taylor_dd(t: np.ndarray) -> np.ndarray:
     return hi + lo
 
 def _si_asymptotic(t: np.ndarray) -> np.ndarray:
-    u = 1.0 / (t * t)
+    with np.errstate(over="ignore"):  # t * t = inf past ~1.3e154 gives u = 0, which is exact there
+        u = 1.0 / (t * t)
     pacc = np.full_like(t, _ASY_P[-1])
     qacc = np.full_like(t, _ASY_Q[-1])
     for cp, cq in zip(_ASY_P[-2::-1], _ASY_Q[-2::-1]):

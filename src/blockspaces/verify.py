@@ -152,21 +152,20 @@ def _block_values(op: str, f: PiecewiseConstant1D, k: int):
     """
     if op == "hl_maximal":
         cells = int(round(2.0 * _LATTICE_HALFWIDTH / _LATTICE_H))
-        widths = np.round(geometric_schedule(1.0, cells, 2.0 ** 0.25)).astype(int)
+        widths = np.round(geometric_schedule(1.0, cells)).astype(int)
         widths = np.unique(np.minimum(widths, cells))
-        lat = LatticeFunction.from_callable(f, 1, _LATTICE_H, _LATTICE_HALFWIDTH)
+        lat = LatticeFunction.from_callable(f, _LATTICE_H, _LATTICE_HALFWIDTH)
         return hl_maximal(lat, widths)
     if op == "dirichlet_sn":
         edges = oscillation_edges(f.breakpoints, 1024.0, 1.0 / 8.0)
         x, w = panel_nodes(edges, 4)
-        keep = nearest_breakpoint(x, np.asarray(f.breakpoints))[1] > pv_exclusion_radius(f)
-        return dirichlet_sn(f, 1.0, x[keep]), x[keep], w[keep]
+        return dirichlet_sn(f, 1.0, x), x, w
     x, w = shell_grid(*_BLOCK_SHELLS, 24)
     x, w = np.ldexp(x, k), np.ldexp(w, k)  # scaled by 2^k, bit-exactly
     if op == "hilbert":
         vals = hilbert(f, x)
     elif op == "hilbert_maximal":
-        eps_sched = np.ldexp(geometric_schedule(2.0 ** -6, 4.0)[::-1], k)
+        eps_sched = np.ldexp(geometric_schedule(2.0 ** -6, 4.0), k)
         vals = hilbert_maximal(f, eps_sched, x)
     elif op == "carleson":
         n_sched = np.ldexp(geometric_schedule(2.0 ** -4, 2.0 ** 6), -k)

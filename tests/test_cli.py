@@ -415,25 +415,15 @@ def test_sweep_error_curve_rejects_zero_cutoff(tmp_path, ball, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
-def test_sweep_empty_schedule_header_only(tmp_path, ball):
-    out = tmp_path / "s"
-    rc = main(
-        [
-            "sweep",
-            "--input",
-            ball,
-            "--op",
-            "e-of-N",
-            "--params",
-            "1,1,2,0",
-            "--schedule",
-            "",
-            "--out",
-            str(out),
-        ]
-    )
-    assert rc == 0
-    assert read_csv(str(tmp_path / "s.csv")) == []
+@pytest.mark.parametrize(
+    "route", [["--op", "e-of-N", "--input", "{ball}"], ["--op", "hilbert"]], ids=["e-of-N", "hilbert"]
+)
+def test_sweep_empty_schedule_exits_2(tmp_path, ball, route, capsys):
+    # an empty --schedule is a malformed flag value, not a 0-row curve
+    argv = ["sweep", *[a.format(ball=ball) for a in route], "--params", "1,1,2,0", "--schedule="]
+    assert main(argv + ["--out", str(tmp_path / "s")]) == 2
+    assert "--schedule wants at least one level" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["ball.json"]
 
 
 def test_sweep_block_scale_flat(tmp_path):

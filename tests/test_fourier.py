@@ -20,6 +20,7 @@ from blockspaces import (
     dirichlet_sn,
     dirichlet_sn_via_hilbert,
     geometric_schedule,
+    hilbert_maximal,
     modulate,
     operators,
     refine_schedule,
@@ -182,7 +183,7 @@ def test_carleson_dominates_every_partial_sum():
 def test_carleson_monotone_under_refinement():
     f = chi(0.0, 1.0)
     x = np.array([0.3, 2.0])
-    sched = geometric_schedule(1.0, 16.0, ratio=2.0)
+    sched = 2.0 ** np.arange(6)
     coarse = carleson(f, sched, x)
     fine = carleson(f, sched, x, refine_tolerance=0.0, max_refinements=2)
     assert np.all(fine >= coarse - 1e-15)
@@ -215,11 +216,26 @@ def test_carleson_refines_the_sorted_schedule():
         assert np.array_equal(carleson(f, sched, x, refine_tolerance=1.0), want)
 
 
+@settings(deadline=None, max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_sups_ignore_schedule_order_and_repeats(seed):
+    # both sup operators take any permutation or duplication of their levels
+    # to the same bits; carleson refines between sorted neighbours
+    rng = np.random.default_rng(seed)
+    f = PiecewiseConstant1D(np.sort(rng.uniform(-4.0, 4.0, 5)), rng.uniform(-3.0, 3.0, 4))
+    x = rng.uniform(-6.0, 6.0, 12)
+    sched = rng.uniform(1e-3, 16.0, 6)
+    shuffled = rng.permutation(np.concatenate([sched, rng.choice(sched, 3)]))
+    sups = [lambda s: hilbert_maximal(f, s, x)]
+    sups += [lambda s, t=t: carleson(f, s, x, refine_tolerance=t, max_refinements=1) for t in (None, 0.0)]
+    for sup in sups:
+        assert np.array_equal(sup(shuffled), sup(np.sort(sched)))
+
+
 def test_carleson_schedule_validation():
-    with pytest.raises(ValueError):
-        carleson(chi(0.0, 1.0), [], np.array([0.5]))
-    with pytest.raises(ValueError):
-        carleson(chi(0.0, 1.0), [1.0, -2.0], np.array([0.5]))
+    for bad in ([], [1.0, -2.0], [1.0, 0.0], [1.0, math.nan]):
+        with pytest.raises(ValueError, match="N schedule must be nonempty and positive"):
+            carleson(chi(0.0, 1.0), bad, np.array([0.5]))
 
 
 @settings(deadline=None, max_examples=20)
@@ -233,6 +249,6 @@ def test_partial_sums_commute_with_dyadic_dilation(seed, j):
     x = rng.uniform(-6.0, 6.0, 16)
     lam = 2.0 ** j
     assert np.array_equal(dirichlet_sn(f.dilate(lam), N / lam, x * lam), dirichlet_sn(f, N, x))
-    sched = geometric_schedule(0.5, 8.0, ratio=2.0)
+    sched = 0.5 * 2.0 ** np.arange(6)
     got = carleson(f.dilate(lam), sched / lam, x * lam, refine_tolerance=1e-12, max_refinements=2)
     assert np.array_equal(got, carleson(f, sched, x, refine_tolerance=1e-12, max_refinements=2))

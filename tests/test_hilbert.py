@@ -180,7 +180,7 @@ def test_large_eps_sees_nothing():
 
 def test_maximal_dominates_each_truncation():
     f = PiecewiseConstant1D((-1.0, 0.0, 2.0), (1.0, -1.0))
-    sched = geometric_schedule(1e-4, 1.0)[::-1]
+    sched = geometric_schedule(1e-4, 1.0)
     x = np.array([-2.5, 0.7, 3.3])
     m = hilbert_maximal(f, sched, x)
     for eps in sched:
@@ -190,19 +190,15 @@ def test_maximal_dominates_each_truncation():
 def test_maximal_at_least_pv_limit_off_support():
     f = chi(1.0, 2.0)
     x = np.array([4.0])
-    sched = geometric_schedule(1e-6, 8.0)[::-1]
+    sched = geometric_schedule(1e-6, 8.0)
     m = hilbert_maximal(f, sched, x)
     assert m[0] >= abs(hilbert(f, x)[0]) - 1e-9
 
 
 def test_maximal_schedule_validation():
-    f = chi(0.0, 1.0)
-    with pytest.raises(ValueError):
-        hilbert_maximal(f, [], np.array([2.0]))
-    with pytest.raises(ValueError):
-        hilbert_maximal(f, [0.1, 0.2], np.array([2.0]))  # must decrease
-    with pytest.raises(ValueError):
-        hilbert_maximal(f, [0.1, -0.2], np.array([2.0]))
+    for bad in ([], [0.1, math.nan], [0.1, -0.2], [0.1, 0.0]):
+        with pytest.raises(ValueError, match="eps schedule must be nonempty and positive"):
+            hilbert_maximal(chi(0.0, 1.0), bad, np.array([2.0]))
 
 
 def test_refine_schedule_inserts_geometric_midpoints():

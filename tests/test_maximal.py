@@ -140,13 +140,12 @@ def test_shell_block_average_lower_bound():
 def test_lattice_matches_exact_route():
     f = PiecewiseConstant1D((-1.0, -0.5, 0.5, 1.0), (1.0, 0.0, 1.0))
     h = 2.0 ** -8
-    lat = LatticeFunction.from_callable(f, 1, h, 4.0)
+    lat = LatticeFunction.from_callable(f, h, 4.0)
     # window widths geometric with ratio 2^(1/8): the best window is missed
     # by at most that factor, costing <= 1 - 2^(-1/8) ~ 8.3% relative
     cells = lat.cells_per_axis
-    widths = np.unique(
-        np.minimum(np.round(geometric_schedule(1.0, cells, 2.0 ** 0.125)).astype(int), cells)
-    )
+    widths = np.unique(np.round(2.0 ** (np.arange(89) / 8)).astype(int))
+    assert (widths.size, widths[0], widths[-1], int(widths.sum())) == (71, 1, cells, 24606)
     m = hl_maximal(lat, widths)
     centers = lat.axis_midpoints()
     keep = np.abs(np.abs(centers) - 0.5) > 0.01
@@ -160,13 +159,13 @@ def test_lattice_matches_exact_route():
 
 def test_lattice_dominates_function():
     rng = np.random.default_rng(3)
-    lat = LatticeFunction(1, 0.25, 4.0, rng.standard_normal(32))
+    lat = LatticeFunction(0.25, 4.0, rng.standard_normal(32))
     m = hl_maximal(lat, [1, 2, 4])
     assert np.all(m.values >= np.abs(lat.values) - 1e-12)
 
 
 def test_lattice_window_validation():
-    lat = LatticeFunction(1, 1.0, 4.0, np.ones(8))
+    lat = LatticeFunction(1.0, 4.0, np.ones(8))
     with pytest.raises(ValueError):
         hl_maximal(lat, [])
     with pytest.raises(ValueError):
@@ -177,17 +176,15 @@ def test_lattice_window_validation():
 
 def test_lattice_monotone_in_window_set():
     rng = np.random.default_rng(11)
-    lat = LatticeFunction(1, 0.125, 2.0, rng.standard_normal(32))
+    lat = LatticeFunction(0.125, 2.0, rng.standard_normal(32))
     m_small = hl_maximal(lat, [1, 2])
     m_big = hl_maximal(lat, [1, 2, 4, 8])
     assert np.all(m_big.values >= m_small.values - 1e-15)
 
 
 def test_lattice_is_one_dimensional():
-    with pytest.raises(ValueError):
-        LatticeFunction(2, 0.25, 1.0, np.zeros(64))
-    with pytest.raises(ValueError):
-        LatticeFunction.from_callable(lambda x, y: x + y, 2, 0.25, 1.0)
+    assert LatticeFunction.n == 1
+    assert LatticeFunction.from_callable(lambda x: x, 0.25, 1.0).n == 1
 
 
 def test_import_leaves_ndimage_unloaded():
@@ -218,10 +215,10 @@ def test_lattice_reach_equals_full_domain_on_claim_lattices(k):
     from blockspaces.verify import _LATTICE_H, _LATTICE_HALFWIDTH
 
     cells = int(round(2.0 * _LATTICE_HALFWIDTH / _LATTICE_H))
-    widths = np.round(geometric_schedule(1.0, cells, 2.0 ** 0.25)).astype(int)
+    widths = np.round(geometric_schedule(1.0, cells)).astype(int)
     widths = np.unique(np.minimum(widths, cells))
     block = make_canonical_block(WeightParams(1, 1.0, 2.0, -0.5), k)
-    lat = LatticeFunction.from_callable(block.data, 1, _LATTICE_H, _LATTICE_HALFWIDTH)
+    lat = LatticeFunction.from_callable(block.data, _LATTICE_H, _LATTICE_HALFWIDTH)
     assert np.array_equal(hl_maximal(lat, widths).values, _full_domain_hl(lat.values, widths))
 
 
@@ -232,7 +229,7 @@ def test_lattice_reach_on_general_input():
     values[first : last + 1] = rng.uniform(-10.0, 10.0, last + 1 - first)
     widths = [1, 2, 3, 5, 8, 13, 21, 34, 55]
     w_max = max(widths)
-    got = hl_maximal(LatticeFunction(1, 2.0 ** -6, 16.0, values), widths).values
+    got = hl_maximal(LatticeFunction(2.0 ** -6, 16.0, values), widths).values
     want = _full_domain_hl(values, widths)
     assert np.array_equal(got[: last + w_max + 1], want[: last + w_max + 1])
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(values))

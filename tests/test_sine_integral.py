@@ -75,6 +75,17 @@ def test_infinite_arguments_give_the_limit():
     assert math.isnan(sine_integral(math.nan))
 
 
+@pytest.mark.filterwarnings("error")
+def test_far_arguments_give_the_limit_without_warnings():
+    # |t| past ~1.3e154 overflows t * t, and S_N's phase 2 pi N x overflows
+    # near 1e308; both overflows are exact (1/t^2 = 0, Si(inf) = pi/2)
+    from blockspaces import PiecewiseConstant1D, dirichlet_sn
+
+    assert sine_integral(1e308) == 0.5 * math.pi
+    f = PiecewiseConstant1D.indicator(-1.0, 1.0)
+    assert dirichlet_sn(f, 8.0, np.array([1e308])).tolist() == [0.0]
+
+
 def test_scalar_and_array_forms_agree():
     assert isinstance(sine_integral(2.0), float)
     arr = sine_integral(np.array([[2.0, 3.0]]))
