@@ -5,18 +5,19 @@ Three branches, all vectorized and all odd in t:
 * |t| <= 8: Maclaurin series in plain double Horner form.  The alternating
   terms peak near 41 at t = 8, a cancellation of ~26x against the result,
   which plain double absorbs with two digits to spare.
-* 8 < |t| < 44: the same series evaluated in compensated (double-double)
-  arithmetic.  Terms peak near 1.6e16 at t = 44; the 32-digit accumulator
-  keeps the residual below 1e-13.  Products use Dekker splitting because
-  this must run without a fused multiply-add.
+* 8 < |t| < 44: one Taylor polynomial per unit segment [m, m + 1), expanded
+  at m + 1/2 (DLMF 6.6) and evaluated in h = |t| - m - 1/2 by Horner.  The
+  degree-13 tables live in `_si_table.py`, generated by
+  `tools/gen_si_table.py`; since |sinc^(j)| <= 1/(j + 1), the terms past h^13
+  add at most (1/2)^14 / (14 * 14!) = 5.0e-17, and the largest error against
+  50-digit mpmath is about 1 ulp of Si.  The branch uses only + and x on
+  doubles, so its bits do not depend on numpy's CPU dispatch.
 * |t| >= 44: the asymptotic auxiliary expansion
   Si(t) = pi/2 - cos(t) P(1/t^2)/t - sin(t) Q(1/t^2)/t^2 with P, Q the
   (divergent) factorial series truncated at their smallest term, which at
   t = 44 is already ~1e-18.
 
-Coefficients are computed once, exactly, from integer factorials; the
-double-double branch stores each coefficient as an (hi, lo) pair so that
-coefficient rounding cannot leak through the cancellation.
+The series coefficients are computed once, exactly, from integer factorials.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _si_table
+
 _TAYLOR_PLAIN_TERMS = 23   # series through t^45, remainder < 1e-17 at t = 8
-_TAYLOR_DD_TERMS = 76      # series through t^151, remainder < 1e-19 at t = 44
 _ASYMPTOTIC_TERMS = 22     # factorial series through (42)!, ~1e-18 at t = 44
-_DD_CUTOFF = 8.0
+_TABLE_CUTOFF = 8.0
 _ASYMPTOTIC_CUTOFF = 44.0
 
 
@@ -42,11 +44,7 @@ _PLAIN_COEFFS = np.array(
     [float(_taylor_coefficient(m)) for m in range(_TAYLOR_PLAIN_TERMS)]
 )
 
-def _dd_pair(x: Fraction) -> tuple[float, float]:
-    hi = float(x)
-    return hi, float(x - Fraction(hi))
-
-_DD_COEFFS = [ _dd_pair(_taylor_coefficient(m)) for m in range(_TAYLOR_DD_TERMS) ]
+_TABLE = np.array(_si_table.COEFFS)  # row k: the h^k coefficient of every segment
 
 # P(u) = sum (-1)^m (2m)! u^m,  Q(u) = sum (-1)^m (2m+1)! u^m
 _ASY_P = np.array(
@@ -57,39 +55,6 @@ _ASY_Q = np.array(
 )
 
 
-# -- double-double primitives (vectorized, no fma available) ---------------
-
-_SPLITTER = 134217729.0  # 2^27 + 1, Dekker splitting constant
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-def _quick_two_sum(a, b):
-    s = a + b
-    return s, b - (s - a)
-
-def _two_prod(a, b):
-    p = a * b
-    ca = _SPLITTER * a
-    ahi = ca - (ca - a)
-    alo = a - ahi
-    cb = _SPLITTER * b
-    bhi = cb - (cb - b)
-    blo = b - bhi
-    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, err
-
-def _dd_add(xh, xl, yh, yl):
-    s, e = _two_sum(xh, yh)
-    return _quick_two_sum(s, e + xl + yl)
-
-def _dd_mul(xh, xl, yh, yl):
-    p, e = _two_prod(xh, yh)
-    return _quick_two_sum(p, e + xh * yl + xl * yh)
-
-
 def _si_taylor_plain(t: np.ndarray) -> np.ndarray:
     t2 = t * t
     acc = np.full_like(t, _PLAIN_COEFFS[-1])
@@ -97,15 +62,15 @@ def _si_taylor_plain(t: np.ndarray) -> np.ndarray:
         acc = acc * t2 + c
     return acc * t
 
-def _si_taylor_dd(t: np.ndarray) -> np.ndarray:
-    t2h, t2l = _two_prod(t, t)
-    hi = np.full_like(t, _DD_COEFFS[-1][0])
-    lo = np.full_like(t, _DD_COEFFS[-1][1])
-    for ch, cl in _DD_COEFFS[-2::-1]:
-        hi, lo = _dd_mul(hi, lo, t2h, t2l)
-        hi, lo = _dd_add(hi, lo, ch, cl)
-    hi, lo = _dd_mul(hi, lo, t, np.zeros_like(t))
-    return hi + lo
+def _si_taylor_table(t: np.ndarray) -> np.ndarray:
+    seg = t.astype(np.intp)  # floor, as 8 < t < 44
+    h = t - (seg + 0.5)      # exact: t and its segment's centre are within 1/2
+    seg -= _si_table.FIRST_SEGMENT
+    acc = _TABLE[-1].take(seg)
+    for row in _TABLE[-2::-1]:
+        acc *= h
+        acc += row.take(seg)
+    return acc
 
 def _si_asymptotic(t: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):  # t * t = inf past ~1.3e154 gives u = 0, which is exact there
@@ -124,13 +89,13 @@ def sine_integral(t):
     scalar = arr.ndim == 0
     a = np.abs(np.atleast_1d(arr))
     out = np.full_like(a, 0.5 * math.pi)  # the limit, kept where |t| is infinite
-    small = a <= _DD_CUTOFF
-    mid = (a > _DD_CUTOFF) & (a < _ASYMPTOTIC_CUTOFF)
+    small = a <= _TABLE_CUTOFF
+    mid = (a > _TABLE_CUTOFF) & (a < _ASYMPTOTIC_CUTOFF)
     large = (a >= _ASYMPTOTIC_CUTOFF) & (a < np.inf)
     if np.any(small):
         out[small] = _si_taylor_plain(a[small])
     if np.any(mid):
-        out[mid] = _si_taylor_dd(a[mid])
+        out[mid] = _si_taylor_table(a[mid])
     if np.any(large):
         out[large] = _si_asymptotic(a[large])
     out = out * np.sign(np.atleast_1d(arr))

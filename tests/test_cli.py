@@ -446,7 +446,7 @@ def test_sweep_block_scale_flat(tmp_path):
     assert max(vals) / min(vals) < 1.0 + 1e-6  # dilation covariance end to end
 
 
-REFERENCE_3_1 = Path(__file__).resolve().parents[1] / "perfbench/reference/verify/seed0/claim.3.1.json"
+REFERENCE_3_1 = Path(__file__).resolve().parent / "golden/verify/seed0/claim.3.1.json"
 
 
 @pytest.mark.parametrize("op, claim_op", [("sn", "dirichlet_sn"), ("hilbert", "hilbert")])

@@ -1,35 +1,68 @@
-"""Verify reports are byte-identical to the recorded references.
+"""Verify reports are byte-identical to the recorded golden set.
 
-`perfbench/reference/verify/seed{k}/claim.<tid>.json` holds the report that
+`tests/golden/verify/seed{k}/claim.<tid>.json` holds the report that
 `blockspaces verify --theorem <tid> --seed <k> --out claim.<tid>` writes.
 The cheap claims are rerun here for seeds 0-3 and compared byte for byte.
-3.1 and 6.3 take about 13 s together, so they are compared at seed 0 only;
-the benchmark compares them at every seed.
+3.1 and 6.3 take about 7 s together, so they are compared at seed 0 only.
+The benchmark keeps its own references in `perfbench/reference/verify/`
+and compares only their verdicts.
 
 The bytes hold for one numpy build at one CPU feature level: numpy's AVX512
 ufunc loops round differently from its baseline loops, so a machine or a
 `NPY_DISABLE_CPU_FEATURES` setting that changes the dispatch can change
-claims 5.3 and 3.1 in the last bits (README, Design constraints).
+claims 3.1, 5.3, 6.1.pointwise and 6.3 in the last bits (README, Design
+constraints).
+
+Re-record (only when a change moves these bytes on purpose, and say so):
+
+    PYTHONPATH=src python3 tests/test_golden.py
 """
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from blockspaces.cli import main
 
-REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "verify"
 CHEAP_CLAIMS = ("2.1", "2.2", "4.1", "5.2", "5.3", "6.1.pointwise")
 CASES = [(tid, seed) for seed in range(4) for tid in CHEAP_CLAIMS]
 CASES += [("3.1", 0), ("6.3", 0)]
 
 
+def run_report(tid: str, seed: int, cwd: Path) -> tuple[int, bytes]:
+    """Write the report of claim tid at seed in cwd; return the exit code and its bytes."""
+    old_cwd = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["verify", "--theorem", tid, "--seed", str(seed), "--out", f"claim.{tid}"])
+    finally:
+        os.chdir(old_cwd)
+    return rc, (cwd / f"claim.{tid}.json").read_bytes()
+
+
 @pytest.mark.parametrize(("tid", "seed"), CASES)
-def test_report_bytes_match_reference(tid, seed, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    want = (REFERENCE / f"seed{seed}" / f"claim.{tid}.json").read_bytes()
-    rc = main(["verify", "--theorem", tid, "--seed", str(seed), "--out", f"claim.{tid}"])
+def test_report_bytes_match_reference(tid, seed, tmp_path):
+    want = (GOLDEN / f"seed{seed}" / f"claim.{tid}.json").read_bytes()
+    rc, got = run_report(tid, seed, tmp_path)
     # exit 5 marks a failed report: 3.1 holds criterion 04's red dirichlet_sn leg
     assert rc == (0 if json.loads(want)["passed"] else 5)
-    assert (tmp_path / f"claim.{tid}.json").read_bytes() == want
+    assert got == want
+
+
+def record() -> None:
+    for tid, seed in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            _, got = run_report(tid, seed, Path(tmp))
+        (GOLDEN / f"seed{seed}").mkdir(parents=True, exist_ok=True)
+        (GOLDEN / f"seed{seed}" / f"claim.{tid}.json").write_bytes(got)
+
+
+if __name__ == "__main__":
+    record()

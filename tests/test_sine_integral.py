@@ -1,15 +1,24 @@
 """Si against independent oracles: mpmath at spot points, scipy in bulk."""
 
+import importlib.util
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.special import sici
 
+import blockspaces
 from blockspaces import sine_integral
 
 mpmath.mp.dps = 30
+
+SRC = Path(blockspaces.__file__).resolve().parents[1]
+GENERATOR = SRC.parent / "tools" / "gen_si_table.py"
 
 
 def mp_si(t: float) -> float:
@@ -51,6 +60,52 @@ def test_branch_boundaries_are_seamless():
         above = sine_integral(np.nextafter(edge, np.inf))
         assert abs(above - below) < 1e-12
         assert abs(sine_integral(edge) - mp_si(edge)) < 1e-13
+
+
+def test_mid_branch_seams_against_mpmath():
+    # each unit segment [k, k + 1) has its own table; k and the doubles on
+    # either side of it are evaluated from different polynomials
+    edges = np.arange(8.0, 45.0)
+    pts = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    pts = pts[(pts > 8.0) & (pts < 44.0)]
+    got = sine_integral(pts)
+    want = np.array([mp_si(t) for t in pts])
+    assert np.max(np.abs(got - want)) < 1e-15
+
+
+def test_mid_branch_against_mpmath():
+    t = np.random.default_rng(7).uniform(8.0, 44.0, size=2000)
+    got = sine_integral(t)
+    want = np.array([mp_si(x) for x in t])
+    assert np.max(np.abs(got - want)) < 1e-15
+
+
+def test_table_module_is_the_generator_output():
+    spec = importlib.util.spec_from_file_location("gen_si_table", GENERATOR)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    assert gen.remainder_bound(gen.table_degree()) < 1e-16
+    assert gen.render().encode() == gen.TARGET.read_bytes()
+
+
+def _run(code: str, **env) -> str:
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_mid_branch_bits_do_not_depend_on_cpu_dispatch():
+    # the table branch uses only + and x, which round the same in every SIMD loop
+    code = (
+        "import numpy as np; from blockspaces import sine_integral; "
+        "print(sine_integral(np.random.default_rng(7).uniform(8.0, 44.0, 10_000)).tobytes().hex())"
+    )
+    want = sine_integral(np.random.default_rng(7).uniform(8.0, 44.0, 10_000)).tobytes().hex()
+    assert _run(code, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR").strip() == want
+
+
+def test_import_loads_no_mpmath():
+    code = "import sys, blockspaces; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'mpmath'))"
+    assert _run(code).strip() == "[]"
 
 
 def test_exactly_odd():
