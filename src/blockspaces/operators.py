@@ -168,8 +168,10 @@ def hilbert(f: PiecewiseConstant1D, grid) -> np.ndarray:
 
 
 def _clipped_log(num: np.ndarray, den: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """log(num / den) where mask holds, 0 elsewhere; the ratio is formed only under the mask."""
-    return np.log(np.divide(num, den, out=np.ones(mask.shape), where=mask))
+    """log(num / den) where mask holds, 0 elsewhere, written over num; the ratio is formed only under the mask."""
+    np.divide(num, den, out=num, where=mask)
+    np.copyto(num, 1.0, where=~mask)
+    return np.log(num, out=num)
 
 
 def hilbert_truncated(f: PiecewiseConstant1D, eps: float, grid) -> np.ndarray:
@@ -184,10 +186,17 @@ def hilbert_truncated(f: PiecewiseConstant1D, eps: float, grid) -> np.ndarray:
     a, b = bps[:-1][None, :], bps[1:][None, :]
 
     def clipped_logs(xb):
+        # log((x - a) / (x - bl)) where a < bl = min(b, x - eps), plus
+        # log((ar - x) / (b - x)) where ar = max(a, x + eps) < b, in three
+        # block buffers: each further live temporary takes fresh pages
         xx = xb[:, None]
         bl = np.minimum(b, xx - eps)
-        ar = np.maximum(a, xx + eps)
-        return _clipped_log(xx - a, xx - bl, a < bl) + _clipped_log(ar - xx, b - xx, ar < b)
+        mask = a < bl
+        left = _clipped_log(xx - a, np.subtract(xx, bl, out=bl), mask)
+        ar = np.maximum(a, xx + eps, out=bl)
+        np.less(ar, b, out=mask)
+        right = _clipped_log(np.subtract(ar, xx, out=ar), b - xx, mask)
+        return np.add(left, right, out=left)
 
     return _rowwise(clipped_logs, x, v.size, v) / math.pi
 

@@ -5,15 +5,20 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import sici
 
 import blockspaces
 from blockspaces import sine_integral
+
+si_module = sys.modules["blockspaces.sine_integral"]
 
 mpmath.mp.dps = 30
 
@@ -146,3 +151,60 @@ def test_scalar_and_array_forms_agree():
     arr = sine_integral(np.array([[2.0, 3.0]]))
     assert arr.shape == (1, 2)
     assert arr[0, 0] == sine_integral(2.0)
+
+
+def test_far_arguments_against_mpmath():
+    # log-uniform over [1e3, 2^53]: the near asymptotic part below the far
+    # cutoff, the shortened series above it
+    t = np.exp(np.random.default_rng(11).uniform(math.log(1e3), 53 * math.log(2.0), 2000))
+    got = sine_integral(t)
+    want = np.array([mp_si(x) for x in t])
+    assert np.max(np.abs(got - want)) < 1e-15
+
+
+def test_far_bulk_against_scipy():
+    t = np.exp(np.random.default_rng(13).uniform(math.log(1e3), math.log(1e15), 100_000))
+    assert np.max(np.abs(sine_integral(t) - sici(t)[0])) < 1e-15
+
+
+def test_far_seam_against_mpmath():
+    edge = si_module._FAR_CUTOFF
+    pts = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)])
+    got = sine_integral(pts)
+    want = np.array([mp_si(x) for x in pts])
+    assert np.max(np.abs(got - want)) < 1e-15
+
+
+def test_far_term_count_is_the_fewest_within_its_bound():
+    k = si_module._FAR_TERMS
+    bound = si_module._FAR_BOUND
+    assert bound == Fraction(1, 2**64)
+    assert si_module._asymptotic_remainder(k, si_module._FAR_CUTOFF) < bound
+    assert si_module._asymptotic_remainder(k - 1, si_module._FAR_CUTOFF) >= bound
+    assert k < si_module._ASYMPTOTIC_TERMS
+
+
+_BRANCH_POINTS = st.one_of(
+    st.floats(0.0, 8.0),
+    st.floats(8.0, 44.0),
+    st.floats(44.0, 1024.0),
+    st.floats(1024.0, 1e300),
+    st.sampled_from(
+        [8.0, 44.0, 1024.0, math.nextafter(1024.0, 0.0), math.nextafter(1024.0, math.inf), 1e155, math.inf]
+    ),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    data=st.data(),
+    points=st.lists(st.tuples(_BRANCH_POINTS, st.booleans()), min_size=1, max_size=40),
+)
+def test_each_value_depends_only_on_its_argument(data, points):
+    # a mixed-branch array gives, element for element, the bits of each
+    # element evaluated alone, in any order: the terms are chosen per point
+    t = np.array([-x if neg else x for x, neg in points])
+    alone = np.array([sine_integral(x) for x in t])
+    np.testing.assert_array_equal(sine_integral(t).view(np.uint64), alone.view(np.uint64))
+    order = np.array(data.draw(st.permutations(range(t.size))))
+    np.testing.assert_array_equal(sine_integral(t[order]).view(np.uint64), alone[order].view(np.uint64))
