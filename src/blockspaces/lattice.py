@@ -2,8 +2,7 @@
 
 Cells are closed-open intervals of side h tiling [-L, L) with L/h an integer,
 indexed left to right; the function is the cell value on each cell and zero
-outside the domain.  This substrate carries the discretized maximal operator
-and its weighted norms.
+outside the domain.  This substrate carries the discretized maximal operator.
 """
 
 from __future__ import annotations
@@ -44,10 +43,6 @@ class LatticeFunction:
         """Cell-center coordinates."""
         m = self.cells_per_axis
         return -self.L + (np.arange(m) + 0.5) * self.h
-
-    def midpoint_radii(self) -> np.ndarray:
-        """|cell center| for every cell."""
-        return np.abs(self.axis_midpoints())
 
     def with_values(self, values: np.ndarray) -> "LatticeFunction":
         return LatticeFunction(self.h, self.L, values)

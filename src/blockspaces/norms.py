@@ -3,8 +3,7 @@
 Piecewise-constant functions integrate in closed form (power antiderivative,
 log branch at alpha = -1, split at the origin); divergent integrals return
 math.inf as a distinguished value rather than raising, because the sharpness
-harnesses need to observe divergence.  Lattice functions use the exact
-weight mass of each cell.
+harnesses need to observe divergence.
 """
 
 from __future__ import annotations
@@ -12,9 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .lattice import LatticeFunction
 from .params import DyadicAnnulus, WeightParams
 from .piecewise import PiecewiseConstant1D
 
@@ -41,57 +37,27 @@ def weight_integral(a: float, b: float, alpha: float) -> float:
     return _halfline_weight_integral(0.0, -a, alpha) + _halfline_weight_integral(0.0, b, alpha)
 
 
-def _lattice_weights(f: LatticeFunction, alpha: float) -> np.ndarray:
-    """Per-cell masses int_cell |x|^alpha dx, exact.
-
-    Power/log antiderivative per cell, with inf for the origin cells when
-    alpha <= -1.
-    """
-    r = f.midpoint_radii()
-    lo = np.maximum(r - 0.5 * f.h, 0.0)
-    hi = r + 0.5 * f.h
-    if alpha == 0.0:
-        return np.full_like(r, f.h)
-    w = np.full_like(r, math.inf)
-    # origin cells (lo = 0) stay inf only when the singularity is non-integrable
-    pos = lo > 0.0 if alpha <= -1.0 else np.ones_like(lo, dtype=bool)
-    if alpha == -1.0:
-        w[pos] = np.log(hi[pos] / lo[pos])
-    else:
-        w[pos] = (hi[pos] ** (alpha + 1.0) - lo[pos] ** (alpha + 1.0)) / (alpha + 1.0)
-    return w
-
-
-def weighted_lp_norm(f, p: float, alpha: float) -> float:
+def weighted_lp_norm(f: PiecewiseConstant1D, p: float, alpha: float) -> float:
     """(int |f|^p |x|^alpha dx)^(1/p); math.inf when the integral diverges.
 
-    p = math.inf computes the essential sup over pieces/cells and ignores
-    alpha (the weight does not change null sets while alpha > -1).
+    p = math.inf computes the essential sup over pieces and ignores alpha
+    (the weight does not change null sets while alpha > -1).
     """
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
-    if isinstance(f, PiecewiseConstant1D):
-        if math.isinf(p):
-            return max((abs(v) for v in f.values), default=0.0)
-        mass = 0.0
-        for a, b, v in zip(f.breakpoints, f.breakpoints[1:], f.values):
-            if v == 0.0:
-                continue
-            w = weight_integral(a, b, alpha)
-            if math.isinf(w):
-                return math.inf
-            mass += abs(v) ** p * w
-        return mass ** (1.0 / p)
-    if isinstance(f, LatticeFunction):
-        vals = np.abs(f.values)
-        if math.isinf(p):
-            return float(vals.max(initial=0.0))
-        w = _lattice_weights(f, alpha)
-        nonzero = vals > 0
-        if np.any(np.isinf(w[nonzero])):
+    if not isinstance(f, PiecewiseConstant1D):
+        raise TypeError(f"unsupported function type {type(f).__name__}")
+    if math.isinf(p):
+        return max((abs(v) for v in f.values), default=0.0)
+    mass = 0.0
+    for a, b, v in zip(f.breakpoints, f.breakpoints[1:], f.values):
+        if v == 0.0:
+            continue
+        w = weight_integral(a, b, alpha)
+        if math.isinf(w):
             return math.inf
-        return float(np.sum(vals[nonzero] ** p * w[nonzero]) ** (1.0 / p))
-    raise TypeError(f"unsupported function type {type(f).__name__}")
+        mass += abs(v) ** p * w
+    return mass ** (1.0 / p)
 
 
 def restrict_to_annulus(

@@ -6,16 +6,18 @@ and the partial sum S_N of a piecewise-constant f are one jump sum,
 with g = log|.| or g = Si(2 pi N .).  The maximal truncated Hilbert transform
 and the Carleson operator are one sup over levels: the pointwise max of
 |T f| over an explicit geometric schedule of truncations or frequencies.
-The one discretized operator is the lattice maximal function; an exact 1D
-maximal evaluator sits beside it for cross-checking.
+The uncentered maximal function is evaluated exactly from a finite set of
+candidate intervals; the claims measure it that way.  A discretized lattice
+maximal function stays beside it as a second route.
 
 Working sets stay bounded.  The points x breakpoints kernels (S_N and both
-Hilbert forms) run over row blocks of about 256 KiB per float64 temporary
-instead of one dense matrix, so their peak memory does not grow with the
-number of points and each temporary stays in cache.  The blocks reproduce
-the dense matrix-vector product bit for bit, and their results do not depend
-on the BLAS thread count.  The lattice maximal function filters each window
-width only over the cells that window can reach from the support of |f|.
+Hilbert forms) and the exact maximal function's candidate intervals run over
+row blocks of about 256 KiB per float64 temporary instead of one dense
+array, so their peak memory does not grow with the number of points and
+each temporary stays in cache.  The blocks reproduce the dense results bit
+for bit and do not depend on the BLAS thread count.  The lattice maximal
+function filters each window width only over the cells that window can
+reach from the support of |f|.
 """
 
 from __future__ import annotations
@@ -399,6 +401,12 @@ def maximal_1d_exact(f: PiecewiseConstant1D, grid) -> np.ndarray:
     sign of (average - boundary value), which is constant per piece), so the
     supremum over all intervals reduces to a finite candidate set.  Its
     averages share one mass per endpoint; a non-finite x gives NaN.
+
+    Points go in row blocks whose (left, right) candidate arrays stay within
+    _BLOCK_BYTES.  A block's left ends are the breakpoints below its largest
+    point, each clipped to min(b, x), plus x: the clipped ones repeat x, so
+    every point sees its own candidate set plus copies of x, and its value
+    is bit-equal to the one it gets alone.  Right ends mirror this.
     """
     x = _as_points(grid)
     if f.is_zero:
@@ -414,11 +422,15 @@ def maximal_1d_exact(f: PiecewiseConstant1D, grid) -> np.ndarray:
         return cum[j] + v[j] * (tt - bps[j])
 
     out = np.full_like(x, np.nan)  # no interval contains a non-finite x
-    for i in np.flatnonzero(np.isfinite(x)):
-        a = np.append(bps[bps < x[i]], x[i])
-        b = np.insert(bps[bps > x[i]], 0, x[i])
-        span = b - a[:, None]
-        mass = mass_upto(b) - mass_upto(a)[:, None]
+    finite = np.flatnonzero(np.isfinite(x))
+    rows = max(1, _BLOCK_BYTES // (8 * (bps.size + 1) ** 2))
+    for lo in range(0, finite.size, rows):
+        idx = finite[lo : lo + rows]
+        xb = x[idx][:, None]
+        a = np.concatenate([np.minimum(bps[bps < xb.max()], xb), xb], axis=1)
+        b = np.concatenate([xb, np.maximum(bps[bps > xb.min()], xb)], axis=1)
+        span = b[:, None, :] - a[:, :, None]
+        mass = mass_upto(b)[:, None, :] - mass_upto(a)[:, :, None]
         avg = np.divide(mass, span, out=np.full(span.shape, -np.inf), where=span > 0)
-        out[i] = max(float(avg.max()), float(g(x[i])))
+        out[idx] = np.maximum(avg.max(axis=(1, 2)), g(xb[:, 0]))
     return out

@@ -116,9 +116,8 @@ def test_criterion_04_uniform_block_constants():
     dt = time.time() - t0
     failures = []
     for name, ratio in ratios.items():
-        bound = 1.5 if name.startswith("hl_maximal") else 1.05
-        if not ratio < bound:
-            failures.append(f"{name} ratio {ratio:.6f} >= {bound}")
+        if not ratio < 1.05:
+            failures.append(f"{name} ratio {ratio:.6f} >= 1.05")
     if not dt < 30.0:
         failures.append(f"runtime {dt:.2f}s >= 30s")
     detail = ", ".join(f"{k}={v:.6f}" for k, v in ratios.items())

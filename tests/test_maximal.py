@@ -23,6 +23,7 @@ from blockspaces import (
     hl_maximal,
     maximal_1d_exact,
 )
+from blockspaces.operators import _BLOCK_BYTES
 
 chi = PiecewiseConstant1D.indicator
 
@@ -111,6 +112,31 @@ def test_exact_matches_all_pairs_bit_for_bit(bps, data, extra):
     # every breakpoint, one ulp to either side of it, and free points
     x = np.concatenate([b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), extra])
     assert np.array_equal(maximal_1d_exact(f, x), all_pairs_maximal(f, x))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    bps=st.lists(st.floats(-64.0, 64.0), min_size=2, max_size=9, unique=True),
+    data=st.data(),
+    extra=st.lists(st.floats(-100.0, 100.0), max_size=4),
+    blocks=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_each_value_is_the_value_alone(bps, data, extra, blocks, seed):
+    # maximal_1d_exact trims the candidate ends per row block; a point's bits
+    # must not depend on its neighbours in the block, nor on its position
+    b = np.sort(np.asarray(bps))
+    vals = data.draw(st.lists(_PIECE_VALUES, min_size=b.size - 1, max_size=b.size - 1))
+    f = PiecewiseConstant1D(b, vals)
+    special = np.concatenate(
+        [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), extra, [np.inf, -np.inf, np.nan, 0.0]]
+    )
+    rows = max(1, _BLOCK_BYTES // (8 * (b.size + 1) ** 2))
+    rng = np.random.default_rng(seed)
+    x = rng.permutation(np.resize(special, rows * blocks + int(rng.integers(0, rows))))
+    alone = {v.tobytes(): maximal_1d_exact(f, v[None]) for v in special}
+    want = np.concatenate([alone[v.tobytes()] for v in x])
+    assert np.array_equal(maximal_1d_exact(f, x).view(np.int64), want.view(np.int64))
 
 
 @settings(deadline=None, max_examples=40)
@@ -211,14 +237,15 @@ def _full_domain_hl(values, widths):
 
 @pytest.mark.parametrize("k", range(-6, 7))
 def test_lattice_reach_equals_full_domain_on_claim_lattices(k):
+    # a 524k-cell lattice on [-1024, 1024) with every window width up to its size
     from blockspaces import WeightParams, make_canonical_block
-    from blockspaces.verify import _LATTICE_H, _LATTICE_HALFWIDTH
 
-    cells = int(round(2.0 * _LATTICE_HALFWIDTH / _LATTICE_H))
+    h, L = 2.0 ** -8, 1024.0
+    cells = int(round(2.0 * L / h))
     widths = np.round(geometric_schedule(1.0, cells)).astype(int)
     widths = np.unique(np.minimum(widths, cells))
     block = make_canonical_block(WeightParams(1, 1.0, 2.0, -0.5), k)
-    lat = LatticeFunction.from_callable(block.data, _LATTICE_H, _LATTICE_HALFWIDTH)
+    lat = LatticeFunction.from_callable(block.data, h, L)
     assert np.array_equal(hl_maximal(lat, widths).values, _full_domain_hl(lat.values, widths))
 
 

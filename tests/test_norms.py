@@ -2,12 +2,10 @@
 
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from blockspaces import (
-    LatticeFunction,
     PiecewiseConstant1D,
     WeightParams,
     norm_profile,
@@ -67,12 +65,11 @@ def test_sup_norm_ignores_weight():
 
 
 def test_norm_rejects_nonpositive_p():
-    # p = -inf is no sup norm: both types reject it before their p = inf branch
+    # p = -inf is no sup norm: it is rejected before the p = inf branch
     f = chi(1.0, 2.0, 3.0)
-    for g in (f, LatticeFunction.from_callable(f, 0.25, 4.0)):
-        for p in (0.0, -math.inf):
-            with pytest.raises(ValueError):
-                weighted_lp_norm(g, p, 0.0)
+    for p in (0.0, -math.inf):
+        with pytest.raises(ValueError):
+            weighted_lp_norm(f, p, 0.0)
 
 
 @given(
@@ -126,49 +123,6 @@ def test_restrict_type_shell_zero_is_ball():
     f = chi(-2.0, 2.0)
     g = restrict_to_annulus(f, 0, restrict_type=True)
     assert g.equal_as_functions(chi(-1.0, 1.0))
-
-
-# -- lattice norms ------------------------------------------------------------
-
-
-def test_lattice_norm_matches_exact_on_flat_function():
-    f = chi(-1.0, 1.0)
-    lat = LatticeFunction.from_callable(f, 2.0 ** -6, 4.0)
-    exact = weighted_lp_norm(f, 1.0, -0.5)
-    approx = weighted_lp_norm(lat, 1.0, -0.5)
-    assert math.isclose(approx, exact, rel_tol=5e-3)
-
-
-def test_lattice_norm_divergent_weight():
-    f = chi(-1.0, 1.0)
-    lat = LatticeFunction.from_callable(f, 2.0 ** -4, 2.0)
-    assert weighted_lp_norm(lat, 1.0, -1.0) == math.inf
-    # but a function vanishing near 0 has finite weighted mass
-    g = chi(1.0, 2.0)
-    lat2 = LatticeFunction.from_callable(g, 2.0 ** -4, 4.0)
-    assert math.isfinite(weighted_lp_norm(lat2, 1.0, -1.0))
-
-
-@settings(deadline=None)
-@given(alpha=st.floats(-0.8, 0.8))
-def test_lattice_norm_exact_for_grid_aligned_jumps(alpha):
-    # per-cell weights are closed-form integrals, so dyadic breakpoints
-    # incur no quadrature error at all
-    f = PiecewiseConstant1D((-1.0, 0.25, 1.0), (1.0, 2.0))
-    exact = weighted_lp_norm(f, 1.0, alpha)
-    lat = LatticeFunction.from_callable(f, 2.0 ** -6, 2.0)
-    assert math.isclose(weighted_lp_norm(lat, 1.0, alpha), exact, rel_tol=1e-12)
-
-
-def test_lattice_norm_converges_for_off_grid_jump():
-    f = PiecewiseConstant1D((0.3, 1.0), (1.0,))
-    exact = weighted_lp_norm(f, 1.0, -0.5)
-    errs = []
-    for j in (4, 10):
-        lat = LatticeFunction.from_callable(f, 2.0 ** -j, 2.0)
-        errs.append(abs(weighted_lp_norm(lat, 1.0, -0.5) - exact))
-    # one straddled cell of width h: error is O(h)
-    assert errs[1] <= errs[0] / 16.0
 
 
 # -- shell profiles -----------------------------------------------------------

@@ -2,17 +2,22 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import types
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import blockspaces
-from blockspaces import THEOREM_IDS, WeightParams, run_theorem
+from blockspaces import THEOREM_IDS, WeightParams, maximal_1d_exact, run_theorem
 from blockspaces import verify
 from blockspaces.blocks import make_canonical_block
 from blockspaces.io import dumps, report_to_dict
+from blockspaces.quadrature import shell_grid, weighted_norm_from_samples
 
 
 def test_registered_ids():
@@ -77,6 +82,30 @@ def test_block_bound_applies_each_operator_once_per_block(monkeypatch):
     rep = run_theorem("3.1")
     assert len(calls) == len(set(calls)) == 65
     assert len(rep.verdicts) == 9
+
+
+def test_maximal_leg_is_the_exact_evaluator_on_the_shell_grid():
+    # k = 0 block norm of M at (1, 2, -1/2), stable as the shell nodes double
+    params = WeightParams(1, 1.0, 2.0, -0.5)
+    want = 6.335462841364244
+    assert verify._block_norm("hl_maximal", params, 0) == want
+    f = make_canonical_block(params, 0).data
+    for nodes in (48, 96):
+        x, w = shell_grid(*verify._BLOCK_SHELLS, nodes)
+        got = weighted_norm_from_samples(maximal_1d_exact(f, x), x, w, params.p, params.alpha)
+        assert abs(got / want - 1.0) <= 1e-15
+
+
+def test_claims_load_no_scipy():
+    src = str(Path(blockspaces.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, blockspaces\n"
+        "for tid in blockspaces.THEOREM_IDS: blockspaces.run_theorem(tid, 0)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_in_hypothesis_verdicts_carry_booleans():
