@@ -11,8 +11,8 @@ reports plus CSV curves.  Exit codes are a stable contract:
     5  verification ran and an in-hypothesis check failed (report still written,
        each failed verdict named on stderr)
 
-Every output embeds the parsed config, the seed, and the version string, so a
-report names everything needed to rerun it bit-identically.
+Every output embeds the subcommand, the flags given but --out, the version string
+and the seed it read, so a report names everything needed to rerun it bit-identically.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -41,7 +41,8 @@ from .operators import (
     maximal_1d_exact,
 )
 from .params import DomainEvaluationError, HypothesisViolation, WeightParams
-from .verify import _BLOCK_SHELLS, THEOREM_IDS, _block_norm, partial_sum_error_norm, run_theorem
+from .verify import _BLOCK_SHELLS, _K_RANGE, _block_norm
+from .verify import THEOREM_IDS, partial_sum_error_norm, run_theorem
 
 
 class InputError(ValueError):
@@ -50,7 +51,7 @@ class InputError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Parsed invocation, echoed verbatim into every report's provenance."""
+    """Parsed invocation: each flag the command line gave, None for each it did not."""
 
     subcommand: str
     input: str | None = None
@@ -59,20 +60,19 @@ class RunConfig:
     theorem: str | None = None
     schedule: tuple[float, ...] | None = None
     grid: str | None = None
-    seed: int = 0
+    seed: int | None = None
     out: str | None = None
     tolerance: float | None = None
-    k_min: int = -12
-    k_range: tuple[int, int] = (-6, 6)
-    defaults_used: list = field(default_factory=list)
 
     def provenance(self) -> dict:
-        cfg = asdict(self)
-        cfg["params"] = (
-            [1.0, self.params.p, self.params.s, self.params.alpha] if self.params else None
-        )
-        cfg["schedule"] = list(self.schedule) if self.schedule is not None else None
-        return {"config": cfg, "seed": self.seed, "version": __version__}
+        """The subcommand, the flags given but --out, the version, and the seed if one is read."""
+        config = {
+            k: v for k, v in vars(self).items() if v is not None and k not in ("subcommand", "out")
+        }
+        if self.params is not None:
+            config["params"] = [1.0, self.params.p, self.params.s, self.params.alpha]
+        seed = {"seed": self.seed or 0} if "seed" in _SUBCOMMANDS[self.subcommand][2] else {}
+        return {"subcommand": self.subcommand, "config": config, "version": __version__, **seed}
 
 
 def _parse_number(text: str) -> float:
@@ -151,16 +151,13 @@ def cmd_norm(cfg: RunConfig) -> int:
     """weighted norm and per-shell profile of a function spec"""
     f = _load_input(cfg)
     norm = weighted_lp_norm(f, cfg.params.p, cfg.params.alpha)
-    profile = norm_profile(f, cfg.params, cfg.k_range)
+    profile = norm_profile(f, cfg.params, _K_RANGE)
     report = bsio.jsonsafe(
         {
             "norm": norm,
             "divergent": not math.isfinite(norm),
             "profile": {
-                "terms": [
-                    {"k": t.k, "contribution": t.contribution, "comparable": t.comparable}
-                    for t in profile.terms
-                ],
+                "terms": [asdict(t) for t in profile.terms],
                 "remainder": profile.remainder,
                 "total": profile.total,
             },
@@ -170,16 +167,20 @@ def cmd_norm(cfg: RunConfig) -> int:
     return 0
 
 
+#: the innermost shell k of a homogeneous decomposition; f inside 2^(k - 1) is its residual
+_HOMOGENEOUS_K_MIN = -12
+
+
 def cmd_decompose(cfg: RunConfig) -> int:
     """split a function into scaled blocks and report the cost"""
     f, params = _load_input(cfg), cfg.params
     if cfg.op == "homogeneous":
-        dec = decompose_homogeneous(f, params, cfg.k_min)
+        dec = decompose_homogeneous(f, params, _HOMOGENEOUS_K_MIN)
     else:
         dec = decompose_nonhomogeneous(f, params)
     report = bsio.decomposition_to_dict(dec)
     if cfg.op == "upper-bound":
-        bound = rl_norm_upper_bound(f, params, strategy="greedy+perturbations", seed=cfg.seed)
+        bound = rl_norm_upper_bound(f, params, strategy="greedy+perturbations", seed=cfg.seed or 0)
         report["quasinorm_upper_bound"] = bound
     elif dec.residual_norm == 0.0:
         report["quasinorm_upper_bound"] = dec.coefficient_cost ** (1.0 / params.pbar)
@@ -199,8 +200,8 @@ _SWEEP_SCALES = range(-1022 - _BLOCK_SHELLS[0], 1023 - _BLOCK_SHELLS[1])
 _APPLY_OPS = {
     "hilbert": ((), lambda f, s, x, t: hilbert(f, x)),
     "hilbert_truncated": ((0.25,), lambda f, s, x, t: hilbert_truncated(f, s[0], x)),
-    "hilbert_maximal": (  # any order serves; descending is the order reports echo
-        tuple(geometric_schedule(2.0**-6, 4.0)[::-1]), lambda f, s, x, t: hilbert_maximal(f, s, x)
+    "hilbert_maximal": (
+        tuple(geometric_schedule(2.0**-6, 4.0)), lambda f, s, x, t: hilbert_maximal(f, s, x)
     ),
     "sn": ((8.0,), lambda f, s, x, t: dirichlet_sn(f, s[0], x)),
     "carleson": (
@@ -216,9 +217,7 @@ def cmd_apply(cfg: RunConfig) -> int:
     f = _load_input(cfg)
     points = parse_grid(cfg.grid)
     default, evaluate = _APPLY_OPS[cfg.op]
-    schedule = cfg.schedule if cfg.schedule is not None else default
-    if cfg.schedule is None and schedule:
-        cfg.defaults_used.append(f"schedule={list(schedule)}")
+    schedule = cfg.schedule or default
     # an operator with a one-level default reads exactly one level
     if len(default) == 1 and len(schedule) != 1:
         raise InputError(f"{cfg.op} needs one level in --schedule, got {len(schedule)}")
@@ -235,14 +234,12 @@ def cmd_apply(cfg: RunConfig) -> int:
 
 
 def _report_curves(report_dict: dict) -> list[tuple[str, list]]:
-    def is_curve(v):
-        return (
-            isinstance(v, list)
-            and len(v) > 0
-            and all(isinstance(r, list) and len(r) == 2 for r in v)
-        )
-
-    return [(k, v) for k, v in sorted(report_dict["measurements"].items()) if is_curve(v)]
+    """The measurements that are curves: nonempty lists of [x, y] pairs, by name."""
+    return [
+        (k, v)
+        for k, v in sorted(report_dict["measurements"].items())
+        if isinstance(v, list) and v and all(isinstance(r, list) and len(r) == 2 for r in v)
+    ]
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -251,7 +248,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     base = _out_base(cfg)
     all_passed = True
     for tid in ids:
-        report = run_theorem(tid, seed=cfg.seed)
+        report = run_theorem(tid, seed=cfg.seed or 0)
         rd = bsio.report_to_dict(report)
         rd["provenance"] = {**rd["provenance"], **cfg.provenance()}
         path = f"{base}.{tid}.json" if len(ids) > 1 else base + ".json"
@@ -273,13 +270,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     """emit a curve: e-of-N or a block-scale operator sweep"""
     if cfg.op == "e-of-N":
         f = _load_input(cfg)
-        schedule = cfg.schedule if cfg.schedule is not None else tuple(2.0**j for j in range(11))
+        schedule = cfg.schedule or tuple(2.0**j for j in range(11))
         rows = [(N, partial_sum_error_norm(f, cfg.params, N)) for N in schedule]
         header = ("N", "error_norm")
     else:
         op = "dirichlet_sn" if cfg.op == "sn" else cfg.op
-        default = range(cfg.k_range[0], cfg.k_range[1] + 1)
-        schedule = cfg.schedule if cfg.schedule is not None else default
+        schedule = cfg.schedule or range(_K_RANGE[0], _K_RANGE[1] + 1)
         ks = [int(x) for x in schedule]
         if any(float(k) != x for k, x in zip(ks, schedule)):
             raise InputError("block-scale sweep wants integer scales in --schedule")

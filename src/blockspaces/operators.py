@@ -32,8 +32,8 @@ from .params import DomainEvaluationError
 from .piecewise import PiecewiseConstant1D
 from .sine_integral import sine_integral
 
-#: ratio between consecutive schedule entries balancing cost vs sup accuracy
-DEFAULT_SCHEDULE_RATIO = 2.0 ** 0.25
+#: 2^(j/4) for j = 0..3: a schedule steps by quarter octaves, balancing cost vs sup accuracy
+_QUARTER_OCTAVES = np.array([1.0, 2.0 ** 0.25, 2.0 ** 0.5, 2.0 ** 0.75])
 
 #: PV evaluation keeps this fraction of the minimal piece length clear of breakpoints
 PV_EXCLUSION_SCALE = 2.0 ** -20
@@ -204,11 +204,15 @@ def hilbert_truncated(f: PiecewiseConstant1D, eps: float, grid) -> np.ndarray:
 
 
 def geometric_schedule(lo: float, hi: float) -> np.ndarray:
-    """Ascending lo * DEFAULT_SCHEDULE_RATIO^i, ending one level past the first one >= hi."""
+    """Ascending levels lo * 2^(i/4), from lo up to the first one >= hi.
+
+    Level i is ldexp(lo * 2^(j/4), i // 4) with j = i mod 4, so octaves of lo
+    are exact and scaling lo and hi by 2^k scales every level by 2^k exactly."""
     if not 0 < lo <= hi:
         raise ValueError("need 0 < lo <= hi")
-    count = int(math.ceil(math.log(hi / lo) / math.log(DEFAULT_SCHEDULE_RATIO) - 1e-12)) + 1
-    return lo * DEFAULT_SCHEDULE_RATIO ** np.arange(count + 1)
+    i = np.arange(int(4 * (math.log2(hi) - math.log2(lo))) + 3)  # 2 spare levels for rounding
+    levels = np.ldexp(lo * _QUARTER_OCTAVES[i % 4], i // 4)
+    return levels[: np.searchsorted(levels, hi) + 1]
 
 
 def refine_schedule(schedule: np.ndarray) -> np.ndarray:

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._version import __version__
 from .blocks import (
     Decomposition,
     decompose_nonhomogeneous,
@@ -58,10 +57,6 @@ from .operators import (
 EXACT_ROUTE_RATIO = 1.05
 SEED_STABILITY_RATIO = 2.0
 
-_RATIO_CONVENTIONS = {
-    "exact-route": EXACT_ROUTE_RATIO,
-    "seed-stability": SEED_STABILITY_RATIO,
-}
 
 @dataclass(frozen=True)
 class Verdict:
@@ -119,19 +114,22 @@ def _curve(xs, ys) -> list:
     return [[float(a), float(b)] for a, b in zip(xs, ys)]
 
 
-def _provenance(**kwargs) -> dict:
-    out = {"version": __version__, "ratio_conventions": dict(_RATIO_CONVENTIONS)}
-    out.update(kwargs)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # scale-uniformity of operator norms on canonical blocks
 
 
+#: the block scales k the claim sweeps (and the CLI's default scales and norm profile shells)
 _K_RANGE = (-6, 6)
 #: dyadic shells (2^j_min, 2^(j_max+1)] of the grid the covariant operators are measured on
 _BLOCK_SHELLS = (-40, 40)
+#: Gauss-Legendre nodes per shell of that grid
+_SHELL_NODES = 24
+#: (lo, hi) of hilbert_maximal's truncation levels at scale 0, dilated by 2^k at scale k
+_EPS_SCHEDULE = (2.0 ** -6, 4.0)
+#: (lo, hi) of carleson's frequencies at scale 0, dilated by 2^-k at scale k
+_N_SCHEDULE = (2.0 ** -4, 2.0 ** 6)
+#: dirichlet_sn's absolute panels: Gauss-Legendre nodes on panels of a spacing out to x_max
+_SN_PANELS = {"x_max": 1024.0, "spacing": 1.0 / 8.0, "nodes": 4}
 
 
 def _block_values(op: str, f: PiecewiseConstant1D, k: int):
@@ -144,18 +142,18 @@ def _block_values(op: str, f: PiecewiseConstant1D, k: int):
     grid because no scaled grid is faithful to a fixed-frequency cutoff.
     """
     if op == "dirichlet_sn":
-        edges = oscillation_edges(f.breakpoints, 1024.0, 1.0 / 8.0)
-        x, w = panel_nodes(edges, 4)
+        edges = oscillation_edges(f.breakpoints, _SN_PANELS["x_max"], _SN_PANELS["spacing"])
+        x, w = panel_nodes(edges, _SN_PANELS["nodes"])
         return dirichlet_sn(f, 1.0, x), x, w
-    x, w = shell_grid(*_BLOCK_SHELLS, 24)
+    x, w = shell_grid(*_BLOCK_SHELLS, _SHELL_NODES)
     x, w = np.ldexp(x, k), np.ldexp(w, k)  # scaled by 2^k, bit-exactly
     if op == "hilbert":
         vals = hilbert(f, x)
     elif op == "hilbert_maximal":
-        eps_sched = np.ldexp(geometric_schedule(2.0 ** -6, 4.0), k)
+        eps_sched = np.ldexp(geometric_schedule(*_EPS_SCHEDULE), k)
         vals = hilbert_maximal(f, eps_sched, x)
     elif op == "carleson":
-        n_sched = np.ldexp(geometric_schedule(2.0 ** -4, 2.0 ** 6), -k)
+        n_sched = np.ldexp(geometric_schedule(*_N_SCHEDULE), -k)
         vals = carleson(f, n_sched, x)
     elif op == "hl_maximal":
         vals = maximal_1d_exact(f, x)
@@ -216,7 +214,10 @@ def _uniform_block_bound(seed: int) -> VerificationReport:
         params={"sub": sub},
         measurements=measurements,
         verdicts=tuple(verdicts),
-        provenance=_provenance(seed=seed),
+        provenance=dict(
+            seed=seed, k_range=_K_RANGE, block_shells=_BLOCK_SHELLS, nodes_per_shell=_SHELL_NODES,
+            eps_schedule=_EPS_SCHEDULE, N_schedule=_N_SCHEDULE, sn_panels=dict(_SN_PANELS),
+        ),
     )
 
 
@@ -405,7 +406,7 @@ def _maximal_sharpness() -> VerificationReport:
         params={"grid": [q.as_dict() for q in _MAXIMAL_GRID]},
         measurements=measurements,
         verdicts=tuple(verdicts),
-        provenance=_provenance(
+        provenance=dict(
             nodes_per_shell=_NODES_PER_SHELL, j_tail_max=_J_TAIL_MAX, f="indicator(-1,1)"
         ),
     )
@@ -503,7 +504,7 @@ def _hilbert_sharpness() -> VerificationReport:
         params={"grid": [q.as_dict() for q in _HILBERT_GRID]},
         measurements=measurements,
         verdicts=tuple(verdicts),
-        provenance=_provenance(
+        provenance=dict(
             nodes_per_shell=_NODES_PER_SHELL, j_tail_max=_J_TAIL_MAX, f="indicator(1,2)"
         ),
     )
@@ -585,9 +586,7 @@ def _decomposition_independence(seed: int) -> VerificationReport:
         params=params.as_dict(),
         measurements=measurements,
         verdicts=tuple(verdicts),
-        provenance=_provenance(
-            op="hilbert", seeds=list(seeds), N=4.0, grid="shells [-20,5], 16 nodes"
-        ),
+        provenance=dict(seeds=list(seeds), grid="shells [-20,5], 16 nodes"),
     )
 
 
@@ -645,7 +644,7 @@ def _norm_convergence() -> VerificationReport:
             _eventually_decreasing("eventually-decreasing", "peak_index", errs),
             _below("terminal-error-ratio", "terminal_ratio", 0.05, terminal_ratio, note),
         ),
-        provenance=_provenance(
+        provenance=dict(
             f={"breakpoints": list(f.breakpoints), "values": list(f.values)},
             N_schedule=[float(N) for N in sched],
             x_max=_X_MAX,
@@ -701,7 +700,7 @@ def _pointwise_convergence() -> VerificationReport:
                 "empirical constant only; theory does not pin its value",
             ),
         ),
-        provenance=_provenance(
+        provenance=dict(
             N_schedule=[float(N) for N in sched],
             grid_size=int(x.size),
             grid_exclusion=0.125,
@@ -796,7 +795,7 @@ def _inclusions(theorem: str) -> VerificationReport:
         params={"grid": [q.as_dict() for q in _INCLUSION_GRID]},
         measurements=measurements,
         verdicts=tuple(verdicts),
-        provenance=_provenance(seeds=seeds, legs=list(legs), pieces=8),
+        provenance=dict(seeds=seeds, legs=list(legs), pieces=8),
     )
 
 

@@ -379,6 +379,24 @@ def test_verify_seed_echoed_in_provenance(tmp_path):
     assert rep["provenance"]["config"]["theorem"] == "5.3"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--theorem", "5.3"],
+        ["apply", "--input", "{i12}", "--op", "carleson", "--tolerance", "1e-2", "--grid", "0.5,1.5,2.5"],
+    ],
+    ids=["verify-5.3", "apply-carleson"],
+)
+def test_report_bytes_do_not_depend_on_out(tmp_path, i12, argv):
+    argv = [a.format(i12=i12) for a in argv]
+    written = []
+    for out in (tmp_path / "a" / "report", tmp_path / "b" / "elsewhere"):
+        out.parent.mkdir()
+        assert main(argv + ["--out", str(out)]) == 0
+        written.append(sorted(p.read_bytes() for p in out.parent.iterdir()))
+    assert written[0] == written[1]
+
+
 # -- sweep ------------------------------------------------------------------------
 
 

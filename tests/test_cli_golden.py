@@ -1,9 +1,9 @@
 """CLI outputs are byte-identical to the recorded golden set.
 
 Each case runs one cheap `blockspaces` invocation in an empty working
-directory, with relative input and output paths so the provenance echo is
-the same on every machine, and compares the exit code, stdout and every
-written file byte for byte with `tests/golden/cli/<case>/`.
+directory, with relative input paths so the provenance echo is the same on
+every machine, and compares the exit code, stdout and every written file
+byte for byte with `tests/golden/cli/<case>/`.
 
 Re-record (only when a change moves these bytes on purpose, and say so):
 
@@ -91,6 +91,24 @@ def test_cli_bytes_match_golden(case, tmp_path):
     assert sorted(got) == sorted(want)
     for name in want:
         assert got[name] == want[name], f"{case}: {name} differs"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_provenance_echoes_the_flags_given(case):
+    argv = CASES[case]
+    given = {a[2:].split("=")[0] for a in argv if a.startswith("--")} - {"out"}
+    (report,) = (GOLDEN / case).glob("*.json")
+    provenance = json.loads(report.read_text())["provenance"]
+    assert set(provenance["config"]) == given
+    assert provenance["subcommand"] == argv[0]
+    # only verify and decompose read a seed
+    assert ("seed" in provenance) == (argv[0] in ("verify", "decompose"))
+
+
+def test_no_golden_holds_a_numpy_repr():
+    for path in GOLDEN.parent.rglob("*"):
+        if path.is_file():
+            assert b"np.float64(" not in path.read_bytes(), path
 
 
 def record() -> None:

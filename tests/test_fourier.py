@@ -190,8 +190,8 @@ def test_carleson_monotone_under_refinement():
 
 
 def test_carleson_refinement_evaluates_only_inserted_levels(monkeypatch):
-    # 34 levels, then the 33 midpoints of one doubling: 67 S_N evaluations
-    # where re-evaluating the whole refined schedule would take 34 + 67
+    # 33 levels, then the 32 midpoints of one doubling: 65 S_N evaluations
+    # where re-evaluating the whole refined schedule would take 33 + 65
     f = chi(1.0, 2.0)
     sched = geometric_schedule(0.25, 64.0)
     x = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
@@ -203,7 +203,7 @@ def test_carleson_refinement_evaluates_only_inserted_levels(monkeypatch):
 
     monkeypatch.setattr(operators, "dirichlet_sn", counting_sn)
     got = carleson(f, sched, x, refine_tolerance=100.0)
-    assert len(calls) == 67 == len(set(calls))
+    assert len(calls) == 65 == len(set(calls))
     assert np.array_equal(got, carleson(f, refine_schedule(sched), x))
 
 

@@ -216,6 +216,23 @@ def test_geometric_schedule_covers_and_overshoots_bounded():
     np.testing.assert_allclose(ratios, 2.0 ** 0.25, rtol=1e-12)
 
 
+def test_geometric_schedule_octaves_are_exact():
+    s = geometric_schedule(0.25, 64.0)
+    assert s.size == 33 and s[-1] == 64.0
+    assert s[::4].tolist() == [0.25 * 2.0**m for m in range(9)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(lo=st.floats(1e-6, 1e6), octaves=st.floats(0.0, 20.0), k=st.integers(-30, 30))
+def test_geometric_schedule_stops_at_hi_and_dilates_exactly(lo, octaves, k):
+    hi = lo * 2.0**octaves
+    s = geometric_schedule(lo, hi)
+    assert s[0] == lo and s[-1] >= hi
+    assert s.size == 1 or s[-2] < hi
+    dilated = geometric_schedule(math.ldexp(lo, k), math.ldexp(hi, k))
+    assert np.array_equal(dilated, np.ldexp(s, k))
+
+
 # -- scale covariance ---------------------------------------------------------
 
 

@@ -6,7 +6,8 @@ Compares every file under `tests/golden` with its copy at `HEAD` and prints:
   largest absolute and relative delta.  List indices are folded into `[]`,
   except that a list entry holding a "criterion" is named by it, so every
   verdict keeps its own key;
-- keys added or removed, and non-JSON files whose bytes differ;
+- the same for each column of a CSV, keyed `<file>:<column>[]`;
+- keys added or removed, and other files whose bytes differ;
 - any flip of a verdict's (or a report's) `passed` flag.
 
 Run from anywhere inside the repository, after a re-record:
@@ -16,6 +17,8 @@ Run from anywhere inside the repository, after a re-record:
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import re
@@ -62,6 +65,14 @@ def keyed(doc) -> dict:
     return dict(leaves(doc))
 
 
+def parsed(rel: str, data: bytes) -> dict:
+    """A golden's scalars by key: a JSON document's as above, a CSV's by file and column."""
+    if rel.endswith(".json"):
+        return keyed(json.loads(data))
+    header, *rows = csv.reader(io.StringIO(data.decode()))
+    return keyed({f"{rel}:{name}": [float(row[c]) for row in rows] for c, name in enumerate(header)})
+
+
 def folded(key: str) -> str:
     """The key with unnamed list indices dropped, for grouping."""
     return re.sub(r"\[\]#\d+", "[]", key)
@@ -75,8 +86,8 @@ def main() -> None:
     rels = sorted(committed_files() | {
         str(p.relative_to(ROOT)) for p in (ROOT / GOLDEN).rglob("*") if p.is_file()
     })
-    # folded key -> [files, leaves, max abs delta, max rel delta, kind]
-    stats: dict[str, list] = defaultdict(lambda: [set(), 0, 0.0, 0.0, "changed"])
+    # folded key -> [files, leaves changed, max abs delta, max rel delta, leaves added, removed]
+    stats: dict[str, list] = defaultdict(lambda: [set(), 0, 0.0, 0.0, 0, 0])
     flips, other = [], []
     changed_files = 0
     for rel in rels:
@@ -86,29 +97,36 @@ def main() -> None:
         if old == new:
             continue
         changed_files += 1
-        if old is None or new is None or not rel.endswith(".json"):
+        if old is None or new is None or not rel.endswith((".json", ".csv")):
             other.append(f"{rel}: {'added' if old is None else 'removed' if new is None else 'bytes differ'}")
             continue
-        a, b = keyed(json.loads(old)), keyed(json.loads(new))
+        a, b = parsed(rel, old), parsed(rel, new)
         for key in sorted(a.keys() | b.keys()):
             va, vb = a.get(key), b.get(key)
             if key in a and key in b and repr(va) == repr(vb):
                 continue
             row = stats[folded(key)]
             row[0].add(rel)
-            row[1] += 1
-            if key not in b or key not in a:
-                row[4] = "removed" if key not in b else "added"
-            elif is_number(va) and is_number(vb):
-                d = abs(vb - va)
-                row[2] = max(row[2], d)
-                row[3] = max(row[3], d / abs(va) if va else math.inf)
+            if key not in a:
+                row[4] += 1
+            elif key not in b:
+                row[5] += 1
+            else:
+                row[1] += 1
+                if is_number(va) and is_number(vb):
+                    d = abs(vb - va)
+                    row[2] = max(row[2], d)
+                    row[3] = max(row[3], d / abs(va) if va else math.inf)
             if key.split(".")[-1] == "passed" and key in a and key in b:
                 flips.append(f"{rel}: {key}: {va} -> {vb}")
     print(f"{changed_files} files changed under {GOLDEN}")
-    for key, (files, n, d_abs, d_rel, kind) in sorted(stats.items()):
-        delta = f"max abs {d_abs:.6g}, max rel {d_rel:.6g}" if kind == "changed" else kind
-        print(f"{key}: {len(files)} files, {n} values, {delta}")
+    for key, (files, n, d_abs, d_rel, added, removed) in sorted(stats.items()):
+        parts = [f"{n} values, max abs {d_abs:.6g}, max rel {d_rel:.6g}"] if n else []
+        if added:
+            parts.append(f"{added} added")
+        if removed:
+            parts.append(f"{removed} removed")
+        print(f"{key}: {len(files)} files, {', '.join(parts)}")
     for line in other:
         print(line)
     print(f"passed flips: {len(flips)}")
