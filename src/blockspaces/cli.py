@@ -71,7 +71,9 @@ class RunConfig:
         }
         if self.params is not None:
             config["params"] = [1.0, self.params.p, self.params.s, self.params.alpha]
-        seed = {"seed": self.seed or 0} if "seed" in _SUBCOMMANDS[self.subcommand][2] else {}
+        routes = _ROUTES.get(self.subcommand)
+        reads = routes[self.op or next(iter(routes))] if routes else _SUBCOMMANDS[self.subcommand][2]
+        seed = {"seed": self.seed or 0} if "seed" in reads else {}
         return {"subcommand": self.subcommand, "config": config, "version": __version__, **seed}
 
 

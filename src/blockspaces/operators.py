@@ -14,7 +14,9 @@ Working sets stay bounded.  The points x breakpoints kernels (S_N and both
 Hilbert forms) and the exact maximal function's candidate intervals run over
 row blocks of about 256 KiB per float64 temporary instead of one dense
 array, so their peak memory does not grow with the number of points and
-each temporary stays in cache.  The blocks reproduce the dense results bit
+each temporary stays in cache.  A kernel allocates its block buffers once
+per call and reuses them for every block, so the blocks do not fault in
+fresh pages one after another.  The blocks reproduce the dense results bit
 for bit and do not depend on the BLAS thread count.  The lattice maximal
 function filters each window width only over the cells that window can
 reach from the support of |f|.
@@ -111,11 +113,13 @@ def _require_pv_clear(f: PiecewiseConstant1D, x: np.ndarray) -> None:
         )
 
 
-def _rowwise(kernel, x: np.ndarray, ncols: int, coeffs: np.ndarray) -> np.ndarray:
+def _rowwise(kernel_for, x: np.ndarray, ncols: int, coeffs: np.ndarray) -> np.ndarray:
     """kernel(x) @ coeffs for a kernel giving one row of ncols per point, in row blocks.
 
-    Equal bit for bit to the dense product, whose kernel matrix the blocks
-    never hold at once.
+    kernel_for(rows) allocates the kernel's block buffers, once per call, for
+    blocks of at most `rows` points, and returns the kernel, which takes one
+    block of points.  Equal bit for bit to the dense product, whose kernel
+    matrix the blocks never hold at once.
     """
     # OpenBLAS dgemv sums rows in groups of 4, so each row's reduction order
     # is the dense one only if every block starts at a multiple of 4;
@@ -125,26 +129,41 @@ def _rowwise(kernel, x: np.ndarray, ncols: int, coeffs: np.ndarray) -> np.ndarra
     rows = max(64, _BLOCK_BYTES // (8 * ncols) // 64 * 64)
     starts = list(range(0, x.size, rows))
     # numpy sends a 1-row matmul to dot, which sums in another order than
-    # gemv: a final 1-row block joins the block before it
+    # gemv: a final 1-row block joins the block before it, one row longer
     if len(starts) > 1 and x.size - starts[-1] == 1:
         starts.pop()
+    bounds = list(zip(starts, starts[1:] + [x.size]))
+    kernel = kernel_for(max((hi - lo for lo, hi in bounds), default=0))
     out = np.empty(x.size)
-    for lo, hi in zip(starts, starts[1:] + [x.size]):
+    for lo, hi in bounds:
         out[lo:hi] = kernel(x[lo:hi]) @ coeffs
+    return out
+
+
+def _differences(xb: np.ndarray, bps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x - b_j for every point x of xb and breakpoint b_j, written over out."""
+    # copying the points first leaves a subtraction that broadcasts one way
+    # only, which numpy runs faster than one broadcasting both ways
+    np.copyto(out, xb[:, None])
+    out -= bps
     return out
 
 
 def _jump_sum(f: PiecewiseConstant1D, x: np.ndarray, g) -> np.ndarray:
     """(1/pi) sum_i v_i (g(x - b_i) - g(x - b_i+1)), summed as (1/pi) sum_j c_j g(x - b_j).
 
-    c_j is the jump of f at b_j.  g acts elementwise on a block of points x
-    breakpoints differences that nothing else holds, and overwrites it: each
-    further block-sized temporary that stays live takes fresh pages from the
-    allocator on every block.
+    c_j is the jump of f at b_j.  Each block of points x breakpoints
+    differences goes into one buffer allocated per call, and g acts on it
+    elementwise and may overwrite it.
     """
     bps = np.asarray(f.breakpoints, dtype=float)
     c = np.diff(np.concatenate([[0.0], np.asarray(f.values, dtype=float), [0.0]]))
-    return _rowwise(lambda xb: g(xb[:, None] - bps[None, :]), x, bps.size, c) / math.pi
+
+    def kernel_for(rows):
+        buf = np.empty((rows, bps.size))
+        return lambda xb: g(_differences(xb, bps, buf[: xb.size]))
+
+    return _rowwise(kernel_for, x, bps.size, c) / math.pi
 
 
 def _sup_abs(levels, evaluate, x: np.ndarray) -> np.ndarray:
@@ -169,15 +188,16 @@ def hilbert(f: PiecewiseConstant1D, grid) -> np.ndarray:
     return _jump_sum(f, x, lambda d: np.log(np.abs(d, out=d), out=d))
 
 
-def _clipped_log(num: np.ndarray, den: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """log(num / den) where mask holds, 0 elsewhere, written over num; the ratio is formed only under the mask."""
-    np.divide(num, den, out=num, where=mask)
-    np.copyto(num, 1.0, where=~mask)
-    return np.log(num, out=num)
-
-
 def hilbert_truncated(f: PiecewiseConstant1D, eps: float, grid) -> np.ndarray:
-    """Integral of f(y)/(pi (x-y)) over |x - y| > eps, by exact interval clipping."""
+    """Integral of f(y)/(pi (x-y)) over |x - y| > eps, by exact interval clipping.
+
+    Piece [a, b] adds log((x - a) / (x - min(b, x - eps))) where a < x - eps,
+    plus log((max(a, x + eps) - x) / (b - x)) where x + eps < b.  A piece
+    wholly outside [x - eps, x + eps] adds log((x - a) / (x - b)), which one
+    row of differences x - b_j shared by all pieces gives with the bits of
+    the clipped form, since a - x = -(x - a) exactly.  Only the pieces that
+    hold x - eps or x + eps, at most two per point, are clipped.
+    """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     x = _as_points(grid)
@@ -185,22 +205,36 @@ def hilbert_truncated(f: PiecewiseConstant1D, eps: float, grid) -> np.ndarray:
         return np.zeros_like(x)
     bps = np.asarray(f.breakpoints, dtype=float)
     v = np.asarray(f.values, dtype=float)
-    a, b = bps[:-1][None, :], bps[1:][None, :]
+    a, b = bps[:-1], bps[1:]
 
-    def clipped_logs(xb):
-        # log((x - a) / (x - bl)) where a < bl = min(b, x - eps), plus
-        # log((ar - x) / (b - x)) where ar = max(a, x + eps) < b, in three
-        # block buffers: each further live temporary takes fresh pages
-        xx = xb[:, None]
-        bl = np.minimum(b, xx - eps)
-        mask = a < bl
-        left = _clipped_log(xx - a, np.subtract(xx, bl, out=bl), mask)
-        ar = np.maximum(a, xx + eps, out=bl)
-        np.less(ar, b, out=mask)
-        right = _clipped_log(np.subtract(ar, xx, out=ar), b - xx, mask)
-        return np.add(left, right, out=left)
+    def kernel_for(rows):
+        diffs = np.empty((rows, bps.size))
+        logs = np.empty((rows, v.size))
+        outside = np.empty((rows, v.size), dtype=bool)
+        beyond = np.empty((rows, v.size), dtype=bool)
 
-    return _rowwise(clipped_logs, x, v.size, v) / math.pi
+        def clipped_logs(xb):
+            n = xb.size
+            d, t, whole = _differences(xb, bps, diffs[:n]), logs[:n], outside[:n]
+            lo, hi = xb - eps, xb + eps
+            np.less_equal(b, lo[:, None], out=whole)
+            whole |= np.greater_equal(a, hi[:, None], out=beyond[:n])
+            t.fill(1.0)  # log 1 = +0 for the other pieces, as the clipped form gives
+            np.divide(d[:, :-1], d[:, 1:], out=t, where=whole)
+            np.log(t, out=t)
+            # the piece holding x - eps, clipped to [a, x - eps], then the one
+            # holding x + eps, clipped to [x + eps, b]: left + right, in that order
+            k = np.minimum(np.searchsorted(b, lo, side="right"), v.size - 1)
+            (i,) = np.nonzero((a[k] < lo) & (lo < b[k]))
+            t[i, k[i]] += np.log((xb[i] - a[k[i]]) / (xb[i] - lo[i]))
+            k = np.maximum(np.searchsorted(a, hi) - 1, 0)
+            (i,) = np.nonzero((a[k] < hi) & (hi < b[k]))
+            t[i, k[i]] += np.log((hi[i] - xb[i]) / (b[k[i]] - xb[i]))
+            return t
+
+        return clipped_logs
+
+    return _rowwise(kernel_for, x, v.size, v) / math.pi
 
 
 def geometric_schedule(lo: float, hi: float) -> np.ndarray:

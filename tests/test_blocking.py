@@ -5,22 +5,31 @@ breakpoints kernels over row blocks.  Each must equal the dense
 `kernel @ coeffs` bit for bit.  The dense product is itself thread-dependent
 on large matrices (OpenBLAS splits the rows between threads), so the oracle
 runs in a subprocess with one BLAS thread, and the blocked kernels run here
-with the process's default thread count.
+with the process's default thread count.  The oracle clips every piece for
+hilbert_truncated; the kernel clips only the pieces holding x - eps or
+x + eps, and must still give the same bits.
 """
 
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import blockspaces
-from blockspaces import PiecewiseConstant1D, dirichlet_sn, hilbert, hilbert_truncated
+from blockspaces import PiecewiseConstant1D, dirichlet_sn, hilbert, hilbert_truncated, operators
 
 SIZES = (1, 2, 63, 64, 65, 66, 129, 4097, 8193)
 BREAKPOINTS = (2, 1025)
+# a final 1-row block joins the block before it, so the block buffers hold
+# one row more than a block: 16384 + 1 rows for the 2-column kernels
+# (dirichlet_sn, hilbert) and 32768 + 1 for hilbert_truncated's 1 piece.
+# Dense at 1025 breakpoints these would take gigabytes, so only the narrow
+# kernels run them
+SIZES_BY_BREAKPOINTS = {2: SIZES + (16385, 32769), 1025: SIZES}
 # frequencies keeping the 1025-breakpoint kernel in the cheap |t| <= 8 branch
 # of Si, and the 2-breakpoint one across all three branches
 FREQUENCY = {2: 8.0, 1025: 0.5}
@@ -74,21 +83,27 @@ def _env(**extra) -> dict:
 @pytest.fixture(scope="module")
 def dense(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("dense")
-    inputs = {"breakpoints": np.array(BREAKPOINTS), "sizes": np.array(SIZES), "eps": EPS}
-    for nb in BREAKPOINTS:
+    out = {}
+    for nb, sizes in SIZES_BY_BREAKPOINTS.items():
         f = _function(nb)
-        inputs[f"bps{nb}"] = np.asarray(f.breakpoints)
-        inputs[f"v{nb}"] = np.asarray(f.values)
-        inputs[f"N{nb}"] = FREQUENCY[nb]
-    for size in SIZES:
-        inputs[f"x{size}"] = _points(size)
-    np.savez(tmp / "inputs.npz", **inputs)
-    subprocess.run(
-        [sys.executable, "-c", ORACLE, str(tmp / "inputs.npz"), str(tmp / "dense.npz")],
-        env=_env(OPENBLAS_NUM_THREADS="1"),
-        check=True,
-    )
-    return dict(np.load(tmp / "dense.npz"))
+        inputs = {
+            "breakpoints": np.array([nb]),
+            "sizes": np.array(sizes),
+            "eps": EPS,
+            f"bps{nb}": np.asarray(f.breakpoints),
+            f"v{nb}": np.asarray(f.values),
+            f"N{nb}": FREQUENCY[nb],
+        }
+        for size in sizes:
+            inputs[f"x{size}"] = _points(size)
+        np.savez(tmp / f"inputs{nb}.npz", **inputs)
+        subprocess.run(
+            [sys.executable, "-c", ORACLE, str(tmp / f"inputs{nb}.npz"), str(tmp / f"dense{nb}.npz")],
+            env=_env(OPENBLAS_NUM_THREADS="1"),
+            check=True,
+        )
+        out.update(np.load(tmp / f"dense{nb}.npz"))
+    return out
 
 
 KERNELS = {
@@ -102,11 +117,49 @@ KERNELS = {
 @pytest.mark.parametrize("op", sorted(KERNELS))
 def test_blocked_kernel_equals_dense_product(op, nb, dense):
     f = _function(nb)
-    for size in SIZES:
+    for size in SIZES_BY_BREAKPOINTS[nb]:
         got = KERNELS[op](f, nb, _points(size))
         want = dense[f"{op}-{nb}-{size}"]
         assert got.shape == want.shape == (size,)
         assert np.array_equal(got, want), f"{op}, {nb} breakpoints, {size} points"
+
+
+@pytest.mark.parametrize("op", ["hilbert", "hilbert_truncated"])
+def test_block_buffers_are_allocated_once_per_call(op, monkeypatch):
+    # 1024 pieces give 64-row blocks, so 64 * 65 points run 65 of them.  A
+    # counting fake of _rowwise's kernel sees how often the buffers are
+    # built, and tracemalloc (which sees numpy's data) how much each block
+    # allocates beyond them: less than one 64 x 1024 buffer
+    f = _function(1025)
+    x = _points(64 * 65)
+    rowwise, built, blocks = operators._rowwise, [], []
+
+    def counting_rowwise(kernel_for, x, ncols, coeffs):
+        def counting_kernel_for(rows):
+            built.append(rows)
+            kernel = kernel_for(rows)
+
+            def counting_kernel(xb):
+                tracemalloc.reset_peak()
+                start, _ = tracemalloc.get_traced_memory()
+                out = kernel(xb)
+                _, peak = tracemalloc.get_traced_memory()
+                blocks.append(peak - start)
+                return out
+
+            return counting_kernel
+
+        return rowwise(counting_kernel_for, x, ncols, coeffs)
+
+    monkeypatch.setattr(operators, "_rowwise", counting_rowwise)
+    tracemalloc.start()
+    try:
+        KERNELS[op](f, 1025, x)
+    finally:
+        tracemalloc.stop()
+    assert built == [64]
+    assert len(blocks) == 65
+    assert max(blocks) < 64 * 1024 * 8, blocks
 
 
 def test_partial_sum_error_norm_memory_is_bounded():

@@ -101,8 +101,8 @@ def test_provenance_echoes_the_flags_given(case):
     provenance = json.loads(report.read_text())["provenance"]
     assert set(provenance["config"]) == given
     assert provenance["subcommand"] == argv[0]
-    # only verify and decompose read a seed
-    assert ("seed" in provenance) == (argv[0] in ("verify", "decompose"))
+    # only verify and decompose --op upper-bound read a seed
+    assert ("seed" in provenance) == (argv[0] == "verify" or "upper-bound" in argv)
 
 
 def test_no_golden_holds_a_numpy_repr():

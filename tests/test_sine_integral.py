@@ -208,3 +208,51 @@ def test_each_value_depends_only_on_its_argument(data, points):
     np.testing.assert_array_equal(sine_integral(t).view(np.uint64), alone.view(np.uint64))
     order = np.array(data.draw(st.permutations(range(t.size))))
     np.testing.assert_array_equal(sine_integral(t[order]).view(np.uint64), alone[order].view(np.uint64))
+
+
+#: |t| wholly inside one branch each: <= 8, (8, 44), [44, 1024), [1024, inf)
+_ONE_BRANCH = (
+    st.floats(0.0, 8.0),
+    st.floats(8.0, 44.0, exclude_min=True, exclude_max=True),
+    st.floats(44.0, 1024.0, exclude_max=True),
+    st.floats(1024.0, allow_infinity=False),
+)
+_OUTSIDE_EVERY_BRANCH = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    data=st.data(),
+    branch=st.sampled_from(_ONE_BRANCH),
+    signs=st.lists(st.booleans(), min_size=1, max_size=300),
+    mixed_in=st.lists(_OUTSIDE_EVERY_BRANCH, max_size=4),
+)
+def test_one_branch_array_has_the_bits_of_the_gather(data, branch, signs, mixed_in):
+    # an array within one branch is evaluated whole, without a gather; each
+    # element keeps the bits it gets alone, and the bits the masked path
+    # gives once a NaN sends the array there
+    t = np.array([-x if neg else x for x, neg in ((data.draw(branch), neg) for neg in signs)])
+    whole = sine_integral(t).view(np.uint64)
+    alone = np.array([sine_integral(x) for x in t]).view(np.uint64)
+    np.testing.assert_array_equal(whole, alone)
+    gathered = sine_integral(np.append(t, math.nan))[:-1].view(np.uint64)
+    np.testing.assert_array_equal(whole, gathered)
+    mixed = np.insert(t, data.draw(st.integers(0, t.size)), mixed_in)
+    np.testing.assert_array_equal(
+        sine_integral(mixed).view(np.uint64), np.array([sine_integral(x) for x in mixed]).view(np.uint64)
+    )
+
+
+def test_long_arrays_go_slice_by_slice_with_the_same_bits():
+    # a long array is evaluated one slice at a time, and each slice takes
+    # its own path: wholly small, mixed (here with a NaN) or wholly far
+    n = si_module._SLICE
+    rng = np.random.default_rng(21)
+    t = np.concatenate(
+        [rng.uniform(-8.0, 8.0, n), rng.uniform(-3000.0, 3000.0, n), np.exp(rng.uniform(7.0, 30.0, n // 2))]
+    )
+    t[n + 5] = math.nan
+    pieces = np.concatenate([sine_integral(p) for p in np.array_split(t, t.size // 97)])
+    np.testing.assert_array_equal(sine_integral(t).view(np.uint64), pieces.view(np.uint64))
+    grid = sine_integral(t[: 2 * n].reshape(64, -1, order="F"))
+    np.testing.assert_array_equal(grid.view(np.uint64), pieces[: 2 * n].reshape(64, -1, order="F").view(np.uint64))
