@@ -71,10 +71,10 @@ class RunConfig:
         }
         if self.params is not None:
             config["params"] = [1.0, self.params.p, self.params.s, self.params.alpha]
-        routes = _ROUTES.get(self.subcommand)
-        reads = routes[self.op or next(iter(routes))] if routes else _SUBCOMMANDS[self.subcommand][2]
+        sub = self.subcommand
+        reads = _ROUTES[sub][_route(sub, self.op)] if sub in _ROUTES else _SUBCOMMANDS[sub][2]
         seed = {"seed": self.seed or 0} if "seed" in reads else {}
-        return {"subcommand": self.subcommand, "config": config, "version": __version__, **seed}
+        return {"subcommand": sub, "config": config, "version": __version__, **seed}
 
 
 def _parse_number(text: str) -> float:
@@ -319,6 +319,12 @@ _ROUTES = {
     "sweep": {"e-of-N": ("input",), "hilbert": (), "hilbert_maximal": (), "carleson": (), "sn": ()},
 }
 
+
+def _route(sub: str, op: str | None) -> str:
+    """The --op route a run of sub takes: op, or sub's first route without --op."""
+    return op or next(iter(_ROUTES[sub]))
+
+
 #: (subcommand, route) -> the route-only flags that route cannot run without
 _ROUTE_NEEDS = {("sweep", "e-of-N"): ("input",)}
 
@@ -364,7 +370,7 @@ def _parse_argv(argv=None) -> dict:
     sub = opts["subcommand"]
     routes = _ROUTES.get(sub)
     if routes:
-        route = opts.get("op", next(iter(routes)))
+        route = _route(sub, opts.get("op"))
         route_only = {flag for flags in routes.values() for flag in flags}
         for flag in sorted(route_only.difference(routes[route]).intersection(opts)):
             parser.error(f"{sub} --op {route} does not read --{flag}")

@@ -26,12 +26,11 @@ Four branches, all vectorized and all odd in t:
 The limit pi/2 is returned at |t| = inf.  Against 40-digit mpmath the
 largest error is 2.2e-16 (one ulp of pi/2) in every decade from 44 to 1e16.
 
-An array is evaluated in slices of 16384 arguments, so that each Horner
-step's arrays stay in cache.  A slice whose arguments all lie in one branch
-is evaluated whole, without a gather; a mixed slice, or one holding an
-infinity or a NaN, gathers each branch's arguments and scatters the results
-back.  The branches work in place, and every value has the bits it has
-alone.
+An array wholly in |t| <= 8 runs the series on t itself, and one wholly in
+the far branch runs that branch on |t|, without a gather; any other array,
+or one holding an infinity or a NaN, gathers each branch's arguments and
+scatters the results back.  The branches work in place, and every value has
+the bits it has alone.
 
 The series coefficients and K are computed once, exactly, from integer
 factorials.
@@ -52,7 +51,6 @@ _TABLE_CUTOFF = 8.0
 _ASYMPTOTIC_CUTOFF = 44.0
 _FAR_CUTOFF = 1024.0
 _FAR_BOUND = Fraction(1, 2**64)
-_SLICE = 1 << 14           # arguments per slice: a Horner step's two arrays stay in L2
 
 
 def _taylor_coefficient(m: int) -> Fraction:
@@ -135,13 +133,8 @@ def _si_asymptotic(t: np.ndarray, terms: int) -> np.ndarray:
 
 
 def _si_of_abs(a: np.ndarray) -> np.ndarray:
-    """Si at each |t| in a, pi/2 where it is infinite or NaN; one branch's arguments alone skip the gather."""
-    lo, hi = a.min(), a.max()  # NaN if any |t| is NaN
-    if _TABLE_CUTOFF < lo and hi < _ASYMPTOTIC_CUTOFF:
-        return _si_taylor_table(a)
-    if _ASYMPTOTIC_CUTOFF <= lo and hi < _FAR_CUTOFF:
-        return _si_asymptotic(a, _ASYMPTOTIC_TERMS)
-    if _FAR_CUTOFF <= lo and hi < math.inf:
+    """Si at each |t| in a, pi/2 where it is infinite or NaN; an array wholly in the far branch skips the gather."""
+    if _FAR_CUTOFF <= a.min() and a.max() < math.inf:  # False if a |t| is NaN
         return _si_asymptotic(a, _FAR_TERMS)
     out = np.full_like(a, 0.5 * math.pi)  # the limit, kept where |t| is infinite
     small = a <= _TABLE_CUTOFF
@@ -161,24 +154,19 @@ def _si_of_abs(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _si_slice(t: np.ndarray) -> np.ndarray:
-    if -_TABLE_CUTOFF <= t.min() and t.max() <= _TABLE_CUTOFF:  # False if a t is NaN
-        # the series is odd in t, so its last factor t gives the sign; + 0.0
-        # turns Si(-0) = -0 into the +0 that Si(|t|) sign(t) gives
-        out = _si_taylor_plain(t)
-        out += 0.0
-        return out
-    a = np.abs(t)
-    out = _si_of_abs(a)
-    out *= np.sign(t, out=a)
-    return out
-
-
 def sine_integral(t):
     """Si(t) for scalar or array t; exactly odd, |error| < 1e-12 on |t| <= 1e3 and < 1e-15 on 1e3 <= |t| <= 2^53, pi/2 at inf."""
     arr = np.asarray(t, dtype=float)
     flat = arr.reshape(-1)
-    out = np.empty_like(flat)
-    for lo in range(0, flat.size, _SLICE):
-        out[lo : lo + _SLICE] = _si_slice(flat[lo : lo + _SLICE])
+    if not flat.size:
+        return np.empty_like(arr)
+    if -_TABLE_CUTOFF <= flat.min() and flat.max() <= _TABLE_CUTOFF:  # False if a t is NaN
+        # the series is odd in t, so its last factor t gives the sign; + 0.0
+        # turns Si(-0) = -0 into the +0 that Si(|t|) sign(t) gives
+        out = _si_taylor_plain(flat)
+        out += 0.0
+    else:
+        a = np.abs(flat)
+        out = _si_of_abs(a)
+        out *= np.sign(flat, out=a)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

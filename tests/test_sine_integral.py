@@ -228,9 +228,9 @@ _OUTSIDE_EVERY_BRANCH = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.na
     mixed_in=st.lists(_OUTSIDE_EVERY_BRANCH, max_size=4),
 )
 def test_one_branch_array_has_the_bits_of_the_gather(data, branch, signs, mixed_in):
-    # an array within one branch is evaluated whole, without a gather; each
-    # element keeps the bits it gets alone, and the bits the masked path
-    # gives once a NaN sends the array there
+    # an array wholly in |t| <= 8 or wholly far is evaluated whole, without a
+    # gather; in every branch each element keeps the bits it gets alone, and
+    # the bits the masked path gives once a NaN sends the array there
     t = np.array([-x if neg else x for x, neg in ((data.draw(branch), neg) for neg in signs)])
     whole = sine_integral(t).view(np.uint64)
     alone = np.array([sine_integral(x) for x in t]).view(np.uint64)
@@ -243,16 +243,19 @@ def test_one_branch_array_has_the_bits_of_the_gather(data, branch, signs, mixed_
     )
 
 
-def test_long_arrays_go_slice_by_slice_with_the_same_bits():
-    # a long array is evaluated one slice at a time, and each slice takes
-    # its own path: wholly small, mixed (here with a NaN) or wholly far
-    n = si_module._SLICE
+def test_grids_keep_their_shape_and_bits():
+    # the driver works on the flattened array: a grid in either memory order
+    # gets each element's bits in place on every path, and an empty array
+    # comes back empty
     rng = np.random.default_rng(21)
-    t = np.concatenate(
-        [rng.uniform(-8.0, 8.0, n), rng.uniform(-3000.0, 3000.0, n), np.exp(rng.uniform(7.0, 30.0, n // 2))]
-    )
-    t[n + 5] = math.nan
-    pieces = np.concatenate([sine_integral(p) for p in np.array_split(t, t.size // 97)])
-    np.testing.assert_array_equal(sine_integral(t).view(np.uint64), pieces.view(np.uint64))
-    grid = sine_integral(t[: 2 * n].reshape(64, -1, order="F"))
-    np.testing.assert_array_equal(grid.view(np.uint64), pieces[: 2 * n].reshape(64, -1, order="F").view(np.uint64))
+    small = rng.uniform(-8.0, 8.0, 300)
+    far = np.exp(rng.uniform(7.0, 30.0, 300)) * rng.choice([-1.0, 1.0], 300)
+    for t in (small, far, np.concatenate([small, far])):
+        alone = np.array([sine_integral(x) for x in t])
+        for order in "CF":
+            grid = sine_integral(t.reshape(20, -1, order=order))
+            expected = alone.reshape(20, -1, order=order)
+            np.testing.assert_array_equal(grid.view(np.uint64), expected.view(np.uint64))
+    for shape in [(0,), (0, 3)]:
+        empty = sine_integral(np.zeros(shape))
+        assert empty.shape == shape and empty.dtype == np.float64
