@@ -6,12 +6,13 @@ and the partial sum S_N of a piecewise-constant f are one jump sum,
 with g = log|.| or g = Si(2 pi N .).  The maximal truncated Hilbert transform
 and the Carleson operator are one sup over levels: the pointwise max of
 |T f| over an explicit geometric schedule of truncations or frequencies.
-The uncentered maximal function is evaluated exactly from a finite set of
-candidate intervals; the claims measure it that way.  A discretized lattice
-maximal function stays beside it as a second route.
+The uncentered maximal function is evaluated from a finite set of
+candidate intervals, exactly up to rounding except within a few ulps of a
+breakpoint (see `maximal_1d_exact`); the claims measure it that way.  A
+discretized lattice maximal function stays beside it as a second route.
 
 Working sets stay bounded.  The points x breakpoints kernels (S_N and both
-Hilbert forms) and the exact maximal function's candidate intervals run over
+Hilbert forms) and `maximal_1d_exact`'s candidate intervals run over
 row blocks of about 256 KiB per float64 temporary instead of one dense
 array, so their peak memory does not grow with the number of points and
 each temporary stays in cache.  A kernel allocates its block buffers once
@@ -414,7 +415,7 @@ def hl_maximal(f: LatticeFunction, window_halfwidths) -> LatticeFunction:
         raise ValueError(
             f"window halfwidth {max(widths)} exceeds the domain's {f.cells_per_axis} cells"
         )
-    from scipy import ndimage  # only claim 3.1 needs it; kept out of `import blockspaces`
+    from scipy import ndimage  # no claim uses hl_maximal; kept out of `import blockspaces`
 
     absf = np.abs(f.values)
     out = absf.copy()
@@ -432,7 +433,13 @@ def hl_maximal(f: LatticeFunction, window_halfwidths) -> LatticeFunction:
 
 
 def maximal_1d_exact(f: PiecewiseConstant1D, grid) -> np.ndarray:
-    """Exact continuum uncentered maximal function of piecewise-constant f.
+    """Continuum uncentered maximal function of piecewise-constant f.
+
+    Exact up to rounding, except within a few ulps of a breakpoint: there a
+    candidate interval's mass, a difference of two cumulative masses, can
+    round to as much as the mass itself, and the value can be off by a
+    factor (2.0 for chi[-1, 1] split at 0.7, at the double after 0.7; see
+    the FOUND line on `maximal_1d_exact` in CHANGES.md).
 
     The average over [a, b] containing x is maximized at endpoints drawn from
     the breakpoints and x itself (the derivative in each endpoint has the

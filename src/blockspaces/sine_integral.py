@@ -26,11 +26,11 @@ Four branches, all vectorized and all odd in t:
 The limit pi/2 is returned at |t| = inf.  Against 40-digit mpmath the
 largest error is 2.2e-16 (one ulp of pi/2) in every decade from 44 to 1e16.
 
-An array wholly in |t| <= 8 runs the series on t itself, and one wholly in
-the far branch runs that branch on |t|, without a gather; any other array,
-or one holding an infinity or a NaN, gathers each branch's arguments and
-scatters the results back.  The branches work in place, and every value has
-the bits it has alone.
+`_BRANCHES` states each branch's half-open |t| range once.  An array wholly
+in |t| <= 8 runs the series on t itself; one whose |t| all lie in one range
+runs that branch on |t| without a gather; any other array, or one holding an
+infinity or a NaN, gathers each branch's arguments and scatters the results
+back.  Every value has the bits it has alone.
 
 The series coefficients and K are computed once, exactly, from integer
 factorials.
@@ -132,26 +132,14 @@ def _si_asymptotic(t: np.ndarray, terms: int) -> np.ndarray:
     return out
 
 
-def _si_of_abs(a: np.ndarray) -> np.ndarray:
-    """Si at each |t| in a, pi/2 where it is infinite or NaN; an array wholly in the far branch skips the gather."""
-    if _FAR_CUTOFF <= a.min() and a.max() < math.inf:  # False if a |t| is NaN
-        return _si_asymptotic(a, _FAR_TERMS)
-    out = np.full_like(a, 0.5 * math.pi)  # the limit, kept where |t| is infinite
-    small = a <= _TABLE_CUTOFF
-    mid = (a > _TABLE_CUTOFF) & (a < _ASYMPTOTIC_CUTOFF)
-    large = (a >= _ASYMPTOTIC_CUTOFF) & (a < np.inf)
-    if np.any(small):
-        out[small] = _si_taylor_plain(a[small])
-    if np.any(mid):
-        out[mid] = _si_taylor_table(a[mid])
-    if np.any(large):
-        far = large & (a >= _FAR_CUTOFF)
-        near = large ^ far
-        if np.any(near):
-            out[near] = _si_asymptotic(a[near], _ASYMPTOTIC_TERMS)
-        if np.any(far):
-            out[far] = _si_asymptotic(a[far], _FAR_TERMS)
-    return out
+#: Si's four branches, each evaluating the |t| in its half-open range [lo, hi);
+#: +-inf and NaN fall in none and keep the limit pi/2
+_BRANCHES = (
+    (0.0, math.nextafter(_TABLE_CUTOFF, math.inf), _si_taylor_plain),
+    (math.nextafter(_TABLE_CUTOFF, math.inf), _ASYMPTOTIC_CUTOFF, _si_taylor_table),
+    (_ASYMPTOTIC_CUTOFF, _FAR_CUTOFF, lambda a: _si_asymptotic(a, _ASYMPTOTIC_TERMS)),
+    (_FAR_CUTOFF, math.inf, lambda a: _si_asymptotic(a, _FAR_TERMS)),
+)
 
 
 def sine_integral(t):
@@ -160,13 +148,22 @@ def sine_integral(t):
     flat = arr.reshape(-1)
     if not flat.size:
         return np.empty_like(arr)
-    if -_TABLE_CUTOFF <= flat.min() and flat.max() <= _TABLE_CUTOFF:  # False if a t is NaN
+    small_end = _BRANCHES[0][1]
+    if -small_end < flat.min() and flat.max() < small_end:  # False if a t is NaN
         # the series is odd in t, so its last factor t gives the sign; + 0.0
         # turns Si(-0) = -0 into the +0 that Si(|t|) sign(t) gives
         out = _si_taylor_plain(flat)
         out += 0.0
     else:
         a = np.abs(flat)
-        out = _si_of_abs(a)
+        a_min, a_max = a.min(), a.max()
+        # None if the |t| span two ranges or one of them is inf or NaN
+        out = next((si(a) for lo, hi, si in _BRANCHES if lo <= a_min and a_max < hi), None)
+        if out is None:
+            out = np.full_like(a, 0.5 * math.pi)
+            for lo, hi, si in _BRANCHES:
+                inside = (a >= lo) & (a < hi)
+                if inside.any():
+                    out[inside] = si(a[inside])
         out *= np.sign(flat, out=a)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

@@ -598,25 +598,27 @@ _X_MAX = 256.0
 
 #: quadrature panels of e(N) evaluated at once, which bounds its working set
 _E_PANELS = 1 << 14
+#: Gauss-Legendre nodes in each panel of e(N)
+_E_NODES = 4
 
 
 def partial_sum_error_norm(f: PiecewiseConstant1D, params: WeightParams, N: float) -> float:
     """e(N) = weighted norm of S_N f - f on [-256, 256].
 
     Panels resolve both the oscillation (spacing 1/(4N)) and the weight
-    singularity at 0 (geometric grading to 2^-40), with 4 Gauss-Legendre
-    nodes each; the domain truncation is the one documented approximation.
+    singularity at 0 (geometric grading to 2^-40), with _E_NODES
+    Gauss-Legendre nodes each; the domain truncation is the one documented approximation.
     The panels are evaluated _E_PANELS at a time into one array of terms,
     summed once, so memory stays bounded as N grows.
     """
     if not N > 0:
         raise ValueError(f"N must be positive, got {N}")
     edges = oscillation_edges(f.breakpoints, _X_MAX, 1.0 / (4.0 * N))
-    terms = np.empty(4 * (edges.size - 1))
+    terms = np.empty(_E_NODES * (edges.size - 1))
     for i in range(0, edges.size - 1, _E_PANELS):
-        x, w = panel_nodes(edges[i : i + _E_PANELS + 1], 4)
+        x, w = panel_nodes(edges[i : i + _E_PANELS + 1], _E_NODES)
         diff = dirichlet_sn(f, N, x) - f(x)
-        terms[4 * i : 4 * i + x.size] = weighted_power_terms(diff, x, w, params.p, params.alpha)
+        terms[_E_NODES * i : _E_NODES * i + x.size] = weighted_power_terms(diff, x, w, params.p, params.alpha)
     return float(np.sum(terms)) ** (1.0 / params.p)
 
 
@@ -648,7 +650,7 @@ def _norm_convergence() -> VerificationReport:
             f={"breakpoints": list(f.breakpoints), "values": list(f.values)},
             N_schedule=[float(N) for N in sched],
             x_max=_X_MAX,
-            quadrature="panels at spacing 1/(4N), geometric grading to 2^-40 at 0, 4-node GL",
+            quadrature=f"panels at spacing 1/(4N), geometric grading to 2^-40 at 0, {_E_NODES}-node GL",
         ),
     )
 

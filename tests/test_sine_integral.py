@@ -228,9 +228,9 @@ _OUTSIDE_EVERY_BRANCH = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.na
     mixed_in=st.lists(_OUTSIDE_EVERY_BRANCH, max_size=4),
 )
 def test_one_branch_array_has_the_bits_of_the_gather(data, branch, signs, mixed_in):
-    # an array wholly in |t| <= 8 or wholly far is evaluated whole, without a
-    # gather; in every branch each element keeps the bits it gets alone, and
-    # the bits the masked path gives once a NaN sends the array there
+    # an array whose |t| all lie in one branch's range is evaluated whole,
+    # without a gather; each element keeps the bits it gets alone, and the
+    # bits the masked path gives once a NaN sends the array there
     t = np.array([-x if neg else x for x, neg in ((data.draw(branch), neg) for neg in signs)])
     whole = sine_integral(t).view(np.uint64)
     alone = np.array([sine_integral(x) for x in t]).view(np.uint64)
