@@ -435,11 +435,9 @@ def hl_maximal(f: LatticeFunction, window_halfwidths) -> LatticeFunction:
 def maximal_1d_exact(f: PiecewiseConstant1D, grid) -> np.ndarray:
     """Continuum uncentered maximal function of piecewise-constant f.
 
-    Exact up to rounding, except within a few ulps of a breakpoint: there a
-    candidate interval's mass, a difference of two cumulative masses, can
-    round to as much as the mass itself, and the value can be off by a
-    factor (2.0 for chi[-1, 1] split at 0.7, at the double after 0.7; see
-    the FOUND line on `maximal_1d_exact` in CHANGES.md).
+    Exact up to rounding, except within a few ulps of a breakpoint, where a
+    candidate's mass (a difference of two cumulative masses) can round to
+    as much as itself (see the FOUND on `maximal_1d_exact` in CHANGES.md).
 
     The average over [a, b] containing x is maximized at endpoints drawn from
     the breakpoints and x itself (the derivative in each endpoint has the
