@@ -288,7 +288,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 "where the nodes of the 2^k-scaled quadrature grid stay finite and normal, "
                 f"got k={outside[0]}"
             )
-        rows = [(k, _block_norm(op, cfg.params, k)) for k in ks]
+        rows = list(zip(ks, _block_norm(op, cfg.params, ks)))
         header = ("k", "norm")
     base = _write(cfg, {"rows": len(rows)}, rows, header)
     print(f"{len(rows)} rows -> {base}.csv")

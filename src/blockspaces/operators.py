@@ -21,6 +21,13 @@ fresh pages one after another.  The blocks reproduce the dense results bit
 for bit and do not depend on the BLAS thread count.  The lattice maximal
 function filters each window width only over the cells that window can
 reach from the support of |f|.
+
+The S_N and truncated Hilbert kernels also serve a family of functions on
+shared breakpoints, one row of values per function: each block's kernel
+is built once and multiplied with each row as its own matrix-vector
+product, so every row has the bits of the call on its function alone.
+Claim 3.1 evaluates its 13 dilated blocks as one such family per level
+(`_carleson_rows`, `_hilbert_maximal_rows`).
 """
 
 from __future__ import annotations
@@ -115,12 +122,14 @@ def _require_pv_clear(f: PiecewiseConstant1D, x: np.ndarray) -> None:
 
 
 def _rowwise(kernel_for, x: np.ndarray, ncols: int, coeffs: np.ndarray) -> np.ndarray:
-    """kernel(x) @ coeffs for a kernel giving one row of ncols per point, in row blocks.
+    """kernel(x) @ c for each row c of coeffs, for a kernel giving one row of ncols per point.
 
-    kernel_for(rows) allocates the kernel's block buffers, once per call, for
-    blocks of at most `rows` points, and returns the kernel, which takes one
-    block of points.  Equal bit for bit to the dense product, whose kernel
-    matrix the blocks never hold at once.
+    The result has one row per row of coeffs.  kernel_for(rows) allocates
+    the kernel's block buffers, once per call, for blocks of at most `rows`
+    points, and returns the kernel, which takes one block of points.  Each
+    block's kernel is built once and multiplied with every row c as the
+    1-D `block @ c`, so each row is equal bit for bit to the dense product
+    for its c alone, whose kernel matrix the blocks never hold at once.
     """
     # OpenBLAS dgemv sums rows in groups of 4, so each row's reduction order
     # is the dense one only if every block starts at a multiple of 4;
@@ -135,9 +144,12 @@ def _rowwise(kernel_for, x: np.ndarray, ncols: int, coeffs: np.ndarray) -> np.nd
         starts.pop()
     bounds = list(zip(starts, starts[1:] + [x.size]))
     kernel = kernel_for(max((hi - lo for lo, hi in bounds), default=0))
-    out = np.empty(x.size)
+    out = np.empty((coeffs.shape[0], x.size))
     for lo, hi in bounds:
-        out[lo:hi] = kernel(x[lo:hi]) @ coeffs
+        block = kernel(x[lo:hi])
+        # one gemv per row: a gemm over all rows would not pin each row's reduction order
+        for row, c in zip(out, coeffs):
+            row[lo:hi] = block @ c
     return out
 
 
@@ -150,15 +162,15 @@ def _differences(xb: np.ndarray, bps: np.ndarray, out: np.ndarray) -> np.ndarray
     return out
 
 
-def _jump_sum(f: PiecewiseConstant1D, x: np.ndarray, g) -> np.ndarray:
+def _jump_sum(bps: np.ndarray, values: np.ndarray, x: np.ndarray, g) -> np.ndarray:
     """(1/pi) sum_i v_i (g(x - b_i) - g(x - b_i+1)), summed as (1/pi) sum_j c_j g(x - b_j).
 
-    c_j is the jump of f at b_j.  Each block of points x breakpoints
-    differences goes into one buffer allocated per call, and g acts on it
-    elementwise and may overwrite it.
+    One row per row v of values, all on the breakpoints bps; c_j is the jump
+    of v at b_j.  Each block of points x breakpoints differences goes into
+    one buffer allocated per call, and g acts on it elementwise and may
+    overwrite it.
     """
-    bps = np.asarray(f.breakpoints, dtype=float)
-    c = np.diff(np.concatenate([[0.0], np.asarray(f.values, dtype=float), [0.0]]))
+    c = np.diff(values, prepend=0.0, append=0.0)
 
     def kernel_for(rows):
         buf = np.empty((rows, bps.size))
@@ -167,9 +179,14 @@ def _jump_sum(f: PiecewiseConstant1D, x: np.ndarray, g) -> np.ndarray:
     return _rowwise(kernel_for, x, bps.size, c) / math.pi
 
 
-def _sup_abs(levels, evaluate, x: np.ndarray) -> np.ndarray:
-    """max over the levels of |evaluate(level)| at the points x."""
-    out = np.zeros_like(x)
+def _one_row(f: PiecewiseConstant1D) -> tuple[np.ndarray, np.ndarray]:
+    """f's breakpoints and its values as a coefficient matrix of one row."""
+    return np.asarray(f.breakpoints, dtype=float), np.asarray(f.values, dtype=float)[None]
+
+
+def _sup_abs(levels, evaluate, shape) -> np.ndarray:
+    """max over the levels of |evaluate(level)|, arrays of the given shape."""
+    out = np.zeros(shape)
     for level in levels:
         np.maximum(out, np.abs(evaluate(float(level))), out=out)
     return out
@@ -186,7 +203,7 @@ def hilbert(f: PiecewiseConstant1D, grid) -> np.ndarray:
     if f.is_zero:
         return np.zeros_like(x)
     _require_pv_clear(f, x)
-    return _jump_sum(f, x, lambda d: np.log(np.abs(d, out=d), out=d))
+    return _jump_sum(*_one_row(f), x, lambda d: np.log(np.abs(d, out=d), out=d))[0]
 
 
 def hilbert_truncated(f: PiecewiseConstant1D, eps: float, grid) -> np.ndarray:
@@ -204,15 +221,19 @@ def hilbert_truncated(f: PiecewiseConstant1D, eps: float, grid) -> np.ndarray:
     x = _as_points(grid)
     if f.is_zero:
         return np.zeros_like(x)
-    bps = np.asarray(f.breakpoints, dtype=float)
-    v = np.asarray(f.values, dtype=float)
+    return _truncated_rows(*_one_row(f), eps, x)[0]
+
+
+def _truncated_rows(bps: np.ndarray, values: np.ndarray, eps: float, x: np.ndarray) -> np.ndarray:
+    """hilbert_truncated of each row of values on the breakpoints bps: one clipped-log kernel."""
     a, b = bps[:-1], bps[1:]
+    pieces = values.shape[1]
 
     def kernel_for(rows):
         diffs = np.empty((rows, bps.size))
-        logs = np.empty((rows, v.size))
-        outside = np.empty((rows, v.size), dtype=bool)
-        beyond = np.empty((rows, v.size), dtype=bool)
+        logs = np.empty((rows, pieces))
+        outside = np.empty((rows, pieces), dtype=bool)
+        beyond = np.empty((rows, pieces), dtype=bool)
 
         def clipped_logs(xb):
             n = xb.size
@@ -225,7 +246,7 @@ def hilbert_truncated(f: PiecewiseConstant1D, eps: float, grid) -> np.ndarray:
             np.log(t, out=t)
             # the piece holding x - eps, clipped to [a, x - eps], then the one
             # holding x + eps, clipped to [x + eps, b]: left + right, in that order
-            k = np.minimum(np.searchsorted(b, lo, side="right"), v.size - 1)
+            k = np.minimum(np.searchsorted(b, lo, side="right"), pieces - 1)
             (i,) = np.nonzero((a[k] < lo) & (lo < b[k]))
             t[i, k[i]] += np.log((xb[i] - a[k[i]]) / (xb[i] - lo[i]))
             k = np.maximum(np.searchsorted(a, hi) - 1, 0)
@@ -235,7 +256,7 @@ def hilbert_truncated(f: PiecewiseConstant1D, eps: float, grid) -> np.ndarray:
 
         return clipped_logs
 
-    return _rowwise(kernel_for, x, v.size, v) / math.pi
+    return _rowwise(kernel_for, x, pieces, values) / math.pi
 
 
 def geometric_schedule(lo: float, hi: float) -> np.ndarray:
@@ -270,7 +291,13 @@ def _levels(schedule, name: str) -> np.ndarray:
 def hilbert_maximal(f: PiecewiseConstant1D, eps_schedule, grid) -> np.ndarray:
     """sup over the schedule's levels, in any order, of |truncated Hilbert transform|."""
     x = _as_points(grid)
-    return _sup_abs(_levels(eps_schedule, "eps"), lambda eps: hilbert_truncated(f, eps, x), x)
+    return _sup_abs(_levels(eps_schedule, "eps"), lambda eps: hilbert_truncated(f, eps, x), x.shape)
+
+
+def _hilbert_maximal_rows(bps: np.ndarray, values: np.ndarray, eps_schedule, x) -> np.ndarray:
+    """hilbert_maximal of each row of values on the breakpoints bps: one kernel per level."""
+    levels = _levels(eps_schedule, "eps")
+    return _sup_abs(levels, lambda eps: _truncated_rows(bps, values, eps, x), (len(values), x.size))
 
 
 def modulate(values, x, N: float) -> np.ndarray:
@@ -289,6 +316,11 @@ def dirichlet_sn(f: PiecewiseConstant1D, N: float, grid) -> np.ndarray:
     x = _as_points(grid)
     if f.is_zero:
         return np.zeros_like(x)
+    return _sn_rows(*_one_row(f), N, x)[0]
+
+
+def _sn_rows(bps: np.ndarray, values: np.ndarray, N: float, x: np.ndarray) -> np.ndarray:
+    """dirichlet_sn of each row of values on the breakpoints bps: one Si kernel."""
     scale = 2.0 * math.pi * N
 
     def si_of_phase(d):
@@ -296,7 +328,7 @@ def dirichlet_sn(f: PiecewiseConstant1D, N: float, grid) -> np.ndarray:
             np.multiply(d, scale, out=d)
         return sine_integral(d)
 
-    return _jump_sum(f, x, si_of_phase)
+    return _jump_sum(bps, values, x, si_of_phase)
 
 
 def _spectral_hilbert(samples: np.ndarray) -> np.ndarray:
@@ -380,17 +412,23 @@ def carleson(
     def sn(N):
         return dirichlet_sn(f, N, x)
 
-    values = _sup_abs(sched, sn, x)
+    values = _sup_abs(sched, sn, x.shape)
     if refine_tolerance is None:
         return values
     for _ in range(max_refinements):
         finer = refine_schedule(sched)
-        refined = np.maximum(values, _sup_abs(np.setdiff1d(finer, sched), sn, x))
+        refined = np.maximum(values, _sup_abs(np.setdiff1d(finer, sched), sn, x.shape))
         delta = float(np.max(refined - values)) if x.size else 0.0
         values, sched = refined, finer
         if delta < refine_tolerance:
             break
     return values
+
+
+def _carleson_rows(bps: np.ndarray, values: np.ndarray, N_schedule, x) -> np.ndarray:
+    """carleson, unrefined, of each row of values on the breakpoints bps: one kernel per level."""
+    levels = _levels(N_schedule, "N")
+    return _sup_abs(levels, lambda N: _sn_rows(bps, values, N, x), (len(values), x.size))
 
 
 def hl_maximal(f: LatticeFunction, window_halfwidths) -> LatticeFunction:

@@ -2,12 +2,14 @@
 
 dirichlet_sn, hilbert and hilbert_truncated evaluate their points x
 breakpoints kernels over row blocks.  Each must equal the dense
-`kernel @ coeffs` bit for bit.  The dense product is itself thread-dependent
-on large matrices (OpenBLAS splits the rows between threads), so the oracle
-runs in a subprocess with one BLAS thread, and the blocked kernels run here
-with the process's default thread count.  The oracle clips every piece for
-hilbert_truncated; the kernel clips only the pieces holding x - eps or
-x + eps, and must still give the same bits.
+`kernel @ coeffs` bit for bit, and each row of a family of functions on
+shared breakpoints must equal the call on its function alone.  The dense
+product is itself thread-dependent on large matrices (OpenBLAS splits the
+rows between threads), so the oracle runs in a subprocess with one BLAS
+thread, and the blocked kernels run here with the process's default thread
+count.  The oracle clips every piece for hilbert_truncated; the kernel clips
+only the pieces holding x - eps or x + eps, and must still give the same
+bits.
 """
 
 import os
@@ -122,6 +124,29 @@ def test_blocked_kernel_equals_dense_product(op, nb, dense):
         want = dense[f"{op}-{nb}-{size}"]
         assert got.shape == want.shape == (size,)
         assert np.array_equal(got, want), f"{op}, {nb} breakpoints, {size} points"
+
+
+ROWS = {
+    "dirichlet_sn": lambda bps, values, nb, x: operators._sn_rows(bps, values, FREQUENCY[nb], x),
+    "hilbert_truncated": lambda bps, values, nb, x: operators._truncated_rows(bps, values, EPS, x),
+}
+
+
+@pytest.mark.parametrize("nb", BREAKPOINTS)
+@pytest.mark.parametrize("op", sorted(ROWS))
+def test_family_rows_equal_single_function_calls(op, nb):
+    # a family's functions share each block's kernel, which multiplies every
+    # row on its own: each row has the bits of the call on its function alone
+    f = _function(nb)
+    bps, v = np.asarray(f.breakpoints), np.asarray(f.values)
+    values = np.stack([v, -0.5 * v, np.random.default_rng(nb + 1).standard_normal(v.size)])
+    for size in SIZES_BY_BREAKPOINTS[nb]:
+        x = _points(size)
+        got = ROWS[op](bps, values, nb, x)
+        assert got.shape == (len(values), size)
+        for i, row in enumerate(values):
+            want = KERNELS[op](PiecewiseConstant1D(bps, row), nb, x)
+            assert np.array_equal(got[i], want), f"{op}, {nb} breakpoints, {size} points, row {i}"
 
 
 @pytest.mark.parametrize("op", ["hilbert", "hilbert_truncated"])

@@ -61,6 +61,10 @@ CASES = {
         "--schedule", "1,4,16",
     ],
     "sweep-block-scale": ["sweep", "--op", "hilbert", "--params", "1,1,2,-1/2", "--schedule=-1,0,1"],
+    "sweep-carleson": ["sweep", "--op", "carleson", "--params", "1,1,2,-1/2", "--schedule=-1,0,1"],
+    "sweep-hilbert_maximal": [
+        "sweep", "--op", "hilbert_maximal", "--params", "1,1,2,-1/2", "--schedule=-1,0,1",
+    ],
     "verify-5.3": ["verify", "--theorem", "5.3"],
 }
 

@@ -248,6 +248,38 @@ def test_hilbert_commutes_with_dilation(k):
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-300)
 
 
+#: dyadic numbers j / 2^8 with |j| <= 2^16: a difference of two is 0 or a
+#: multiple of 2^-8 of size at most 2^9, so scaling by 2^k, |k| <= 1000,
+#: keeps every point, breakpoint, level, difference and phase normal
+DYADIC_INTS = st.integers(-(2**16), 2**16)
+DYADIC = DYADIC_INTS.map(lambda j: math.ldexp(j, -8))
+POSITIVE_DYADIC = st.integers(1, 2**16).map(lambda j: math.ldexp(j, -8))
+
+
+@st.composite
+def dyadic_functions(draw):
+    ends = sorted(draw(st.sets(DYADIC_INTS, min_size=2, max_size=6)))
+    values = draw(st.lists(DYADIC, min_size=len(ends) - 1, max_size=len(ends) - 1))
+    return PiecewiseConstant1D([math.ldexp(j, -8) for j in ends], values)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    f=dyadic_functions(),
+    x=st.lists(DYADIC, min_size=1, max_size=8),
+    N=POSITIVE_DYADIC,
+    eps=POSITIVE_DYADIC,
+    k=st.integers(-1000, 1000),
+)
+def test_partial_sums_and_truncations_commute_with_power_of_two_dilation(f, x, N, eps, k):
+    # D_k f = f(2^-k .) at 2^k x: every difference x - b_j is scaled by 2^k
+    # exactly, N by 2^-k and eps by 2^k, so each Si phase and each clipped
+    # log ratio is the same number and the results agree bit for bit
+    g, y = f.dilate(math.ldexp(1.0, k)), np.ldexp(x, k)
+    assert np.array_equal(dirichlet_sn(g, math.ldexp(N, -k), y), dirichlet_sn(f, N, x))
+    assert np.array_equal(hilbert_truncated(g, math.ldexp(eps, k), y), hilbert_truncated(f, eps, x))
+
+
 @settings(deadline=None, max_examples=30)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_reflection_symmetry(seed):

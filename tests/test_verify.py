@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import types
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 
 import blockspaces
 from blockspaces import THEOREM_IDS, WeightParams, maximal_1d_exact, run_theorem
-from blockspaces import verify
+from blockspaces import operators, verify
 from blockspaces.blocks import make_canonical_block
 from blockspaces.io import dumps, report_to_dict
 from blockspaces.quadrature import shell_grid, weighted_norm_from_samples
@@ -67,28 +68,57 @@ def test_out_of_hypothesis_verdicts_are_abstentions():
 
 def test_block_bound_applies_each_operator_once_per_block(monkeypatch):
     # both parameter points of claim 3.1 give the same canonical block at
-    # every scale, so each operator runs once per scale: 13 scales x 5
-    # operators, where one run per (operator, point) would be 117
+    # every scale, so each operator runs once per block, not once per
+    # (block, point).  hilbert, dirichlet_sn and the maximal leg run once
+    # per scale.  S_N and H_eps run once per level, on a family of 13 rows,
+    # one per scale: 41 N levels and 33 eps levels, where one run per scale
+    # would be 13 x 41 and 13 x 33
     a, b = verify._BLOCK_GRID
     for k in range(-6, 7):
         assert make_canonical_block(a, k).data == make_canonical_block(b, k).data
     calls = []
 
-    def fake_block_values(op, f, k):
-        calls.append((op, k))
-        return np.ones(3), np.ones(3), np.ones(3)
+    def per_block(name):
+        def fake(f, *args):
+            calls.append((name, f))
+            return np.ones(np.shape(args[-1]))
 
-    monkeypatch.setattr(verify, "_block_values", fake_block_values)
+        return fake
+
+    def per_level(name):
+        def fake(bps, values, level, x):
+            calls.append((name, level, len(values)))
+            return np.ones((len(values), x.size))
+
+        return fake
+
+    for name in ("hilbert", "dirichlet_sn", "maximal_1d_exact"):
+        monkeypatch.setattr(verify, name, per_block(name))
+    monkeypatch.setattr(operators, "_sn_rows", per_level("S_N"))
+    monkeypatch.setattr(operators, "_truncated_rows", per_level("H_eps"))
     rep = run_theorem("3.1")
-    assert len(calls) == len(set(calls)) == 65
+    assert len(calls) == len(set(calls))
+    assert Counter(c[0] for c in calls) == {
+        "hilbert": 13, "dirichlet_sn": 13, "maximal_1d_exact": 13, "S_N": 41, "H_eps": 33,
+    }
+    assert {c[2] for c in calls if len(c) == 3} == {13}
     assert len(rep.verdicts) == 9
+
+
+def test_family_legs_reject_blocks_that_are_not_dilations_of_one_another():
+    # carleson and hilbert_maximal evaluate every block on the scale-0 grid,
+    # which holds only for blocks that 2^-k pulls back to one set of breakpoints
+    f = make_canonical_block(verify._BLOCK_GRID[0], 0).data
+    for op in ("carleson", "hilbert_maximal"):
+        with pytest.raises(ValueError, match="dilations of one another"):
+            list(verify._block_values(op, [(f, 0), (f, 1)]))
 
 
 def test_maximal_leg_is_the_exact_evaluator_on_the_shell_grid():
     # k = 0 block norm of M at (1, 2, -1/2), stable as the shell nodes double
     params = WeightParams(1, 1.0, 2.0, -0.5)
     want = 6.335462841364244
-    assert verify._block_norm("hl_maximal", params, 0) == want
+    assert verify._block_norm("hl_maximal", params, [0]) == [want]
     f = make_canonical_block(params, 0).data
     for nodes in (48, 96):
         x, w = shell_grid(*verify._BLOCK_SHELLS, nodes)
