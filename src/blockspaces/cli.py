@@ -41,7 +41,7 @@ from .operators import (
     maximal_1d_exact,
 )
 from .params import DomainEvaluationError, HypothesisViolation, WeightParams
-from .verify import _BLOCK_SHELLS, _K_RANGE, _block_norm
+from .verify import _K_RANGE, _block_norms
 from .verify import THEOREM_IDS, partial_sum_error_norm, run_theorem
 
 
@@ -194,10 +194,6 @@ def cmd_decompose(cfg: RunConfig) -> int:
     return 0
 
 
-#: block scales whose 2^k-scaled shell grid keeps finite, normal nodes: its
-#: edges 2^(j_min+k) and 2^(j_max+1+k) stay within the normal exponents -1022 .. 1023
-_SWEEP_SCALES = range(-1022 - _BLOCK_SHELLS[0], 1023 - _BLOCK_SHELLS[1])
-
 #: operator -> (default levels, evaluation on (f, levels, points, tolerance))
 _APPLY_OPS = {
     "hilbert": ((), lambda f, s, x, t: hilbert(f, x)),
@@ -281,14 +277,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         ks = [int(x) for x in schedule]
         if any(float(k) != x for k, x in zip(ks, schedule)):
             raise InputError("block-scale sweep wants integer scales in --schedule")
-        outside = [k for k in ks if k not in _SWEEP_SCALES]
-        if outside:
-            raise InputError(
-                f"block-scale sweep wants scales {_SWEEP_SCALES[0]} <= k <= {_SWEEP_SCALES[-1]}, "
-                "where the nodes of the 2^k-scaled quadrature grid stay finite and normal, "
-                f"got k={outside[0]}"
-            )
-        rows = list(zip(ks, _block_norm(op, cfg.params, ks)))
+        (norms,) = _block_norms(op, (cfg.params,), ks)
+        rows = list(zip(ks, norms))
         header = ("k", "norm")
     base = _write(cfg, {"rows": len(rows)}, rows, header)
     print(f"{len(rows)} rows -> {base}.csv")

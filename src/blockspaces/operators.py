@@ -27,7 +27,8 @@ shared breakpoints, one row of values per function: each block's kernel
 is built once and multiplied with each row as its own matrix-vector
 product, so every row has the bits of the call on its function alone.
 Claim 3.1 evaluates its 13 dilated blocks as one such family per level
-(`_carleson_rows`, `_hilbert_maximal_rows`).
+of its carleson and hilbert_maximal schedules (`_sn_rows`,
+`_truncated_rows`, with `_sup_abs` taking the sup over the levels).
 """
 
 from __future__ import annotations
@@ -294,12 +295,6 @@ def hilbert_maximal(f: PiecewiseConstant1D, eps_schedule, grid) -> np.ndarray:
     return _sup_abs(_levels(eps_schedule, "eps"), lambda eps: hilbert_truncated(f, eps, x), x.shape)
 
 
-def _hilbert_maximal_rows(bps: np.ndarray, values: np.ndarray, eps_schedule, x) -> np.ndarray:
-    """hilbert_maximal of each row of values on the breakpoints bps: one kernel per level."""
-    levels = _levels(eps_schedule, "eps")
-    return _sup_abs(levels, lambda eps: _truncated_rows(bps, values, eps, x), (len(values), x.size))
-
-
 def modulate(values, x, N: float) -> np.ndarray:
     """Pointwise multiplication by e^{2 pi i N x}; norm-preserving in every L^p."""
     return np.asarray(values) * np.exp(2j * math.pi * N * np.asarray(x, dtype=float))
@@ -423,12 +418,6 @@ def carleson(
         if delta < refine_tolerance:
             break
     return values
-
-
-def _carleson_rows(bps: np.ndarray, values: np.ndarray, N_schedule, x) -> np.ndarray:
-    """carleson, unrefined, of each row of values on the breakpoints bps: one kernel per level."""
-    levels = _levels(N_schedule, "N")
-    return _sup_abs(levels, lambda N: _sn_rows(bps, values, N, x), (len(values), x.size))
 
 
 def hl_maximal(f: LatticeFunction, window_halfwidths) -> LatticeFunction:

@@ -44,8 +44,9 @@ from .quadrature import (
     weighted_power_terms,
 )
 from .operators import (
-    _carleson_rows,
-    _hilbert_maximal_rows,
+    _sn_rows,
+    _sup_abs,
+    _truncated_rows,
     carleson,
     dirichlet_sn,
     geometric_schedule,
@@ -145,11 +146,12 @@ def _block_values(op: str, blocks):
     Scaling the grid, the breakpoints and eps by 2^k and N by 2^-k leaves
     every S_N phase and truncated log ratio bit for bit unchanged.  So
     hilbert_maximal and carleson pull every block back to scale 0 with
-    ldexp(., -k), build each level's kernel once on the scale-0 grid and
-    schedule, and apply it to all blocks' values as rows; each row has the
-    bits of its own scale's call.  hilbert's log kernel and dirichlet_sn's
-    absolute grid are not scale-invariant in bits, so those legs and the
-    maximal leg run once per block.
+    ldexp(., -k) and take the sup over the scale-0 schedule of one S_N or
+    H_eps kernel per level, built on the scale-0 grid and applied to all
+    blocks' values as rows; each row has the bits of its own scale's call.
+    hilbert's log kernel and dirichlet_sn's absolute grid are not
+    scale-invariant in bits, so those legs and the maximal leg run once per
+    block, each operator looked up by its name when called.
     """
     if op == "dirichlet_sn":
         for f, _ in blocks:
@@ -158,35 +160,53 @@ def _block_values(op: str, blocks):
             yield dirichlet_sn(f, 1.0, x), x, w
         return
     x0, w0 = shell_grid(*_BLOCK_SHELLS, _SHELL_NODES)
-    if op in ("hilbert_maximal", "carleson"):
+    families = {
+        "carleson": (_sn_rows, _N_SCHEDULE), "hilbert_maximal": (_truncated_rows, _EPS_SCHEDULE)
+    }
+    if op in families:
+        kernel, schedule = families[op]
         pulled = [np.ldexp(f.breakpoints, -k) for f, k in blocks]
-        if any(not np.array_equal(bps, pulled[0]) for bps in pulled):
+        bps, values = pulled[0], np.array([f.values for f, _ in blocks])
+        if any(not np.array_equal(other, bps) for other in pulled):
             raise ValueError(f"{op} blocks must be dilations of one another by powers of 2")
-        values = np.array([f.values for f, _ in blocks])
-        if op == "hilbert_maximal":
-            rows = _hilbert_maximal_rows(pulled[0], values, geometric_schedule(*_EPS_SCHEDULE), x0)
-        else:
-            rows = _carleson_rows(pulled[0], values, geometric_schedule(*_N_SCHEDULE), x0)
-        for row, (_, k) in zip(rows, blocks):
-            yield row, np.ldexp(x0, k), np.ldexp(w0, k)  # scaled by 2^k, bit-exactly
-        return
-    for f, k in blocks:
-        x, w = np.ldexp(x0, k), np.ldexp(w0, k)
-        if op == "hilbert":
-            yield hilbert(f, x), x, w
-        elif op == "hl_maximal":
-            yield maximal_1d_exact(f, x), x, w
-        else:
-            raise ValueError(f"unknown block-uniformity operator {op!r}")
+        shape = (len(blocks), x0.size)
+        rows = _sup_abs(geometric_schedule(*schedule), lambda t: kernel(bps, values, t, x0), shape)
+    else:
+        evaluate = {"hilbert": hilbert, "hl_maximal": maximal_1d_exact}[op]
+        rows = (evaluate(f, np.ldexp(x0, k)) for f, k in blocks)
+    for row, (_, k) in zip(rows, blocks):
+        yield row, np.ldexp(x0, k), np.ldexp(w0, k)  # scaled by 2^k, bit-exactly
 
 
-def _block_norm(op: str, params: WeightParams, ks) -> list[float]:
-    """Weighted norms of op applied to the indicator block at each scale of ks."""
-    blocks = [(make_canonical_block(params, k).data, k) for k in ks]
-    return [
-        weighted_norm_from_samples(*samples, params.p, params.alpha)
-        for samples in _block_values(op, blocks)
-    ]
+#: block scales whose 2^k-scaled shell grid keeps finite, normal nodes: its
+#: edges 2^(j_min+k) and 2^(j_max+1+k) stay within the normal exponents -1022 .. 1023
+_BLOCK_SCALES = range(-1022 - _BLOCK_SHELLS[0], 1023 - _BLOCK_SHELLS[1])
+
+
+def _block_norms(op: str, grid, ks) -> list[list[float]]:
+    """Weighted norms of op on the indicator block at each scale of ks, one list per point of grid.
+
+    op is applied once per distinct (block, scale), all of them in one
+    `_block_values` call, and each result is weighed at every point whose
+    block it is.
+    """
+    outside = [k for k in ks if k not in _BLOCK_SCALES]
+    if outside:
+        raise ValueError(
+            f"block-scale sweep wants scales {_BLOCK_SCALES[0]} <= k <= {_BLOCK_SCALES[-1]}, "
+            "where the nodes of the 2^k-scaled quadrature grid stay finite and normal, "
+            f"got k={outside[0]}"
+        )
+    norms = [[0.0] * len(ks) for _ in grid]
+    weighed: dict = {}  # (block, k) -> (point, its norms, index into them) of each weighing
+    for i, k in enumerate(ks):
+        for params, row in zip(grid, norms):
+            block = make_canonical_block(params, k).data
+            weighed.setdefault((block, k), []).append((params, row, i))
+    for samples, targets in zip(_block_values(op, list(weighed)), weighed.values()):
+        for params, row, i in targets:
+            row[i] = weighted_norm_from_samples(*samples, params.p, params.alpha)
+    return norms
 
 
 _BLOCK_GRID = (WeightParams(1, 1.0, 2.0, -0.5), WeightParams(1, 0.5, 2.0, -0.75))
@@ -198,10 +218,9 @@ def _uniform_block_bound(seed: int) -> VerificationReport:
 
     hilbert, hilbert_maximal, carleson and dirichlet_sn (at N = 1) are
     measured at (p, s, alpha) = (1, 2, -1/2) and (1/2, 2, -3/4), hl_maximal
-    at the first point only.  An operator is applied once per distinct
-    (block, scale), all scales in one `_block_values` call, and each result is
-    weighed at every point whose block it is.  Parameters outside the main
-    range give an out-of-hypothesis verdict; the seed is only echoed.
+    at the first point only, each by one `_block_norms` call over all
+    scales and points.  Parameters outside the main range give an
+    out-of-hypothesis verdict; the seed is only echoed.
     """
     ks = list(range(_K_RANGE[0], _K_RANGE[1] + 1))
     sub, measurements, verdicts = [], {}, []
@@ -210,16 +229,7 @@ def _uniform_block_bound(seed: int) -> VerificationReport:
         # measures) keeps its one point: benchmark references compare each
         # claim's verdict list, so a new key or verdict would not match them
         grid = _BLOCK_GRID[:1] if op == "hl_maximal" else _BLOCK_GRID
-        norms: list[list[float]] = [[] for _ in grid]
-        weighed: dict = {}  # (block, k) -> the points of grid weighed on it, scales ascending
-        for k in ks:
-            for params, row in zip(grid, norms):
-                block = make_canonical_block(params, k).data
-                weighed.setdefault((block, k), []).append((params, row))
-        for samples, points in zip(_block_values(op, list(weighed)), weighed.values()):
-            for params, row in points:
-                row.append(weighted_norm_from_samples(*samples, params.p, params.alpha))
-        for params, row in zip(grid, norms):
+        for params, row in zip(grid, _block_norms(op, grid, ks)):
             tag = f"{op}|p={params.p:g}"
             positive = [v for v in row if v > 0.0]
             ratio = max(positive) / min(positive) if positive else 1.0

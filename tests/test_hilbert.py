@@ -298,3 +298,64 @@ def test_reflection_symmetry(seed):
     np.testing.assert_allclose(hilbert_truncated(g, eps, x), -hilbert_truncated(f, eps, -x), **close)
     np.testing.assert_allclose(dirichlet_sn(g, N, x), dirichlet_sn(f, N, -x), **close)
     np.testing.assert_allclose(maximal_1d_exact(g, x), maximal_1d_exact(f, -x), **close)
+
+
+#: values and scalars clear of underflow: the budgets below are relative to
+#: the jumps, and a subnormal jump rounds by an absolute 5e-324 that no
+#: relative budget covers (see CHANGES.md)
+NORMAL_COEFFICIENTS = st.floats(-10.0, 10.0).filter(lambda v: v == 0.0 or abs(v) >= 2.0**-500)
+
+
+@st.composite
+def step_functions(draw):
+    ends = sorted(draw(st.sets(st.floats(-8.0, 8.0), min_size=2, max_size=7)))
+    size = len(ends) - 1
+    values = draw(st.lists(NORMAL_COEFFICIENTS, min_size=size, max_size=size))
+    return PiecewiseConstant1D(ends, values)
+
+
+def jumps(f):
+    """f's breakpoints b_j and its jumps c_j there, f being 0 outside its support."""
+    return np.asarray(f.breakpoints), np.diff(np.concatenate([[0.0], f.values, [0.0]]))
+
+
+#: each operator and its rounding budget in units of 1e-13, given the
+#: differences d = x - b_j and the sizes |c_j| of the jumps.  H and H_eps are
+#: jump sums (1/pi) sum_j c_j K(x - b_j) with K = log|.| or log max(|.|, eps),
+#: so each jump weighs 1 + |K|; S_N's kernel Si is bounded, so its budget is
+#: 1 + sum_j |c_j|
+LINEARITY = {
+    "hilbert": (
+        lambda f, x, N, eps: hilbert(f, x),
+        lambda d, c, eps: (c * (1.0 + np.abs(np.log(np.abs(d))))).sum(axis=1),
+    ),
+    "hilbert_truncated": (
+        lambda f, x, N, eps: hilbert_truncated(f, eps, x),
+        lambda d, c, eps: (c * (1.0 + np.abs(np.log(np.maximum(np.abs(d), eps))))).sum(axis=1),
+    ),
+    "dirichlet_sn": (lambda f, x, N, eps: dirichlet_sn(f, N, x), lambda d, c, eps: 1.0 + c.sum()),
+}
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    f=step_functions(),
+    g=step_functions(),
+    c=NORMAL_COEFFICIENTS,
+    x=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=16),
+    N=st.floats(1.0 / 16.0, 64.0),
+    eps=st.floats(1e-3, 4.0),
+)
+def test_operators_are_linear_to_rounding(f, g, c, x, N, eps):
+    # T(f + c g)(x) = Tf(x) + c Tg(x) within each operator's budget for the
+    # jumps of f and c g, at the points x and the breakpoints; H's points
+    # stay 2^-10 clear of the breakpoints
+    bps, cs = (np.concatenate(a) for a in zip(jumps(f), jumps(g * c)))
+    everywhere = np.concatenate([x, bps])
+    clear = everywhere[np.abs(everywhere[:, None] - bps).min(axis=1) > 2.0**-10]
+    for name, (apply, budget) in LINEARITY.items():
+        pts = clear if name == "hilbert" else everywhere
+        lhs = apply(f + g * c, pts, N, eps)
+        rhs = apply(f, pts, N, eps) + c * apply(g, pts, N, eps)
+        bound = 1e-13 * budget(pts[:, None] - bps, np.abs(cs), eps)
+        assert np.all(np.abs(lhs - rhs) <= bound), name

@@ -67,6 +67,17 @@ def test_non_finite_points_give_nan():
         assert np.isnan(got[:3]).all() and got[3] == abs(f(1.5))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="FOUND on maximal_1d_exact in CHANGES.md: one ulp right of a breakpoint, a candidate's "
+    "mass (a difference of two cumulative masses) rounds to as much as itself, and this gives 2.0",
+)
+def test_exact_one_ulp_right_of_an_interior_breakpoint():
+    # f equals chi_[-1, 1], whose maximal function is 1 on [-1, 1]
+    f = PiecewiseConstant1D([-1.0, 0.7, 1.0], [1.0, 1.0])
+    assert maximal_1d_exact(f, [0.7000000000000001]).tolist() == [1.0]
+
+
 def all_pairs_maximal(f, x):
     """The sup over every (left, right) candidate pair, with one mass lookup per pair."""
     g = f.abs()

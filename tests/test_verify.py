@@ -15,7 +15,7 @@ import pytest
 
 import blockspaces
 from blockspaces import THEOREM_IDS, WeightParams, maximal_1d_exact, run_theorem
-from blockspaces import operators, verify
+from blockspaces import carleson, geometric_schedule, hilbert_maximal, verify
 from blockspaces.blocks import make_canonical_block
 from blockspaces.io import dumps, report_to_dict
 from blockspaces.quadrature import shell_grid, weighted_norm_from_samples
@@ -94,8 +94,8 @@ def test_block_bound_applies_each_operator_once_per_block(monkeypatch):
 
     for name in ("hilbert", "dirichlet_sn", "maximal_1d_exact"):
         monkeypatch.setattr(verify, name, per_block(name))
-    monkeypatch.setattr(operators, "_sn_rows", per_level("S_N"))
-    monkeypatch.setattr(operators, "_truncated_rows", per_level("H_eps"))
+    monkeypatch.setattr(verify, "_sn_rows", per_level("S_N"))
+    monkeypatch.setattr(verify, "_truncated_rows", per_level("H_eps"))
     rep = run_theorem("3.1")
     assert len(calls) == len(set(calls))
     assert Counter(c[0] for c in calls) == {
@@ -114,11 +114,28 @@ def test_family_legs_reject_blocks_that_are_not_dilations_of_one_another():
             list(verify._block_values(op, [(f, 0), (f, 1)]))
 
 
+def test_family_legs_equal_the_public_operators_at_each_scale():
+    # the carleson and hilbert_maximal rows, evaluated on the scale-0 grid and
+    # schedule, have the bits of the public operator on the block at scale k,
+    # its grid scaled by 2^k, N by 2^-k and eps by 2^k
+    x0, w0 = shell_grid(*verify._BLOCK_SHELLS, verify._SHELL_NODES)
+    N, eps = geometric_schedule(*verify._N_SCHEDULE), geometric_schedule(*verify._EPS_SCHEDULE)
+    blocks = [(make_canonical_block(verify._BLOCK_GRID[0], k).data, k) for k in (-6, 0, 6)]
+    for op, public in (
+        ("carleson", lambda f, k, x: carleson(f, N * 2.0**-k, x)),
+        ("hilbert_maximal", lambda f, k, x: hilbert_maximal(f, 2.0**k * eps, x)),
+    ):
+        for (f, k), (row, x, w) in zip(blocks, verify._block_values(op, blocks), strict=True):
+            assert x.tobytes() == np.ldexp(x0, k).tobytes()
+            assert w.tobytes() == np.ldexp(w0, k).tobytes()
+            assert row.tobytes() == public(f, k, x).tobytes()
+
+
 def test_maximal_leg_is_the_exact_evaluator_on_the_shell_grid():
     # k = 0 block norm of M at (1, 2, -1/2), stable as the shell nodes double
     params = WeightParams(1, 1.0, 2.0, -0.5)
     want = 6.335462841364244
-    assert verify._block_norm("hl_maximal", params, [0]) == [want]
+    assert verify._block_norms("hl_maximal", (params,), [0]) == [[want]]
     f = make_canonical_block(params, 0).data
     for nodes in (48, 96):
         x, w = shell_grid(*verify._BLOCK_SHELLS, nodes)
