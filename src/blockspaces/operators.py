@@ -29,6 +29,14 @@ product, so every row has the bits of the call on its function alone.
 Claim 3.1 evaluates its 13 dilated blocks as one such family per level
 of its carleson and hilbert_maximal schedules (`_sn_rows`,
 `_truncated_rows`, with `_sup_abs` taking the sup over the levels).
+
+Claim 6.3's error norm e(N) evaluates S_N f - f on the nodes of panels of
+width 1/(4N) on the lattice Z/(4N) (`_sn_error_on_lattice`).  There every
+Si phase is a quarter turn times an integer plus a fixed offset per
+breakpoint and node, so its cos and sin come from a table of four signed
+entries and no trig runs per point; and the jump sum is formed as
+(1/pi) sum_j c_j (Si(t_j) - sgn(t_j) pi/2), so f is never cancelled
+against the limits pi/2.
 """
 
 from __future__ import annotations
@@ -41,7 +49,15 @@ import numpy as np
 from .lattice import LatticeFunction
 from .params import DomainEvaluationError
 from .piecewise import PiecewiseConstant1D
-from .sine_integral import sine_integral
+from .sine_integral import (
+    _ASYMPTOTIC_CUTOFF,
+    _ASYMPTOTIC_TERMS,
+    _FAR_BOUND,
+    _FAR_TERMS,
+    _asymptotic_remainder,
+    _asymptotic_series,
+    sine_integral,
+)
 
 #: 2^(j/4) for j = 0..3: a schedule steps by quarter octaves, balancing cost vs sup accuracy
 _QUARTER_OCTAVES = np.array([1.0, 2.0 ** 0.25, 2.0 ** 0.5, 2.0 ** 0.75])
@@ -324,6 +340,103 @@ def _sn_rows(bps: np.ndarray, values: np.ndarray, N: float, x: np.ndarray) -> np
         return sine_integral(d)
 
     return _jump_sum(bps, values, x, si_of_phase)
+
+
+#: (|t|, k): from |t| on, k terms of Si's asymptotic series leave a remainder
+#: below 2^-64 / |t|, under the size 1/|t| of R; the least power of 2 for each k
+_R_BANDS = tuple(
+    (next(2.0**e for e in range(64) if _asymptotic_remainder(k, 2.0**e) * 2**e < _FAR_BOUND), k)
+    for k in range(_FAR_TERMS, 1, -1)
+)
+
+
+def _si_minus_limit(v, cos_t, sin_t, terms: int, u, p, q) -> np.ndarray:
+    """R(t) = Si(t) - sgn(t) pi/2 = -cos(t) P(u)/t - sin(t) Q(u) u, u = 1/t^2, for |t| >= 44.
+
+    v is 1/t, and cos_t and sin_t are -cos t and -sin t, both scaled by the
+    factor that scales R.  u, p and q are buffers of v's shape; R is
+    written over p.
+    """
+    np.multiply(v, v, out=u)
+    _asymptotic_series(u, terms, p, q)
+    p *= v
+    p *= cos_t
+    q *= u
+    q *= sin_t
+    p += q
+    return p
+
+
+def _sn_error_on_lattice(
+    bps: np.ndarray, values: np.ndarray, N: float, first: int, panels: int, nodes: np.ndarray
+) -> np.ndarray:
+    """S_N f - f at x = (l + (1 + t_k)/2) / (4N), one row per l = first, ..., first + panels - 1.
+
+    f has the breakpoints bps and the values `values`, and t_k are the nodes,
+    in (-1, 1): the points are nodes of the panels of width h = 1/(4N) on the
+    lattice hZ, taken exactly.  The result is (1/pi) sum_j c_j R(t_j) over
+    the jumps c_j at b_j, with t_j = 2 pi N (x - b_j) and
+    R(t) = Si(t) - sgn(t) pi/2.  The jumps sum to 0, so the limits
+    sgn(t_j) pi/2 sum to pi f(x) and are never formed and then cancelled.
+    Breakpoints past the points count like the others, and a point on a
+    breakpoint gets R(0) = 0 there, so f's two-sided mean.
+
+    With 4N b_j = n_j + d_j exactly, n_j an integer and 0 <= d_j < 1, every
+    phase is t_j = (pi/2) (l - n_j + a_jk), a_jk = (1 + t_k)/2 - d_j.  So
+    cos t_j and sin t_j are +-cos or +-sin of (pi/2) a_jk, by the quadrant
+    (l - n_j) mod 4, and no trig runs per point.  Where |t_j| >= 1024, R comes
+    from Si's asymptotic series with these cos and sin, with the terms
+    _R_BANDS gives; below, from 22 terms, and where |t_j| < 44, from
+    sine_integral.  Rows hold 64 panels, so each column keeps one quadrant,
+    and each row takes the terms of its least |t_j|.  The rows with an
+    |t_j| < 1024 round l - n_j + a_jk once, the others twice.
+    """
+    c = np.diff(values, prepend=0.0, append=0.0)
+    rows, width = -(-panels // 64), 64 * nodes.size
+    # (1 + t_k)/2 = s_k / 2d, where d is the largest denominator of a node, a power of 2
+    d = max(t.as_integer_ratio()[1] for t in nodes.tolist())
+    offsets = [int(t * d) + d for t in nodes.tolist()]
+    num_n, den_n = (4.0 * N).as_integer_ratio()
+    out = np.zeros((rows, width))
+    v, u, p, q = (np.empty((rows, width)) for _ in range(4))
+    for b, cj in zip(bps.tolist(), c.tolist()):
+        num, den = b.as_integer_ratio()
+        num, den = num * num_n, den * den_n  # 4N b_j = num / den = n_j + d_j
+        n = num // den
+        if cj == 0.0 or abs(n) > 2**1000:  # |R(t_j)| < 2^-999 there
+            continue
+        # a_jk = A_k / D; each float below is one correctly rounded int division
+        A, D = [s * den - (num - n * den) * 2 * d for s in offsets], 2 * d * den
+        a = np.array([ak / D for ak in A])
+        # cos and sin of (pi/2) a, each a sine of an argument in [0, pi/2]
+        cos_a = np.array([math.sin(0.5 * math.pi * ((D - abs(ak)) / D)) for ak in A])
+        sin_a = np.array([math.sin(0.5 * math.pi * (abs(ak) / D)) * (1 if ak >= 0 else -1) for ak in A])
+        # cos((pi/2) (m + a)) for m mod 4 = 0, 1, 2, 3; sin((pi/2) (m + a)) is the entry for m - 1
+        quadrants = np.array([cos_a, -sin_a, -cos_a, sin_a]) * (-cj / math.pi)
+        turn = ((first - n) % 4 + np.arange(64)) % 4  # each column's quadrant, in every row
+        cos_t, sin_t = quadrants[turn].ravel(), quadrants[turn - 1].ravel()
+        start = float(first - n) + np.arange(0.0, 64.0 * rows, 64.0)  # each row's first l - n_j
+        np.add(start[:, None], (np.arange(64.0)[:, None] + a).ravel(), out=v)  # l - n_j + a_jk
+        np.divide(2.0 / math.pi, v, out=v)  # 1/t_j
+        least = 0.5 * math.pi * np.maximum(np.maximum(start - 1.0, -64.0 - start), 0.0)
+        band = np.searchsorted([t for t, _ in _R_BANDS], least, side="right")
+        cuts = [0, *(np.flatnonzero(np.diff(band)) + 1).tolist(), rows]
+        for lo, hi in zip(cuts, cuts[1:]):
+            rs = slice(lo, hi)
+            work = u[rs], p[rs], q[rs]
+            if band[lo]:
+                out[rs] += _si_minus_limit(v[rs], cos_t, sin_t, _R_BANDS[band[lo] - 1][1], *work)
+                continue
+            m = (first - n + 64 * np.arange(lo, hi))[:, None] + np.arange(64)  # l - n_j, exact
+            t = (m[:, :, None] + a).reshape(hi - lo, width)
+            t *= 0.5 * math.pi
+            with np.errstate(all="ignore"):  # the |t| < 44 this spoils are replaced next
+                r = _si_minus_limit(np.divide(1.0, t, out=v[rs]), cos_t, sin_t, _ASYMPTOTIC_TERMS, *work)
+            small = np.abs(t) < _ASYMPTOTIC_CUTOFF
+            ts = t[small]
+            r[small] = (sine_integral(ts) - np.sign(ts) * (0.5 * math.pi)) * (cj / math.pi)
+            out[rs] += r
+    return out.reshape(-1, nodes.size)[:panels]
 
 
 def _spectral_hilbert(samples: np.ndarray) -> np.ndarray:

@@ -71,6 +71,16 @@ def weighted_norm_from_samples(values, x, w, p: float, alpha: float) -> float:
     return weighted_power_integral(values, x, w, p, alpha) ** (1.0 / p)
 
 
+def _uniform_edges(x_max: float, spacing: float) -> np.ndarray:
+    """oscillation_edges' uniform grid on [0, x_max]: ceil(x_max / spacing) equal steps."""
+    return np.linspace(0.0, x_max, int(math.ceil(x_max / spacing)) + 1)
+
+
+def _grading(x_max: float) -> np.ndarray:
+    """oscillation_edges' geometric grading toward 0 on [0, x_max]: min(1, x_max) * 2^j, j = -40..0."""
+    return min(1.0, x_max) * np.ldexp(1.0, np.arange(-40, 1))
+
+
 def oscillation_edges(breakpoints, x_max: float, spacing: float) -> np.ndarray:
     """Panel edges on [-x_max, x_max] resolving oscillation and a weight singularity at 0.
 
@@ -80,8 +90,6 @@ def oscillation_edges(breakpoints, x_max: float, spacing: float) -> np.ndarray:
     """
     if x_max <= 0 or spacing <= 0:
         raise ValueError("x_max and spacing must be positive")
-    count = int(math.ceil(x_max / spacing))
-    uniform = np.linspace(0.0, x_max, count + 1)
-    pos = np.concatenate([uniform, min(1.0, x_max) * np.ldexp(1.0, np.arange(-40, 1))])
+    pos = np.concatenate([_uniform_edges(x_max, spacing), _grading(x_max)])
     bps = np.asarray([b for b in breakpoints if abs(b) <= x_max], dtype=float)
     return np.unique(np.concatenate([-pos, pos, bps]))

@@ -109,17 +109,24 @@ def _si_taylor_table(t: np.ndarray) -> np.ndarray:
         acc += row.take(seg, out=term, mode="clip")  # seg is in range; "raise" would copy via a buffer
     return acc
 
+def _asymptotic_series(u: np.ndarray, terms: int, pacc=None, qacc=None) -> tuple[np.ndarray, np.ndarray]:
+    """P(u) and Q(u) through their first `terms` (>= 2) terms, by Horner, into pacc and qacc if given."""
+    pacc = np.multiply(u, _ASY_P[terms - 1], out=pacc)
+    qacc = np.multiply(u, _ASY_Q[terms - 1], out=qacc)
+    for cp, cq in zip(_ASY_P[terms - 2 : 0 : -1], _ASY_Q[terms - 2 : 0 : -1]):
+        pacc += cp
+        pacc *= u
+        qacc += cq
+        qacc *= u
+    pacc += _ASY_P[0]
+    qacc += _ASY_Q[0]
+    return pacc, qacc
+
 def _si_asymptotic(t: np.ndarray, terms: int) -> np.ndarray:
     with np.errstate(over="ignore"):  # t * t = inf past ~1.3e154 gives u = 0, which is exact there
         u = np.multiply(t, t)
         np.divide(1.0, u, out=u)
-    pacc = np.full_like(t, _ASY_P[terms - 1])
-    qacc = np.full_like(t, _ASY_Q[terms - 1])
-    for cp, cq in zip(_ASY_P[: terms - 1][::-1], _ASY_Q[: terms - 1][::-1]):
-        pacc *= u
-        pacc += cp
-        qacc *= u
-        qacc += cq
+    pacc, qacc = _asymptotic_series(u, terms)
     # pi/2 - cos(t) P / t - sin(t) Q u, rounded in that order
     out = np.cos(t)
     out *= pacc

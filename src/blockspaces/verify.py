@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -37,6 +38,9 @@ from .norms import weighted_lp_norm
 from .params import WeightParams
 from .piecewise import PiecewiseConstant1D
 from .quadrature import (
+    _gl_rule,
+    _grading,
+    _uniform_edges,
     oscillation_edges,
     panel_nodes,
     shell_grid,
@@ -44,6 +48,8 @@ from .quadrature import (
     weighted_power_terms,
 )
 from .operators import (
+    _BLOCK_BYTES,
+    _sn_error_on_lattice,
     _sn_rows,
     _sup_abs,
     _truncated_rows,
@@ -629,10 +635,44 @@ def _decomposition_independence(seed: int) -> VerificationReport:
 
 _X_MAX = 256.0
 
-#: quadrature panels of e(N) evaluated at once, which bounds its working set
+#: quadrature panels of e(N) evaluated at once by dirichlet_sn, which bounds its working set
 _E_PANELS = 1 << 14
 #: Gauss-Legendre nodes in each panel of e(N)
 _E_NODES = 4
+
+
+def _e_panels(f: PiecewiseConstant1D, N: float) -> tuple[list[np.ndarray], np.ndarray, np.ndarray | None]:
+    """The panels of oscillation_edges(f.breakpoints, _X_MAX, 1/(4N)), split for e(N).
+
+    Returns (runs, uniform, lattice).  uniform holds the uniform edges l h,
+    h = 1/(4N), l = 0..count.  When count = 1024N, they are the lattice hZ,
+    and lattice[0, l] and lattice[1, l] mark the cells [l h, (l + 1) h] and
+    [-(l + 1) h, -l h] that are panels: 1 <= l < count, and no grading edge
+    or breakpoint lies inside.  runs holds the edges of every other panel,
+    one ascending array per run of adjacent cells.  When 1024N is not an
+    integer, lattice is None and the one run is oscillation_edges itself.
+    """
+    spacing = 1.0 / (4.0 * N)
+    uniform = _uniform_edges(_X_MAX, spacing)
+    count = uniform.size - 1
+    if 4 * Fraction(N) * Fraction(_X_MAX) != count:
+        return [oscillation_edges(f.breakpoints, _X_MAX, spacing)], uniform, None
+    grading = _grading(_X_MAX)
+    inner = np.concatenate([-grading, grading, [b for b in f.breakpoints if abs(b) <= _X_MAX]])
+    cell = np.searchsorted(uniform, np.abs(inner), side="right") - 1
+    splits = uniform[cell] < np.abs(inner)  # inside cell l of its side, not one of its ends
+    lattice = np.ones((2, count), dtype=bool)
+    lattice[:, 0] = False
+    lattice[(inner < 0)[splits].astype(int), cell[splits]] = False
+    runs = []
+    for side, sign in ((lattice[0], 1.0), (lattice[1], -1.0)):
+        ends = sign * inner[sign * inner > 0]
+        cells = np.flatnonzero(~side)
+        for run in np.split(cells, np.flatnonzero(np.diff(cells) > 1) + 1):
+            lo, hi = uniform[run[0]], uniform[run[-1] + 1]
+            edges = np.union1d(uniform[run[0] : run[-1] + 2], ends[(lo < ends) & (ends < hi)])
+            runs.append(edges if sign > 0 else -edges[::-1])
+    return runs, uniform, lattice
 
 
 def partial_sum_error_norm(f: PiecewiseConstant1D, params: WeightParams, N: float) -> float:
@@ -640,19 +680,50 @@ def partial_sum_error_norm(f: PiecewiseConstant1D, params: WeightParams, N: floa
 
     Panels resolve both the oscillation (spacing 1/(4N)) and the weight
     singularity at 0 (geometric grading to 2^-40), with _E_NODES
-    Gauss-Legendre nodes each; the domain truncation is the one documented approximation.
-    The panels are evaluated _E_PANELS at a time into one array of terms,
-    summed once, so memory stays bounded as N grows.
+    Gauss-Legendre nodes each; the domain truncation is the one documented
+    approximation.
+
+    When 1024N is an integer, the uniform panels that no grading edge or
+    breakpoint splits lie on the lattice hZ, h = 1/(4N) (see _e_panels).
+    They go to operators._sn_error_on_lattice, which takes their Si phases
+    exactly and never cancels f against the limits pi/2, in chunks whose
+    temporaries are _BLOCK_BYTES each.  The nodes are symmetric, so a cell
+    [l h, (l + 1) h] and its mirror share one array of w_k (h/2) |x|^alpha,
+    and the mirror's errors are those of x -> f(-x) on the cell.  Every
+    other panel goes through dirichlet_sn, _E_PANELS at a time, into one
+    array of terms summed once; when 1024N is not an integer, that is every
+    panel.  Beyond the uniform edges, no array grows with N.
     """
     if not N > 0:
         raise ValueError(f"N must be positive, got {N}")
-    edges = oscillation_edges(f.breakpoints, _X_MAX, 1.0 / (4.0 * N))
-    terms = np.empty(_E_NODES * (edges.size - 1))
-    for i in range(0, edges.size - 1, _E_PANELS):
-        x, w = panel_nodes(edges[i : i + _E_PANELS + 1], _E_NODES)
-        diff = dirichlet_sn(f, N, x) - f(x)
-        terms[_E_NODES * i : _E_NODES * i + x.size] = weighted_power_terms(diff, x, w, params.p, params.alpha)
-    return float(np.sum(terms)) ** (1.0 / params.p)
+    runs, uniform, lattice = _e_panels(f, N)
+    p, alpha = params.p, params.alpha
+    terms = np.empty(_E_NODES * sum(edges.size - 1 for edges in runs))
+    filled = 0
+    for edges in runs:
+        for i in range(0, edges.size - 1, _E_PANELS):
+            x, w = panel_nodes(edges[i : i + _E_PANELS + 1], _E_NODES)
+            terms[filled : filled + x.size] = weighted_power_terms(dirichlet_sn(f, N, x) - f(x), x, w, p, alpha)
+            filled += x.size
+    total = float(np.sum(terms))
+    if lattice is None:
+        return total ** (1.0 / p)
+    nodes = _gl_rule(_E_NODES)[0]
+    bps, values = np.asarray(f.breakpoints, dtype=float), np.asarray(f.values, dtype=float)
+    sides = ((bps, values), (-bps[::-1], values[::-1]))
+    chunk = _BLOCK_BYTES // (8 * _E_NODES)  # panels whose nodes fill one temporary
+    for lo in range(1, lattice.shape[1], chunk):
+        hi = min(lo + chunk, lattice.shape[1])
+        x, w = panel_nodes(uniform[lo : hi + 1], _E_NODES)
+        w *= x ** alpha  # x > 0
+        for keep, (b, v) in zip(lattice[:, lo:hi], sides):
+            err = _sn_error_on_lattice(b, v, N, lo, hi - lo, nodes)
+            err[~keep] = 0.0
+            err = np.abs(err, out=err).reshape(-1)
+            err **= p
+            err *= w
+            total += float(np.sum(err))
+    return total ** (1.0 / p)
 
 
 def _norm_convergence() -> VerificationReport:

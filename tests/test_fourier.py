@@ -4,10 +4,17 @@ The sine-integral evaluator is primary; the spectral route exists to
 cross-check it.  Route-agreement bounds here assert the measured sampling
 error of the spectral route (one straddled grid cell per jump: O(h) in L^inf
 near jumps, O(h^2) at fixed interior points), not an idealized rate.
+
+e(N)'s lattice kernel evaluates S_N f - f at the exact points of the lattice
+Z/(4N) from exact phases; it must agree with dirichlet_sn - f at the nearest
+doubles, and with 40-digit mpmath, and e(N)'s panels must be those of
+oscillation_edges.
 """
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +23,7 @@ from hypothesis import strategies as st
 from blockspaces import (
     DomainEvaluationError,
     PiecewiseConstant1D,
+    WeightParams,
     carleson,
     dirichlet_sn,
     dirichlet_sn_via_hilbert,
@@ -26,6 +34,9 @@ from blockspaces import (
     refine_schedule,
     sine_integral,
 )
+from blockspaces.operators import _sn_error_on_lattice
+from blockspaces.quadrature import _gl_rule, oscillation_edges
+from blockspaces.verify import _E_NODES, _X_MAX, _e_panels, partial_sum_error_norm
 
 chi = PiecewiseConstant1D.indicator
 
@@ -252,3 +263,93 @@ def test_partial_sums_commute_with_dyadic_dilation(seed, j):
     sched = 0.5 * 2.0 ** np.arange(6)
     got = carleson(f.dilate(lam), sched / lam, x * lam, refine_tolerance=1e-12, max_refinements=2)
     assert np.array_equal(got, carleson(f, sched, x, refine_tolerance=1e-12, max_refinements=2))
+
+
+# -- e(N)'s lattice kernel ------------------------------------------------------
+
+GL_NODES = _gl_rule(_E_NODES)[0]
+
+
+def lattice_points(N, first, panels):
+    """The exact points (l + (1 + t_k)/2) / (4N) of the kernel's rows, in its order."""
+    h = 1 / (4 * Fraction(N))
+    return [(l + (1 + Fraction(t)) / 2) * h for l in range(first, first + panels) for t in GL_NODES.tolist()]
+
+
+@st.composite
+def lattice_cases(draw):
+    """N, a step function with breakpoints on and off the lattice Z/(4N), some past +-256, and panels."""
+    N = draw(st.sampled_from([0.25, 1.0, 3.0, 64.0]))
+    reach = int(1.2 * 4 * N * _X_MAX)
+    on = draw(st.lists(st.integers(-reach, reach), max_size=4))
+    off = draw(st.lists(st.floats(-1.2 * _X_MAX, 1.2 * _X_MAX), max_size=4))
+    bps = sorted({float(k / (4 * Fraction(N))) for k in on} | set(off))
+    if len(bps) < 2:
+        bps = [-300.0, 0.3]
+    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=len(bps) - 1, max_size=len(bps) - 1))
+    # the panels next to a breakpoint (|t| < 44 and the 22-term rows) or anywhere
+    near = math.floor(4 * N * draw(st.sampled_from(bps))) + draw(st.integers(-720, 80))
+    first = draw(st.one_of(st.just(near), st.integers(-reach, reach)))
+    return N, PiecewiseConstant1D(bps, values), first, draw(st.integers(1, 140))
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=lattice_cases())
+def test_lattice_kernel_equals_dirichlet_sn_minus_f(case):
+    # at the double x nearest each exact lattice point x*: the budget per
+    # jump c_j is |c_j| 2^-45 for the two routes' rounding (Si errs by up to
+    # 40 ulps of 1 on its Maclaurin branch, in each route), 4 * 2^-1074 for a
+    # subnormal c_j, and 2N |c_j| |x - x*|, as |d/dx Si(2 pi N (x - b))| <=
+    # 2 pi N.  Points with a breakpoint in [x, x*] are left out: f jumps there
+    N, f, first, panels = case
+    exact = lattice_points(N, first, panels)
+    x = np.array([float(p) for p in exact])
+    offset = np.array([float(abs(Fraction(xf) - p)) for xf, p in zip(x.tolist(), exact)])
+    bps = np.asarray(f.breakpoints)
+    got = _sn_error_on_lattice(bps, np.asarray(f.values), N, first, panels, GL_NODES).ravel()
+    want = dirichlet_sn(f, N, x) - f(x)
+    jumps = np.abs(np.diff(np.concatenate([[0.0], f.values, [0.0]]))).sum()
+    budget = jumps * (2.0**-45 + 2.0 * N * offset) + 4 * 2.0**-1074 * len(f.breakpoints)
+    between = np.array([any(min(xf, p) <= b <= max(xf, p) for b in f.breakpoints) for xf, p in zip(x, exact)])
+    assert np.all((np.abs(got - want) <= budget) | between)
+
+
+@pytest.mark.parametrize("N", [64.0, 1024.0])
+def test_lattice_kernel_against_mpmath_at_far_nodes(N):
+    # chi[1/4, 1/2] at lattice nodes far from its jumps, on both sides: within
+    # 8 ulps of (1/pi) sum_j |c_j| |R(t_j)|, R(t) = Si(t) - sgn(t) pi/2.  The
+    # two R(t_j) nearly cancel there, which costs dirichlet_sn - f its
+    # digits: it forms Si(t_j) ~ pi/2 and subtracts f
+    f = chi(0.25, 0.5)
+    count = int(4 * N * _X_MAX)
+    for first in (-count, -count // 2, count // 8, count - 16):
+        got = _sn_error_on_lattice(np.asarray(f.breakpoints), np.asarray(f.values), N, first, 16, GL_NODES)
+        for value, point in zip(got.ravel().tolist(), lattice_points(N, first, 16)):
+            with mpmath.workdps(40):
+                x = mpmath.mpf(point.numerator) / point.denominator
+                r = [mpmath.si(2 * mpmath.pi * N * (x - b)) - mpmath.sign(x - b) * mpmath.pi / 2 for b in (0.25, 0.5)]
+                want, scale = (r[0] - r[1]) / mpmath.pi, (abs(r[0]) + abs(r[1])) / mpmath.pi
+                assert abs(value - want) <= 8 * 2.0**-53 * scale
+
+
+@pytest.mark.parametrize("N", [1.0, 3.0, 1024.0])
+def test_lattice_and_other_panels_are_the_oscillation_panels(N):
+    # breakpoints off the lattice, one past 256 and one at 0; N = 3 also has
+    # the grading edge 1/8 inside a lattice cell
+    f = PiecewiseConstant1D((-300.0, -1.0 / 3.0, 0.0, 0.7, 255.99), (1.0, 2.0, 3.0, -1.0))
+    runs, uniform, lattice = _e_panels(f, N)
+    pairs = [np.stack([e[:-1], e[1:]], axis=1) for e in runs]
+    for side, sign in zip(lattice, (1.0, -1.0)):
+        (l,) = np.nonzero(side)
+        ends = np.stack([sign * uniform[l], sign * uniform[l + 1]], axis=1)
+        pairs.append(ends if sign > 0 else ends[:, ::-1])
+    got = np.concatenate(pairs)
+    got = got[np.argsort(got[:, 0], kind="stable")]
+    edges = oscillation_edges(f.breakpoints, _X_MAX, 1.0 / (4.0 * N))
+    assert np.array_equal(got, np.stack([edges[:-1], edges[1:]], axis=1))
+
+
+def test_non_lattice_N_keeps_its_bits():
+    # 1024 N = 307.2 is no integer: every panel goes through dirichlet_sn as before
+    e = partial_sum_error_norm(chi(0.25, 0.5), WeightParams(1, 1.0, 2.0, -0.5), 0.3)
+    assert e == 0.9854439963904995
