@@ -635,13 +635,11 @@ def _decomposition_independence(seed: int) -> VerificationReport:
 
 _X_MAX = 256.0
 
-#: quadrature panels of e(N) evaluated at once by dirichlet_sn, which bounds its working set
-_E_PANELS = 1 << 14
 #: Gauss-Legendre nodes in each panel of e(N)
 _E_NODES = 4
 
 
-def _e_panels(f: PiecewiseConstant1D, N: float) -> tuple[list[np.ndarray], np.ndarray, np.ndarray | None]:
+def _e_panels(f: PiecewiseConstant1D, N: float) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """The panels of oscillation_edges(f.breakpoints, _X_MAX, 1/(4N)), split for e(N).
 
     Returns (runs, uniform, lattice).  uniform holds the uniform edges l h,
@@ -650,13 +648,14 @@ def _e_panels(f: PiecewiseConstant1D, N: float) -> tuple[list[np.ndarray], np.nd
     [-(l + 1) h, -l h] that are panels: 1 <= l < count, and no grading edge
     or breakpoint lies inside.  runs holds the edges of every other panel,
     one ascending array per run of adjacent cells.  When 1024N is not an
-    integer, lattice is None and the one run is oscillation_edges itself.
+    integer, lattice is an empty (2, 0) mask and the one run is
+    oscillation_edges itself.
     """
     spacing = 1.0 / (4.0 * N)
     uniform = _uniform_edges(_X_MAX, spacing)
     count = uniform.size - 1
     if 4 * Fraction(N) * Fraction(_X_MAX) != count:
-        return [oscillation_edges(f.breakpoints, _X_MAX, spacing)], uniform, None
+        return [oscillation_edges(f.breakpoints, _X_MAX, spacing)], uniform, np.ones((2, 0), dtype=bool)
     grading = _grading(_X_MAX)
     inner = np.concatenate([-grading, grading, [b for b in f.breakpoints if abs(b) <= _X_MAX]])
     cell = np.searchsorted(uniform, np.abs(inner), side="right") - 1
@@ -686,32 +685,30 @@ def partial_sum_error_norm(f: PiecewiseConstant1D, params: WeightParams, N: floa
     When 1024N is an integer, the uniform panels that no grading edge or
     breakpoint splits lie on the lattice hZ, h = 1/(4N) (see _e_panels).
     They go to operators._sn_error_on_lattice, which takes their Si phases
-    exactly and never cancels f against the limits pi/2, in chunks whose
-    temporaries are _BLOCK_BYTES each.  The nodes are symmetric, so a cell
-    [l h, (l + 1) h] and its mirror share one array of w_k (h/2) |x|^alpha,
-    and the mirror's errors are those of x -> f(-x) on the cell.  Every
-    other panel goes through dirichlet_sn, _E_PANELS at a time, into one
-    array of terms summed once; when 1024N is not an integer, that is every
-    panel.  Beyond the uniform edges, no array grows with N.
+    exactly and never cancels f against the limits pi/2.  The nodes are
+    symmetric, so a cell [l h, (l + 1) h] and its mirror share one array of
+    w_k (h/2) |x|^alpha, and the mirror's errors are those of x -> f(-x) on
+    the cell.  Every other panel goes through dirichlet_sn into one array
+    of terms summed once; when 1024N is not an integer, that is every
+    panel, and oscillation_edges and the terms grow with N.  Both routes
+    take the panels in chunks whose node arrays are _BLOCK_BYTES each.
     """
     if not N > 0:
         raise ValueError(f"N must be positive, got {N}")
     runs, uniform, lattice = _e_panels(f, N)
     p, alpha = params.p, params.alpha
+    chunk = _BLOCK_BYTES // (8 * _E_NODES)  # panels whose nodes fill one temporary
     terms = np.empty(_E_NODES * sum(edges.size - 1 for edges in runs))
     filled = 0
     for edges in runs:
-        for i in range(0, edges.size - 1, _E_PANELS):
-            x, w = panel_nodes(edges[i : i + _E_PANELS + 1], _E_NODES)
+        for i in range(0, edges.size - 1, chunk):
+            x, w = panel_nodes(edges[i : i + chunk + 1], _E_NODES)
             terms[filled : filled + x.size] = weighted_power_terms(dirichlet_sn(f, N, x) - f(x), x, w, p, alpha)
             filled += x.size
     total = float(np.sum(terms))
-    if lattice is None:
-        return total ** (1.0 / p)
     nodes = _gl_rule(_E_NODES)[0]
     bps, values = np.asarray(f.breakpoints, dtype=float), np.asarray(f.values, dtype=float)
     sides = ((bps, values), (-bps[::-1], values[::-1]))
-    chunk = _BLOCK_BYTES // (8 * _E_NODES)  # panels whose nodes fill one temporary
     for lo in range(1, lattice.shape[1], chunk):
         hi = min(lo + chunk, lattice.shape[1])
         x, w = panel_nodes(uniform[lo : hi + 1], _E_NODES)

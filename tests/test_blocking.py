@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import blockspaces
-from blockspaces import PiecewiseConstant1D, dirichlet_sn, hilbert, hilbert_truncated, operators
+from blockspaces import PiecewiseConstant1D, dirichlet_sn, hilbert, hilbert_truncated, maximal_1d_exact, operators
 
 SIZES = (1, 2, 63, 64, 65, 66, 129, 4097, 8193)
 BREAKPOINTS = (2, 1025)
@@ -187,20 +187,36 @@ def test_block_buffers_are_allocated_once_per_call(op, monkeypatch):
     assert max(blocks) < 64 * 1024 * 8, blocks
 
 
+def test_maximal_1d_exact_memory_is_bounded():
+    # 1024 pieces give 31-point blocks whose temporaries are _BLOCK_BYTES each,
+    # so the peak stays a few of them, whatever the number of points
+    f = _function(1025)
+    maximal_1d_exact(f, _points(1))  # the first call imports numpy.ma (np.isin), which tracemalloc would count
+    tracemalloc.start()
+    try:
+        maximal_1d_exact(f, _points(256))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024, peak
+
+
 def test_partial_sum_error_norm_memory_is_bounded():
     # e(2^11) streams its 16.8M quadrature nodes; the dense form peaked at
     # 2474 MiB, and the dirichlet_sn stream at 201 MiB.  The literal is the
     # value of the lattice kernel, 4.2e-16 relative from the dense form's
-    # 0.001031502908723846.
+    # 0.001031502908723846.  The child reads its own VmHWM: on Linux its
+    # ru_maxrss keeps the high-water mark of the process that forked it.
     code = (
-        "import resource\n"
+        "import re\n"
         "from blockspaces import PiecewiseConstant1D, WeightParams\n"
         "from blockspaces.verify import partial_sum_error_norm\n"
         "f = PiecewiseConstant1D.indicator(0.25, 0.5)\n"
         "e = partial_sum_error_norm(f, WeightParams(1, 1.0, 2.0, -0.5), 2048.0)\n"
-        "print(repr(e), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "hwm = re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read()).group(1)\n"
+        "print(repr(e), hwm)\n"
     )
     run = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True)
-    value, maxrss_kib = run.stdout.split()
+    value, hwm_kib = run.stdout.split()
     assert float(value) == 0.0010315029087238465
-    assert int(maxrss_kib) / 1024 < 100
+    assert int(hwm_kib) / 1024 < 100
