@@ -31,17 +31,20 @@ of its carleson and hilbert_maximal schedules (`_sn_rows`,
 `_truncated_rows`, with `_sup_abs` taking the sup over the levels).
 
 Claim 6.3's error norm e(N) evaluates S_N f - f on the nodes of panels of
-width 1/(4N) on the lattice Z/(4N) (`_sn_error_on_lattice`).  There every
-Si phase is a quarter turn times an integer plus a fixed offset per
-breakpoint and node, so its cos and sin come from a table of four signed
-entries and no trig runs per point; and the jump sum is formed as
-(1/pi) sum_j c_j (Si(t_j) - sgn(t_j) pi/2), so f is never cancelled
-against the limits pi/2.
+width 1/(4N) on the lattice Z/(4N) (`_sn_error_on_lattice`), for f and
+x -> f(-x) as two rows of one call.  There every Si phase is a quarter
+turn times an integer m plus a fixed offset per node and per fractional
+part d of 4N b_j, so R(t) = Si(t) - sgn(t) pi/2 is one table over (m, node)
+per offset, computed once per lattice point for every breakpoint of both
+rows with that offset, and each row sums its jumps times windows of the
+table.  Its cos and sin come from four signed entries, so no trig runs
+per point, and f is never cancelled against the limits pi/2.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -350,93 +353,176 @@ _R_BANDS = tuple(
 )
 
 
-def _si_minus_limit(v, cos_t, sin_t, terms: int, u, p, q) -> np.ndarray:
+def _si_minus_limit(v, turns, m0: int, terms: int, u, p, q) -> np.ndarray:
     """R(t) = Si(t) - sgn(t) pi/2 = -cos(t) P(u)/t - sin(t) Q(u) u, u = 1/t^2, for |t| >= 44.
 
-    v is 1/t, and cos_t and sin_t are -cos t and -sin t, both scaled by the
-    factor that scales R.  u, p and q are buffers of v's shape; R is
-    written over p.
+    Node-major: t = (pi/2) (m + a_k) in row k and column m - m0.  v is 1/t,
+    and turns[k, i] is -cos t for m = i mod 4, scaled by the factor that
+    scales R (-sin t is the entry for m - 1); the rows repeat with period 4
+    and are at least 3 columns longer than v.  u, p and q are buffers of v's
+    shape; R is written over p.
     """
+    n = v.shape[1]
     np.multiply(v, v, out=u)
     _asymptotic_series(u, terms, p, q)
     p *= v
-    p *= cos_t
+    p *= turns[:, m0 % 4 : m0 % 4 + n]
     q *= u
-    q *= sin_t
+    q *= turns[:, (m0 - 1) % 4 : (m0 - 1) % 4 + n]
     p += q
     return p
 
 
-def _sn_error_on_lattice(
-    bps: np.ndarray, values: np.ndarray, N: float, first: int, panels: int, nodes: np.ndarray
-) -> np.ndarray:
-    """S_N f - f at x = (l + (1 + t_k)/2) / (4N), one row per l = first, ..., first + panels - 1.
+def _r_table(a: np.ndarray, turns: np.ndarray, m0: int, out: np.ndarray, work) -> None:
+    """R(t) / pi at t = (pi/2) (m + a_k), m = m0, m0 + 1, ..., into the (nodes x m) out.
 
-    f has the breakpoints bps and the values `values`, and t_k are the nodes,
-    in (-1, 1): the points are nodes of the panels of width h = 1/(4N) on the
-    lattice hZ, taken exactly.  The result is (1/pi) sum_j c_j R(t_j) over
-    the jumps c_j at b_j, with t_j = 2 pi N (x - b_j) and
-    R(t) = Si(t) - sgn(t) pi/2.  The jumps sum to 0, so the limits
-    sgn(t_j) pi/2 sum to pi f(x) and are never formed and then cancelled.
-    Breakpoints past the points count like the others, and a point on a
-    breakpoint gets R(0) = 0 there, so f's two-sided mean.
+    turns are _si_minus_limit's, scaled by -1/pi, and work holds three
+    (nodes x width) buffers; out is filled width columns at a time.
 
-    With 4N b_j = n_j + d_j exactly, n_j an integer and 0 <= d_j < 1, every
-    phase is t_j = (pi/2) (l - n_j + a_jk), a_jk = (1 + t_k)/2 - d_j.  So
-    cos t_j and sin t_j are +-cos or +-sin of (pi/2) a_jk, by the quadrant
-    (l - n_j) mod 4, and no trig runs per point.  Where |t_j| >= 1024, R comes
-    from Si's asymptotic series with these cos and sin, with the terms
-    _R_BANDS gives; below, from 22 terms, and where |t_j| < 44, from
-    sine_integral.  Rows hold 64 panels, so each column keeps one quadrant,
-    and each row takes the terms of its least |t_j|.  The rows with an
-    |t_j| < 1024 round l - n_j + a_jk once, the others twice.
+    Each 64-aligned block of m takes the fewest terms of Si's asymptotic
+    series its least |t| needs (_R_BANDS); a block with an |t| < 1024 takes
+    22 terms on t = (pi/2) fl(m + a_k), and there |t| < 44 goes through
+    sine_integral.  Every other block takes 1/t = (2/pi) / fl(m + a_k).  So
+    each value depends on m, a_k and the scaled turns alone.
     """
-    c = np.diff(values, prepend=0.0, append=0.0)
-    rows, width = -(-panels // 64), 64 * nodes.size
-    # (1 + t_k)/2 = s_k / 2d, where d is the largest denominator of a node, a power of 2
-    d = max(t.as_integer_ratio()[1] for t in nodes.tolist())
-    offsets = [int(t * d) + d for t in nodes.tolist()]
-    num_n, den_n = (4.0 * N).as_integer_ratio()
-    out = np.zeros((rows, width))
-    v, u, p, q = (np.empty((rows, width)) for _ in range(4))
-    for b, cj in zip(bps.tolist(), c.tolist()):
-        num, den = b.as_integer_ratio()
-        num, den = num * num_n, den * den_n  # 4N b_j = num / den = n_j + d_j
-        n = num // den
-        if cj == 0.0 or abs(n) > 2**1000:  # |R(t_j)| < 2^-999 there
-            continue
-        # a_jk = A_k / D; each float below is one correctly rounded int division
-        A, D = [s * den - (num - n * den) * 2 * d for s in offsets], 2 * d * den
-        a = np.array([ak / D for ak in A])
-        # cos and sin of (pi/2) a, each a sine of an argument in [0, pi/2]
-        cos_a = np.array([math.sin(0.5 * math.pi * ((D - abs(ak)) / D)) for ak in A])
-        sin_a = np.array([math.sin(0.5 * math.pi * (abs(ak) / D)) * (1 if ak >= 0 else -1) for ak in A])
-        # cos((pi/2) (m + a)) for m mod 4 = 0, 1, 2, 3; sin((pi/2) (m + a)) is the entry for m - 1
-        quadrants = np.array([cos_a, -sin_a, -cos_a, sin_a]) * (-cj / math.pi)
-        turn = ((first - n) % 4 + np.arange(64)) % 4  # each column's quadrant, in every row
-        cos_t, sin_t = quadrants[turn].ravel(), quadrants[turn - 1].ravel()
-        start = float(first - n) + np.arange(0.0, 64.0 * rows, 64.0)  # each row's first l - n_j
-        np.add(start[:, None], (np.arange(64.0)[:, None] + a).ravel(), out=v)  # l - n_j + a_jk
-        np.divide(2.0 / math.pi, v, out=v)  # 1/t_j
-        least = 0.5 * math.pi * np.maximum(np.maximum(start - 1.0, -64.0 - start), 0.0)
-        band = np.searchsorted([t for t, _ in _R_BANDS], least, side="right")
-        cuts = [0, *(np.flatnonzero(np.diff(band)) + 1).tolist(), rows]
-        for lo, hi in zip(cuts, cuts[1:]):
-            rs = slice(lo, hi)
-            work = u[rs], p[rs], q[rs]
-            if band[lo]:
-                out[rs] += _si_minus_limit(v[rs], cos_t, sin_t, _R_BANDS[band[lo] - 1][1], *work)
+    m1 = m0 + out.shape[1]
+    # each block's first m, as floats: m0 may be far beyond int64 (|n_j| up to 2^1000)
+    blocks = 64.0 * (m0 // 64) + 64.0 * np.arange((m1 - 1) // 64 - m0 // 64 + 1)
+    least = 0.5 * math.pi * np.maximum(np.maximum(blocks - 1.0, -64.0 - blocks), 0.0)
+    band = np.searchsorted([t for t, _ in _R_BANDS], least, side="right")
+    changes = (np.flatnonzero(np.diff(band)) + 1).tolist()
+    starts = [m0, *(64 * (m0 // 64 + i) for i in changes)]
+    width = work[0].shape[1]
+    for start, stop, b in zip(starts, starts[1:] + [m1], band[[0, *changes]].tolist()):
+        for lo in range(start, stop, width):
+            hi = min(lo + width, stop)
+            v, u, q = (w[:, : hi - lo] for w in work)
+            p = out[:, lo - m0 : hi - m0]
+            np.add(float(lo) + np.arange(hi - lo, dtype=float), a[:, None], out=v)  # fl(m + a_k)
+            if b:
+                np.divide(2.0 / math.pi, v, out=v)
+                _si_minus_limit(v, turns, lo, _R_BANDS[b - 1][1], u, p, q)
                 continue
-            m = (first - n + 64 * np.arange(lo, hi))[:, None] + np.arange(64)  # l - n_j, exact
-            t = (m[:, :, None] + a).reshape(hi - lo, width)
-            t *= 0.5 * math.pi
+            t = v * (0.5 * math.pi)
             with np.errstate(all="ignore"):  # the |t| < 44 this spoils are replaced next
-                r = _si_minus_limit(np.divide(1.0, t, out=v[rs]), cos_t, sin_t, _ASYMPTOTIC_TERMS, *work)
+                _si_minus_limit(np.divide(1.0, t, out=v), turns, lo, _ASYMPTOTIC_TERMS, u, p, q)
             small = np.abs(t) < _ASYMPTOTIC_CUTOFF
             ts = t[small]
-            r[small] = (sine_integral(ts) - np.sign(ts) * (0.5 * math.pi)) * (cj / math.pi)
-            out[rs] += r
-    return out.reshape(-1, nodes.size)[:panels]
+            p[small] = (sine_integral(ts) - np.sign(ts) * (0.5 * math.pi)) * (1.0 / math.pi)
+
+
+def _sn_error_on_lattice(
+    bps: np.ndarray, values: np.ndarray, N: float, first: int, panels: int, nodes: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """S_N f - f for each row f at x = (l + (1 + t_k)/2) / (4N), l = first, ..., first + panels - 1.
+
+    Row i of bps and of values gives the breakpoints and values of one f,
+    and t_k are the nodes, in (-1, 1): the points are nodes of the panels
+    of width h = 1/(4N) on the lattice hZ, taken exactly.  A generator: per
+    chunk of at most _BLOCK_BYTES // (8 nodes.size) cells [lo, hi) it yields
+    (lo, err), err[i, k, l - lo] the value of row i at node k of cell l.
+    err is node-major, and the next chunk overwrites it.
+
+    The value is (1/pi) sum_j c_j R(t_j) over the jumps c_j at b_j, with
+    t_j = 2 pi N (x - b_j) and R(t) = Si(t) - sgn(t) pi/2.  The jumps sum
+    to 0, so the limits sgn(t_j) pi/2 sum to pi f(x) and are never formed
+    and then cancelled.  Breakpoints past the points count like the others,
+    and a point on a breakpoint gets R(0) = 0 there, so f's two-sided mean.
+
+    With 4N b_j = n_j + d_j exactly, n_j an integer and 0 <= d_j < 1, every
+    phase is t_j = (pi/2) (m + a_k), m = l - n_j and a_k = (1 + t_k)/2 - d_j.
+    So R(t_j) / pi is one table over (m, k) per offset d_j, shared by every
+    breakpoint of every row with that offset: per chunk, a table covers the
+    union of the windows [lo - n_j, hi - n_j) of its breakpoints, up to two
+    chunks wide, and each row sums c_j table[window_j] in breakpoint order.
+    The two tables used last are kept, and a new table copies the columns it
+    shares with one of them (the next chunk's windows overlap this chunk's).
+    cos t_j and sin t_j are +-cos or +-sin of (pi/2) a_k, by m mod 4, and no
+    trig runs per point (see _r_table for the series).
+
+    Rounding: m + a_k is rounded once, and a value depends on m, k and d_j
+    alone, not on `first`, the chunk or the other breakpoints.  The table is
+    scaled by fl(-1/pi) (fl(1/pi) where |t| < 44 goes through sine_integral),
+    so a jump c_j that is a power of 2 (+-1 included) gives the bits of the
+    per-breakpoint form, whose scale is fl(-c_j/pi); any other c_j is off by
+    at most one rounding per term.
+    """
+    c = np.diff(values, prepend=0.0, append=0.0, axis=1)
+    width = _BLOCK_BYTES // (8 * nodes.size)
+    # (1 + t_k)/2 = s_k / 2e, where e is the largest denominator of a node, a power of 2
+    e = max(t.as_integer_ratio()[1] for t in nodes.tolist())
+    s = [int(t * e) + e for t in nodes.tolist()]
+    num_n, den_n = (4.0 * N).as_integer_ratio()
+    jumps, phases = [], {}  # (row, n_j, c_j, d_j) in breakpoint order; d_j -> (a, turns)
+    for row, (b_row, c_row) in enumerate(zip(bps.tolist(), c.tolist())):
+        for b, cj in zip(b_row, c_row):
+            num, den = b.as_integer_ratio()
+            n, r = divmod(num * num_n, den * den_n)  # 4N b_j = n_j + r / (den den_n)
+            if cj == 0.0 or abs(n) > 2**1000:  # |R(t_j)| < 2^-999 there
+                continue
+            g = math.gcd(r, den * den_n)
+            d = r // g, den * den_n // g  # d_j in lowest terms, so equal offsets get one key
+            jumps.append((row, n, cj, d))
+            if d not in phases:
+                # a_k = A_k / D; each float below is one correctly rounded int division
+                A, D = [sk * d[1] - 2 * e * d[0] for sk in s], 2 * e * d[1]
+                cos_a = [math.sin(0.5 * math.pi * ((D - abs(ak)) / D)) for ak in A]
+                sin_a = [math.sin(0.5 * math.pi * (abs(ak) / D)) * (1 if ak >= 0 else -1) for ak in A]
+                # -cos((pi/2) (m + a)) / pi for m mod 4 = 0, 1, 2, 3; -sin is the entry for m - 1
+                turns = np.array([cos_a, [-x for x in sin_a], [-x for x in cos_a], sin_a]) * (-1.0 / math.pi)
+                phases[d] = np.array([ak / D for ak in A]), np.tile(turns.T, width // 4 + 2)
+    k = nodes.size
+    err = np.empty((bps.shape[0], k, width))
+    work = [np.empty((k, width)) for _ in range(3)]
+    tables = []  # (d_j, m0, m1, R over [m0, m1)) for the two tables used last, the older first
+
+    def table_from(d, m0: int, m1: int) -> np.ndarray:
+        """A table of offset d whose first column is m0 and which reaches m1."""
+        for i, (od, o0, o1, table) in enumerate(tables):
+            if od == d and o0 <= m0 and m1 <= o1:
+                tables.append(tables.pop(i))
+                return table[:, m0 - o0 :]
+        # a table that holds [m0, o1) already has those values, which depend on m alone
+        held = next((t for t in tables if t[0] == d and t[1] <= m0 < t[2]), None)
+        if len(tables) < 2:
+            table = np.empty((k, 2 * width))
+        else:
+            table = tables.pop(next(i for i, t in enumerate(tables) if t is not held))[3]
+        start = m0
+        if held is not None:
+            _, o0, start, old = held
+            table[:, : start - m0] = old[:, m0 - o0 : start - o0]
+        _r_table(*phases[d], start, table[:, start - m0 : m1 - m0], work)
+        tables.append((d, m0, m1, table))
+        return table
+
+    for lo in range(first, first + panels, width):
+        cells = min(width, first + panels - lo)
+        out = err[:, :, :cells]
+        out.fill(0.0)
+        span = _spans([(d, lo - n) for _, n, _, d in jumps], cells, 2 * width)
+        for row, n, cj, d in jumps:
+            m0, m1 = span[d, lo - n]
+            window = table_from(d, m0, m1)[:, lo - n - m0 : lo - n - m0 + cells]
+            if cj != 1.0:  # into a work buffer, which _r_table is done with
+                window = np.multiply(window, cj, out=work[0][:, :cells])
+            out[row] += window
+        yield lo, out
+
+
+def _spans(windows, size: int, cap: int) -> dict:
+    """(d, start) -> (m0, m1): the span [m0, m1) that holds the window [start, start + size) of offset d.
+
+    Each offset's windows, in ascending order, join the span before them
+    while they overlap or touch it and it stays at most cap wide.
+    """
+    spans, span = {}, None
+    for d, start in sorted(set(windows)):
+        if span is None or span[0] != d or start > span[2] or start + size - span[1] > cap:
+            span = [d, start, start + size]
+        span[2] = start + size
+        spans[d, start] = span
+    return {key: (m0, m1) for key, (_, m0, m1) in spans.items()}
 
 
 def _spectral_hilbert(samples: np.ndarray) -> np.ndarray:

@@ -87,7 +87,7 @@ class PiecewiseConstant1D:
         """
         x = np.asarray(x, dtype=float)
         out = self._piece_values_at(x)
-        hit = np.isin(x, self.breakpoints)
+        hit = self._is_breakpoint(x)
         if np.any(hit):
             out = np.where(hit, 0.5 * (self._piece_values_at(x, side="left") + out), out)
         return out
@@ -115,6 +115,17 @@ class PiecewiseConstant1D:
 
     def __sub__(self, other: "PiecewiseConstant1D") -> "PiecewiseConstant1D":
         return self + (-other)
+
+    def _is_breakpoint(self, x: np.ndarray) -> np.ndarray:
+        """Whether each x equals a breakpoint (-0 equals 0, NaN equals none).
+
+        The breakpoints are sorted, so a searchsorted finds the only candidate;
+        np.isin would sort them again, and its first sort imports numpy.ma.
+        """
+        bp = np.asarray(self.breakpoints)
+        if not bp.size:
+            return np.zeros(x.shape, dtype=bool)
+        return bp[np.minimum(np.searchsorted(bp, x), bp.size - 1)] == x
 
     def _piece_values_at(self, x: np.ndarray, side: str = "right") -> np.ndarray:
         """Value of the piece right of each x (left of it with side="left"), 0 outside.

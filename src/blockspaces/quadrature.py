@@ -31,12 +31,26 @@ def panel_nodes(edges, nodes: int = 8) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need at least two panel edges")
     if not np.all(np.diff(edges) > 0):
         raise ValueError("panel edges must be strictly increasing")
-    t, w = _gl_rule(nodes)
+    x, wts = np.empty((edges.size - 1, nodes)), np.empty((edges.size - 1, nodes))
+    _node_rows(edges, x.T, wts.T)
+    return x.ravel(), wts.ravel()
+
+
+def _node_rows(edges: np.ndarray, x: np.ndarray, wts: np.ndarray) -> None:
+    """Node k of every panel between consecutive edges into row k of x and of wts, (nodes x panels) each.
+
+    A panel of centre c and half-width r gets x = c + r t_k and w = r w_k,
+    rounded as written, from the Gauss-Legendre rule with x.shape[0] nodes.
+    Each row is one pass over the panels, which is faster than a
+    (panels x nodes) broadcast whose inner loop is only `nodes` long.
+    """
+    t, w = _gl_rule(x.shape[0])
     centers = 0.5 * (edges[:-1] + edges[1:])
     halfw = 0.5 * (edges[1:] - edges[:-1])
-    x = centers[:, None] + halfw[:, None] * t[None, :]
-    wts = halfw[:, None] * w[None, :]
-    return x.ravel(), wts.ravel()
+    for tk, wk, xk, wtk in zip(t.tolist(), w.tolist(), x, wts):
+        np.multiply(halfw, tk, out=xk)
+        xk += centers
+        np.multiply(halfw, wk, out=wtk)
 
 
 def shell_grid(j_min: int, j_max: int, nodes_per_shell: int = 24) -> tuple[np.ndarray, np.ndarray]:

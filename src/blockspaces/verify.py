@@ -40,6 +40,7 @@ from .piecewise import PiecewiseConstant1D
 from .quadrature import (
     _gl_rule,
     _grading,
+    _node_rows,
     _uniform_edges,
     oscillation_edges,
     panel_nodes,
@@ -688,10 +689,15 @@ def partial_sum_error_norm(f: PiecewiseConstant1D, params: WeightParams, N: floa
     exactly and never cancels f against the limits pi/2.  The nodes are
     symmetric, so a cell [l h, (l + 1) h] and its mirror share one array of
     w_k (h/2) |x|^alpha, and the mirror's errors are those of x -> f(-x) on
-    the cell.  Every other panel goes through dirichlet_sn into one array
-    of terms summed once; when 1024N is not an integer, that is every
-    panel, and oscillation_edges and the terms grow with N.  Both routes
-    take the panels in chunks whose node arrays are _BLOCK_BYTES each.
+    the cell: f and x -> f(-x) are the kernel's two rows, which share its
+    Si remainders, one per lattice point and offset.  It rounds m + a_k once
+    per phase; for jumps that are powers of 2 (+-1 included) its values have
+    the bits of the per-breakpoint form, and any other jump is off by at most
+    one rounding per term.  Every other panel goes through dirichlet_sn into
+    one array of terms summed once; when 1024N is not an integer, that is
+    every panel, and oscillation_edges and the terms grow with N.  Both
+    routes take the panels in chunks whose node arrays are _BLOCK_BYTES
+    each, and the lattice route's buffers are allocated once per call.
     """
     if not N > 0:
         raise ValueError(f"N must be positive, got {N}")
@@ -706,20 +712,26 @@ def partial_sum_error_norm(f: PiecewiseConstant1D, params: WeightParams, N: floa
             terms[filled : filled + x.size] = weighted_power_terms(dirichlet_sn(f, N, x) - f(x), x, w, p, alpha)
             filled += x.size
     total = float(np.sum(terms))
-    nodes = _gl_rule(_E_NODES)[0]
     bps, values = np.asarray(f.breakpoints, dtype=float), np.asarray(f.values, dtype=float)
-    sides = ((bps, values), (-bps[::-1], values[::-1]))
-    for lo in range(1, lattice.shape[1], chunk):
-        hi = min(lo + chunk, lattice.shape[1])
-        x, w = panel_nodes(uniform[lo : hi + 1], _E_NODES)
-        w *= x ** alpha  # x > 0
-        for keep, (b, v) in zip(lattice[:, lo:hi], sides):
-            err = _sn_error_on_lattice(b, v, N, lo, hi - lo, nodes)
-            err[~keep] = 0.0
-            err = np.abs(err, out=err).reshape(-1)
-            err **= p
-            err *= w
-            total += float(np.sum(err))
+    sides = np.stack([bps, -bps[::-1]]), np.stack([values, values[::-1]])
+    w, flat_buffer = np.empty((_E_NODES, chunk)), np.empty(_E_NODES * chunk)
+    cells = lattice.shape[1] - 1
+    for lo, err in _sn_error_on_lattice(*sides, N, 1, cells, _gl_rule(_E_NODES)[0]):
+        n = err.shape[2]
+        flat, ws = flat_buffer[: _E_NODES * n], w[:, :n]
+        xs = flat.reshape(_E_NODES, n)  # the nodes, until the terms need the buffer
+        _node_rows(uniform[lo : lo + n + 1], xs, ws)
+        ws *= np.power(xs, alpha, out=xs)  # x > 0
+        for keep, e in zip(lattice[:, lo : lo + n], err):
+            if not keep.all():
+                e[:, ~keep] = 0.0
+            np.abs(e, out=e)
+            if p != 1.0:  # e ** 1.0 == e
+                e **= p
+            e *= ws
+            # back to panel-major order, in which np.sum pairs the terms as before
+            flat.reshape(n, _E_NODES)[...] = e.T
+            total += float(np.sum(flat))
     return total ** (1.0 / p)
 
 

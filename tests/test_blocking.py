@@ -22,7 +22,16 @@ import numpy as np
 import pytest
 
 import blockspaces
-from blockspaces import PiecewiseConstant1D, dirichlet_sn, hilbert, hilbert_truncated, maximal_1d_exact, operators
+from blockspaces import (
+    PiecewiseConstant1D,
+    WeightParams,
+    dirichlet_sn,
+    hilbert,
+    hilbert_truncated,
+    maximal_1d_exact,
+    operators,
+)
+from blockspaces.verify import partial_sum_error_norm
 
 SIZES = (1, 2, 63, 64, 65, 66, 129, 4097, 8193)
 BREAKPOINTS = (2, 1025)
@@ -191,7 +200,7 @@ def test_maximal_1d_exact_memory_is_bounded():
     # 1024 pieces give 31-point blocks whose temporaries are _BLOCK_BYTES each,
     # so the peak stays a few of them, whatever the number of points
     f = _function(1025)
-    maximal_1d_exact(f, _points(1))  # the first call imports numpy.ma (np.isin), which tracemalloc would count
+    maximal_1d_exact(f, _points(1))  # any set-up a first call makes stays out of the count
     tracemalloc.start()
     try:
         maximal_1d_exact(f, _points(256))
@@ -199,6 +208,22 @@ def test_maximal_1d_exact_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 1024 * 1024, peak
+
+
+def test_partial_sum_error_norm_streams_its_lattice_tables():
+    # e(1024) holds its 1M-cell edge array and cell mask (10 MiB) and, per
+    # chunk of 8192 cells, one shared Si table of at most two chunks, work
+    # buffers of one chunk each, and each side's errors.  A table over every
+    # lattice point would add 32 MiB
+    f, params = PiecewiseConstant1D.indicator(0.25, 0.5), WeightParams(1, 1.0, 2.0, -0.5)
+    partial_sum_error_norm(f, params, 1.0)
+    tracemalloc.start()
+    try:
+        partial_sum_error_norm(f, params, 1024.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024 * 1024, peak
 
 
 def test_partial_sum_error_norm_memory_is_bounded():

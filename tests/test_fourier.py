@@ -35,7 +35,7 @@ from blockspaces import (
     sine_integral,
 )
 from blockspaces.operators import _sn_error_on_lattice
-from blockspaces.quadrature import _gl_rule, oscillation_edges
+from blockspaces.quadrature import _gl_rule, _node_rows, oscillation_edges, panel_nodes
 from blockspaces.verify import _E_NODES, _X_MAX, _e_panels, partial_sum_error_norm
 
 chi = PiecewiseConstant1D.indicator
@@ -270,6 +270,12 @@ def test_partial_sums_commute_with_dyadic_dilation(seed, j):
 GL_NODES = _gl_rule(_E_NODES)[0]
 
 
+def lattice_kernel(bps, values, N, first, panels):
+    """The kernel's values of each row over all its chunks, as a (rows x panels x nodes) array."""
+    chunks = _sn_error_on_lattice(np.atleast_2d(bps), np.atleast_2d(values), N, first, panels, GL_NODES)
+    return np.concatenate([err.copy() for _, err in chunks], axis=2).transpose(0, 2, 1)
+
+
 def lattice_points(N, first, panels):
     """The exact points (l + (1 + t_k)/2) / (4N) of the kernel's rows, in its order."""
     h = 1 / (4 * Fraction(N))
@@ -306,12 +312,58 @@ def test_lattice_kernel_equals_dirichlet_sn_minus_f(case):
     x = np.array([float(p) for p in exact])
     offset = np.array([float(abs(Fraction(xf) - p)) for xf, p in zip(x.tolist(), exact)])
     bps = np.asarray(f.breakpoints)
-    got = _sn_error_on_lattice(bps, np.asarray(f.values), N, first, panels, GL_NODES).ravel()
+    got = lattice_kernel(bps, f.values, N, first, panels).ravel()
     want = dirichlet_sn(f, N, x) - f(x)
     jumps = np.abs(np.diff(np.concatenate([[0.0], f.values, [0.0]]))).sum()
     budget = jumps * (2.0**-45 + 2.0 * N * offset) + 4 * 2.0**-1074 * len(f.breakpoints)
     between = np.array([any(min(xf, p) <= b <= max(xf, p) for b in f.breakpoints) for xf, p in zip(x, exact)])
     assert np.all((np.abs(got - want) <= budget) | between)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=lattice_cases(), data=st.data())
+def test_lattice_value_is_the_value_alone(case, data):
+    # a value depends on its lattice point, node and offset alone: not on the
+    # range or the cuts it is asked for (some ranges cross the kernel's chunks
+    # of 8192 cells), nor on a second row whose breakpoints share f's offsets
+    # (f's own breakpoints, their mirrors, lattice points) or have others,
+    # some so far that 4N b_j is beyond int64
+    N, f, first, panels = case
+    panels = data.draw(st.one_of(st.just(panels), st.integers(8000, 17000)))
+    h = 1 / (4 * Fraction(N))
+    shared = [*f.breakpoints, *(-b for b in f.breakpoints), *(float(k * h) for k in range(-40, 40))]
+    other = st.one_of(st.sampled_from(shared), st.floats(-1.2 * _X_MAX, 1.2 * _X_MAX), st.sampled_from([-1e200, 2.0**70]))
+    size = len(f.breakpoints)
+    g_bps = sorted(data.draw(st.lists(other, min_size=size, max_size=size, unique=True)))
+    g_values = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=size - 1, max_size=size - 1))
+    alone = lattice_kernel(f.breakpoints, f.values, N, first, panels)[0]
+    both = lattice_kernel([f.breakpoints, g_bps], [f.values, g_values], N, first, panels)
+    assert np.array_equal(bits(both[0]), bits(alone))
+    assert np.array_equal(bits(both[1]), bits(lattice_kernel(g_bps, g_values, N, first, panels)[0]))
+    cuts = sorted(data.draw(st.sets(st.integers(first + 1, first + panels - 1), max_size=3))) if panels > 1 else []
+    ends = [first, *cuts, first + panels]
+    parts = [lattice_kernel(f.breakpoints, f.values, N, lo, hi - lo)[0] for lo, hi in zip(ends, ends[1:])]
+    assert np.array_equal(bits(np.concatenate(parts)), bits(alone))
+
+
+@pytest.mark.parametrize("nodes", [4, 8, 16, 24])
+def test_node_rows_are_the_broadcast_formula(nodes):
+    # x = c + r t_k and w = r w_k per panel of centre c and half-width r,
+    # bit for bit, panel-major from panel_nodes and node-major for e(N)'s lattice
+    rng = np.random.default_rng(nodes)
+    edges = np.unique(np.concatenate([rng.uniform(-300.0, 300.0, 200), rng.uniform(-1e-3, 1e-3, 57)]))
+    t, w = _gl_rule(nodes)
+    centers, halfw = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    want_x, want_w = centers[:, None] + halfw[:, None] * t[None, :], halfw[:, None] * w[None, :]
+    x, wts = panel_nodes(edges, nodes)
+    assert np.array_equal(bits(x), bits(want_x.ravel())) and np.array_equal(bits(wts), bits(want_w.ravel()))
+    rows_x, rows_w = np.empty((nodes, edges.size - 1)), np.empty((nodes, edges.size - 1))
+    _node_rows(edges, rows_x, rows_w)
+    assert np.array_equal(bits(rows_x), bits(want_x.T)) and np.array_equal(bits(rows_w), bits(want_w.T))
 
 
 @pytest.mark.parametrize("N", [64.0, 1024.0])
@@ -323,7 +375,7 @@ def test_lattice_kernel_against_mpmath_at_far_nodes(N):
     f = chi(0.25, 0.5)
     count = int(4 * N * _X_MAX)
     for first in (-count, -count // 2, count // 8, count - 16):
-        got = _sn_error_on_lattice(np.asarray(f.breakpoints), np.asarray(f.values), N, first, 16, GL_NODES)
+        got = lattice_kernel(f.breakpoints, f.values, N, first, 16)
         for value, point in zip(got.ravel().tolist(), lattice_points(N, first, 16)):
             with mpmath.workdps(40):
                 x = mpmath.mpf(point.numerator) / point.denominator

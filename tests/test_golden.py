@@ -3,7 +3,7 @@
 `tests/golden/verify/seed{k}/claim.<tid>.json` holds the report that
 `blockspaces verify --theorem <tid> --seed <k> --out claim.<tid>` writes.
 The cheap claims are rerun here for seeds 0-3 and compared byte for byte.
-3.1 and 6.3 take about 1.3 s together, so they are compared at seed 0 only.
+3.1 and 6.3 take about 0.9 s together, so they are compared at seed 0 only.
 The benchmark keeps its own references in `perfbench/reference/verify/`
 and compares only their verdicts.
 

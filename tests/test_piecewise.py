@@ -1,9 +1,15 @@
 """Exact piecewise-constant arithmetic."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import blockspaces
 from blockspaces import PiecewiseConstant1D
 
 
@@ -100,6 +106,31 @@ def test_translate_dilate():
     assert f.dilate(2.0)(x) == f(x / 2.0)
     with pytest.raises(ValueError):
         f.dilate(0.0)
+
+
+@given(
+    st.one_of(st.just(PiecewiseConstant1D.zero()), piecewise_functions(max_pieces=12)),
+    st.lists(st.floats(-9.0, 9.0), max_size=8),
+)
+def test_breakpoint_hits_are_isin(f, extra):
+    x = np.array([*f.breakpoints, *(-b for b in f.breakpoints), *extra, 0.0, -0.0, np.inf, -np.inf, np.nan])
+    assert f._is_breakpoint(x).tolist() == np.isin(x, f.breakpoints).tolist()
+    assert [bool(f._is_breakpoint(np.asarray(v))) for v in x] == np.isin(x, f.breakpoints).tolist()
+
+
+def test_evaluation_at_a_breakpoint_leaves_numpy_ma_unloaded():
+    # with 64 breakpoints and one point, np.isin would take its sort path,
+    # whose np.unique imports numpy.ma (about 20 ms)
+    src = str(Path(blockspaces.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys\n"
+        "from blockspaces import PiecewiseConstant1D\n"
+        "f = PiecewiseConstant1D(range(65), [1.0] * 64)\n"
+        "print(f(3.0), 'numpy.ma' in sys.modules)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["1.0", "False"]
 
 
 @given(piecewise_functions(), piecewise_functions())
