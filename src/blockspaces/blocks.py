@@ -15,6 +15,7 @@ cost of the best decomposition found, never as the true infimum.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,19 +111,62 @@ class Decomposition:
         return out.simplify()
 
 
+def _shell_norm(f: PiecewiseConstant1D, k: int, restrict_type: bool, s: float) -> float | None:
+    """||f chi_{C_k}||_{L^s} from f's own pieces; None when the shell holds no nonzero piece.
+
+    Bit for bit weighted_lp_norm(restrict_to_annulus(f, k, restrict_type), s, 0.0),
+    without building the restriction.  On each side of the shell a bisection
+    finds f's first piece in it; the pieces are clipped to the side, and a
+    run of equal values counts as the one piece simplify merges it into.  The
+    two sides are apart, so no run joins them.  Zero runs add nothing, and
+    the others add |v|^s (hi - lo), left to right, as the norm sums the
+    restriction's pieces (hi - lo is weight_integral's value at alpha = 0).
+    """
+    ann = DyadicAnnulus(k, restrict_type=restrict_type)
+    r1, r2 = ann.inner_radius, ann.outer_radius
+    bps, vals = f.breakpoints, f.values
+    runs = []  # (|v|, lo, hi) of each nonzero run, left to right
+    for a, b in ((-r2, r2),) if r1 == 0.0 else ((-r2, -r1), (r1, r2)):
+        i = max(bisect_right(bps, a) - 1, 0)
+        while i < len(vals) and bps[i] < b:
+            v, lo = vals[i], max(bps[i], a)
+            while i + 1 < len(vals) and bps[i + 1] < b and vals[i + 1] == v:
+                i += 1
+            if v != 0.0:
+                runs.append((abs(v), lo, min(bps[i + 1], b)))
+            i += 1
+    if not runs:
+        return None
+    if math.isinf(s):
+        return max(v for v, _, _ in runs)
+    mass = 0.0
+    for v, lo, hi in runs:
+        mass += v**s * (hi - lo)
+    return mass ** (1.0 / s)
+
+
+def _shell_coefficients(
+    f: PiecewiseConstant1D, params: WeightParams, ks, restrict_type: bool
+) -> list[tuple[int, float]]:
+    """(k, lambda_k) for each k of ks, in order, whose shell holds a nonzero piece of f."""
+    out = []
+    for k in ks:
+        norm_s = _shell_norm(f, k, restrict_type, params.s)
+        if norm_s is not None:
+            out.append((k, DyadicAnnulus(k).ball_measure ** params.block_coefficient_exponent * norm_s))
+    return out
+
+
 def _shell_terms(
     f: PiecewiseConstant1D, params: WeightParams, ks, restrict_type: bool
 ) -> tuple[DecompositionTerm, ...]:
     """The nonzero shell restrictions of f, in the order of ks, normalized to (lambda, block)."""
-    terms = []
-    for k in ks:
-        fk = restrict_to_annulus(f, k, restrict_type)
-        if fk.is_zero:
-            continue
-        norm_s = weighted_lp_norm(fk, params.s, 0.0)
-        lam = DyadicAnnulus(k).ball_measure ** params.block_coefficient_exponent * norm_s
-        terms.append(DecompositionTerm(lam, Block(params, k, restrict_type, fk * (1.0 / lam))))
-    return tuple(terms)
+    return tuple(
+        DecompositionTerm(
+            lam, Block(params, k, restrict_type, restrict_to_annulus(f, k, restrict_type) * (1.0 / lam))
+        )
+        for k, lam in _shell_coefficients(f, params, ks, restrict_type)
+    )
 
 
 def _require_unit_ball_support(f: PiecewiseConstant1D) -> None:
@@ -169,12 +213,24 @@ def decompose_nonhomogeneous(f: PiecewiseConstant1D, params: WeightParams) -> De
     and the shells partition space out to the support radius.
     """
     params.require_p_le_s()
+    return Decomposition(params, _shell_terms(f, params, _restrict_type_scales(f), True), False)
+
+
+def _restrict_type_scales(f: PiecewiseConstant1D) -> range:
+    """k = 0..K, the restrict-type shells out to the support radius of f; none for f = 0."""
     bounds = f.support_bounds
     if bounds is None:
-        return Decomposition(params, (), False)
+        return range(0)
     radius = max(abs(bounds[0]), abs(bounds[1]))
     K = max(0, math.ceil(math.log2(radius))) if radius > 0 else 0
-    return Decomposition(params, _shell_terms(f, params, range(0, K + 1), True), False)
+    return range(0, K + 1)
+
+
+def _nonhomogeneous_cost(f: PiecewiseConstant1D, params: WeightParams) -> float:
+    """decompose_nonhomogeneous(f, params).coefficient_cost, bit for bit, without building the blocks."""
+    params.require_p_le_s()
+    lams = _shell_coefficients(f, params, _restrict_type_scales(f), restrict_type=True)
+    return sum(abs(lam) ** params.pbar for _, lam in lams)
 
 
 def decompose_split(f: PiecewiseConstant1D, params: WeightParams, cuts) -> list[Decomposition]:
@@ -203,9 +259,9 @@ def _tail_cost(f: PiecewiseConstant1D, params: WeightParams, k_tail: int) -> flo
         return 0.0
     if params.alpha <= -1.0:
         return math.inf
-    (term,) = _shell_terms(f, params, [k_tail], restrict_type=False)
+    ((_, lam),) = _shell_coefficients(f, params, [k_tail], restrict_type=False)
     ratio = 2.0 ** ((params.alpha + 1.0) / params.p * params.pbar)
-    return abs(term.lam) ** params.pbar / (1.0 - 1.0 / ratio)
+    return abs(lam) ** params.pbar / (1.0 - 1.0 / ratio)
 
 
 def homogeneous_total_cost(f: PiecewiseConstant1D, params: WeightParams) -> float:
@@ -216,8 +272,8 @@ def homogeneous_total_cost(f: PiecewiseConstant1D, params: WeightParams) -> floa
     if not radii:
         return 0.0
     k_tail = math.floor(math.log2(min(radii)))
-    terms = _shell_terms(f, params, range(0, k_tail, -1), restrict_type=False)
-    return sum(abs(t.lam) ** params.pbar for t in terms) + _tail_cost(f, params, k_tail)
+    lams = _shell_coefficients(f, params, range(0, k_tail, -1), restrict_type=False)
+    return sum(abs(lam) ** params.pbar for _, lam in lams) + _tail_cost(f, params, k_tail)
 
 
 def rl_norm_upper_bound(
@@ -241,7 +297,7 @@ def rl_norm_upper_bound(
     if f.is_zero:
         return 0.0
     pbar = params.pbar
-    costs = [decompose_nonhomogeneous(f, params).coefficient_cost]
+    costs = [_nonhomogeneous_cost(f, params)]
     bounds = f.support_bounds
     in_ball = max(abs(bounds[0]), abs(bounds[1])) <= 1.0
     if in_ball and params.p < params.s:

@@ -22,6 +22,15 @@ bit and do not depend on the BLAS thread count.  The lattice maximal
 function filters each window width only over the cells that window can
 reach from the support of |f|.
 
+On points and breakpoints that are both exactly symmetric about 0, the
+jump-sum kernels (S_N and hilbert) are mirrored: x - b_j changes sign
+exactly under x -> -x, b_j -> -b_j, Si is odd and log|.| even, so the
+kernel rows of the second half of the points are the first half's rows
+reversed and times -1 or +1, bit for bit, and g is evaluated on half of
+the points only.  A point on a breakpoint (a zero difference is +0 on both
+sides) or a phase that underflows to 0 takes the plain loop.  Claim 3.1's
+grids are symmetric.
+
 The S_N and truncated Hilbert kernels also serve a family of functions on
 shared breakpoints, one row of values per function: each block's kernel
 is built once and multiplied with each row as its own matrix-vector
@@ -51,7 +60,7 @@ import numpy as np
 
 from .lattice import LatticeFunction
 from .params import DomainEvaluationError
-from .piecewise import PiecewiseConstant1D
+from .piecewise import PiecewiseConstant1D, _sorted_unique
 from .sine_integral import (
     _ASYMPTOTIC_CUTOFF,
     _ASYMPTOTIC_TERMS,
@@ -141,7 +150,7 @@ def _require_pv_clear(f: PiecewiseConstant1D, x: np.ndarray) -> None:
         )
 
 
-def _rowwise(kernel_for, x: np.ndarray, ncols: int, coeffs: np.ndarray) -> np.ndarray:
+def _rowwise(kernel_for, x: np.ndarray, ncols: int, coeffs: np.ndarray, parity: float = 0.0) -> np.ndarray:
     """kernel(x) @ c for each row c of coeffs, for a kernel giving one row of ncols per point.
 
     The result has one row per row of coeffs.  kernel_for(rows) allocates
@@ -150,26 +159,44 @@ def _rowwise(kernel_for, x: np.ndarray, ncols: int, coeffs: np.ndarray) -> np.nd
     block's kernel is built once and multiplied with every row c as the
     1-D `block @ c`, so each row is equal bit for bit to the dense product
     for its c alone, whose kernel matrix the blocks never hold at once.
+
+    A nonzero parity says that the kernel is mirrored: row n - 1 - i is
+    parity times row i reversed, bit for bit (the caller checks it, see
+    _mirrored).  The kernel then runs on the blocks of the first half of x
+    only.  Each block's reversed copy, times parity, goes into one more
+    buffer allocated per call and gives the rows [n - hi, n - lo) as its
+    own gemvs.  With n % 8 == 0 every block of both halves starts at a
+    multiple of 4 and holds a multiple of 4 rows, so each row keeps the
+    reduction order of the unmirrored loop.
     """
     # OpenBLAS dgemv sums rows in groups of 4, so each row's reduction order
     # is the dense one only if every block starts at a multiple of 4;
     # multiples of 64 keep that for any kernel width.  Blocks this small
     # also give the same bits with one BLAS thread and with two, which the
     # dense product does not (tests/test_blocking.py)
+    n = x.size
+    half = n // 2 if parity else n
     rows = max(64, _BLOCK_BYTES // (8 * ncols) // 64 * 64)
-    starts = list(range(0, x.size, rows))
+    starts = list(range(0, half, rows))
     # numpy sends a 1-row matmul to dot, which sums in another order than
     # gemv: a final 1-row block joins the block before it, one row longer
-    if len(starts) > 1 and x.size - starts[-1] == 1:
+    if len(starts) > 1 and half - starts[-1] == 1:
         starts.pop()
-    bounds = list(zip(starts, starts[1:] + [x.size]))
-    kernel = kernel_for(max((hi - lo for lo, hi in bounds), default=0))
-    out = np.empty((coeffs.shape[0], x.size))
+    bounds = list(zip(starts, starts[1:] + [half]))
+    size = max((hi - lo for lo, hi in bounds), default=0)
+    kernel = kernel_for(size)
+    mirror = np.empty((size, ncols)) if parity else None
+    out = np.empty((coeffs.shape[0], n))
     for lo, hi in bounds:
         block = kernel(x[lo:hi])
         # one gemv per row: a gemm over all rows would not pin each row's reduction order
         for row, c in zip(out, coeffs):
             row[lo:hi] = block @ c
+        if parity:
+            # a C-ordered copy: numpy sums an F-ordered or strided operand in another order
+            flipped = np.multiply(block[::-1, ::-1], parity, out=mirror[: hi - lo])
+            for row, c in zip(out, coeffs):
+                row[n - hi : n - lo] = flipped @ c
     return out
 
 
@@ -182,13 +209,37 @@ def _differences(xb: np.ndarray, bps: np.ndarray, out: np.ndarray) -> np.ndarray
     return out
 
 
-def _jump_sum(bps: np.ndarray, values: np.ndarray, x: np.ndarray, g) -> np.ndarray:
+def _mirrored(x: np.ndarray, bps: np.ndarray, scale: float) -> bool:
+    """Whether a jump-sum kernel g(scale (x - b_j)) on the points x and sorted bps is mirrored.
+
+    When x[n-1-i] == -x[i] and b[m-1-j] == -b[j], the difference
+    x[n-1-i] - b[m-1-j] is -(x[i] - b[j]) bit for bit, and so is its product
+    with scale, unless it is a zero: a - a is +0 on both sides, and Si(-0)
+    is +0.  So no point may equal a breakpoint, and no phase may underflow
+    to 0.  n % 8 == 0 gives _rowwise's blocks their multiples of 4.
+    """
+    # the second half's differences are the first half's, negated
+    return (
+        x.size % 8 == 0
+        and np.array_equal(x[::-1], -x)
+        and np.array_equal(bps[::-1], -bps)
+        and (not x.size or nearest_breakpoint(x[: x.size // 2], bps)[1].min() * scale > 0.0)
+    )
+
+
+def _jump_sum(
+    bps: np.ndarray, values: np.ndarray, x: np.ndarray, g, parity: float, scale: float = 1.0
+) -> np.ndarray:
     """(1/pi) sum_i v_i (g(x - b_i) - g(x - b_i+1)), summed as (1/pi) sum_j c_j g(x - b_j).
 
-    One row per row v of values, all on the breakpoints bps; c_j is the jump
-    of v at b_j.  Each block of points x breakpoints differences goes into
-    one buffer allocated per call, and g acts on it elementwise and may
-    overwrite it.
+    One row per row v of values, all on the sorted breakpoints bps; c_j is
+    the jump of v at b_j.  Each block of points x breakpoints differences
+    goes into one buffer allocated per call, and g acts on it elementwise
+    and may overwrite it.  g must take a difference d to a function of
+    scale d alone with g(-d) = parity g(d) bit for bit for every d whose
+    product with scale is not 0.  Then on mirrored points and breakpoints
+    (_mirrored) the kernel is evaluated on half of the points and _rowwise
+    mirrors the rest, with the bits of the full evaluation.
     """
     c = np.diff(values, prepend=0.0, append=0.0)
 
@@ -196,6 +247,8 @@ def _jump_sum(bps: np.ndarray, values: np.ndarray, x: np.ndarray, g) -> np.ndarr
         buf = np.empty((rows, bps.size))
         return lambda xb: g(_differences(xb, bps, buf[: xb.size]))
 
+    if _mirrored(x, bps, scale):
+        return _rowwise(kernel_for, x, bps.size, c, parity) / math.pi
     return _rowwise(kernel_for, x, bps.size, c) / math.pi
 
 
@@ -223,7 +276,8 @@ def hilbert(f: PiecewiseConstant1D, grid) -> np.ndarray:
     if f.is_zero:
         return np.zeros_like(x)
     _require_pv_clear(f, x)
-    return _jump_sum(*_one_row(f), x, lambda d: np.log(np.abs(d, out=d), out=d))[0]
+    # log|.| is even
+    return _jump_sum(*_one_row(f), x, lambda d: np.log(np.abs(d, out=d), out=d), 1.0)[0]
 
 
 def hilbert_truncated(f: PiecewiseConstant1D, eps: float, grid) -> np.ndarray:
@@ -302,7 +356,7 @@ def refine_schedule(schedule: np.ndarray) -> np.ndarray:
 
 def _levels(schedule, name: str) -> np.ndarray:
     """A sup operator's distinct levels, ascending: a sup ignores their order and repeats."""
-    levels = np.unique(np.asarray(schedule, dtype=float))
+    levels = _sorted_unique(np.asarray(schedule, dtype=float))
     if not (levels.size and np.all(levels > 0)):  # NaN fails > 0 too
         raise ValueError(f"{name} schedule must be nonempty and positive")
     return levels
@@ -342,7 +396,8 @@ def _sn_rows(bps: np.ndarray, values: np.ndarray, N: float, x: np.ndarray) -> np
             np.multiply(d, scale, out=d)
         return sine_integral(d)
 
-    return _jump_sum(bps, values, x, si_of_phase)
+    # Si is odd, and so is the rounded phase, except at 0 (Si(-0) = +0)
+    return _jump_sum(bps, values, x, si_of_phase, -1.0, scale)
 
 
 #: (|t|, k): from |t| on, k terms of Si's asymptotic series leave a remainder
@@ -611,7 +666,10 @@ def carleson(
         return values
     for _ in range(max_refinements):
         finer = refine_schedule(sched)
-        refined = np.maximum(values, _sup_abs(np.setdiff1d(finer, sched), sn, x.shape))
+        # np.setdiff1d(finer, sched): searchsorted finds the one candidate in the sorted sched
+        new = _sorted_unique(finer)
+        new = new[sched[np.minimum(np.searchsorted(sched, new), sched.size - 1)] != new]
+        refined = np.maximum(values, _sup_abs(new, sn, x.shape))
         delta = float(np.max(refined - values)) if x.size else 0.0
         values, sched = refined, finer
         if delta < refine_tolerance:

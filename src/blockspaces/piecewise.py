@@ -16,6 +16,23 @@ from typing import Sequence
 import numpy as np
 
 
+def _sorted_unique(*arrays) -> np.ndarray:
+    """np.unique of the concatenated arrays (np.union1d of two), bit for bit, for arrays without NaN.
+
+    np.unique sorts a float array with numpy's default sort and keeps the
+    first of each run of equal values.  That sort is not stable, so which of
+    a colliding -0 and +0 survives depends on the whole array, and no merge
+    of sorted inputs reproduces it; the same sort does.  np.unique's first
+    call imports numpy.ma (10 to 30 ms), which this skips.
+    """
+    aux = np.concatenate(arrays, axis=None)
+    aux.sort()
+    keep = np.empty(aux.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(aux[1:], aux[:-1], out=keep[1:])
+    return aux[keep]
+
+
 @dataclass(frozen=True)
 class PiecewiseConstant1D:
     """A real function taking finitely many constant values on intervals."""
@@ -109,7 +126,7 @@ class PiecewiseConstant1D:
             return other
         if len(other.values) == 0:
             return self
-        bp = np.union1d(self.breakpoints, other.breakpoints)
+        bp = _sorted_unique(self.breakpoints, other.breakpoints)
         vals = self._piece_values_at(bp[:-1]) + other._piece_values_at(bp[:-1])
         return PiecewiseConstant1D(bp, vals)
 
@@ -146,7 +163,7 @@ class PiecewiseConstant1D:
             return PiecewiseConstant1D.zero()
         # an end outside [x_0, x_m] adds no piece: the function is zero there
         ends = np.clip([a, b], self.breakpoints[0], self.breakpoints[-1])
-        bp = np.union1d(self.breakpoints, ends)
+        bp = _sorted_unique(self.breakpoints, ends)
         left = bp[:-1]
         vals = np.where((left >= a) & (bp[1:] <= b), self._piece_values_at(left), 0.0)
         return PiecewiseConstant1D(bp, vals).simplify()

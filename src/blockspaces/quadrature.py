@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from .piecewise import _sorted_unique
+
 
 @functools.lru_cache(maxsize=None)
 def _gl_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -106,4 +108,4 @@ def oscillation_edges(breakpoints, x_max: float, spacing: float) -> np.ndarray:
         raise ValueError("x_max and spacing must be positive")
     pos = np.concatenate([_uniform_edges(x_max, spacing), _grading(x_max)])
     bps = np.asarray([b for b in breakpoints if abs(b) <= x_max], dtype=float)
-    return np.unique(np.concatenate([-pos, pos, bps]))
+    return _sorted_unique(-pos, pos, bps)

@@ -28,6 +28,7 @@ import numpy as np
 
 from .blocks import (
     Decomposition,
+    _nonhomogeneous_cost,
     decompose_nonhomogeneous,
     decompose_split,
     homogeneous_total_cost,
@@ -36,12 +37,11 @@ from .blocks import (
 )
 from .norms import weighted_lp_norm
 from .params import WeightParams
-from .piecewise import PiecewiseConstant1D
+from .piecewise import PiecewiseConstant1D, _sorted_unique
 from .quadrature import (
     _gl_rule,
     _grading,
     _node_rows,
-    _uniform_edges,
     oscillation_edges,
     panel_nodes,
     shell_grid,
@@ -640,39 +640,52 @@ _X_MAX = 256.0
 _E_NODES = 4
 
 
-def _e_panels(f: PiecewiseConstant1D, N: float) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+def _lattice_edges(ls: np.ndarray, N: float) -> np.ndarray:
+    """The uniform edges l h, h = 1/(4N), for the indices ls, bit for bit as _uniform_edges has them.
+
+    For 1024N an integer count: np.linspace forms l * step with
+    step = fl(_X_MAX / count), which is fl(h), and pins edge count to _X_MAX.
+    """
+    return np.where(ls == 4.0 * N * _X_MAX, _X_MAX, ls * (1.0 / (4.0 * N)))
+
+
+def _e_panels(f: PiecewiseConstant1D, N: float) -> tuple[list[np.ndarray], int, list[np.ndarray]]:
     """The panels of oscillation_edges(f.breakpoints, _X_MAX, 1/(4N)), split for e(N).
 
-    Returns (runs, uniform, lattice).  uniform holds the uniform edges l h,
-    h = 1/(4N), l = 0..count.  When count = 1024N, they are the lattice hZ,
-    and lattice[0, l] and lattice[1, l] mark the cells [l h, (l + 1) h] and
-    [-(l + 1) h, -l h] that are panels: 1 <= l < count, and no grading edge
-    or breakpoint lies inside.  runs holds the edges of every other panel,
-    one ascending array per run of adjacent cells.  When 1024N is not an
-    integer, lattice is an empty (2, 0) mask and the one run is
-    oscillation_edges itself.
+    Returns (runs, count, split).  When count = 1024N is an integer, the
+    uniform edges l h, h = 1/(4N), l = 0..count, are the lattice hZ
+    (_lattice_edges forms any of them), and split[0] and split[1] hold, as
+    sorted indices, the cells [l h, (l + 1) h] and [-(l + 1) h, -l h] that
+    are not panels: l = 0, and those with a grading edge or breakpoint
+    inside.  Every other cell with 1 <= l < count is a panel.  runs holds
+    the edges of every other panel, one ascending array per run of adjacent
+    split cells.  When 1024N is not an integer, count is 0 and the one run
+    is oscillation_edges itself.
     """
     spacing = 1.0 / (4.0 * N)
-    uniform = _uniform_edges(_X_MAX, spacing)
-    count = uniform.size - 1
+    count = int(math.ceil(_X_MAX / spacing))  # _uniform_edges' step count
     if 4 * Fraction(N) * Fraction(_X_MAX) != count:
-        return [oscillation_edges(f.breakpoints, _X_MAX, spacing)], uniform, np.ones((2, 0), dtype=bool)
+        none = np.zeros(0, dtype=int)
+        return [oscillation_edges(f.breakpoints, _X_MAX, spacing)], 0, [none, none]
     grading = _grading(_X_MAX)
     inner = np.concatenate([-grading, grading, [b for b in f.breakpoints if abs(b) <= _X_MAX]])
-    cell = np.searchsorted(uniform, np.abs(inner), side="right") - 1
-    splits = uniform[cell] < np.abs(inner)  # inside cell l of its side, not one of its ends
-    lattice = np.ones((2, count), dtype=bool)
-    lattice[:, 0] = False
-    lattice[(inner < 0)[splits].astype(int), cell[splits]] = False
-    runs = []
-    for side, sign in ((lattice[0], 1.0), (lattice[1], -1.0)):
+    v = np.abs(inner)
+    # the last edge at or below each v, as a searchsorted over all edges would
+    # find it: the quotient is within one cell of it
+    cell = np.minimum((v / spacing).astype(int), count)
+    cell -= _lattice_edges(cell, N) > v
+    cell += (cell < count) & (_lattice_edges(cell + 1, N) <= v)
+    inside = _lattice_edges(cell, N) < v  # inside cell l of its side, not one of its ends
+    runs, split = [], []
+    for negative, sign in ((False, 1.0), (True, -1.0)):
+        cells = _sorted_unique(cell[inside & ((inner < 0) == negative)], [0])
+        split.append(cells)
         ends = sign * inner[sign * inner > 0]
-        cells = np.flatnonzero(~side)
         for run in np.split(cells, np.flatnonzero(np.diff(cells) > 1) + 1):
-            lo, hi = uniform[run[0]], uniform[run[-1] + 1]
-            edges = np.union1d(uniform[run[0] : run[-1] + 2], ends[(lo < ends) & (ends < hi)])
+            uniform = _lattice_edges(np.arange(run[0], run[-1] + 2), N)
+            edges = _sorted_unique(uniform, ends[(uniform[0] < ends) & (ends < uniform[-1])])
             runs.append(edges if sign > 0 else -edges[::-1])
-    return runs, uniform, lattice
+    return runs, count, split
 
 
 def partial_sum_error_norm(f: PiecewiseConstant1D, params: WeightParams, N: float) -> float:
@@ -697,11 +710,13 @@ def partial_sum_error_norm(f: PiecewiseConstant1D, params: WeightParams, N: floa
     one array of terms summed once; when 1024N is not an integer, that is
     every panel, and oscillation_edges and the terms grow with N.  Both
     routes take the panels in chunks whose node arrays are _BLOCK_BYTES
-    each, and the lattice route's buffers are allocated once per call.
+    each, and the lattice route's buffers are allocated once per call; it
+    forms each chunk's edges on its own and skips the split cells by index,
+    so no array grows with 1024N.
     """
     if not N > 0:
         raise ValueError(f"N must be positive, got {N}")
-    runs, uniform, lattice = _e_panels(f, N)
+    runs, count, split = _e_panels(f, N)
     p, alpha = params.p, params.alpha
     chunk = _BLOCK_BYTES // (8 * _E_NODES)  # panels whose nodes fill one temporary
     terms = np.empty(_E_NODES * sum(edges.size - 1 for edges in runs))
@@ -715,16 +730,15 @@ def partial_sum_error_norm(f: PiecewiseConstant1D, params: WeightParams, N: floa
     bps, values = np.asarray(f.breakpoints, dtype=float), np.asarray(f.values, dtype=float)
     sides = np.stack([bps, -bps[::-1]]), np.stack([values, values[::-1]])
     w, flat_buffer = np.empty((_E_NODES, chunk)), np.empty(_E_NODES * chunk)
-    cells = lattice.shape[1] - 1
-    for lo, err in _sn_error_on_lattice(*sides, N, 1, cells, _gl_rule(_E_NODES)[0]):
+    for lo, err in _sn_error_on_lattice(*sides, N, 1, count - 1, _gl_rule(_E_NODES)[0]):
         n = err.shape[2]
         flat, ws = flat_buffer[: _E_NODES * n], w[:, :n]
         xs = flat.reshape(_E_NODES, n)  # the nodes, until the terms need the buffer
-        _node_rows(uniform[lo : lo + n + 1], xs, ws)
+        _node_rows(_lattice_edges(np.arange(lo, lo + n + 1), N), xs, ws)
         ws *= np.power(xs, alpha, out=xs)  # x > 0
-        for keep, e in zip(lattice[:, lo : lo + n], err):
-            if not keep.all():
-                e[:, ~keep] = 0.0
+        for cells, e in zip(split, err):
+            i, j = np.searchsorted(cells, [lo, lo + n])
+            e[:, cells[i:j] - lo] = 0.0  # the split cells are other panels
             np.abs(e, out=e)
             if p != 1.0:  # e ** 1.0 == e
                 e **= p
@@ -886,7 +900,7 @@ def _inclusions(theorem: str) -> VerificationReport:
                 # stretch the support to [-4, 4] so several shells engage;
                 # in-ball inputs would collapse to one block and a constant ratio
                 in_hyp = params.in_inclusion_range and params.p <= params.s
-                get = lambda f: decompose_nonhomogeneous(f.dilate(4.0), params).coefficient_cost / (
+                get = lambda f: _nonhomogeneous_cost(f.dilate(4.0), params) / (
                     weighted_lp_norm(f.dilate(4.0), params.s, 0.0) ** pbar
                 )
             ratios = [get(fs[s]) for s in seeds]

@@ -18,19 +18,27 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blockspaces
 from blockspaces import (
     PiecewiseConstant1D,
     WeightParams,
     dirichlet_sn,
+    geometric_schedule,
     hilbert,
     hilbert_truncated,
+    make_canonical_block,
     maximal_1d_exact,
     operators,
+    verify,
 )
+from blockspaces.quadrature import oscillation_edges, panel_nodes, shell_grid
 from blockspaces.verify import partial_sum_error_norm
 
 SIZES = (1, 2, 63, 64, 65, 66, 129, 4097, 8193)
@@ -196,6 +204,85 @@ def test_block_buffers_are_allocated_once_per_call(op, monkeypatch):
     assert max(blocks) < 64 * 1024 * 8, blocks
 
 
+# -- mirrored kernels on symmetric grids ---------------------------------------
+
+
+@st.composite
+def symmetric_grids(draw):
+    """(bps, x, change): breakpoints -b[::-1], (0,) b and points x[n-1-i] = -x[i], n of any residue mod 8.
+
+    Even n may have a -0/+0 centre pair, odd n has the centre 0; change is
+    "ulp" when one point was then moved one ulp (off symmetry), "hit" when a
+    mirrored pair was put on a mirrored pair of breakpoints.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = np.sort(rng.uniform(2.0**-6, 4.0, draw(st.sampled_from([1, 2, 5, 300]))))  # 300: 64-row blocks
+    bps = np.concatenate([-b[::-1], [0.0] * draw(st.booleans()), b])
+    n = draw(st.integers(0, 400))
+    half = rng.uniform(0.0, 5.0, n // 2)
+    half = half if draw(st.booleans()) else np.sort(half)
+    if half.size and draw(st.booleans()):
+        half[0] = 0.0  # the centre pair -0, +0
+    x = np.concatenate([-half[::-1], [0.0] * (n % 2), half])
+    change = draw(st.sampled_from(["none", "ulp", "hit"])) if n else "none"
+    if change == "ulp":
+        i = draw(st.integers(0, n - 1))
+        x[i] = np.nextafter(x[i], np.inf)
+    elif change == "hit" and n > 1:
+        i, j = draw(st.integers(0, n // 2 - 1)), draw(st.integers(0, bps.size - 1))
+        x[i], x[n - 1 - i] = bps[j], -bps[j]
+    return bps, x, change
+
+
+def _bits_without_mirror(evaluate):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_mirrored", lambda *args: False)
+        return evaluate().tobytes()
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    case=symmetric_grids(),
+    rows=st.sampled_from([1, 3]),
+    N=st.sampled_from([2.0**-1070, 2.0**-10, 1.0, 8.0, 2.0**40]),
+    seed=st.integers(0, 2**16),
+)
+def test_mirrored_kernels_keep_the_unmirrored_bits(case, rows, N, seed):
+    # the mirrored path must give the bits of the plain loop, and only
+    # exactly antisymmetric grids with no zero phase and n % 8 == 0 take it
+    # (at N = 2^-1070 the phases of close pairs underflow to 0)
+    bps, x, change = case
+    scale = 2.0 * math.pi * N
+    nonzero = not x.size or np.abs(x[:, None] - bps[None, :]).min() * scale > 0.0
+    symmetric = np.array_equal(x, -x[::-1])
+    assert symmetric == (change != "ulp")
+    assert operators._mirrored(x, bps, scale) == (symmetric and nonzero and x.size % 8 == 0)
+    values = np.random.default_rng(seed).standard_normal((rows, bps.size - 1))
+    evaluate = lambda: operators._sn_rows(bps, values, N, x)
+    assert evaluate().tobytes() == _bits_without_mirror(evaluate)
+    f = PiecewiseConstant1D(bps, values[0])
+    if not operators._pv_hits(f, x)[0].any():  # hilbert raises at breakpoints
+        evaluate = lambda: hilbert(f, x)
+        assert evaluate().tobytes() == _bits_without_mirror(evaluate)
+
+
+def test_claim_3_1_grids_take_the_mirrored_kernel():
+    # the shell grid of the carleson and hilbert legs and the dirichlet_sn
+    # leg's panels are symmetric about 0; a change that broke that would
+    # silently cost claim 3.1 about 40 % of its time
+    x0, _ = shell_grid(*verify._BLOCK_SHELLS, verify._SHELL_NODES)
+    params = verify._BLOCK_GRID[0]
+    for k in range(verify._K_RANGE[0], verify._K_RANGE[1] + 1):
+        bps = np.asarray(make_canonical_block(params, k).data.breakpoints)
+        assert operators._mirrored(np.ldexp(x0, k), bps, 1.0), k
+        panels = verify._SN_PANELS
+        x, _ = panel_nodes(oscillation_edges(bps, panels["x_max"], panels["spacing"]), panels["nodes"])
+        assert operators._mirrored(x, bps, 2.0 * math.pi), k
+    bps = np.asarray(make_canonical_block(params, 0).data.breakpoints)
+    for N in geometric_schedule(*verify._N_SCHEDULE):
+        assert operators._mirrored(x0, bps, 2.0 * math.pi * N), N
+
+
 def test_maximal_1d_exact_memory_is_bounded():
     # 1024 pieces give 31-point blocks whose temporaries are _BLOCK_BYTES each,
     # so the peak stays a few of them, whatever the number of points
@@ -211,10 +298,9 @@ def test_maximal_1d_exact_memory_is_bounded():
 
 
 def test_partial_sum_error_norm_streams_its_lattice_tables():
-    # e(1024) holds its 1M-cell edge array and cell mask (10 MiB) and, per
-    # chunk of 8192 cells, one shared Si table of at most two chunks, work
-    # buffers of one chunk each, and each side's errors.  A table over every
-    # lattice point would add 32 MiB
+    # e(1024) holds, per chunk of 8192 cells, one shared Si table of at most
+    # two chunks, work buffers of one chunk each, and each side's errors.  A
+    # table over every lattice point would add 32 MiB
     f, params = PiecewiseConstant1D.indicator(0.25, 0.5), WeightParams(1, 1.0, 2.0, -0.5)
     partial_sum_error_norm(f, params, 1.0)
     tracemalloc.start()
@@ -224,6 +310,21 @@ def test_partial_sum_error_norm_streams_its_lattice_tables():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 1024 * 1024, peak
+
+
+def test_e_panels_form_their_lattice_edges_per_chunk():
+    # e(1024) forms each chunk's 8193 edges and keeps the split cells as
+    # index arrays, instead of all 1M + 1 edges and a (2, 1M) cell mask
+    # (10 MiB of the 13.2 MiB peak they gave); measured 3.3 MiB
+    f, params = PiecewiseConstant1D.indicator(0.25, 0.5), WeightParams(1, 1.0, 2.0, -0.5)
+    partial_sum_error_norm(f, params, 1.0)
+    tracemalloc.start()
+    try:
+        partial_sum_error_norm(f, params, 1024.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 1024 * 1024, peak
 
 
 def test_partial_sum_error_norm_memory_is_bounded():

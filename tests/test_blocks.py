@@ -7,14 +7,16 @@ several anchors below are asserted bit-exactly.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockspaces import (
     Block,
+    DyadicAnnulus,
     HypothesisViolation,
     PiecewiseConstant1D,
     WeightParams,
@@ -22,9 +24,12 @@ from blockspaces import (
     decompose_nonhomogeneous,
     homogeneous_total_cost,
     make_canonical_block,
+    restrict_to_annulus,
     rl_norm_upper_bound,
     validate_block,
+    weighted_lp_norm,
 )
+from blockspaces.blocks import _nonhomogeneous_cost, _shell_coefficients, _shell_norm
 
 P0 = WeightParams(1, 1.0, 2.0, 0.0)
 PMID = WeightParams(1, 1.0, 2.0, -0.5)
@@ -145,6 +150,111 @@ def test_homogeneous_requires_ball_support():
 def test_homogeneous_rejects_positive_k_min():
     with pytest.raises(ValueError):
         decompose_homogeneous(chi(-1.0, 1.0), PMID, 1)
+
+
+# -- shell norms from one sweep over f's pieces --------------------------------
+
+
+@st.composite
+def sweep_functions(draw, top=2):
+    """Functions on breakpoints in [-2^top, 2^top], many exactly on shell edges +-2^k or at +-0.
+
+    The values repeat and hold signed zeros, so the restrictions have equal
+    neighbours to merge and zero runs to drop.
+    """
+    edge = st.builds(lambda k, sign: sign * 2.0**k, st.integers(-8, top), st.sampled_from([1.0, -1.0]))
+    anywhere = st.floats(-(2.0**top), 2.0**top, allow_nan=False)
+    bps = draw(st.lists(st.one_of(edge, anywhere, st.sampled_from([0.0, -0.0])), min_size=2, max_size=12, unique=True))
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.75, 0.3]), st.floats(-3.0, 3.0, allow_nan=False))
+    return PiecewiseConstant1D(sorted(bps), draw(st.lists(value, min_size=len(bps) - 1, max_size=len(bps) - 1)))
+
+
+@settings(deadline=None, max_examples=200)
+@example(  # a run of three equal pieces on C_0 sums to other bits unmerged
+    f=PiecewiseConstant1D((0.25, 0.7845537517371617, 0.9523479922561183, 1.0), (0.75, 0.75, 0.75)),
+    k=0,
+    restrict_type=False,
+    s=3.0,
+)
+@given(
+    f=sweep_functions(),
+    k=st.integers(-9, 3),
+    restrict_type=st.booleans(),
+    s=st.sampled_from([0.5, 1.0, 2.0, 3.0, math.inf]),
+)
+def test_shell_norm_is_the_norm_of_the_restriction(f, k, restrict_type, s):
+    k = k % 4 if restrict_type else k  # restrict-type shells have k >= 0
+    fk = restrict_to_annulus(f, k, restrict_type)
+    got = _shell_norm(f, k, restrict_type, s)
+    assert (got is None) == fk.is_zero
+    if got is not None:
+        assert got.hex() == weighted_lp_norm(fk, s, 0.0).hex()
+
+
+def _total_cost_by_restriction(f, params):
+    """homogeneous_total_cost as formed from the shell restrictions of f, each normed on its own."""
+    radii = [abs(x) for x in f.breakpoints if x != 0.0]
+    if not radii:
+        return 0.0
+    k_tail = math.floor(math.log2(min(radii)))
+
+    def lam(k):
+        fk = restrict_to_annulus(f, k)
+        if fk.is_zero:
+            return None
+        return DyadicAnnulus(k).ball_measure ** params.block_coefficient_exponent * weighted_lp_norm(fk, params.s, 0.0)
+
+    cost = sum(abs(v) ** params.pbar for v in map(lam, range(0, k_tail, -1)) if v is not None)
+    r = 2.0**k_tail
+    if float(f(np.asarray(-r / 2.0))) == 0.0 and float(f(np.asarray(r / 2.0))) == 0.0:
+        return cost + 0.0
+    if params.alpha <= -1.0:
+        return cost + math.inf
+    ratio = 2.0 ** ((params.alpha + 1.0) / params.p * params.pbar)
+    return cost + abs(lam(k_tail)) ** params.pbar / (1.0 - 1.0 / ratio)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    f=sweep_functions(top=0),
+    p=st.sampled_from([0.5, 1.0, 2.0]),
+    s=st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+    alpha=st.sampled_from([-1.0, -0.75, -0.5, 0.0]),
+)
+def test_total_cost_is_the_restriction_route_bit_for_bit(f, p, s, alpha):
+    params = WeightParams(1, p, s, alpha)
+
+    def outcome(cost):
+        # a breakpoint near 2^-1074 takes both routes to shells whose
+        # |B_k|^-e overflows: they must raise alike
+        try:
+            return cost(f, params).hex()
+        except OverflowError as err:
+            return repr(err)
+
+    assert outcome(homogeneous_total_cost) == outcome(_total_cost_by_restriction)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    f=sweep_functions(top=4),
+    p=st.sampled_from([0.5, 1.0, 2.0]),
+    s=st.sampled_from([2.0, 3.0, math.inf]),
+    alpha=st.sampled_from([-0.75, -0.5, 0.0]),
+)
+def test_nonhomogeneous_cost_is_the_decomposition_cost_bit_for_bit(f, p, s, alpha):
+    params = WeightParams(1, p, s, alpha)
+    try:
+        want = decompose_nonhomogeneous(f, params).coefficient_cost
+    except (ZeroDivisionError, ValueError):
+        # a shell whose lambda is 0 (its L^s norm underflows) or below
+        # 1/DBL_MAX gives its block no finite scale 1/lambda (CHANGES.md);
+        # the cost still counts that lambda
+        lams = [lam for _, lam in _shell_coefficients(f, params, range(0, 5), True)]
+        assert any(abs(lam) * sys.float_info.max < 1.0 for lam in lams)
+        return
+    # repr tells the doubles apart bit for bit, and both are the int 0 for f = 0
+    assert repr(_nonhomogeneous_cost(f, params)) == repr(want)
 
 
 # -- exact geometric tail -----------------------------------------------------

@@ -35,8 +35,8 @@ from blockspaces import (
     sine_integral,
 )
 from blockspaces.operators import _sn_error_on_lattice
-from blockspaces.quadrature import _gl_rule, _node_rows, oscillation_edges, panel_nodes
-from blockspaces.verify import _E_NODES, _X_MAX, _e_panels, partial_sum_error_norm
+from blockspaces.quadrature import _gl_rule, _node_rows, _uniform_edges, oscillation_edges, panel_nodes
+from blockspaces.verify import _E_NODES, _X_MAX, _e_panels, _lattice_edges, partial_sum_error_norm
 
 chi = PiecewiseConstant1D.indicator
 
@@ -389,16 +389,40 @@ def test_lattice_and_other_panels_are_the_oscillation_panels(N):
     # breakpoints off the lattice, one past 256 and one at 0; N = 3 also has
     # the grading edge 1/8 inside a lattice cell
     f = PiecewiseConstant1D((-300.0, -1.0 / 3.0, 0.0, 0.7, 255.99), (1.0, 2.0, 3.0, -1.0))
-    runs, uniform, lattice = _e_panels(f, N)
+    runs, count, split = _e_panels(f, N)
+    uniform = np.linspace(0.0, _X_MAX, count + 1)
     pairs = [np.stack([e[:-1], e[1:]], axis=1) for e in runs]
-    for side, sign in zip(lattice, (1.0, -1.0)):
-        (l,) = np.nonzero(side)
+    for cells, sign in zip(split, (1.0, -1.0)):
+        assert np.array_equal(cells, np.unique(cells)) and cells[0] == 0
+        l = np.setdiff1d(np.arange(count), cells)
         ends = np.stack([sign * uniform[l], sign * uniform[l + 1]], axis=1)
         pairs.append(ends if sign > 0 else ends[:, ::-1])
     got = np.concatenate(pairs)
     got = got[np.argsort(got[:, 0], kind="stable")]
     edges = oscillation_edges(f.breakpoints, _X_MAX, 1.0 / (4.0 * N))
     assert np.array_equal(got, np.stack([edges[:-1], edges[1:]], axis=1))
+
+
+@pytest.mark.parametrize("N", [*(2.0**j for j in range(11)), 0.25, 3.0, 161 / 1024])
+def test_lattice_edges_are_the_uniform_edges(N):
+    # every N of claim 6.3's schedule, and others with 1024N an integer; at
+    # N = 161/1024 the last edge 161 fl(1/(4N)) is not 256 but linspace's is
+    uniform = _uniform_edges(_X_MAX, 1.0 / (4.0 * N))
+    count = uniform.size - 1
+    assert count == 1024 * N
+    assert _lattice_edges(np.arange(count + 1), N).tobytes() == uniform.tobytes()
+    for lo in range(1, count, 8192):  # the chunks e(N) forms them in, from cell 1
+        n = min(8192, count - lo)
+        assert _lattice_edges(np.arange(lo, lo + n + 1), N).tobytes() == uniform[lo : lo + n + 1].tobytes()
+
+
+@pytest.mark.parametrize("N, want", [(3.0, "0x1.22be70a1489b4p+0"), (161 / 1024, "0x1.069cb7eb63a47p+3")])
+def test_split_lattice_cells_keep_their_bits(N, want):
+    # breakpoints off the lattice and, at N = 3, the grading edge 1/8 split
+    # lattice cells, which the lattice route must leave to dirichlet_sn; the
+    # values are those of the (2, 1024N) cell mask this route replaced
+    f = PiecewiseConstant1D((-300.0, -1.0 / 3.0, 0.0, 0.7, 255.99), (1.0, 2.0, 3.0, -1.0))
+    assert partial_sum_error_norm(f, WeightParams(1, 1.0, 2.0, -0.5), N).hex() == want
 
 
 def test_non_lattice_N_keeps_its_bits():

@@ -11,10 +11,16 @@ from hypothesis import example, given, strategies as st
 
 import blockspaces
 from blockspaces import PiecewiseConstant1D
+from blockspaces.piecewise import _sorted_unique
 
 
 def chi(a, b, v=1.0):
     return PiecewiseConstant1D.indicator(a, b, v)
+
+
+def _env() -> dict:
+    src = str(Path(blockspaces.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 # small random functions for property tests
@@ -121,15 +127,13 @@ def test_breakpoint_hits_are_isin(f, extra):
 def test_evaluation_at_a_breakpoint_leaves_numpy_ma_unloaded():
     # with 64 breakpoints and one point, np.isin would take its sort path,
     # whose np.unique imports numpy.ma (about 20 ms)
-    src = str(Path(blockspaces.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import sys\n"
         "from blockspaces import PiecewiseConstant1D\n"
         "f = PiecewiseConstant1D(range(65), [1.0] * 64)\n"
         "print(f(3.0), 'numpy.ma' in sys.modules)\n"
     )
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    run = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True)
     assert run.stdout.split() == ["1.0", "False"]
 
 
@@ -156,6 +160,42 @@ def test_scalar_multiplication(f, c):
 def test_abs_pointwise(f):
     xs = np.linspace(-9.0, 9.0, 23) + 0.0003
     np.testing.assert_allclose(f.abs()(xs), np.abs(f(xs)), atol=1e-12)
+
+
+#: sorted, strictly increasing breakpoint arrays, some with a -0 or +0
+SORTED_BREAKPOINTS = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-4.0, 4.0, allow_nan=False)),
+    max_size=40,
+    unique=True,
+).map(sorted)
+
+
+@given(SORTED_BREAKPOINTS, SORTED_BREAKPOINTS, SORTED_BREAKPOINTS)
+def test_sorted_unique_is_union1d_and_unique_bit_for_bit(a, b, c):
+    # np.unique's sort is unstable: which of a colliding -0 and +0 it keeps
+    # depends on the whole array, and the signs must still agree
+    for got, want in (
+        (_sorted_unique(a, b), np.union1d(a, b)),
+        (_sorted_unique(a, b, c), np.unique(np.concatenate([a, b, c]))),
+    ):
+        assert got.tolist() == want.tolist()
+        assert np.signbit(got).tolist() == np.signbit(want).tolist()
+
+
+def test_restriction_and_sums_leave_numpy_ma_unloaded():
+    # np.union1d's np.unique imports numpy.ma (about 10 ms)
+    code = (
+        "import sys\n"
+        "from blockspaces import PiecewiseConstant1D, WeightParams, decompose_nonhomogeneous, norm_profile\n"
+        "f = PiecewiseConstant1D((-3.0, -1.0, 0.25, 0.5, 2.0), (1.0, -2.0, 0.0, 3.0))\n"
+        "params = WeightParams(1, 1.0, 2.0, -0.5)\n"
+        "norm_profile(f, params, (-6, 6))\n"
+        "decompose_nonhomogeneous(f, params)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["False"]
+
 
 
 # -- bit-level algebra against the list-and-midpoint forms ---------------------
