@@ -15,12 +15,11 @@ cost of the best decomposition found, never as the true infimum.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import restrict_to_annulus, weighted_lp_norm
+from .norms import _shell_norm, restrict_to_annulus, weighted_lp_norm
 from .params import DyadicAnnulus, HypothesisViolation, WeightParams
 from .piecewise import PiecewiseConstant1D
 
@@ -111,40 +110,6 @@ class Decomposition:
         return out.simplify()
 
 
-def _shell_norm(f: PiecewiseConstant1D, k: int, restrict_type: bool, s: float) -> float | None:
-    """||f chi_{C_k}||_{L^s} from f's own pieces; None when the shell holds no nonzero piece.
-
-    Bit for bit weighted_lp_norm(restrict_to_annulus(f, k, restrict_type), s, 0.0),
-    without building the restriction.  On each side of the shell a bisection
-    finds f's first piece in it; the pieces are clipped to the side, and a
-    run of equal values counts as the one piece simplify merges it into.  The
-    two sides are apart, so no run joins them.  Zero runs add nothing, and
-    the others add |v|^s (hi - lo), left to right, as the norm sums the
-    restriction's pieces (hi - lo is weight_integral's value at alpha = 0).
-    """
-    ann = DyadicAnnulus(k, restrict_type=restrict_type)
-    r1, r2 = ann.inner_radius, ann.outer_radius
-    bps, vals = f.breakpoints, f.values
-    runs = []  # (|v|, lo, hi) of each nonzero run, left to right
-    for a, b in ((-r2, r2),) if r1 == 0.0 else ((-r2, -r1), (r1, r2)):
-        i = max(bisect_right(bps, a) - 1, 0)
-        while i < len(vals) and bps[i] < b:
-            v, lo = vals[i], max(bps[i], a)
-            while i + 1 < len(vals) and bps[i + 1] < b and vals[i + 1] == v:
-                i += 1
-            if v != 0.0:
-                runs.append((abs(v), lo, min(bps[i + 1], b)))
-            i += 1
-    if not runs:
-        return None
-    if math.isinf(s):
-        return max(v for v, _, _ in runs)
-    mass = 0.0
-    for v, lo, hi in runs:
-        mass += v**s * (hi - lo)
-    return mass ** (1.0 / s)
-
-
 def _shell_coefficients(
     f: PiecewiseConstant1D, params: WeightParams, ks, restrict_type: bool
 ) -> list[tuple[int, float]]:
@@ -233,29 +198,22 @@ def _nonhomogeneous_cost(f: PiecewiseConstant1D, params: WeightParams) -> float:
     return sum(abs(lam) ** params.pbar for _, lam in lams)
 
 
-def decompose_split(f: PiecewiseConstant1D, params: WeightParams, cuts) -> list[Decomposition]:
-    """Restrict-type decompositions of the nonzero pieces of f between the sorted cuts.
-
-    The first piece starts below and the last ends above the support, so the
-    pieces sum to f.
-    """
+def split_pieces(f: PiecewiseConstant1D, cuts) -> list[PiecewiseConstant1D]:
+    """The nonzero pieces of f cut at the sorted cuts and past its support's ends; they sum to f."""
     lo, hi = f.support_bounds
     edges = [lo - 1.0, *cuts, hi + 1.0]
     pieces = (f.restrict(a, b) for a, b in zip(edges, edges[1:]))
-    return [decompose_nonhomogeneous(piece, params) for piece in pieces if not piece.is_zero]
+    return [piece for piece in pieces if not piece.is_zero]
 
 
 def _tail_cost(f: PiecewiseConstant1D, params: WeightParams, k_tail: int) -> float:
     """Exact cost of the infinite shell family below scale k_tail.
 
-    Valid when f is piecewise constant on (-r, 0) and (0, r) with
-    2^k_tail <= r: the coefficients are then exactly geometric with ratio
-    2^((alpha+1)/p) per scale, and the cost sums in closed form.
+    Valid when f is constant on (-2^k_tail, 0) and on (0, 2^k_tail): the
+    coefficients are then 0 or exactly geometric with ratio 2^((alpha+1)/p)
+    per scale, and the cost sums in closed form.
     """
-    r = 2.0 ** k_tail
-    v_neg = float(f(np.asarray(-r / 2.0)))
-    v_pos = float(f(np.asarray(r / 2.0)))
-    if v_neg == 0.0 and v_pos == 0.0:
+    if _shell_norm(f, k_tail, False, params.s) is None:
         return 0.0
     if params.alpha <= -1.0:
         return math.inf
@@ -271,7 +229,8 @@ def homogeneous_total_cost(f: PiecewiseConstant1D, params: WeightParams) -> floa
     radii = [abs(x) for x in f.breakpoints if x != 0.0]
     if not radii:
         return 0.0
-    k_tail = math.floor(math.log2(min(radii)))
+    # floor(log2 r) exactly, so no breakpoint lies inside shell k_tail (log2 rounds 2^k - ulp up to k)
+    k_tail = math.frexp(min(radii))[1] - 1
     lams = _shell_coefficients(f, params, range(0, k_tail, -1), restrict_type=False)
     return sum(abs(lam) ** params.pbar for _, lam in lams) + _tail_cost(f, params, k_tail)
 
@@ -296,7 +255,6 @@ def rl_norm_upper_bound(
         raise ValueError(f"unknown strategy {strategy!r}")
     if f.is_zero:
         return 0.0
-    pbar = params.pbar
     costs = [_nonhomogeneous_cost(f, params)]
     bounds = f.support_bounds
     in_ball = max(abs(bounds[0]), abs(bounds[1])) <= 1.0
@@ -307,5 +265,5 @@ def rl_norm_upper_bound(
         lo, hi = bounds
         for _ in range(4):
             cuts = np.sort(rng.uniform(lo, hi, size=int(rng.integers(1, 3))))
-            costs.append(sum(d.coefficient_cost for d in decompose_split(f, params, cuts)))
-    return min(costs) ** (1.0 / pbar)
+            costs.append(sum(_nonhomogeneous_cost(piece, params) for piece in split_pieces(f, cuts)))
+    return min(costs) ** (1.0 / params.pbar)

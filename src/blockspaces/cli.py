@@ -7,7 +7,7 @@ reports plus CSV curves.  Exit codes are a stable contract:
     2  input error: a malformed command line (argparse prints the usage line and
        names the flag), or a bad flag value or input file (`error: ...`)
     3  hypothesis violation (the named constraint is in the message)
-    4  numerical-domain error (e.g. PV evaluation at a breakpoint)
+    4  numerical-domain error (e.g. PV evaluation at a breakpoint, a norm out of float range)
     5  verification ran and an in-hypothesis check failed (report still written,
        each failed verdict named on stderr)
 
@@ -382,6 +382,9 @@ def main(argv=None) -> int:
         return 3
     except DomainEvaluationError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return 4
+    except ArithmeticError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:
         # InputError, and flag values that fail module preconditions (WeightParams, schedules)

@@ -9,6 +9,7 @@ harnesses need to observe divergence.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .params import DyadicAnnulus, WeightParams
@@ -71,6 +72,44 @@ def restrict_to_annulus(
     return (f.restrict(-r2, -r1) + f.restrict(r1, r2)).simplify()
 
 
+def _shell_norm(
+    f: PiecewiseConstant1D, k: int, restrict_type: bool, s: float, alpha: float = 0.0
+) -> float | None:
+    """||f chi_{C_k}||_{L^s_{|x|^alpha}} from f's own pieces; None when the shell holds no nonzero piece.
+
+    Bit for bit weighted_lp_norm(restrict_to_annulus(f, k, restrict_type), s, alpha),
+    without building the restriction.  On each side of the shell a bisection
+    finds f's first piece in it; the pieces are clipped to the side, and a
+    run of equal values counts as the one piece simplify merges it into.  The
+    two sides are apart, so no run joins them.  Zero runs add nothing, and
+    the others add |v|^s times their weight integral, left to right, as the
+    norm sums the restriction's pieces.  The cost routes take a shell that
+    reaches 0 (the restrict-type ball; C_-1074, whose inner radius
+    underflows) only at alpha = 0, where its weight integral stays finite.
+    """
+    ann = DyadicAnnulus(k, restrict_type=restrict_type)
+    r1, r2 = ann.inner_radius, ann.outer_radius
+    bps, vals = f.breakpoints, f.values
+    runs = []  # (|v|, lo, hi) of each nonzero run, left to right
+    for a, b in ((-r2, r2),) if r1 == 0.0 else ((-r2, -r1), (r1, r2)):
+        i = max(bisect_right(bps, a) - 1, 0)
+        while i < len(vals) and bps[i] < b:
+            v, lo = vals[i], max(bps[i], a)
+            while i + 1 < len(vals) and bps[i + 1] < b and vals[i + 1] == v:
+                i += 1
+            if v != 0.0:
+                runs.append((abs(v), lo, min(bps[i + 1], b)))
+            i += 1
+    if not runs:
+        return None
+    if math.isinf(s):
+        return max(v for v, _, _ in runs)
+    mass = 0.0
+    for v, lo, hi in runs:
+        mass += v**s * weight_integral(lo, hi, alpha)
+    return mass ** (1.0 / s)
+
+
 @dataclass(frozen=True)
 class ProfileTerm:
     k: int
@@ -103,14 +142,13 @@ def norm_profile(
     if k_lo > k_hi:
         raise ValueError(f"empty annulus range {k_range}")
     p, alpha = params.p, params.alpha
-    covered = PiecewiseConstant1D.zero()
     terms = []
     for k in range(k_lo, k_hi + 1):
-        fk = restrict_to_annulus(f, k)
-        contribution = weighted_lp_norm(fk, p, alpha) ** p
-        comparable = DyadicAnnulus(k).ball_measure ** alpha * weighted_lp_norm(fk, p, 0.0) ** p
+        contribution = (_shell_norm(f, k, False, p, alpha) or 0.0) ** p
+        comparable = DyadicAnnulus(k).ball_measure ** alpha * (_shell_norm(f, k, False, p) or 0.0) ** p
         terms.append(ProfileTerm(k, contribution, comparable))
-        covered = covered + fk
-    remainder = weighted_lp_norm(f - covered, p, alpha) ** p
+    # f outside r < |x| <= R, the shells' union, in the pieces the shells cut it into
+    r, R = 2.0 ** (k_lo - 1), 2.0**k_hi
+    remainder = weighted_lp_norm(f - f.restrict(-R, -r) - f.restrict(r, R), p, alpha) ** p
     mass = sum(t.contribution for t in terms) + remainder
     return NormProfile(params=params, terms=tuple(terms), remainder=remainder, total=mass)

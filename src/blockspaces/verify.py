@@ -30,10 +30,10 @@ from .blocks import (
     Decomposition,
     _nonhomogeneous_cost,
     decompose_nonhomogeneous,
-    decompose_split,
     homogeneous_total_cost,
     make_canonical_block,
     rl_norm_upper_bound,
+    split_pieces,
 )
 from .norms import weighted_lp_norm
 from .params import WeightParams
@@ -560,7 +560,7 @@ def _presplit_decomposition(
     """Structurally different decomposition: cut f at two seeded points, decompose each part."""
     lo, hi = f.support_bounds
     cuts = np.sort(np.random.default_rng(seed).uniform(lo, hi, size=2))
-    terms = [t for d in decompose_split(f, params, cuts) for t in d.terms]
+    terms = [t for piece in split_pieces(f, cuts) for t in decompose_nonhomogeneous(piece, params).terms]
     return Decomposition(params, tuple(terms), False)
 
 

@@ -29,7 +29,8 @@ from blockspaces import (
     validate_block,
     weighted_lp_norm,
 )
-from blockspaces.blocks import _nonhomogeneous_cost, _shell_coefficients, _shell_norm
+from blockspaces.blocks import _nonhomogeneous_cost, _shell_coefficients, _shell_norm, split_pieces
+from strategies import sweep_functions
 
 P0 = WeightParams(1, 1.0, 2.0, 0.0)
 PMID = WeightParams(1, 1.0, 2.0, -0.5)
@@ -155,40 +156,30 @@ def test_homogeneous_rejects_positive_k_min():
 # -- shell norms from one sweep over f's pieces --------------------------------
 
 
-@st.composite
-def sweep_functions(draw, top=2):
-    """Functions on breakpoints in [-2^top, 2^top], many exactly on shell edges +-2^k or at +-0.
-
-    The values repeat and hold signed zeros, so the restrictions have equal
-    neighbours to merge and zero runs to drop.
-    """
-    edge = st.builds(lambda k, sign: sign * 2.0**k, st.integers(-8, top), st.sampled_from([1.0, -1.0]))
-    anywhere = st.floats(-(2.0**top), 2.0**top, allow_nan=False)
-    bps = draw(st.lists(st.one_of(edge, anywhere, st.sampled_from([0.0, -0.0])), min_size=2, max_size=12, unique=True))
-    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.75, 0.3]), st.floats(-3.0, 3.0, allow_nan=False))
-    return PiecewiseConstant1D(sorted(bps), draw(st.lists(value, min_size=len(bps) - 1, max_size=len(bps) - 1)))
-
-
 @settings(deadline=None, max_examples=200)
 @example(  # a run of three equal pieces on C_0 sums to other bits unmerged
     f=PiecewiseConstant1D((0.25, 0.7845537517371617, 0.9523479922561183, 1.0), (0.75, 0.75, 0.75)),
     k=0,
     restrict_type=False,
     s=3.0,
+    alpha=0.0,
 )
 @given(
     f=sweep_functions(),
     k=st.integers(-9, 3),
     restrict_type=st.booleans(),
     s=st.sampled_from([0.5, 1.0, 2.0, 3.0, math.inf]),
+    alpha=st.sampled_from([-0.75, -0.5, 0.0, 0.5]),
 )
-def test_shell_norm_is_the_norm_of_the_restriction(f, k, restrict_type, s):
-    k = k % 4 if restrict_type else k  # restrict-type shells have k >= 0
+def test_shell_norm_is_the_norm_of_the_restriction(f, k, restrict_type, s, alpha):
+    if restrict_type:
+        # restrict-type shells have k >= 0, and the ball at k = 0 is only normed unweighted
+        k, alpha = k % 4, 0.0
     fk = restrict_to_annulus(f, k, restrict_type)
-    got = _shell_norm(f, k, restrict_type, s)
+    got = _shell_norm(f, k, restrict_type, s, alpha)
     assert (got is None) == fk.is_zero
     if got is not None:
-        assert got.hex() == weighted_lp_norm(fk, s, 0.0).hex()
+        assert got.hex() == weighted_lp_norm(fk, s, alpha).hex()
 
 
 def _total_cost_by_restriction(f, params):
@@ -196,7 +187,7 @@ def _total_cost_by_restriction(f, params):
     radii = [abs(x) for x in f.breakpoints if x != 0.0]
     if not radii:
         return 0.0
-    k_tail = math.floor(math.log2(min(radii)))
+    k_tail = math.frexp(min(radii))[1] - 1
 
     def lam(k):
         fk = restrict_to_annulus(f, k)
@@ -205,8 +196,7 @@ def _total_cost_by_restriction(f, params):
         return DyadicAnnulus(k).ball_measure ** params.block_coefficient_exponent * weighted_lp_norm(fk, params.s, 0.0)
 
     cost = sum(abs(v) ** params.pbar for v in map(lam, range(0, k_tail, -1)) if v is not None)
-    r = 2.0**k_tail
-    if float(f(np.asarray(-r / 2.0))) == 0.0 and float(f(np.asarray(r / 2.0))) == 0.0:
+    if restrict_to_annulus(f, k_tail).is_zero:
         return cost + 0.0
     if params.alpha <= -1.0:
         return cost + math.inf
@@ -220,6 +210,12 @@ def _total_cost_by_restriction(f, params):
     p=st.sampled_from([0.5, 1.0, 2.0]),
     s=st.sampled_from([1.0, 2.0, 3.0, math.inf]),
     alpha=st.sampled_from([-1.0, -0.75, -0.5, 0.0]),
+)
+@example(  # k_tail = -1074: f(+-r/2) reads f(0) = (1 - 1)/2 = 0, but the tail shell holds f's two pieces
+    f=PiecewiseConstant1D((-1.0, -0.5, -5e-324, 0.0, 0.0625, 1.0), (0.0, 0.0, 1.0, -1.0, 0.0)),
+    p=0.5,
+    s=2.0,
+    alpha=-1.0,
 )
 def test_total_cost_is_the_restriction_route_bit_for_bit(f, p, s, alpha):
     params = WeightParams(1, p, s, alpha)
@@ -293,6 +289,14 @@ def test_tail_zero_when_origin_clean():
     assert math.isclose(total, decompose_homogeneous(f, PMID, -3).coefficient_cost, rel_tol=1e-12)
 
 
+def test_tail_starts_below_a_radius_just_under_a_power_of_two():
+    # log2 rounds this radius up to -3, which put the breakpoint inside shell
+    # -3 and left f's mass on (x, 1/8] out of the cost
+    x = math.ldexp(1.0 - 2.0**-53, -3)
+    f = PiecewiseConstant1D((0.0, x, 1.0), (0.0, 1.0))
+    assert homogeneous_total_cost(f, PMID) == decompose_homogeneous(f, PMID, -4).coefficient_cost
+
+
 # -- upper bounds -------------------------------------------------------------
 
 
@@ -309,6 +313,61 @@ def test_upper_bound_zero_function():
 def test_upper_bound_rejects_unknown_strategy():
     with pytest.raises(ValueError):
         rl_norm_upper_bound(chi(0.0, 1.0), P0, strategy="anneal")
+
+
+def _perturbed_bound_by_decompositions(f, params, seed):
+    """rl_norm_upper_bound(f, params, "greedy+perturbations", seed) with each perturbed
+    cost read off the decompositions of the pieces; also (cuts, cost) of each perturbation."""
+    costs = [_nonhomogeneous_cost(f, params)]
+    lo, hi = f.support_bounds
+    if max(abs(lo), abs(hi)) <= 1.0 and params.p < params.s:
+        costs.append(homogeneous_total_cost(f, params))
+    rng = np.random.default_rng(seed)
+    perturbed = []
+    for _ in range(4):
+        cuts = np.sort(rng.uniform(lo, hi, size=int(rng.integers(1, 3))))
+        edges = [lo - 1.0, *cuts, hi + 1.0]
+        pieces = (f.restrict(a, b) for a, b in zip(edges, edges[1:]))
+        decs = [decompose_nonhomogeneous(piece, params) for piece in pieces if not piece.is_zero]
+        perturbed.append((cuts, sum(d.coefficient_cost for d in decs)))
+    return min(costs + [cost for _, cost in perturbed]) ** (1.0 / params.pbar), perturbed
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    f=sweep_functions(top=4),
+    p=st.sampled_from([0.5, 1.0, 2.0]),
+    s=st.sampled_from([2.0, 3.0, math.inf]),
+    alpha=st.sampled_from([-0.75, -0.5, 0.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_perturbed_bound_is_the_decomposition_route_bit_for_bit(f, p, s, alpha, seed):
+    params = WeightParams(1, p, s, alpha)
+    if f.is_zero:
+        return
+    try:
+        want, perturbed = _perturbed_bound_by_decompositions(f, params, seed)
+    except (ZeroDivisionError, ValueError, OverflowError):
+        # a piece whose lambda has no finite inverse gives its block no scale
+        # (CHANGES.md), and a breakpoint near 2^-1074 overflows the
+        # homogeneous route; the shell coefficients count such a lambda
+        return
+    # the perturbed costs rarely decide the bound (splitting f never lowers
+    # the cost in exact arithmetic), so each is compared on its own as well
+    for cuts, cost in perturbed:
+        assert repr(sum(_nonhomogeneous_cost(piece, params) for piece in split_pieces(f, cuts))) == repr(cost)
+    assert repr(rl_norm_upper_bound(f, params, "greedy+perturbations", seed)) == repr(want)
+
+
+def test_perturbed_bound_counts_a_piece_whose_lambda_underflows():
+    # the piece (0, cut) holds only 1.9e-187, whose square underflows: its
+    # lambda is 0, which no block can be scaled by
+    f = PiecewiseConstant1D((0.0, 0.5, 1.0), (1.9234716284469627e-187, 1.0))
+    params = WeightParams(1, 0.5, 2.0, -0.75)
+    with pytest.raises(ZeroDivisionError):
+        _perturbed_bound_by_decompositions(f, params, 3)
+    got = rl_norm_upper_bound(f, params, "greedy+perturbations", 3)
+    assert got == rl_norm_upper_bound(f, params) == 0.7071067811865477
 
 
 @settings(deadline=None, max_examples=40)

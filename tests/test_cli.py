@@ -534,22 +534,34 @@ _APPLY = ["apply", "--input", "{i12}", "--op", "maximal"]
         (["norm", "--input", "{i12}", "--params", "1,1,2,0", "--out", "n.json"], 0, {"n.json": None}, ""),
         (["decompose", "--input", "{i12}", "--params", "1,1,2,-1", "--op", "homogeneous"], 3, {},
          "hypothesis violation"),
+        # the value's square underflows, so the shell's lambda is 0 and its block has no scale
+        (["decompose", "--input", "{tiny}", "--params", "1,1/2,2,-3/4"], 4, {}, "numerical error: "),
+        (["decompose", "--input", "{tiny}", "--params", "1,1/2,2,-3/4", "--op", "upper-bound"], 4, {},
+         "numerical error: "),
+        # p = 1/2: the weighted mass, about 4.2e154, squares past the largest float
+        (["norm", "--input", "{sub}", "--params", "1,1/2,2,-3/2"], 4, {}, "numerical error: "),
     ],
     ids=[
         "grid-two-fields", "grid-count-not-integer", "grid-count-zero", "no-input",
         "unreadable-input", "apply-no-op", "apply-no-grid", "verify-no-theorem", "sweep-no-op",
         "e-of-N-no-input", "grid-comma-list", "out-with-extension", "homogeneous-alpha-minus-1",
+        "lambda-underflows", "upper-bound-lambda-underflows", "norm-overflows",
     ],
 )
 def test_exit_code_contract(tmp_path, monkeypatch, capsys, i12, argv, code, outputs, stderr):
     # outputs: every file the run writes in the working directory, with the
     # grid its JSON report must echo where one is given.  A missing flag is a
     # usage error (argparse exits 2); a bad value or file returns 2 with "error: ...".
+    specs = {
+        "i12": i12,
+        "tiny": write_spec(tmp_path / "tiny.json", {"breakpoints": [0.0, 1.0], "values": [1.9234716284469627e-187]}),
+        "sub": write_spec(tmp_path / "sub.json", {"breakpoints": [-1.0, -2.225073858507203e-309], "values": [1.0]}),
+    }
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
     try:
-        rc = main([a.format(i12=i12) for a in argv])
+        rc = main([a.format(**specs) for a in argv])
     except SystemExit as exc:
         rc = exc.code
     assert rc == code

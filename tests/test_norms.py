@@ -3,16 +3,19 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blockspaces import (
+    DyadicAnnulus,
+    NormProfile,
     PiecewiseConstant1D,
     WeightParams,
     norm_profile,
     restrict_to_annulus,
     weighted_lp_norm,
 )
-from blockspaces.norms import weight_integral
+from blockspaces.norms import ProfileTerm, weight_integral
+from strategies import sweep_functions
 
 chi = PiecewiseConstant1D.indicator
 
@@ -143,3 +146,45 @@ def test_profile_rejects_bad_range():
     f = chi(0.0, 1.0)
     with pytest.raises(ValueError):
         norm_profile(f, WeightParams(1, 1.0, 2.0, 0.0), (3, -3))
+
+
+def _profile_by_restriction(f, params, k_range):
+    """norm_profile as formed from the shell restrictions of f, the remainder from f minus their sum."""
+    k_lo, k_hi = k_range
+    p, alpha = params.p, params.alpha
+    covered = PiecewiseConstant1D.zero()
+    terms = []
+    for k in range(k_lo, k_hi + 1):
+        fk = restrict_to_annulus(f, k)
+        contribution = weighted_lp_norm(fk, p, alpha) ** p
+        comparable = DyadicAnnulus(k).ball_measure ** alpha * weighted_lp_norm(fk, p, 0.0) ** p
+        terms.append(ProfileTerm(k, contribution, comparable))
+        covered = covered + fk
+    remainder = weighted_lp_norm(f - covered, p, alpha) ** p
+    mass = sum(t.contribution for t in terms) + remainder
+    return NormProfile(params=params, terms=tuple(terms), remainder=remainder, total=mass)
+
+
+@settings(deadline=None, max_examples=100)
+@example(  # the remainder's mass ** (1/p) overflows: both routes raise OverflowError
+    f=PiecewiseConstant1D((-1.0, -2.225073858507203e-309), (1.0,)), p=0.5, alpha=-1.5, k_lo=-6, width=12
+)
+@given(
+    f=sweep_functions(),
+    p=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    alpha=st.sampled_from([-1.5, -1.0, -0.75, -0.5, 0.0, 0.5]),
+    k_lo=st.integers(-10, 3),
+    width=st.integers(0, 12),
+)
+def test_profile_is_the_restriction_route_bit_for_bit(f, p, alpha, k_lo, width):
+    params = WeightParams(1, p, 2.0, alpha)
+
+    def outcome(profile):
+        try:
+            prof = profile(f, params, (k_lo, k_lo + width))
+        except ArithmeticError as err:
+            return type(err).__name__
+        terms = [(t.k, t.contribution.hex(), t.comparable.hex()) for t in prof.terms]
+        return terms, prof.remainder.hex(), prof.total.hex()
+
+    assert outcome(norm_profile) == outcome(_profile_by_restriction)
