@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .norms import _shell_norm, restrict_to_annulus, weighted_lp_norm
 from .params import DyadicAnnulus, HypothesisViolation, WeightParams
 from .piecewise import PiecewiseConstant1D
@@ -186,9 +184,10 @@ def _restrict_type_scales(f: PiecewiseConstant1D) -> range:
     bounds = f.support_bounds
     if bounds is None:
         return range(0)
-    radius = max(abs(bounds[0]), abs(bounds[1]))
-    K = max(0, math.ceil(math.log2(radius))) if radius > 0 else 0
-    return range(0, K + 1)
+    mantissa, exponent = math.frexp(max(abs(bounds[0]), abs(bounds[1])))
+    # ceil(log2 radius) exactly (log2 rounds a radius a few ulps above 2^K down to K)
+    K = exponent - 1 if mantissa == 0.5 else exponent
+    return range(0, max(0, K) + 1)
 
 
 def _nonhomogeneous_cost(f: PiecewiseConstant1D, params: WeightParams) -> float:
@@ -243,27 +242,21 @@ def rl_norm_upper_bound(
 ) -> float:
     """Upper bound on the block-space quasinorm of f.
 
-    Returns the best coefficient cost^(1/pbar) over the tried decompositions:
-    the restrict-type route always, the homogeneous route (with its exact
-    geometric tail) when f is supported in the unit ball, and, under
-    strategy="greedy+perturbations", four more decompositions, each obtained
-    by splitting f at one or two seeded points and decomposing every piece.
-    The result is never above the greedy bound and always >= the true
-    quasinorm.
+    Returns the smaller coefficient cost^(1/pbar) of two decompositions: the
+    restrict-type route always, and the homogeneous route (with its exact
+    geometric tail) when f is supported in the unit ball and p < s.  The
+    result is always >= the true quasinorm.  Cutting f into pieces with
+    disjoint supports and decomposing each cannot do better, since each
+    lambda_k of f is at most the sum of the pieces' lambda_k and pbar <= 1;
+    so strategy="greedy+perturbations" is a synonym of "greedy", and seed is
+    accepted and unused.
     """
     if strategy not in ("greedy", "greedy+perturbations"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if f.is_zero:
         return 0.0
-    costs = [_nonhomogeneous_cost(f, params)]
-    bounds = f.support_bounds
-    in_ball = max(abs(bounds[0]), abs(bounds[1])) <= 1.0
-    if in_ball and params.p < params.s:
-        costs.append(homogeneous_total_cost(f, params))
-    if strategy == "greedy+perturbations":
-        rng = np.random.default_rng(seed)
-        lo, hi = bounds
-        for _ in range(4):
-            cuts = np.sort(rng.uniform(lo, hi, size=int(rng.integers(1, 3))))
-            costs.append(sum(_nonhomogeneous_cost(piece, params) for piece in split_pieces(f, cuts)))
-    return min(costs) ** (1.0 / params.pbar)
+    cost = _nonhomogeneous_cost(f, params)
+    lo, hi = f.support_bounds
+    if max(abs(lo), abs(hi)) <= 1.0 and params.p < params.s:
+        cost = min(cost, homogeneous_total_cost(f, params))
+    return cost ** (1.0 / params.pbar)

@@ -72,8 +72,7 @@ class RunConfig:
         if self.params is not None:
             config["params"] = [1.0, self.params.p, self.params.s, self.params.alpha]
         sub = self.subcommand
-        reads = _ROUTES[sub][_route(sub, self.op)] if sub in _ROUTES else _SUBCOMMANDS[sub][2]
-        seed = {"seed": self.seed or 0} if "seed" in reads else {}
+        seed = {"seed": self.seed or 0} if "seed" in _SUBCOMMANDS[sub][2] else {}
         return {"subcommand": sub, "config": config, "version": __version__, **seed}
 
 
@@ -182,8 +181,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
         dec = decompose_nonhomogeneous(f, params)
     report = bsio.decomposition_to_dict(dec)
     if cfg.op == "upper-bound":
-        bound = rl_norm_upper_bound(f, params, strategy="greedy+perturbations", seed=cfg.seed or 0)
-        report["quasinorm_upper_bound"] = bound
+        report["quasinorm_upper_bound"] = rl_norm_upper_bound(f, params)
     elif dec.residual_norm == 0.0:
         report["quasinorm_upper_bound"] = dec.coefficient_cost ** (1.0 / params.pbar)
     else:
@@ -291,7 +289,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 #: subcommand -> (handler, whose docstring is its help, the flags it needs, the flags it may take)
 _SUBCOMMANDS = {
     "norm": (cmd_norm, ("input", "params"), ("out",)),
-    "decompose": (cmd_decompose, ("input", "params"), ("op", "seed", "out")),
+    "decompose": (cmd_decompose, ("input", "params"), ("op", "out")),
     "apply": (cmd_apply, ("input", "op", "grid"), ("schedule", "tolerance", "out")),
     "verify": (cmd_verify, ("theorem",), ("seed", "out")),
     "sweep": (cmd_sweep, ("op", "params"), ("input", "schedule", "out")),
@@ -300,7 +298,7 @@ _SUBCOMMANDS = {
 #: subcommand -> its --op routes (the first is taken without --op) -> the flags
 #: that only this route reads; every other route exits 2 on them
 _ROUTES = {
-    "decompose": {"nonhomogeneous": (), "homogeneous": (), "upper-bound": ("seed",)},
+    "decompose": {"nonhomogeneous": (), "homogeneous": (), "upper-bound": ()},
     # an operator reads --schedule when it has default levels; only carleson reads --tolerance
     "apply": {
         op: ("schedule",) * bool(levels) + ("tolerance",) * (op == "carleson")

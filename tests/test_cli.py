@@ -186,16 +186,15 @@ def test_decompose_upper_bound_route(tmp_path, ball):
             "1,1,2,-1/2",
             "--op",
             "upper-bound",
-            "--seed",
-            "3",
             "--out",
             str(out),
         ]
     )
     assert rc == 0
     rep = json.loads((tmp_path / "d.json").read_text())
-    direct = rep["coefficient_cost"]
-    assert rep["quasinorm_upper_bound"] <= direct ** 1.0 + 1e-12
+    # chi_{B_0} is one restrict-type block with lambda sqrt(2), cheaper than its homogeneous shells
+    assert rep["quasinorm_upper_bound"] == rep["coefficient_cost"] == math.sqrt(2.0)
+    assert "seed" not in rep["provenance"]
 
 
 def test_decompose_unknown_route_exits_2(tmp_path, ball, capsys):
@@ -288,20 +287,22 @@ def test_apply_unknown_op_exits_2(tmp_path, ball, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, flag, want",
     [
-        (["apply", "--input", "{i12}", "--op", "carleson", "--grid", "1.5:1.5:1"], "--tolerance=inf"),
-        (["apply", "--input", "{i12}", "--op", "carleson", "--grid", "1.5:1.5:1"], "--tolerance=nan"),
-        (["apply", "--input", "{i12}", "--op", "carleson", "--grid", "1.5:1.5:1"], "--tolerance=-1"),
-        (["apply", "--input", "{i12}", "--op", "carleson", "--grid", "1.5:1.5:1"], "--tolerance=0"),
-        (["decompose", "--input", "{i12}", "--params", "1,1,2,0", "--op", "upper-bound"], "--seed=-1"),
-        (["verify", "--theorem", "all"], "--seed=-1"),
+        (["apply", "--input", "{i12}", "--op", "carleson", "--grid", "1.5:1.5:1"], "--tolerance=inf", None),
+        (["apply", "--input", "{i12}", "--op", "carleson", "--grid", "1.5:1.5:1"], "--tolerance=nan", None),
+        (["apply", "--input", "{i12}", "--op", "carleson", "--grid", "1.5:1.5:1"], "--tolerance=-1", None),
+        (["apply", "--input", "{i12}", "--op", "carleson", "--grid", "1.5:1.5:1"], "--tolerance=0", None),
+        # decompose reads no seed at all
+        (["decompose", "--input", "{i12}", "--params", "1,1,2,0", "--op", "upper-bound"], "--seed=-1",
+         "unrecognized arguments: --seed=-1"),
+        (["verify", "--theorem", "all"], "--seed=-1", None),
     ],
     ids=["tolerance-inf", "tolerance-nan", "tolerance-negative", "tolerance-zero",
          "decompose-seed-negative", "verify-seed-negative"],
 )
 def test_out_of_range_seed_or_tolerance_exits_2_before_any_work(
-    tmp_path, monkeypatch, capsys, i12, argv, flag
+    tmp_path, monkeypatch, capsys, i12, argv, flag, want
 ):
     # a tolerance must be finite and > 0, a seed a non-negative integer; json cannot
     # encode inf/nan, -1 ran every refinement, and numpy's refusal of seed -1 named no flag
@@ -309,7 +310,7 @@ def test_out_of_range_seed_or_tolerance_exits_2_before_any_work(
     work.mkdir()
     monkeypatch.chdir(work)
     err = usage_error([a.format(i12=i12) for a in argv] + [flag], capsys)
-    assert f"argument {flag.split('=')[0]}: wants" in err
+    assert (want or f"argument {flag.split('=')[0]}: wants") in err
     assert list(work.iterdir()) == []
 
 
@@ -576,7 +577,7 @@ def test_exit_code_contract(tmp_path, monkeypatch, capsys, i12, argv, code, outp
 
 FLAGS_READ = {
     "norm": {"input", "params", "out"},
-    "decompose": {"input", "params", "op", "seed", "out"},
+    "decompose": {"input", "params", "op", "out"},
     "apply": {"input", "op", "schedule", "grid", "tolerance", "out"},
     "verify": {"theorem", "seed", "out"},
     "sweep": {"input", "params", "op", "schedule", "out"},
@@ -606,7 +607,7 @@ FLAGS_NEEDED = {
 
 # subcommand -> --op route -> the flags that only this route reads
 ROUTE_FLAGS = {
-    "decompose": {"nonhomogeneous": set(), "homogeneous": set(), "upper-bound": {"seed"}},
+    "decompose": {"nonhomogeneous": set(), "homogeneous": set(), "upper-bound": set()},
     "apply": {
         "hilbert": set(),
         "hilbert_truncated": {"schedule"},
@@ -618,12 +619,20 @@ ROUTE_FLAGS = {
     "sweep": {"e-of-N": {"input"}, "hilbert": set(), "hilbert_maximal": set(), "carleson": set(), "sn": set()},
 }
 
-# each subcommand with its needed flags but no --op
+# each subcommand with route-only flags, with its needed flags but no --op
 _ROUTE_RUNS = {
     "decompose": ["decompose", "--input", "{ball}", "--params", "1,1,2,0"],
     "apply": ["apply", "--input", "{ball}", "--grid", "0:1:3"],
     "sweep": ["sweep", "--params", "1,1,2,0"],
 }
+
+# route-only flags that no route reads any more, so the parser refuses them on each
+_RETIRED_ROUTE_FLAGS = [
+    ("decompose", None, "seed"),
+    ("decompose", "nonhomogeneous", "seed"),
+    ("decompose", "homogeneous", "seed"),
+    ("decompose", "upper-bound", "seed"),
+]
 
 
 def _subparsers():
@@ -658,7 +667,7 @@ def test_op_and_theorem_take_only_known_choices():
 
 @pytest.mark.parametrize(
     "sub, route, flag",
-    [("decompose", None, "seed")]
+    _RETIRED_ROUTE_FLAGS
     + [
         (sub, route, flag)
         for sub, routes in ROUTE_FLAGS.items()
@@ -674,7 +683,10 @@ def test_flag_the_route_does_not_read_exits_2(tmp_path, monkeypatch, capsys, bal
     op = [] if route is None else ["--op", route]
     argv = [a.format(ball=ball) for a in _ROUTE_RUNS[sub] + op + [f"--{flag}", _VALUES[flag]]]
     err = usage_error(argv, capsys)
-    assert f"{sub} --op {route or 'nonhomogeneous'} does not read --{flag}" in err
+    if (sub, route, flag) in _RETIRED_ROUTE_FLAGS:
+        assert f"unrecognized arguments: --{flag}" in err
+    else:
+        assert f"{sub} --op {route} does not read --{flag}" in err
     assert list(work.iterdir()) == []
 
 
@@ -724,7 +736,7 @@ def test_each_subcommand_exposes_only_the_flags_it_reads():
         for name, sub in _subparsers().items()
     }
     assert got == FLAGS_READ
-    assert sum(len(flags) for flags in got.values()) == 22
+    assert sum(len(flags) for flags in got.values()) == 21
 
 
 @pytest.mark.parametrize(

@@ -46,7 +46,6 @@ CASES = {
     ],
     "decompose-upper-bound": [
         "decompose", "--input", "ball.json", "--params", "1,1,2,-1/2", "--op", "upper-bound",
-        "--seed", "3",
     ],
     "apply-hilbert": ["apply", "--input", "i12.json", "--op", "hilbert", GRID],
     "apply-hilbert_truncated": ["apply", "--input", "i12.json", "--op", "hilbert_truncated", GRID],
@@ -105,8 +104,8 @@ def test_provenance_echoes_the_flags_given(case):
     provenance = json.loads(report.read_text())["provenance"]
     assert set(provenance["config"]) == given
     assert provenance["subcommand"] == argv[0]
-    # only verify and decompose --op upper-bound read a seed
-    assert ("seed" in provenance) == (argv[0] == "verify" or "upper-bound" in argv)
+    # only verify reads a seed
+    assert ("seed" in provenance) == (argv[0] == "verify")
 
 
 def test_no_golden_holds_a_numpy_repr():
