@@ -42,7 +42,7 @@ from .operators import (
 )
 from .params import DomainEvaluationError, HypothesisViolation, WeightParams
 from .verify import _K_RANGE, _block_norms
-from .verify import THEOREM_IDS, partial_sum_error_norm, run_theorem
+from .verify import _X_MAX, THEOREM_IDS, partial_sum_error_norm, run_theorem
 
 
 class InputError(ValueError):
@@ -264,11 +264,15 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     """emit a curve: e-of-N or a block-scale operator sweep"""
+    report = {}
     if cfg.op == "e-of-N":
         f = _load_input(cfg)
         schedule = cfg.schedule or tuple(2.0**j for j in range(11))
         rows = [(N, partial_sum_error_norm(f, cfg.params, N)) for N in schedule]
         header = ("N", "error_norm")
+        # outside -1 < alpha < p - 1 the norm is infinite unless |S_N f - f| ~ C/|x|
+        # cancels in its leading term; the rows are then the integral cut at x_max
+        report = {"x_max": _X_MAX, "in_main_range": cfg.params.in_main_range}
     else:
         op = "dirichlet_sn" if cfg.op == "sn" else cfg.op
         schedule = cfg.schedule or range(_K_RANGE[0], _K_RANGE[1] + 1)
@@ -278,7 +282,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         (norms,) = _block_norms(op, (cfg.params,), ks)
         rows = list(zip(ks, norms))
         header = ("k", "norm")
-    base = _write(cfg, {"rows": len(rows)}, rows, header)
+    base = _write(cfg, {"rows": len(rows), **report}, rows, header)
     print(f"{len(rows)} rows -> {base}.csv")
     return 0
 

@@ -35,26 +35,30 @@ The S_N and truncated Hilbert kernels also serve a family of functions on
 shared breakpoints, one row of values per function: each block's kernel
 is built once and multiplied with each row as its own matrix-vector
 product, so every row has the bits of the call on its function alone.
-Claim 3.1 evaluates its 13 dilated blocks as one such family per level
-of its carleson and hilbert_maximal schedules (`_sn_rows`,
-`_truncated_rows`, with `_sup_abs` taking the sup over the levels).
+The two sups (`_sn_sup`, `_truncated_sup`) form each block's
+level-independent part once, the differences x - b_j and, for H_eps,
+every whole piece's log, and run every level on it before the next block.
+Claim 3.1 evaluates its 13 dilated blocks as one such family over the
+levels of its carleson and hilbert_maximal schedules.
 
-Claim 6.3's error norm e(N) evaluates S_N f - f on the nodes of panels of
-width 1/(4N) on the lattice Z/(4N) (`_sn_error_on_lattice`), for f and
-x -> f(-x) as two rows of one call.  There every Si phase is a quarter
-turn times an integer m plus a fixed offset per node and per fractional
-part d of 4N b_j, so R(t) = Si(t) - sgn(t) pi/2 is one table over (m, node)
-per offset, computed once per lattice point for every breakpoint of both
-rows with that offset, and each row sums its jumps times windows of the
-table.  Its cos and sin come from four signed entries, so no trig runs
-per point, and f is never cancelled against the limits pi/2.
+The two fixed-N partial-sum integrals, claim 6.3's error norm e(N) and
+claim 3.1's dirichlet_sn leg, evaluate S_N f - f at the Gauss-Legendre
+nodes of the cells of width 1/(4N) of the lattice Z/(4N)
+(`_sn_error_on_lattice`), each function and x -> f(-x) as rows of one
+call.  There every Si phase is a quarter turn times an integer m plus a
+fixed offset per node and per fractional part d of 4N b_j, so
+R(t) = Si(t) - sgn(t) pi/2 is one table over (m, node) per offset,
+computed once per lattice point for every breakpoint of every row with
+that offset, and each row sums its jumps times windows of the table.  Its
+cos and sin come from four signed entries, so no trig runs per point, and
+f is never cancelled against the limits pi/2.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,21 +113,30 @@ class EvalGrid:
 
     for_function keeps the points and raises, as hilbert does, if one lies
     within pv_exclusion_radius(f) of a breakpoint of f; filtered drops those.
+    Both record f's breakpoints and exclusion radius in `cleared`, and
+    hilbert skips its own check on a grid cleared for the f it is given.
     """
 
     points: tuple[float, ...]
+    #: (breakpoints, exclusion radius) of the f the points were cleared for, or None
+    cleared: tuple | None = field(default=None, repr=False)
 
     @classmethod
     def for_function(cls, f: PiecewiseConstant1D, points) -> "EvalGrid":
         pts = np.atleast_1d(np.asarray(points, dtype=float))
         _require_pv_clear(f, pts)
-        return cls(tuple(pts.tolist()))
+        return cls(tuple(pts.tolist()), _clearance(f))
 
     @classmethod
     def filtered(cls, f: PiecewiseConstant1D, points) -> "EvalGrid":
         """Like for_function but silently dropping offending abscissae."""
         pts = np.atleast_1d(np.asarray(points, dtype=float))
-        return cls(tuple(pts[~_pv_hits(f, pts)[0]].tolist()))
+        return cls(tuple(pts[~_pv_hits(f, pts)[0]].tolist()), _clearance(f))
+
+
+def _clearance(f: PiecewiseConstant1D) -> tuple:
+    """What a grid cleared for f records: f's breakpoints and exclusion radius."""
+    return f.breakpoints, pv_exclusion_radius(f)
 
 
 def _as_points(grid) -> np.ndarray:
@@ -150,7 +163,7 @@ def _require_pv_clear(f: PiecewiseConstant1D, x: np.ndarray) -> None:
         )
 
 
-def _rowwise(kernel_for, x: np.ndarray, ncols: int, coeffs: np.ndarray, parity: float = 0.0) -> np.ndarray:
+def _rowwise(kernel_for, x: np.ndarray, ncols: int, coeffs: np.ndarray, parity: float = 0.0, levels=None) -> np.ndarray:
     """kernel(x) @ c for each row c of coeffs, for a kernel giving one row of ncols per point.
 
     The result has one row per row of coeffs.  kernel_for(rows) allocates
@@ -159,6 +172,11 @@ def _rowwise(kernel_for, x: np.ndarray, ncols: int, coeffs: np.ndarray, parity: 
     block's kernel is built once and multiplied with every row c as the
     1-D `block @ c`, so each row is equal bit for bit to the dense product
     for its c alone, whose kernel matrix the blocks never hold at once.
+
+    With levels, a family of kernels: kernel(xb) does the block's work that
+    no level changes and returns at, and at(level) is the block's kernel
+    at that level.  The result is then max over the levels of |kernel @ c|,
+    and each block runs every level before the next block starts.
 
     A nonzero parity says that the kernel is mirrored: row n - 1 - i is
     parity times row i reversed, bit for bit (the caller checks it, see
@@ -186,17 +204,23 @@ def _rowwise(kernel_for, x: np.ndarray, ncols: int, coeffs: np.ndarray, parity: 
     size = max((hi - lo for lo, hi in bounds), default=0)
     kernel = kernel_for(size)
     mirror = np.empty((size, ncols)) if parity else None
-    out = np.empty((coeffs.shape[0], n))
-    for lo, hi in bounds:
-        block = kernel(x[lo:hi])
+    out = np.empty((coeffs.shape[0], n)) if levels is None else np.zeros((coeffs.shape[0], n))
+
+    def put(block, lo, hi):
         # one gemv per row: a gemm over all rows would not pin each row's reduction order
         for row, c in zip(out, coeffs):
-            row[lo:hi] = block @ c
-        if parity:
-            # a C-ordered copy: numpy sums an F-ordered or strided operand in another order
-            flipped = np.multiply(block[::-1, ::-1], parity, out=mirror[: hi - lo])
-            for row, c in zip(out, coeffs):
-                row[n - hi : n - lo] = flipped @ c
+            if levels is None:
+                row[lo:hi] = block @ c
+            else:
+                np.maximum(row[lo:hi], np.abs(block @ c), out=row[lo:hi])
+
+    for lo, hi in bounds:
+        built = kernel(x[lo:hi])
+        for block in (built,) if levels is None else map(built, levels):
+            put(block, lo, hi)
+            if parity:
+                # a C-ordered copy: numpy sums an F-ordered or strided operand in another order
+                put(np.multiply(block[::-1, ::-1], parity, out=mirror[: hi - lo]), n - hi, n - lo)
     return out
 
 
@@ -218,13 +242,16 @@ def _mirrored(x: np.ndarray, bps: np.ndarray, scale: float) -> bool:
     is +0.  So no point may equal a breakpoint, and no phase may underflow
     to 0.  n % 8 == 0 gives _rowwise's blocks their multiples of 4.
     """
+    gap = _mirror_gap(x, bps)
+    return gap is not None and gap * scale > 0.0
+
+
+def _mirror_gap(x: np.ndarray, bps: np.ndarray) -> float | None:
+    """The least |x - b_j| (inf without points) when x and bps are symmetric and n % 8 == 0, else None."""
     # the second half's differences are the first half's, negated
-    return (
-        x.size % 8 == 0
-        and np.array_equal(x[::-1], -x)
-        and np.array_equal(bps[::-1], -bps)
-        and (not x.size or nearest_breakpoint(x[: x.size // 2], bps)[1].min() * scale > 0.0)
-    )
+    if not (x.size % 8 == 0 and np.array_equal(x[::-1], -x) and np.array_equal(bps[::-1], -bps)):
+        return None
+    return nearest_breakpoint(x[: x.size // 2], bps)[1].min() if x.size else math.inf
 
 
 def _jump_sum(
@@ -257,25 +284,19 @@ def _one_row(f: PiecewiseConstant1D) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(f.breakpoints, dtype=float), np.asarray(f.values, dtype=float)[None]
 
 
-def _sup_abs(levels, evaluate, shape) -> np.ndarray:
-    """max over the levels of |evaluate(level)|, arrays of the given shape."""
-    out = np.zeros(shape)
-    for level in levels:
-        np.maximum(out, np.abs(evaluate(float(level))), out=out)
-    return out
-
-
 def hilbert(f: PiecewiseConstant1D, grid) -> np.ndarray:
     """Principal-value convolution with 1/(pi x), exact away from breakpoints.
 
     Hf(x) = (1/pi) sum_i v_i (log|x - b_i| - log|x - b_i+1|); the only error
     is floating-point rounding.  Abscissae within the exclusion radius of a
-    breakpoint raise DomainEvaluationError.
+    breakpoint raise DomainEvaluationError; an EvalGrid cleared for f is not
+    checked again.
     """
     x = _as_points(grid)
     if f.is_zero:
         return np.zeros_like(x)
-    _require_pv_clear(f, x)
+    if not (isinstance(grid, EvalGrid) and grid.cleared == _clearance(f)):
+        _require_pv_clear(f, x)
     # log|.| is even
     return _jump_sum(*_one_row(f), x, lambda d: np.log(np.abs(d, out=d), out=d), 1.0)[0]
 
@@ -300,37 +321,77 @@ def hilbert_truncated(f: PiecewiseConstant1D, eps: float, grid) -> np.ndarray:
 
 def _truncated_rows(bps: np.ndarray, values: np.ndarray, eps: float, x: np.ndarray) -> np.ndarray:
     """hilbert_truncated of each row of values on the breakpoints bps: one clipped-log kernel."""
-    a, b = bps[:-1], bps[1:]
+    prepare_for = _clipped_logs(bps, values.shape[1], levels=False)
+
+    def kernel_for(rows):
+        prepare = prepare_for(rows)
+        return lambda xb: prepare(xb)(eps)
+
+    return _rowwise(kernel_for, x, values.shape[1], values) / math.pi
+
+
+def _truncated_sup(bps: np.ndarray, values: np.ndarray, levels, x: np.ndarray) -> np.ndarray:
+    """hilbert_maximal of each row of values on the breakpoints bps, over the levels eps.
+
+    Each block of points forms x - b_j and every whole piece's log once; a
+    level only masks, clips its at most two pieces per point and runs the
+    gemvs.  The values have the bits of max over the levels of
+    |_truncated_rows|: fl(|g| / pi) is monotone in |g|, so dividing the sup
+    of |g| once gives the sup of the divided values.
+    """
     pieces = values.shape[1]
+    return _rowwise(_clipped_logs(bps, pieces), x, pieces, values, levels=[float(e) for e in levels]) / math.pi
+
+
+def _clipped_logs(bps: np.ndarray, pieces: int, levels: bool = True):
+    """_rowwise's kernel_for of the truncated Hilbert kernels, a family over eps.
+
+    prepare(xb) forms the differences x - b_j and log((x - a) / (x - b)) of
+    every piece [a, b] once; at(eps) gives that log for the pieces wholly
+    outside [x - eps, x + eps], 0 for the others, plus the clipped logs.
+    Without levels at runs once per block, and the logs are formed in the
+    buffer it returns, which holds one block less in cache.
+    """
+    a, b = bps[:-1], bps[1:]
 
     def kernel_for(rows):
         diffs = np.empty((rows, bps.size))
         logs = np.empty((rows, pieces))
+        whole_logs = np.empty((rows, pieces)) if levels else logs
         outside = np.empty((rows, pieces), dtype=bool)
         beyond = np.empty((rows, pieces), dtype=bool)
 
-        def clipped_logs(xb):
+        def prepare(xb):
             n = xb.size
-            d, t, whole = _differences(xb, bps, diffs[:n]), logs[:n], outside[:n]
-            lo, hi = xb - eps, xb + eps
-            np.less_equal(b, lo[:, None], out=whole)
-            whole |= np.greater_equal(a, hi[:, None], out=beyond[:n])
-            t.fill(1.0)  # log 1 = +0 for the other pieces, as the clipped form gives
-            np.divide(d[:, :-1], d[:, 1:], out=t, where=whole)
-            np.log(t, out=t)
-            # the piece holding x - eps, clipped to [a, x - eps], then the one
-            # holding x + eps, clipped to [x + eps, b]: left + right, in that order
-            k = np.minimum(np.searchsorted(b, lo, side="right"), pieces - 1)
-            (i,) = np.nonzero((a[k] < lo) & (lo < b[k]))
-            t[i, k[i]] += np.log((xb[i] - a[k[i]]) / (xb[i] - lo[i]))
-            k = np.maximum(np.searchsorted(a, hi) - 1, 0)
-            (i,) = np.nonzero((a[k] < hi) & (hi < b[k]))
-            t[i, k[i]] += np.log((hi[i] - xb[i]) / (b[k[i]] - xb[i]))
-            return t
+            d, logs_of_whole = _differences(xb, bps, diffs[:n]), whole_logs[:n]
+            with np.errstate(all="ignore"):  # only the whole pieces' logs are read
+                np.divide(d[:, :-1], d[:, 1:], out=logs_of_whole)
+                np.log(logs_of_whole, out=logs_of_whole)
 
-        return clipped_logs
+            def at(eps):
+                t, whole, other = logs[:n], outside[:n], beyond[:n]
+                lo, hi = xb - eps, xb + eps
+                np.less_equal(b, lo[:, None], out=whole)
+                whole |= np.greater_equal(a, hi[:, None], out=other)
+                if levels:
+                    np.copyto(t, logs_of_whole)
+                # log 1 = +0 for the other pieces, as the clipped form gives
+                np.copyto(t, 0.0, where=np.logical_not(whole, out=other))
+                # the piece holding x - eps, clipped to [a, x - eps], then the one
+                # holding x + eps, clipped to [x + eps, b]: left + right, in that order
+                k = np.minimum(np.searchsorted(b, lo, side="right"), pieces - 1)
+                (i,) = np.nonzero((a[k] < lo) & (lo < b[k]))
+                t[i, k[i]] += np.log((xb[i] - a[k[i]]) / (xb[i] - lo[i]))
+                k = np.maximum(np.searchsorted(a, hi) - 1, 0)
+                (i,) = np.nonzero((a[k] < hi) & (hi < b[k]))
+                t[i, k[i]] += np.log((hi[i] - xb[i]) / (b[k[i]] - xb[i]))
+                return t
 
-    return _rowwise(kernel_for, x, pieces, values) / math.pi
+            return at
+
+        return prepare
+
+    return kernel_for
 
 
 def geometric_schedule(lo: float, hi: float) -> np.ndarray:
@@ -364,8 +425,11 @@ def _levels(schedule, name: str) -> np.ndarray:
 
 def hilbert_maximal(f: PiecewiseConstant1D, eps_schedule, grid) -> np.ndarray:
     """sup over the schedule's levels, in any order, of |truncated Hilbert transform|."""
+    levels = _levels(eps_schedule, "eps")
     x = _as_points(grid)
-    return _sup_abs(_levels(eps_schedule, "eps"), lambda eps: hilbert_truncated(f, eps, x), x.shape)
+    if f.is_zero:
+        return np.zeros_like(x)
+    return _truncated_sup(*_one_row(f), levels, x)[0]
 
 
 def modulate(values, x, N: float) -> np.ndarray:
@@ -390,14 +454,45 @@ def dirichlet_sn(f: PiecewiseConstant1D, N: float, grid) -> np.ndarray:
 def _sn_rows(bps: np.ndarray, values: np.ndarray, N: float, x: np.ndarray) -> np.ndarray:
     """dirichlet_sn of each row of values on the breakpoints bps: one Si kernel."""
     scale = 2.0 * math.pi * N
-
-    def si_of_phase(d):
-        with np.errstate(over="ignore"):  # an overflowing phase is exact: Si(+-inf) = +-pi/2
-            np.multiply(d, scale, out=d)
-        return sine_integral(d)
-
     # Si is odd, and so is the rounded phase, except at 0 (Si(-0) = +0)
-    return _jump_sum(bps, values, x, si_of_phase, -1.0, scale)
+    return _jump_sum(bps, values, x, lambda d: _si_of_phase(d, scale, d), -1.0, scale)
+
+
+def _si_of_phase(d: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """Si(scale d), the phases scale d written over out."""
+    with np.errstate(over="ignore"):  # an overflowing phase is exact: Si(+-inf) = +-pi/2
+        np.multiply(d, scale, out=out)
+    return sine_integral(out)
+
+
+def _sn_sup(bps: np.ndarray, values: np.ndarray, levels, x: np.ndarray) -> np.ndarray:
+    """carleson of each row of values on the breakpoints bps: max over the levels N of |S_N f|.
+
+    Each block of points forms x - b_j once; a level only scales them into
+    a second buffer, takes Si and runs the gemvs.  On symmetric points and
+    breakpoints (_mirror_gap) the levels whose phases stay nonzero take the
+    mirrored kernel.  The values have the bits of max over the levels of
+    |_sn_rows|, as in _truncated_sup.
+    """
+    c = np.diff(values, prepend=0.0, append=0.0)
+
+    def kernel_for(rows):
+        diffs, phases = np.empty((rows, bps.size)), np.empty((rows, bps.size))
+
+        def prepare(xb):
+            d = _differences(xb, bps, diffs[: xb.size])
+            return lambda scale: _si_of_phase(d, scale, phases[: xb.size])
+
+        return prepare
+
+    gap = _mirror_gap(x, bps)
+    scales = [2.0 * math.pi * float(N) for N in levels]
+    out = np.zeros((values.shape[0], x.size))
+    for parity in (-1.0, 0.0):
+        group = [scale for scale in scales if (gap is not None and gap * scale > 0.0) == bool(parity)]
+        if group:
+            np.maximum(out, _rowwise(kernel_for, x, bps.size, c, parity, group), out=out)
+    return out / math.pi
 
 
 #: (|t|, k): from |t| on, k terms of Si's asymptotic series leave a remainder
@@ -467,16 +562,17 @@ def _r_table(a: np.ndarray, turns: np.ndarray, m0: int, out: np.ndarray, work) -
 
 
 def _sn_error_on_lattice(
-    bps: np.ndarray, values: np.ndarray, N: float, first: int, panels: int, nodes: np.ndarray
+    bps, values, N: float, first: int, panels: int, nodes: np.ndarray, width: int | None = None
 ) -> Iterator[tuple[int, np.ndarray]]:
     """S_N f - f for each row f at x = (l + (1 + t_k)/2) / (4N), l = first, ..., first + panels - 1.
 
-    Row i of bps and of values gives the breakpoints and values of one f,
-    and t_k are the nodes, in (-1, 1): the points are nodes of the panels
-    of width h = 1/(4N) on the lattice hZ, taken exactly.  A generator: per
-    chunk of at most _BLOCK_BYTES // (8 nodes.size) cells [lo, hi) it yields
-    (lo, err), err[i, k, l - lo] the value of row i at node k of cell l.
-    err is node-major, and the next chunk overwrites it.
+    Row i of bps and of values gives the breakpoints and values of one f
+    (rows may differ in length), and t_k are the nodes, in (-1, 1): the
+    points are nodes in the cells of width h = 1/(4N) of the lattice hZ,
+    taken exactly.  A generator: per
+    chunk of at most `width` cells [lo, hi), by default _BLOCK_BYTES // (8
+    nodes.size), it yields (lo, err), err[i, k, l - lo] the value of row i
+    at node k of cell l.  err is node-major, and the next chunk overwrites it.
 
     The value is (1/pi) sum_j c_j R(t_j) over the jumps c_j at b_j, with
     t_j = 2 pi N (x - b_j) and R(t) = Si(t) - sgn(t) pi/2.  The jumps sum
@@ -489,28 +585,31 @@ def _sn_error_on_lattice(
     So R(t_j) / pi is one table over (m, k) per offset d_j, shared by every
     breakpoint of every row with that offset: per chunk, a table covers the
     union of the windows [lo - n_j, hi - n_j) of its breakpoints, up to two
-    chunks wide, and each row sums c_j table[window_j] in breakpoint order.
-    The two tables used last are kept, and a new table copies the columns it
-    shares with one of them (the next chunk's windows overlap this chunk's).
+    chunks wide.  The jumps of all rows go by offset, then by window, so
+    each table is built once per chunk, and each row sums its c_j
+    table[window_j] in the order of its own (d_j, -n_j).  The two tables
+    used last are kept, and a new table copies the columns it shares with
+    one of them (the next chunk's windows overlap this chunk's).
     cos t_j and sin t_j are +-cos or +-sin of (pi/2) a_k, by m mod 4, and no
     trig runs per point (see _r_table for the series).
 
     Rounding: m + a_k is rounded once, and a value depends on m, k and d_j
-    alone, not on `first`, the chunk or the other breakpoints.  The table is
-    scaled by fl(-1/pi) (fl(1/pi) where |t| < 44 goes through sine_integral),
-    so a jump c_j that is a power of 2 (+-1 included) gives the bits of the
+    alone, not on `first`, the chunk or the other breakpoints, and a row's
+    sum depends on that row alone.  The table is scaled by fl(-1/pi)
+    (fl(1/pi) where |t| < 44 goes through sine_integral), so a term of a
+    jump c_j that is a power of 2 (+-1 included) has the bits of the
     per-breakpoint form, whose scale is fl(-c_j/pi); any other c_j is off by
     at most one rounding per term.
     """
-    c = np.diff(values, prepend=0.0, append=0.0, axis=1)
-    width = _BLOCK_BYTES // (8 * nodes.size)
+    width = width or _BLOCK_BYTES // (8 * nodes.size)
     # (1 + t_k)/2 = s_k / 2e, where e is the largest denominator of a node, a power of 2
     e = max(t.as_integer_ratio()[1] for t in nodes.tolist())
     s = [int(t * e) + e for t in nodes.tolist()]
     num_n, den_n = (4.0 * N).as_integer_ratio()
     jumps, phases = [], {}  # (row, n_j, c_j, d_j) in breakpoint order; d_j -> (a, turns)
-    for row, (b_row, c_row) in enumerate(zip(bps.tolist(), c.tolist())):
-        for b, cj in zip(b_row, c_row):
+    for row, (b_row, v_row) in enumerate(zip(bps, values)):
+        c_row = np.diff(np.asarray(v_row, dtype=float), prepend=0.0, append=0.0)
+        for b, cj in zip(np.asarray(b_row, dtype=float).tolist(), c_row.tolist()):
             num, den = b.as_integer_ratio()
             n, r = divmod(num * num_n, den * den_n)  # 4N b_j = n_j + r / (den den_n)
             if cj == 0.0 or abs(n) > 2**1000:  # |R(t_j)| < 2^-999 there
@@ -526,8 +625,9 @@ def _sn_error_on_lattice(
                 # -cos((pi/2) (m + a)) / pi for m mod 4 = 0, 1, 2, 3; -sin is the entry for m - 1
                 turns = np.array([cos_a, [-x for x in sin_a], [-x for x in cos_a], sin_a]) * (-1.0 / math.pi)
                 phases[d] = np.array([ak / D for ak in A]), np.tile(turns.T, width // 4 + 2)
+    jumps.sort(key=lambda jump: (jump[3], -jump[1]))  # stable: a row keeps its own order
     k = nodes.size
-    err = np.empty((bps.shape[0], k, width))
+    err = np.empty((len(bps), k, width))
     work = [np.empty((k, width)) for _ in range(3)]
     tables = []  # (d_j, m0, m1, R over [m0, m1)) for the two tables used last, the older first
 
@@ -657,11 +757,10 @@ def carleson(
     """
     sched = _levels(N_schedule, "N")  # sorted: refine_schedule splits the gaps between neighbours
     x = _as_points(grid)
-
-    def sn(N):
-        return dirichlet_sn(f, N, x)
-
-    values = _sup_abs(sched, sn, x.shape)
+    if f.is_zero:
+        return np.zeros_like(x)
+    bps, row = _one_row(f)
+    values = _sn_sup(bps, row, sched, x)[0]
     if refine_tolerance is None:
         return values
     for _ in range(max_refinements):
@@ -669,7 +768,7 @@ def carleson(
         # np.setdiff1d(finer, sched): searchsorted finds the one candidate in the sorted sched
         new = _sorted_unique(finer)
         new = new[sched[np.minimum(np.searchsorted(sched, new), sched.size - 1)] != new]
-        refined = np.maximum(values, _sup_abs(new, sn, x.shape))
+        refined = np.maximum(values, _sn_sup(bps, row, new, x)[0])
         delta = float(np.max(refined - values)) if x.size else 0.0
         values, sched = refined, finer
         if delta < refine_tolerance:

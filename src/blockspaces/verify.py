@@ -51,9 +51,8 @@ from .quadrature import (
 from .operators import (
     _BLOCK_BYTES,
     _sn_error_on_lattice,
-    _sn_rows,
-    _sup_abs,
-    _truncated_rows,
+    _sn_sup,
+    _truncated_sup,
     carleson,
     dirichlet_sn,
     geometric_schedule,
@@ -139,6 +138,15 @@ _EPS_SCHEDULE = (2.0 ** -6, 4.0)
 _N_SCHEDULE = (2.0 ** -4, 2.0 ** 6)
 #: dirichlet_sn's absolute panels: Gauss-Legendre nodes on panels of a spacing out to x_max
 _SN_PANELS = {"x_max": 1024.0, "spacing": 1.0 / 8.0, "nodes": 4}
+#: the leg's cutoff N, whose lattice cells 1/(4N) hold 2 of those panels each, and its
+#: cells per lattice chunk: the blocks' breakpoints (|4 b_j| <= 256) shift a chunk's
+#: windows by at most 512 cells, so each offset's windows share one Si table
+_SN_N, _SN_SUB, _SN_CHUNK = 1.0, 2, 1024
+
+
+def _sn_leg_integrals(blocks, pairs) -> np.ndarray:
+    """The dirichlet_sn leg's integrals of |S_1 f|^p |x|^alpha on _SN_PANELS, per block f and (p, alpha)."""
+    return _partial_sum_integrals(blocks, pairs, _SN_N, _SN_PANELS["x_max"], _SN_SUB, False, _SN_CHUNK)
 
 
 def _block_values(op: str, blocks):
@@ -146,9 +154,10 @@ def _block_values(op: str, blocks):
 
     hilbert, hilbert_maximal, carleson and hl_maximal (by maximal_1d_exact)
     are measured on quadrature grids and schedules scaled by 2^k, so their
-    scale invariance is isolated from discretization choices; dirichlet_sn
-    at N = 1 is measured on an absolute oscillation-resolving grid because
-    no scaled grid is faithful to a fixed-frequency cutoff.
+    scale invariance is isolated from discretization choices.  (dirichlet_sn
+    at N = 1 is measured on an absolute oscillation-resolving grid, because
+    no scaled grid is faithful to a fixed-frequency cutoff, and integrated
+    without samples by _sn_leg_integrals.)
 
     Scaling the grid, the breakpoints and eps by 2^k and N by 2^-k leaves
     every S_N phase and truncated log ratio bit for bit unchanged.  So
@@ -156,28 +165,21 @@ def _block_values(op: str, blocks):
     ldexp(., -k) and take the sup over the scale-0 schedule of one S_N or
     H_eps kernel per level, built on the scale-0 grid and applied to all
     blocks' values as rows; each row has the bits of its own scale's call.
-    hilbert's log kernel and dirichlet_sn's absolute grid are not
-    scale-invariant in bits, so those legs and the maximal leg run once per
-    block, each operator looked up by its name when called.
+    hilbert's log kernel is not scale-invariant in bits, so that leg and the
+    maximal leg run once per block, each operator looked up by its name
+    when called.
     """
-    if op == "dirichlet_sn":
-        for f, _ in blocks:
-            edges = oscillation_edges(f.breakpoints, _SN_PANELS["x_max"], _SN_PANELS["spacing"])
-            x, w = panel_nodes(edges, _SN_PANELS["nodes"])
-            yield dirichlet_sn(f, 1.0, x), x, w
-        return
     x0, w0 = shell_grid(*_BLOCK_SHELLS, _SHELL_NODES)
     families = {
-        "carleson": (_sn_rows, _N_SCHEDULE), "hilbert_maximal": (_truncated_rows, _EPS_SCHEDULE)
+        "carleson": (_sn_sup, _N_SCHEDULE), "hilbert_maximal": (_truncated_sup, _EPS_SCHEDULE)
     }
     if op in families:
-        kernel, schedule = families[op]
+        sup, schedule = families[op]
         pulled = [np.ldexp(f.breakpoints, -k) for f, k in blocks]
         bps, values = pulled[0], np.array([f.values for f, _ in blocks])
         if any(not np.array_equal(other, bps) for other in pulled):
             raise ValueError(f"{op} blocks must be dilations of one another by powers of 2")
-        shape = (len(blocks), x0.size)
-        rows = _sup_abs(geometric_schedule(*schedule), lambda t: kernel(bps, values, t, x0), shape)
+        rows = sup(bps, values, geometric_schedule(*schedule), x0)
     else:
         evaluate = {"hilbert": hilbert, "hl_maximal": maximal_1d_exact}[op]
         rows = (evaluate(f, np.ldexp(x0, k)) for f, k in blocks)
@@ -195,7 +197,8 @@ def _block_norms(op: str, grid, ks) -> list[list[float]]:
 
     op is applied once per distinct (block, scale), all of them in one
     `_block_values` call, and each result is weighed at every point whose
-    block it is.
+    block it is.  dirichlet_sn's integrals come from one _sn_leg_integrals
+    call over the distinct blocks and (p, alpha) of grid.
     """
     outside = [k for k in ks if k not in _BLOCK_SCALES]
     if outside:
@@ -210,6 +213,13 @@ def _block_norms(op: str, grid, ks) -> list[list[float]]:
         for params, row in zip(grid, norms):
             block = make_canonical_block(params, k).data
             weighed.setdefault((block, k), []).append((params, row, i))
+    if op == "dirichlet_sn":
+        pairs = list(dict.fromkeys((params.p, params.alpha) for params in grid))
+        integrals = _sn_leg_integrals([block for block, _ in weighed], pairs)
+        for totals, targets in zip(integrals, weighed.values()):
+            for params, row, i in targets:
+                row[i] = float(totals[pairs.index((params.p, params.alpha))]) ** (1.0 / params.p)
+        return norms
     for samples, targets in zip(_block_values(op, list(weighed)), weighed.values()):
         for params, row, i in targets:
             row[i] = weighted_norm_from_samples(*samples, params.p, params.alpha)
@@ -631,61 +641,206 @@ def _decomposition_independence(seed: int) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# norm convergence of partial sums
+# fixed-N partial-sum integrals: e(N) and claim 3.1's dirichlet_sn leg
 
 
 _X_MAX = 256.0
 
-#: Gauss-Legendre nodes in each panel of e(N)
+#: Gauss-Legendre nodes in each panel of e(N) and of the dirichlet_sn leg
 _E_NODES = 4
 
+#: half-line functions per lattice kernel call, whose err buffer holds one _BLOCK_BYTES for each
+_LATTICE_ROWS = 16
 
-def _lattice_edges(ls: np.ndarray, N: float) -> np.ndarray:
-    """The uniform edges l h, h = 1/(4N), for the indices ls, bit for bit as _uniform_edges has them.
 
-    For 1024N an integer count: np.linspace forms l * step with
-    step = fl(_X_MAX / count), which is fl(h), and pins edge count to _X_MAX.
+def _lattice_edges(ls: np.ndarray, N: float, x_max: float, sub: int) -> np.ndarray:
+    """The uniform edges l h / sub, h = 1/(4N), for the indices ls, bit for bit as _uniform_edges has them.
+
+    For 4N x_max sub an integer count: np.linspace forms l * step with
+    step = fl(x_max / count), which is fl(h / sub), and pins edge count to x_max.
     """
-    return np.where(ls == 4.0 * N * _X_MAX, _X_MAX, ls * (1.0 / (4.0 * N)))
+    return np.where(ls == 4.0 * N * x_max * sub, x_max, ls * (1.0 / (4.0 * N * sub)))
 
 
-def _e_panels(f: PiecewiseConstant1D, N: float) -> tuple[list[np.ndarray], int, list[np.ndarray]]:
-    """The panels of oscillation_edges(f.breakpoints, _X_MAX, 1/(4N)), split for e(N).
+def _lattice_cells(N: float, x_max: float) -> int:
+    """The number 4N x_max of lattice cells of width 1/(4N) in [0, x_max], or 0 if it is no integer."""
+    cells = 4 * Fraction(N) * Fraction(x_max)
+    return int(cells) if cells.denominator == 1 else 0
 
-    Returns (runs, count, split).  When count = 1024N is an integer, the
-    uniform edges l h, h = 1/(4N), l = 0..count, are the lattice hZ
-    (_lattice_edges forms any of them), and split[0] and split[1] hold, as
-    sorted indices, the cells [l h, (l + 1) h] and [-(l + 1) h, -l h] that
-    are not panels: l = 0, and those with a grading edge or breakpoint
-    inside.  Every other cell with 1 <= l < count is a panel.  runs holds
-    the edges of every other panel, one ascending array per run of adjacent
-    split cells.  When 1024N is not an integer, count is 0 and the one run
-    is oscillation_edges itself.
+
+def _lattice_panels(bps, N: float, x_max: float, sub: int) -> tuple[list[np.ndarray], int, list[np.ndarray]]:
+    """The panels of oscillation_edges(bps, x_max, 1/(4N sub)), split for the lattice route.
+
+    Returns (runs, count, split).  When count = 4N x_max is an integer, the
+    uniform edges l h / sub, h = 1/(4N), l = 0..count sub, are the lattice
+    (h / sub)Z (_lattice_edges forms any of them), and split[0] and split[1]
+    hold, as sorted indices, the cells [l h, (l + 1) h] and
+    [-(l + 1) h, -l h] that are not `sub` panels: l = 0, and those with a
+    grading edge or breakpoint inside.  Every other cell with 1 <= l < count
+    is.  runs holds the edges of every other panel, one ascending array per
+    run of adjacent split cells, where the two runs that meet at 0 are one.
+    When 4N x_max is not an integer, count is 0 and the one run is
+    oscillation_edges itself.
     """
-    spacing = 1.0 / (4.0 * N)
-    count = int(math.ceil(_X_MAX / spacing))  # _uniform_edges' step count
-    if 4 * Fraction(N) * Fraction(_X_MAX) != count:
+    h, spacing = 1.0 / (4.0 * N), 1.0 / (4.0 * N * sub)
+    count = _lattice_cells(N, x_max)
+    if not count or count * sub != math.ceil(x_max / spacing):  # _uniform_edges' step count
         none = np.zeros(0, dtype=int)
-        return [oscillation_edges(f.breakpoints, _X_MAX, spacing)], 0, [none, none]
-    grading = _grading(_X_MAX)
-    inner = np.concatenate([-grading, grading, [b for b in f.breakpoints if abs(b) <= _X_MAX]])
+        return [oscillation_edges(bps, x_max, spacing)], 0, [none, none]
+    grading = _grading(x_max)
+    inner = np.concatenate([-grading, grading, [b for b in bps if abs(b) <= x_max]])
     v = np.abs(inner)
+    edge = lambda cells: _lattice_edges(cells * sub, N, x_max, sub)
     # the last edge at or below each v, as a searchsorted over all edges would
     # find it: the quotient is within one cell of it
-    cell = np.minimum((v / spacing).astype(int), count)
-    cell -= _lattice_edges(cell, N) > v
-    cell += (cell < count) & (_lattice_edges(cell + 1, N) <= v)
-    inside = _lattice_edges(cell, N) < v  # inside cell l of its side, not one of its ends
+    cell = np.minimum((v / h).astype(int), count)
+    cell -= edge(cell) > v
+    cell += (cell < count) & (edge(cell + 1) <= v)
+    inside = edge(cell) < v  # inside cell l of its side, not one of its ends
     runs, split = [], []
     for negative, sign in ((False, 1.0), (True, -1.0)):
         cells = _sorted_unique(cell[inside & ((inner < 0) == negative)], [0])
         split.append(cells)
         ends = sign * inner[sign * inner > 0]
+        side = []
         for run in np.split(cells, np.flatnonzero(np.diff(cells) > 1) + 1):
-            uniform = _lattice_edges(np.arange(run[0], run[-1] + 2), N)
+            uniform = _lattice_edges(np.arange(run[0] * sub, (run[-1] + 1) * sub + 1), N, x_max, sub)
             edges = _sorted_unique(uniform, ends[(uniform[0] < ends) & (ends < uniform[-1])])
-            runs.append(edges if sign > 0 else -edges[::-1])
-    return runs, count, split
+            side.append(edges if sign > 0 else -edges[::-1])
+        runs.append(side)
+    (at_zero, *right), (left_of_zero, *left) = runs  # both sides' first runs hold cell 0
+    return [*left, np.concatenate([left_of_zero[:-1], at_zero]), *right], count, split
+
+
+def _partial_sum_integrals(
+    fs, pairs, N: float, x_max: float, sub: int, minus_f: bool = True, width: int | None = None
+) -> np.ndarray:
+    """Integrals of |S_N f - f|^p |x|^alpha (or of |S_N f|^p |x|^alpha without minus_f) on [-x_max, x_max].
+
+    One row per f of fs, one column per (p, alpha) of pairs.  The panels are
+    those of oscillation_edges(f.breakpoints, x_max, 1/(4N sub)), which
+    resolve both the oscillation and the weight singularity at 0
+    (geometric grading to 2^-40), with _E_NODES Gauss-Legendre nodes each.
+
+    When 4N x_max is an integer, the cells [l h, (l + 1) h], h = 1/(4N), that
+    no grading edge or breakpoint splits are `sub` equal panels each (see
+    _lattice_panels).  They go to operators._sn_error_on_lattice, with the
+    _E_NODES sub nodes of those panels as the nodes of one cell, which takes
+    their Si phases exactly and never cancels f against the limits pi/2.
+    The nodes are symmetric, so a cell and its mirror share the weights
+    w (|x|^alpha) of one chunk, and the mirror's values are those of
+    x -> f(-x) on the cell: each f and x -> f(-x) are rows of one kernel
+    call (one row if they are equal), which share its Si remainders, one per
+    lattice point and offset.  Without minus_f a cell inside a support adds
+    f's value on it.  Each chunk is weighed per node row: abs, **p, then a
+    dot product with the weights, summed per row over the chunks, so a row's
+    integral depends on that row alone.  Rows go _LATTICE_ROWS to a call,
+    whose chunks are `width` cells (the kernel's default without it).
+
+    Every other panel goes through dirichlet_sn, one call per f and chunk
+    of panels whose nodes take _BLOCK_BYTES, into one array of terms summed
+    once per pair; when 4N x_max is not an integer, that is every panel,
+    and oscillation_edges and the terms grow with N.  The lattice route
+    forms each chunk's edges on its own and skips the split cells by index,
+    so none of its arrays grows with 4N x_max.
+    """
+    if not N > 0:
+        raise ValueError(f"N must be positive, got {N}")
+    out = np.zeros((len(fs), len(pairs)))
+    rows, splits, sides, index = [], [], [], {}  # half-line functions, their split cells, each f's two
+    count = 0
+    for f, total in zip(fs, out):
+        runs, count, split = _lattice_panels(f.breakpoints, N, x_max, sub)
+        total[:] = _panel_integrals(f, runs, pairs, N, minus_f)
+        bps, values = np.asarray(f.breakpoints, dtype=float), np.asarray(f.values, dtype=float)
+        mine = []
+        for row, cells in zip(((bps, values), (-bps[::-1], values[::-1])), split):
+            key = tuple(row[0].tolist()), tuple(row[1].tolist())
+            if key not in index:
+                index[key] = len(rows)
+                rows.append(row)
+                splits.append(cells)
+            mine.append(index[key])
+        sides.append(mine)
+    if count:
+        sums = np.concatenate([
+            _lattice_integrals(rows[i : i + _LATTICE_ROWS], splits[i : i + _LATTICE_ROWS], pairs, N, x_max, sub, minus_f, width)
+            for i in range(0, len(rows), _LATTICE_ROWS)
+        ])
+        for total, (right, left) in zip(out, sides):
+            total += sums[right]
+            total += sums[left]
+    return out
+
+
+def _panel_integrals(f: PiecewiseConstant1D, runs, pairs, N: float, minus_f: bool) -> list[float]:
+    """The integrals of _partial_sum_integrals over the panels between the edges of each run, by dirichlet_sn."""
+    chunk = _BLOCK_BYTES // (8 * _E_NODES)  # panels whose nodes fill one temporary
+    terms = np.empty((len(pairs), _E_NODES * sum(edges.size - 1 for edges in runs)))
+    filled = 0
+    for edges in runs:
+        for i in range(0, edges.size - 1, chunk):
+            x, w = panel_nodes(edges[i : i + chunk + 1], _E_NODES)
+            values = dirichlet_sn(f, N, x) - f(x) if minus_f else dirichlet_sn(f, N, x)
+            for row, (p, alpha) in zip(terms, pairs):
+                row[filled : filled + x.size] = weighted_power_terms(values, x, w, p, alpha)
+            filled += x.size
+    return [float(np.sum(row)) for row in terms]
+
+
+def _cell_nodes(sub: int) -> np.ndarray:
+    """The nodes, in (-1, 1), of sub equal _E_NODES-node Gauss-Legendre panels of [-1, 1], panel j's first."""
+    t = _gl_rule(_E_NODES)[0]
+    return np.concatenate([(t + (2 * j + 1 - sub)) / sub for j in range(sub)])
+
+
+def _cell_panel_nodes(lo: int, n: int, N: float, x_max: float, sub: int, out: np.ndarray):
+    """Nodes and weights of the sub panels of the cells lo, ..., lo + n - 1, as _cell_nodes orders them.
+
+    Returns (x, w), (sub _E_NODES x n) each: row j _E_NODES + k holds node
+    k of panel j of each cell, with the bits panel_nodes gives it.  out is a
+    (2, _E_NODES, n sub) or larger buffer.
+    """
+    x, w = out[:, :, : n * sub]
+    _node_rows(_lattice_edges(np.arange(lo * sub, (lo + n) * sub + 1), N, x_max, sub), x, w)
+    return (a.reshape(_E_NODES, n, sub).transpose(2, 0, 1).reshape(sub * _E_NODES, n) for a in (x, w))
+
+
+def _lattice_integrals(rows, splits, pairs, N: float, x_max: float, sub: int, minus_f: bool, width) -> np.ndarray:
+    """The integrals of _partial_sum_integrals over the lattice cells 1 <= l < 4N x_max of each half-line row.
+
+    rows are (breakpoints, values) and splits their split cells; one row of
+    integrals per row, one column per pair.  The node and weight buffers are
+    allocated once, at the first chunk (from cell 1), which is the widest.
+    """
+    nodes = _cell_nodes(sub)
+    count, h = _lattice_cells(N, x_max), 1.0 / (4.0 * N)
+    functions = [PiecewiseConstant1D(*row) for row in rows]
+    alphas = list(dict.fromkeys(alpha for _, alpha in pairs))
+    sums = np.zeros((len(rows), len(pairs)))
+    for lo, err in _sn_error_on_lattice(*zip(*rows), N, 1, count - 1, nodes, width):
+        n = err.shape[2]
+        if lo == 1:
+            panels = np.empty((2, _E_NODES, n * sub))
+            weights = np.empty((len(alphas), nodes.size, n))
+        xs, ws = _cell_panel_nodes(lo, n, N, x_max, sub, panels)
+        for alpha, wa in zip(alphas, weights):
+            wa = wa[:, :n]
+            np.power(xs, alpha, out=wa)  # x > 0
+            wa *= ws
+        for f, cells, e, total in zip(functions, splits, err, sums):
+            if not minus_f:
+                on_cells = f((np.arange(lo, lo + n) + 0.5) * h)  # f is constant on a cell it does not split
+                inside = np.flatnonzero(on_cells)
+                e[:, inside] += on_cells[inside]
+            i, j = np.searchsorted(cells, [lo, lo + n])
+            e[:, cells[i:j] - lo] = 0.0  # the split cells are other panels
+            np.abs(e, out=e)
+            for q, (p, alpha) in enumerate(pairs):
+                powers = e if p == 1.0 else e**p  # e ** 1.0 == e
+                wa = weights[alphas.index(alpha), :, :n]
+                total[q] += sum(float(row @ wk) for row, wk in zip(powers, wa))
+    return sums
 
 
 def partial_sum_error_norm(f: PiecewiseConstant1D, params: WeightParams, N: float) -> float:
@@ -694,59 +849,13 @@ def partial_sum_error_norm(f: PiecewiseConstant1D, params: WeightParams, N: floa
     Panels resolve both the oscillation (spacing 1/(4N)) and the weight
     singularity at 0 (geometric grading to 2^-40), with _E_NODES
     Gauss-Legendre nodes each; the domain truncation is the one documented
-    approximation.
-
-    When 1024N is an integer, the uniform panels that no grading edge or
-    breakpoint splits lie on the lattice hZ, h = 1/(4N) (see _e_panels).
-    They go to operators._sn_error_on_lattice, which takes their Si phases
-    exactly and never cancels f against the limits pi/2.  The nodes are
-    symmetric, so a cell [l h, (l + 1) h] and its mirror share one array of
-    w_k (h/2) |x|^alpha, and the mirror's errors are those of x -> f(-x) on
-    the cell: f and x -> f(-x) are the kernel's two rows, which share its
-    Si remainders, one per lattice point and offset.  It rounds m + a_k once
-    per phase; for jumps that are powers of 2 (+-1 included) its values have
-    the bits of the per-breakpoint form, and any other jump is off by at most
-    one rounding per term.  Every other panel goes through dirichlet_sn into
-    one array of terms summed once; when 1024N is not an integer, that is
-    every panel, and oscillation_edges and the terms grow with N.  Both
-    routes take the panels in chunks whose node arrays are _BLOCK_BYTES
-    each, and the lattice route's buffers are allocated once per call; it
-    forms each chunk's edges on its own and skips the split cells by index,
-    so no array grows with 1024N.
+    approximation.  The integral is _partial_sum_integrals' with sub = 1:
+    the uniform panels that no grading edge or breakpoint splits are cells
+    of the lattice Z/(4N) when 1024N is an integer, and take the exact-phase
+    lattice kernel.
     """
-    if not N > 0:
-        raise ValueError(f"N must be positive, got {N}")
-    runs, count, split = _e_panels(f, N)
-    p, alpha = params.p, params.alpha
-    chunk = _BLOCK_BYTES // (8 * _E_NODES)  # panels whose nodes fill one temporary
-    terms = np.empty(_E_NODES * sum(edges.size - 1 for edges in runs))
-    filled = 0
-    for edges in runs:
-        for i in range(0, edges.size - 1, chunk):
-            x, w = panel_nodes(edges[i : i + chunk + 1], _E_NODES)
-            terms[filled : filled + x.size] = weighted_power_terms(dirichlet_sn(f, N, x) - f(x), x, w, p, alpha)
-            filled += x.size
-    total = float(np.sum(terms))
-    bps, values = np.asarray(f.breakpoints, dtype=float), np.asarray(f.values, dtype=float)
-    sides = np.stack([bps, -bps[::-1]]), np.stack([values, values[::-1]])
-    w, flat_buffer = np.empty((_E_NODES, chunk)), np.empty(_E_NODES * chunk)
-    for lo, err in _sn_error_on_lattice(*sides, N, 1, count - 1, _gl_rule(_E_NODES)[0]):
-        n = err.shape[2]
-        flat, ws = flat_buffer[: _E_NODES * n], w[:, :n]
-        xs = flat.reshape(_E_NODES, n)  # the nodes, until the terms need the buffer
-        _node_rows(_lattice_edges(np.arange(lo, lo + n + 1), N), xs, ws)
-        ws *= np.power(xs, alpha, out=xs)  # x > 0
-        for cells, e in zip(split, err):
-            i, j = np.searchsorted(cells, [lo, lo + n])
-            e[:, cells[i:j] - lo] = 0.0  # the split cells are other panels
-            np.abs(e, out=e)
-            if p != 1.0:  # e ** 1.0 == e
-                e **= p
-            e *= ws
-            # back to panel-major order, in which np.sum pairs the terms as before
-            flat.reshape(n, _E_NODES)[...] = e.T
-            total += float(np.sum(flat))
-    return total ** (1.0 / p)
+    (total,) = _partial_sum_integrals([f], [(params.p, params.alpha)], N, _X_MAX, 1)[0]
+    return float(total) ** (1.0 / params.p)
 
 
 def _norm_convergence() -> VerificationReport:

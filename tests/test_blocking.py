@@ -266,6 +266,43 @@ def test_mirrored_kernels_keep_the_unmirrored_bits(case, rows, N, seed):
         assert evaluate().tobytes() == _bits_without_mirror(evaluate)
 
 
+def _per_level_sup(rows, levels, bps, values, x):
+    """max over the levels of |rows(bps, values, level, x)|, one level at a time."""
+    out = np.zeros((values.shape[0], x.size))
+    for level in levels:
+        np.maximum(out, np.abs(rows(bps, values, float(level), x)), out=out)
+    return out
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    case=symmetric_grids(),
+    rows=st.sampled_from([1, 3]),
+    N=st.lists(st.sampled_from([2.0**-1070, 2.0**-10, 0.3, 1.0, 8.0, 2.0**40]), min_size=1, max_size=4, unique=True),
+    eps=st.lists(st.floats(2.0**-10, 8.0), min_size=1, max_size=4, unique=True),
+    seed=st.integers(0, 2**16),
+)
+def test_sup_routes_equal_the_per_level_route(case, rows, N, eps, seed):
+    # carleson and hilbert_maximal (and claim 3.1's legs) form the
+    # differences and whole-piece logs once per block and run the levels on
+    # them; each value must have the bits of the sup over one full kernel
+    # call per level, on mirrored grids and off them, where a level whose
+    # phases underflow takes the unmirrored kernel.  The per-level kernels
+    # are pinned to the dense products by test_blocked_kernel_equals_dense_product
+    bps, x, _ = case
+    values = np.random.default_rng(seed).standard_normal((rows, bps.size - 1))
+    N, eps = np.sort(N), np.sort(eps)
+    pairs = [
+        (operators._sn_sup(bps, values, N, x), _per_level_sup(operators._sn_rows, N, bps, values, x)),
+        (operators._truncated_sup(bps, values, eps, x), _per_level_sup(operators._truncated_rows, eps, bps, values, x)),
+    ]
+    f = PiecewiseConstant1D(bps, values[0])
+    pairs.append((blockspaces.carleson(f, N, x), pairs[0][1][0]))
+    pairs.append((blockspaces.hilbert_maximal(f, eps, x), pairs[1][1][0]))
+    for got, want in pairs:
+        assert got.tobytes() == want.tobytes()
+
+
 def test_claim_3_1_grids_take_the_mirrored_kernel():
     # the shell grid of the carleson and hilbert legs and the dirichlet_sn
     # leg's panels are symmetric about 0; a change that broke that would
@@ -327,11 +364,27 @@ def test_e_panels_form_their_lattice_edges_per_chunk():
     assert peak < 4 * 1024 * 1024, peak
 
 
+def test_sn_leg_memory_is_bounded():
+    # claim 3.1's dirichlet_sn leg: one lattice kernel call of 13 rows in
+    # chunks of 1024 cells, 8 nodes each, measured 2.56 MiB.  dirichlet_sn on
+    # all 65832 nodes of each block peaked at 5.2 MiB, and chunks of 4096
+    # cells, whose err buffer is 13 x 256 KiB, at 9.4 MiB
+    ks = list(range(verify._K_RANGE[0], verify._K_RANGE[1] + 1))
+    verify._block_norms("dirichlet_sn", verify._BLOCK_GRID, ks)
+    tracemalloc.start()
+    try:
+        verify._block_norms("dirichlet_sn", verify._BLOCK_GRID, ks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 1024 * 1024, peak
+
+
 def test_partial_sum_error_norm_memory_is_bounded():
     # e(2^11) streams its 16.8M quadrature nodes; the dense form peaked at
     # 2474 MiB, and the dirichlet_sn stream at 201 MiB.  The literal is the
-    # value of the lattice kernel, 4.2e-16 relative from the dense form's
-    # 0.001031502908723846.  The child reads its own VmHWM: on Linux its
+    # value of the lattice kernel weighed per node row, 8.4e-16 relative from
+    # the dense form's 0.001031502908723846.  The child reads its own VmHWM: on Linux its
     # ru_maxrss keeps the high-water mark of the process that forked it.
     code = (
         "import re\n"
@@ -344,5 +397,5 @@ def test_partial_sum_error_norm_memory_is_bounded():
     )
     run = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True)
     value, hwm_kib = run.stdout.split()
-    assert float(value) == 0.0010315029087238465
+    assert float(value) == 0.001031502908723847
     assert int(hwm_kib) / 1024 < 100

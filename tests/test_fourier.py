@@ -29,14 +29,32 @@ from blockspaces import (
     dirichlet_sn_via_hilbert,
     geometric_schedule,
     hilbert_maximal,
+    make_canonical_block,
     modulate,
     operators,
     refine_schedule,
     sine_integral,
+    verify,
 )
 from blockspaces.operators import _sn_error_on_lattice
-from blockspaces.quadrature import _gl_rule, _node_rows, _uniform_edges, oscillation_edges, panel_nodes
-from blockspaces.verify import _E_NODES, _X_MAX, _e_panels, _lattice_edges, partial_sum_error_norm
+from blockspaces.quadrature import (
+    _gl_rule,
+    _node_rows,
+    _uniform_edges,
+    oscillation_edges,
+    panel_nodes,
+    weighted_norm_from_samples,
+)
+from blockspaces.verify import (
+    _E_NODES,
+    _X_MAX,
+    _cell_nodes,
+    _cell_panel_nodes,
+    _lattice_edges,
+    _lattice_panels,
+    _partial_sum_integrals,
+    partial_sum_error_norm,
+)
 
 chi = PiecewiseConstant1D.indicator
 
@@ -206,13 +224,13 @@ def test_carleson_refinement_evaluates_only_inserted_levels(monkeypatch):
     f = chi(1.0, 2.0)
     sched = geometric_schedule(0.25, 64.0)
     x = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
-    calls = []
+    calls, sup = [], operators._sn_sup
 
-    def counting_sn(f, N, grid):
-        calls.append(N)
-        return dirichlet_sn(f, N, grid)
+    def counting_sup(bps, values, levels, x):
+        calls.extend(levels)
+        return sup(bps, values, levels, x)
 
-    monkeypatch.setattr(operators, "dirichlet_sn", counting_sn)
+    monkeypatch.setattr(operators, "_sn_sup", counting_sup)
     got = carleson(f, sched, x, refine_tolerance=100.0)
     assert len(calls) == 65 == len(set(calls))
     assert np.array_equal(got, carleson(f, refine_schedule(sched), x))
@@ -388,18 +406,30 @@ def test_lattice_kernel_against_mpmath_at_far_nodes(N):
 def test_lattice_and_other_panels_are_the_oscillation_panels(N):
     # breakpoints off the lattice, one past 256 and one at 0; N = 3 also has
     # the grading edge 1/8 inside a lattice cell
+    _assert_lattice_panels_are_the_oscillation_panels(N, _X_MAX, 1)
+
+
+@pytest.mark.parametrize("N", [1.0, 3.0])
+def test_two_panel_cells_are_the_oscillation_panels(N):
+    # as claim 3.1's dirichlet_sn leg takes them at N = 1: x_max = 1024 and
+    # two panels per lattice cell
+    _assert_lattice_panels_are_the_oscillation_panels(N, 1024.0, 2)
+
+
+def _assert_lattice_panels_are_the_oscillation_panels(N, x_max, sub):
     f = PiecewiseConstant1D((-300.0, -1.0 / 3.0, 0.0, 0.7, 255.99), (1.0, 2.0, 3.0, -1.0))
-    runs, count, split = _e_panels(f, N)
-    uniform = np.linspace(0.0, _X_MAX, count + 1)
+    runs, count, split = _lattice_panels(f.breakpoints, N, x_max, sub)
+    assert count == 4 * N * x_max
+    uniform = np.linspace(0.0, x_max, count * sub + 1)
     pairs = [np.stack([e[:-1], e[1:]], axis=1) for e in runs]
     for cells, sign in zip(split, (1.0, -1.0)):
         assert np.array_equal(cells, np.unique(cells)) and cells[0] == 0
-        l = np.setdiff1d(np.arange(count), cells)
+        l = (sub * np.setdiff1d(np.arange(count), cells)[:, None] + np.arange(sub)).ravel()
         ends = np.stack([sign * uniform[l], sign * uniform[l + 1]], axis=1)
         pairs.append(ends if sign > 0 else ends[:, ::-1])
     got = np.concatenate(pairs)
     got = got[np.argsort(got[:, 0], kind="stable")]
-    edges = oscillation_edges(f.breakpoints, _X_MAX, 1.0 / (4.0 * N))
+    edges = oscillation_edges(f.breakpoints, x_max, 1.0 / (4.0 * N * sub))
     assert np.array_equal(got, np.stack([edges[:-1], edges[1:]], axis=1))
 
 
@@ -410,10 +440,10 @@ def test_lattice_edges_are_the_uniform_edges(N):
     uniform = _uniform_edges(_X_MAX, 1.0 / (4.0 * N))
     count = uniform.size - 1
     assert count == 1024 * N
-    assert _lattice_edges(np.arange(count + 1), N).tobytes() == uniform.tobytes()
+    assert _lattice_edges(np.arange(count + 1), N, _X_MAX, 1).tobytes() == uniform.tobytes()
     for lo in range(1, count, 8192):  # the chunks e(N) forms them in, from cell 1
         n = min(8192, count - lo)
-        assert _lattice_edges(np.arange(lo, lo + n + 1), N).tobytes() == uniform[lo : lo + n + 1].tobytes()
+        assert _lattice_edges(np.arange(lo, lo + n + 1), N, _X_MAX, 1).tobytes() == uniform[lo : lo + n + 1].tobytes()
 
 
 @pytest.mark.parametrize("N, want", [(3.0, "0x1.22be70a1489b4p+0"), (161 / 1024, "0x1.069cb7eb63a47p+3")])
@@ -429,3 +459,71 @@ def test_non_lattice_N_keeps_its_bits():
     # 1024 N = 307.2 is no integer: every panel goes through dirichlet_sn as before
     e = partial_sum_error_norm(chi(0.25, 0.5), WeightParams(1, 1.0, 2.0, -0.5), 0.3)
     assert e == 0.9854439963904995
+
+
+# -- claim 3.1's dirichlet_sn leg on the lattice Z/4 -------------------------------
+
+LEG = verify._SN_N, verify._SN_PANELS["x_max"], verify._SN_SUB
+LEG_SCALES = list(range(verify._K_RANGE[0], verify._K_RANGE[1] + 1))
+
+
+def leg_blocks():
+    # both points of claim 3.1's grid give these blocks (tests/test_verify.py)
+    return [make_canonical_block(verify._BLOCK_GRID[0], k).data for k in LEG_SCALES]
+
+
+def test_sn_leg_lattice_values_match_dirichlet_sn():
+    # (S_1 f - f) + f from the lattice kernel, at the leg's nodes in every
+    # cell of Z/4 a block leaves whole, against dirichlet_sn at the same
+    # nodes: per jump c_j at b_j, |c_j| 2^-45 for the two routes' Si
+    # rounding (as in test_lattice_kernel_equals_dirichlet_sn_minus_f), plus
+    # |c_j| min(2N, 1/(pi |x - b_j|)) 2 ulp(x) for the kernel taking the exact
+    # point and dirichlet_sn the rounded node (|d/dx Si(2 pi N (x - b))| / pi
+    # <= min(2N, 1/(pi |x - b|))), plus one rounding of |f| for adding f.
+    # Measured: at most 2.8e-15 absolute and 4 % of the budget
+    N, x_max, sub = LEG
+    count = int(4 * N * x_max)
+    for f in leg_blocks():
+        bps, values = np.asarray(f.breakpoints), np.asarray(f.values)
+        jumps = np.abs(np.diff(np.concatenate([[0.0], values, [0.0]])))
+        split = _lattice_panels(bps, N, x_max, sub)[2][0]
+        buffer = np.empty((2, _E_NODES, verify._SN_CHUNK * sub))
+        for lo, err in _sn_error_on_lattice([bps], [values], N, 1, count - 1, _cell_nodes(sub), verify._SN_CHUNK):
+            n = err.shape[2]
+            x, _ = _cell_panel_nodes(lo, n, N, x_max, sub, buffer)
+            got = err[0] + f((np.arange(lo, lo + n) + 0.5) / (4 * N))
+            want = dirichlet_sn(f, N, x.ravel()).reshape(x.shape)
+            slope = np.minimum(2 * N, 1 / (math.pi * np.abs(x[..., None] - bps))) @ jumps
+            budget = jumps.sum() * 2.0**-45 + slope * 2 * np.spacing(x) + 2.0**-53 * np.abs(got)
+            whole = ~np.isin(np.arange(lo, lo + n), split)
+            assert np.all((np.abs(got - want) <= budget)[:, whole])
+
+
+def test_sn_leg_norms_match_the_per_block_route():
+    # the leg's norms against dirichlet_sn on every node of its panels,
+    # weighed as one array of terms per block (the route before the lattice
+    # kernel served the leg): within 1e-13 relative; measured 4.6e-15
+    N, x_max, _ = LEG
+    spacing, nodes = verify._SN_PANELS["spacing"], verify._SN_PANELS["nodes"]
+    got = verify._block_norms("dirichlet_sn", verify._BLOCK_GRID, LEG_SCALES)
+    for i, f in enumerate(leg_blocks()):
+        x, w = panel_nodes(oscillation_edges(f.breakpoints, x_max, spacing), nodes)
+        values = dirichlet_sn(f, N, x)
+        for params, norms in zip(verify._BLOCK_GRID, got):
+            want = weighted_norm_from_samples(values, x, w, params.p, params.alpha)
+            assert abs(norms[i] / want - 1.0) <= 1e-13, (params, LEG_SCALES[i])
+
+
+def test_partial_sum_integrals_are_per_function():
+    # a function's integrals have the same bits whatever functions share the
+    # call: more than _LATTICE_ROWS half-line rows go to several kernel calls,
+    # a symmetric f is one row, and both modes and pairs come per function
+    rng = np.random.default_rng(7)
+    fs = [chi(0.25, 0.5), PiecewiseConstant1D((-1.0, -0.5, 0.5, 1.0), (1.0, 0.0, 1.0))]
+    fs += [PiecewiseConstant1D(np.sort(rng.uniform(-3.0, 3.0, 4)), rng.standard_normal(3)) for _ in range(9)]
+    pairs = [(1.0, -0.5), (0.5, -0.75), (2.0, 0.0)]
+    for minus_f in (True, False):
+        together = _partial_sum_integrals(fs, pairs, 2.0, 8.0, 2, minus_f, 64)
+        for f, row in zip(fs, together):
+            alone = _partial_sum_integrals([f], pairs[::-1], 2.0, 8.0, 2, minus_f, 64)[0][::-1]
+            assert row.tobytes() == alone.tobytes()

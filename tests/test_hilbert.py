@@ -21,6 +21,7 @@ from blockspaces import (
     pv_exclusion_radius,
     refine_schedule,
 )
+from blockspaces import operators
 from blockspaces.operators import _require_pv_clear, nearest_breakpoint
 
 chi = PiecewiseConstant1D.indicator
@@ -72,6 +73,29 @@ def test_breakpoint_evaluation_rejected():
     # and anywhere inside the exclusion radius
     with pytest.raises(DomainEvaluationError):
         hilbert(f, np.array([2.0 + 0.5 * pv_exclusion_radius(f)]))
+
+
+def test_hilbert_checks_a_grid_cleared_for_f_once(monkeypatch):
+    # a grid from for_function or filtered records f's breakpoints and
+    # radius, and hilbert skips its own proximity check on it; a raw array,
+    # a grid built by hand and a grid cleared for another f are checked
+    f = chi(0.0, 1.0)
+    g = PiecewiseConstant1D((0.0, 0.5, 1.0), (1.0, 2.0))  # 1/2 is a breakpoint of g only
+    points = [0.25, 0.5, 2.0]
+    checks = []
+    require = operators._require_pv_clear
+    monkeypatch.setattr(operators, "_require_pv_clear", lambda f, x: checks.append(x.size) or require(f, x))
+    for grid in (EvalGrid.filtered(f, points), EvalGrid.for_function(f, points)):
+        checks.clear()
+        assert np.array_equal(hilbert(f, grid), hilbert(f, np.array(points)))
+        assert checks == [3]  # the raw array's check only
+    for grid in (np.array(points), EvalGrid(tuple(points)), EvalGrid.filtered(f, points)):
+        with pytest.raises(DomainEvaluationError):
+            hilbert(g, grid)
+    # same breakpoints, other radius: the zero function clears every point
+    z = PiecewiseConstant1D((0.0, 1.0), (0.0,))
+    with pytest.raises(DomainEvaluationError):
+        hilbert(f, EvalGrid.for_function(z, [0.5, 1.0]))
 
 
 def test_eval_grid_strict_vs_filtered():

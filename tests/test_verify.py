@@ -69,10 +69,12 @@ def test_out_of_hypothesis_verdicts_are_abstentions():
 def test_block_bound_applies_each_operator_once_per_block(monkeypatch):
     # both parameter points of claim 3.1 give the same canonical block at
     # every scale, so each operator runs once per block, not once per
-    # (block, point).  hilbert, dirichlet_sn and the maximal leg run once
-    # per scale.  S_N and H_eps run once per level, on a family of 13 rows,
-    # one per scale: 41 N levels and 33 eps levels, where one run per scale
-    # would be 13 x 41 and 13 x 33
+    # (block, point).  hilbert and the maximal leg run once per scale, and
+    # so does dirichlet_sn, on the panels off the lattice Z/4.  The lattice
+    # cells of all 13 blocks go to one kernel call of 13 rows (each block
+    # is its own mirror).  S_N and H_eps run once per level, on a family of
+    # 13 rows, one per scale: 41 N levels and 33 eps levels, where one run
+    # per scale would be 13 x 41 and 13 x 33
     a, b = verify._BLOCK_GRID
     for k in range(-6, 7):
         assert make_canonical_block(a, k).data == make_canonical_block(b, k).data
@@ -86,17 +88,25 @@ def test_block_bound_applies_each_operator_once_per_block(monkeypatch):
         return fake
 
     def per_level(name):
-        def fake(bps, values, level, x):
-            calls.append((name, level, len(values)))
+        def fake(bps, values, levels, x):
+            calls.extend((name, level, len(values)) for level in levels)
             return np.ones((len(values), x.size))
 
         return fake
 
     for name in ("hilbert", "dirichlet_sn", "maximal_1d_exact"):
         monkeypatch.setattr(verify, name, per_block(name))
-    monkeypatch.setattr(verify, "_sn_rows", per_level("S_N"))
-    monkeypatch.setattr(verify, "_truncated_rows", per_level("H_eps"))
+    monkeypatch.setattr(verify, "_sn_sup", per_level("S_N"))
+    monkeypatch.setattr(verify, "_truncated_sup", per_level("H_eps"))
+    lattice, kernel = [], verify._sn_error_on_lattice
+
+    def counting_kernel(bps, *args):
+        lattice.append(len(bps))
+        return kernel(bps, *args)
+
+    monkeypatch.setattr(verify, "_sn_error_on_lattice", counting_kernel)
     rep = run_theorem("3.1")
+    assert lattice == [13]
     assert len(calls) == len(set(calls))
     assert Counter(c[0] for c in calls) == {
         "hilbert": 13, "dirichlet_sn": 13, "maximal_1d_exact": 13, "S_N": 41, "H_eps": 33,
