@@ -22,24 +22,15 @@ bit and do not depend on the BLAS thread count.  The lattice maximal
 function filters each window width only over the cells that window can
 reach from the support of |f|.
 
-On points and breakpoints that are both exactly symmetric about 0, the
-jump-sum kernels (S_N and hilbert) are mirrored: x - b_j changes sign
-exactly under x -> -x, b_j -> -b_j, Si is odd and log|.| even, so the
-kernel rows of the second half of the points are the first half's rows
-reversed and times -1 or +1, bit for bit, and g is evaluated on half of
-the points only.  A point on a breakpoint (a zero difference is +0 on both
-sides) or a phase that underflows to 0 takes the plain loop.  Claim 3.1's
-grids are symmetric.
-
-The S_N and truncated Hilbert kernels also serve a family of functions on
-shared breakpoints, one row of values per function: each block's kernel
-is built once and multiplied with each row as its own matrix-vector
-product, so every row has the bits of the call on its function alone.
-The two sups (`_sn_sup`, `_truncated_sup`) form each block's
-level-independent part once, the differences x - b_j and, for H_eps,
-every whole piece's log, and run every level on it before the next block.
-Claim 3.1 evaluates its 13 dilated blocks as one such family over the
-levels of its carleson and hilbert_maximal schedules.
+The two sups (`_sn_sup`, `_truncated_sup`) also serve a family of
+functions on shared breakpoints, one row of values per function: each
+block's kernel is built once and multiplied with each row as its own
+matrix-vector product, so every row has the bits of the call on its
+function alone.  They form each block's level-independent part once, the
+differences x - b_j and, for H_eps, every whole piece's log, and run every
+level on it before the next block.  Claim 3.1 evaluates its 13 dilated
+blocks as one such family over the levels of its carleson and
+hilbert_maximal schedules.
 
 The two fixed-N partial-sum integrals, claim 6.3's error norm e(N) and
 claim 3.1's dirichlet_sn leg, evaluate S_N f - f at the Gauss-Legendre
@@ -163,7 +154,7 @@ def _require_pv_clear(f: PiecewiseConstant1D, x: np.ndarray) -> None:
         )
 
 
-def _rowwise(kernel_for, x: np.ndarray, ncols: int, coeffs: np.ndarray, parity: float = 0.0, levels=None) -> np.ndarray:
+def _rowwise(kernel_for, x: np.ndarray, ncols: int, coeffs: np.ndarray, levels=None) -> np.ndarray:
     """kernel(x) @ c for each row c of coeffs, for a kernel giving one row of ncols per point.
 
     The result has one row per row of coeffs.  kernel_for(rows) allocates
@@ -177,15 +168,6 @@ def _rowwise(kernel_for, x: np.ndarray, ncols: int, coeffs: np.ndarray, parity: 
     no level changes and returns at, and at(level) is the block's kernel
     at that level.  The result is then max over the levels of |kernel @ c|,
     and each block runs every level before the next block starts.
-
-    A nonzero parity says that the kernel is mirrored: row n - 1 - i is
-    parity times row i reversed, bit for bit (the caller checks it, see
-    _mirrored).  The kernel then runs on the blocks of the first half of x
-    only.  Each block's reversed copy, times parity, goes into one more
-    buffer allocated per call and gives the rows [n - hi, n - lo) as its
-    own gemvs.  With n % 8 == 0 every block of both halves starts at a
-    multiple of 4 and holds a multiple of 4 rows, so each row keeps the
-    reduction order of the unmirrored loop.
     """
     # OpenBLAS dgemv sums rows in groups of 4, so each row's reduction order
     # is the dense one only if every block starts at a multiple of 4;
@@ -193,34 +175,24 @@ def _rowwise(kernel_for, x: np.ndarray, ncols: int, coeffs: np.ndarray, parity: 
     # also give the same bits with one BLAS thread and with two, which the
     # dense product does not (tests/test_blocking.py)
     n = x.size
-    half = n // 2 if parity else n
     rows = max(64, _BLOCK_BYTES // (8 * ncols) // 64 * 64)
-    starts = list(range(0, half, rows))
+    starts = list(range(0, n, rows))
     # numpy sends a 1-row matmul to dot, which sums in another order than
     # gemv: a final 1-row block joins the block before it, one row longer
-    if len(starts) > 1 and half - starts[-1] == 1:
+    if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
-    bounds = list(zip(starts, starts[1:] + [half]))
-    size = max((hi - lo for lo, hi in bounds), default=0)
-    kernel = kernel_for(size)
-    mirror = np.empty((size, ncols)) if parity else None
+    bounds = list(zip(starts, starts[1:] + [n]))
+    kernel = kernel_for(max((hi - lo for lo, hi in bounds), default=0))
     out = np.empty((coeffs.shape[0], n)) if levels is None else np.zeros((coeffs.shape[0], n))
-
-    def put(block, lo, hi):
-        # one gemv per row: a gemm over all rows would not pin each row's reduction order
-        for row, c in zip(out, coeffs):
-            if levels is None:
-                row[lo:hi] = block @ c
-            else:
-                np.maximum(row[lo:hi], np.abs(block @ c), out=row[lo:hi])
-
     for lo, hi in bounds:
         built = kernel(x[lo:hi])
         for block in (built,) if levels is None else map(built, levels):
-            put(block, lo, hi)
-            if parity:
-                # a C-ordered copy: numpy sums an F-ordered or strided operand in another order
-                put(np.multiply(block[::-1, ::-1], parity, out=mirror[: hi - lo]), n - hi, n - lo)
+            # one gemv per row: a gemm over all rows would not pin each row's reduction order
+            for row, c in zip(out, coeffs):
+                if levels is None:
+                    row[lo:hi] = block @ c
+                else:
+                    np.maximum(row[lo:hi], np.abs(block @ c), out=row[lo:hi])
     return out
 
 
@@ -233,50 +205,20 @@ def _differences(xb: np.ndarray, bps: np.ndarray, out: np.ndarray) -> np.ndarray
     return out
 
 
-def _mirrored(x: np.ndarray, bps: np.ndarray, scale: float) -> bool:
-    """Whether a jump-sum kernel g(scale (x - b_j)) on the points x and sorted bps is mirrored.
-
-    When x[n-1-i] == -x[i] and b[m-1-j] == -b[j], the difference
-    x[n-1-i] - b[m-1-j] is -(x[i] - b[j]) bit for bit, and so is its product
-    with scale, unless it is a zero: a - a is +0 on both sides, and Si(-0)
-    is +0.  So no point may equal a breakpoint, and no phase may underflow
-    to 0.  n % 8 == 0 gives _rowwise's blocks their multiples of 4.
-    """
-    gap = _mirror_gap(x, bps)
-    return gap is not None and gap * scale > 0.0
-
-
-def _mirror_gap(x: np.ndarray, bps: np.ndarray) -> float | None:
-    """The least |x - b_j| (inf without points) when x and bps are symmetric and n % 8 == 0, else None."""
-    # the second half's differences are the first half's, negated
-    if not (x.size % 8 == 0 and np.array_equal(x[::-1], -x) and np.array_equal(bps[::-1], -bps)):
-        return None
-    return nearest_breakpoint(x[: x.size // 2], bps)[1].min() if x.size else math.inf
-
-
-def _jump_sum(
-    bps: np.ndarray, values: np.ndarray, x: np.ndarray, g, parity: float, scale: float = 1.0
-) -> np.ndarray:
+def _jump_sum(f: PiecewiseConstant1D, x: np.ndarray, g) -> np.ndarray:
     """(1/pi) sum_i v_i (g(x - b_i) - g(x - b_i+1)), summed as (1/pi) sum_j c_j g(x - b_j).
 
-    One row per row v of values, all on the sorted breakpoints bps; c_j is
-    the jump of v at b_j.  Each block of points x breakpoints differences
-    goes into one buffer allocated per call, and g acts on it elementwise
-    and may overwrite it.  g must take a difference d to a function of
-    scale d alone with g(-d) = parity g(d) bit for bit for every d whose
-    product with scale is not 0.  Then on mirrored points and breakpoints
-    (_mirrored) the kernel is evaluated on half of the points and _rowwise
-    mirrors the rest, with the bits of the full evaluation.
+    v_i are f's values and c_j its jump at its breakpoint b_j.  Each block
+    of points x breakpoints differences goes into one buffer allocated per
+    call, and g acts on it elementwise and may overwrite it.
     """
-    c = np.diff(values, prepend=0.0, append=0.0)
+    bps, values = _one_row(f)
 
     def kernel_for(rows):
         buf = np.empty((rows, bps.size))
         return lambda xb: g(_differences(xb, bps, buf[: xb.size]))
 
-    if _mirrored(x, bps, scale):
-        return _rowwise(kernel_for, x, bps.size, c, parity) / math.pi
-    return _rowwise(kernel_for, x, bps.size, c) / math.pi
+    return _rowwise(kernel_for, x, bps.size, np.diff(values, prepend=0.0, append=0.0))[0] / math.pi
 
 
 def _one_row(f: PiecewiseConstant1D) -> tuple[np.ndarray, np.ndarray]:
@@ -297,8 +239,7 @@ def hilbert(f: PiecewiseConstant1D, grid) -> np.ndarray:
         return np.zeros_like(x)
     if not (isinstance(grid, EvalGrid) and grid.cleared == _clearance(f)):
         _require_pv_clear(f, x)
-    # log|.| is even
-    return _jump_sum(*_one_row(f), x, lambda d: np.log(np.abs(d, out=d), out=d), 1.0)[0]
+    return _jump_sum(f, x, lambda d: np.log(np.abs(d, out=d), out=d))
 
 
 def hilbert_truncated(f: PiecewiseConstant1D, eps: float, grid) -> np.ndarray:
@@ -316,18 +257,14 @@ def hilbert_truncated(f: PiecewiseConstant1D, eps: float, grid) -> np.ndarray:
     x = _as_points(grid)
     if f.is_zero:
         return np.zeros_like(x)
-    return _truncated_rows(*_one_row(f), eps, x)[0]
-
-
-def _truncated_rows(bps: np.ndarray, values: np.ndarray, eps: float, x: np.ndarray) -> np.ndarray:
-    """hilbert_truncated of each row of values on the breakpoints bps: one clipped-log kernel."""
+    bps, values = _one_row(f)
     prepare_for = _clipped_logs(bps, values.shape[1], levels=False)
 
     def kernel_for(rows):
         prepare = prepare_for(rows)
         return lambda xb: prepare(xb)(eps)
 
-    return _rowwise(kernel_for, x, values.shape[1], values) / math.pi
+    return _rowwise(kernel_for, x, values.shape[1], values)[0] / math.pi
 
 
 def _truncated_sup(bps: np.ndarray, values: np.ndarray, levels, x: np.ndarray) -> np.ndarray:
@@ -335,8 +272,8 @@ def _truncated_sup(bps: np.ndarray, values: np.ndarray, levels, x: np.ndarray) -
 
     Each block of points forms x - b_j and every whole piece's log once; a
     level only masks, clips its at most two pieces per point and runs the
-    gemvs.  The values have the bits of max over the levels of
-    |_truncated_rows|: fl(|g| / pi) is monotone in |g|, so dividing the sup
+    gemvs.  Each row has the bits of max over the levels of |hilbert_truncated|
+    of its function: fl(|g| / pi) is monotone in |g|, so dividing the sup
     of |g| once gives the sup of the divided values.
     """
     pieces = values.shape[1]
@@ -448,14 +385,8 @@ def dirichlet_sn(f: PiecewiseConstant1D, N: float, grid) -> np.ndarray:
     x = _as_points(grid)
     if f.is_zero:
         return np.zeros_like(x)
-    return _sn_rows(*_one_row(f), N, x)[0]
-
-
-def _sn_rows(bps: np.ndarray, values: np.ndarray, N: float, x: np.ndarray) -> np.ndarray:
-    """dirichlet_sn of each row of values on the breakpoints bps: one Si kernel."""
     scale = 2.0 * math.pi * N
-    # Si is odd, and so is the rounded phase, except at 0 (Si(-0) = +0)
-    return _jump_sum(bps, values, x, lambda d: _si_of_phase(d, scale, d), -1.0, scale)
+    return _jump_sum(f, x, lambda d: _si_of_phase(d, scale, d))
 
 
 def _si_of_phase(d: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
@@ -469,10 +400,8 @@ def _sn_sup(bps: np.ndarray, values: np.ndarray, levels, x: np.ndarray) -> np.nd
     """carleson of each row of values on the breakpoints bps: max over the levels N of |S_N f|.
 
     Each block of points forms x - b_j once; a level only scales them into
-    a second buffer, takes Si and runs the gemvs.  On symmetric points and
-    breakpoints (_mirror_gap) the levels whose phases stay nonzero take the
-    mirrored kernel.  The values have the bits of max over the levels of
-    |_sn_rows|, as in _truncated_sup.
+    a second buffer, takes Si and runs the gemvs.  Each row has the bits of
+    max over the levels of |dirichlet_sn| of its function, as in _truncated_sup.
     """
     c = np.diff(values, prepend=0.0, append=0.0)
 
@@ -485,14 +414,8 @@ def _sn_sup(bps: np.ndarray, values: np.ndarray, levels, x: np.ndarray) -> np.nd
 
         return prepare
 
-    gap = _mirror_gap(x, bps)
     scales = [2.0 * math.pi * float(N) for N in levels]
-    out = np.zeros((values.shape[0], x.size))
-    for parity in (-1.0, 0.0):
-        group = [scale for scale in scales if (gap is not None and gap * scale > 0.0) == bool(parity)]
-        if group:
-            np.maximum(out, _rowwise(kernel_for, x, bps.size, c, parity, group), out=out)
-    return out / math.pi
+    return _rowwise(kernel_for, x, bps.size, c, levels=scales) / math.pi
 
 
 #: (|t|, k): from |t| on, k terms of Si's asymptotic series leave a remainder

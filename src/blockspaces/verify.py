@@ -136,17 +136,23 @@ _SHELL_NODES = 24
 _EPS_SCHEDULE = (2.0 ** -6, 4.0)
 #: (lo, hi) of carleson's frequencies at scale 0, dilated by 2^-k at scale k
 _N_SCHEDULE = (2.0 ** -4, 2.0 ** 6)
-#: dirichlet_sn's absolute panels: Gauss-Legendre nodes on panels of a spacing out to x_max
-_SN_PANELS = {"x_max": 1024.0, "spacing": 1.0 / 8.0, "nodes": 4}
-#: the leg's cutoff N, whose lattice cells 1/(4N) hold 2 of those panels each, and its
-#: cells per lattice chunk: the blocks' breakpoints (|4 b_j| <= 256) shift a chunk's
+#: Gauss-Legendre nodes in each panel of e(N) and of the dirichlet_sn leg
+_E_NODES = 4
+#: the dirichlet_sn leg's cutoff N, the panels per lattice cell 1/(4N), and its cells
+#: per lattice chunk: the blocks' breakpoints (|4 b_j| <= 256) shift a chunk's
 #: windows by at most 512 cells, so each offset's windows share one Si table
 _SN_N, _SN_SUB, _SN_CHUNK = 1.0, 2, 1024
+#: dirichlet_sn's absolute panels: Gauss-Legendre nodes on panels of a spacing out to x_max
+_SN_PANELS = {"x_max": 1024.0, "spacing": 1 / (4 * _SN_N * _SN_SUB), "nodes": _E_NODES}
 
 
 def _sn_leg_integrals(blocks, pairs) -> np.ndarray:
     """The dirichlet_sn leg's integrals of |S_1 f|^p |x|^alpha on _SN_PANELS, per block f and (p, alpha)."""
     return _partial_sum_integrals(blocks, pairs, _SN_N, _SN_PANELS["x_max"], _SN_SUB, False, _SN_CHUNK)
+
+
+#: each leg's parity on even blocks: on the symmetric shell grid Hf is odd and S_N f even
+_MIRRORED_LEGS = {"hilbert": -1.0, "carleson": 1.0}
 
 
 def _block_values(op: str, blocks):
@@ -168,8 +174,23 @@ def _block_values(op: str, blocks):
     hilbert's log kernel is not scale-invariant in bits, so that leg and the
     maximal leg run once per block, each operator looked up by its name
     when called.
+
+    The legs of _MIRRORED_LEGS take only the grid's positive half, its
+    second half, and give the negative half as parity times those values
+    reversed.  Their blocks must be even, which the canonical blocks are:
+    x - b_j at -x is -(x - b_{m-1-j}) exactly, log|.| is even and Si odd, so
+    the jump sum at -x has the terms at x, negated (H) or not (S_N), in
+    reverse order, and the 4-term sums of the 4-breakpoint blocks give the
+    same bits in either order.  H* and the maximal leg are not bit-symmetric
+    in their computed values and take the whole grid.
     """
     x0, w0 = shell_grid(*_BLOCK_SHELLS, _SHELL_NODES)
+    parity, x = _MIRRORED_LEGS.get(op), x0
+    if parity is not None:
+        for f, _ in blocks:
+            if f.breakpoints != tuple(-b for b in f.breakpoints[::-1]) or f.values != f.values[::-1]:
+                raise ValueError(f"{op} mirrors its values on even blocks, got a block that is not even")
+        x = x0[x0.size // 2 :]
     families = {
         "carleson": (_sn_sup, _N_SCHEDULE), "hilbert_maximal": (_truncated_sup, _EPS_SCHEDULE)
     }
@@ -179,11 +200,13 @@ def _block_values(op: str, blocks):
         bps, values = pulled[0], np.array([f.values for f, _ in blocks])
         if any(not np.array_equal(other, bps) for other in pulled):
             raise ValueError(f"{op} blocks must be dilations of one another by powers of 2")
-        rows = sup(bps, values, geometric_schedule(*schedule), x0)
+        rows = sup(bps, values, geometric_schedule(*schedule), x)
     else:
         evaluate = {"hilbert": hilbert, "hl_maximal": maximal_1d_exact}[op]
-        rows = (evaluate(f, np.ldexp(x0, k)) for f, k in blocks)
+        rows = (evaluate(f, np.ldexp(x, k)) for f, k in blocks)
     for row, (_, k) in zip(rows, blocks):
+        if parity is not None:
+            row = np.concatenate([parity * row[::-1], row])
         yield row, np.ldexp(x0, k), np.ldexp(w0, k)  # scaled by 2^k, bit-exactly
 
 
@@ -645,9 +668,6 @@ def _decomposition_independence(seed: int) -> VerificationReport:
 
 
 _X_MAX = 256.0
-
-#: Gauss-Legendre nodes in each panel of e(N) and of the dirichlet_sn leg
-_E_NODES = 4
 
 #: half-line functions per lattice kernel call, whose err buffer holds one _BLOCK_BYTES for each
 _LATTICE_ROWS = 16

@@ -2,8 +2,8 @@
 
 dirichlet_sn, hilbert and hilbert_truncated evaluate their points x
 breakpoints kernels over row blocks.  Each must equal the dense
-`kernel @ coeffs` bit for bit, and each row of a family of functions on
-shared breakpoints must equal the call on its function alone.  The dense
+`kernel @ coeffs` bit for bit, and each row of the sups over a family of
+functions on shared breakpoints must equal the calls on its function alone.  The dense
 product is itself thread-dependent on large matrices (OpenBLAS splits the
 rows between threads), so the oracle runs in a subprocess with one BLAS
 thread, and the blocked kernels run here with the process's default thread
@@ -18,8 +18,6 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,15 +28,12 @@ from blockspaces import (
     PiecewiseConstant1D,
     WeightParams,
     dirichlet_sn,
-    geometric_schedule,
     hilbert,
     hilbert_truncated,
-    make_canonical_block,
     maximal_1d_exact,
     operators,
     verify,
 )
-from blockspaces.quadrature import oscillation_edges, panel_nodes, shell_grid
 from blockspaces.verify import partial_sum_error_norm
 
 SIZES = (1, 2, 63, 64, 65, 66, 129, 4097, 8193)
@@ -143,26 +138,29 @@ def test_blocked_kernel_equals_dense_product(op, nb, dense):
         assert np.array_equal(got, want), f"{op}, {nb} breakpoints, {size} points"
 
 
-ROWS = {
-    "dirichlet_sn": lambda bps, values, nb, x: operators._sn_rows(bps, values, FREQUENCY[nb], x),
-    "hilbert_truncated": lambda bps, values, nb, x: operators._truncated_rows(bps, values, EPS, x),
+SUPS = {
+    "dirichlet_sn": lambda bps, values, nb, x: operators._sn_sup(bps, values, [FREQUENCY[nb]], x),
+    "hilbert_truncated": lambda bps, values, nb, x: operators._truncated_sup(bps, values, [EPS], x),
 }
 
 
 @pytest.mark.parametrize("nb", BREAKPOINTS)
-@pytest.mark.parametrize("op", sorted(ROWS))
+@pytest.mark.parametrize("op", sorted(SUPS))
 def test_family_rows_equal_single_function_calls(op, nb):
-    # a family's functions share each block's kernel, which multiplies every
-    # row on its own: each row has the bits of the call on its function alone
+    # the sups run a family of functions on shared breakpoints as rows of
+    # one kernel per block, which multiplies every row on its own: at one
+    # level each row has the bits of |the call on its function alone|, also
+    # at the sizes and widths whose blocks test_sup_routes_equal_the_per_level_route
+    # does not reach
     f = _function(nb)
     bps, v = np.asarray(f.breakpoints), np.asarray(f.values)
     values = np.stack([v, -0.5 * v, np.random.default_rng(nb + 1).standard_normal(v.size)])
     for size in SIZES_BY_BREAKPOINTS[nb]:
         x = _points(size)
-        got = ROWS[op](bps, values, nb, x)
+        got = SUPS[op](bps, values, nb, x)
         assert got.shape == (len(values), size)
         for i, row in enumerate(values):
-            want = KERNELS[op](PiecewiseConstant1D(bps, row), nb, x)
+            want = np.abs(KERNELS[op](PiecewiseConstant1D(bps, row), nb, x))
             assert np.array_equal(got[i], want), f"{op}, {nb} breakpoints, {size} points, row {i}"
 
 
@@ -204,16 +202,15 @@ def test_block_buffers_are_allocated_once_per_call(op, monkeypatch):
     assert max(blocks) < 64 * 1024 * 8, blocks
 
 
-# -- mirrored kernels on symmetric grids ---------------------------------------
+# -- sups over levels and over a family of functions -----------------------------
 
 
 @st.composite
-def symmetric_grids(draw):
-    """(bps, x, change): breakpoints -b[::-1], (0,) b and points x[n-1-i] = -x[i], n of any residue mod 8.
+def grids(draw):
+    """(bps, x): breakpoints -b[::-1], (0,) b and points x[n-1-i] = -x[i], some of them on breakpoints.
 
-    Even n may have a -0/+0 centre pair, odd n has the centre 0; change is
-    "ulp" when one point was then moved one ulp (off symmetry), "hit" when a
-    mirrored pair was put on a mirrored pair of breakpoints.
+    Even n may have a -0/+0 centre pair, odd n has the centre 0, and a
+    mirrored pair of points may be put on a mirrored pair of breakpoints.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     b = np.sort(rng.uniform(2.0**-6, 4.0, draw(st.sampled_from([1, 2, 5, 300]))))  # 300: 64-row blocks
@@ -224,59 +221,24 @@ def symmetric_grids(draw):
     if half.size and draw(st.booleans()):
         half[0] = 0.0  # the centre pair -0, +0
     x = np.concatenate([-half[::-1], [0.0] * (n % 2), half])
-    change = draw(st.sampled_from(["none", "ulp", "hit"])) if n else "none"
-    if change == "ulp":
-        i = draw(st.integers(0, n - 1))
-        x[i] = np.nextafter(x[i], np.inf)
-    elif change == "hit" and n > 1:
+    if n > 1 and draw(st.booleans()):
         i, j = draw(st.integers(0, n // 2 - 1)), draw(st.integers(0, bps.size - 1))
         x[i], x[n - 1 - i] = bps[j], -bps[j]
-    return bps, x, change
+    return bps, x
 
 
-def _bits_without_mirror(evaluate):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(operators, "_mirrored", lambda *args: False)
-        return evaluate().tobytes()
-
-
-@settings(deadline=None, max_examples=150)
-@given(
-    case=symmetric_grids(),
-    rows=st.sampled_from([1, 3]),
-    N=st.sampled_from([2.0**-1070, 2.0**-10, 1.0, 8.0, 2.0**40]),
-    seed=st.integers(0, 2**16),
-)
-def test_mirrored_kernels_keep_the_unmirrored_bits(case, rows, N, seed):
-    # the mirrored path must give the bits of the plain loop, and only
-    # exactly antisymmetric grids with no zero phase and n % 8 == 0 take it
-    # (at N = 2^-1070 the phases of close pairs underflow to 0)
-    bps, x, change = case
-    scale = 2.0 * math.pi * N
-    nonzero = not x.size or np.abs(x[:, None] - bps[None, :]).min() * scale > 0.0
-    symmetric = np.array_equal(x, -x[::-1])
-    assert symmetric == (change != "ulp")
-    assert operators._mirrored(x, bps, scale) == (symmetric and nonzero and x.size % 8 == 0)
-    values = np.random.default_rng(seed).standard_normal((rows, bps.size - 1))
-    evaluate = lambda: operators._sn_rows(bps, values, N, x)
-    assert evaluate().tobytes() == _bits_without_mirror(evaluate)
-    f = PiecewiseConstant1D(bps, values[0])
-    if not operators._pv_hits(f, x)[0].any():  # hilbert raises at breakpoints
-        evaluate = lambda: hilbert(f, x)
-        assert evaluate().tobytes() == _bits_without_mirror(evaluate)
-
-
-def _per_level_sup(rows, levels, bps, values, x):
-    """max over the levels of |rows(bps, values, level, x)|, one level at a time."""
+def _per_level_sup(operator, levels, bps, values, x):
+    """max over the levels of |operator(f, level, x)| for the function f of each row of values."""
     out = np.zeros((values.shape[0], x.size))
     for level in levels:
-        np.maximum(out, np.abs(rows(bps, values, float(level), x)), out=out)
+        for row, v in zip(out, values):
+            np.maximum(row, np.abs(operator(PiecewiseConstant1D(bps, v), float(level), x)), out=row)
     return out
 
 
 @settings(deadline=None, max_examples=100)
 @given(
-    case=symmetric_grids(),
+    case=grids(),
     rows=st.sampled_from([1, 3]),
     N=st.lists(st.sampled_from([2.0**-1070, 2.0**-10, 0.3, 1.0, 8.0, 2.0**40]), min_size=1, max_size=4, unique=True),
     eps=st.lists(st.floats(2.0**-10, 8.0), min_size=1, max_size=4, unique=True),
@@ -285,39 +247,22 @@ def _per_level_sup(rows, levels, bps, values, x):
 def test_sup_routes_equal_the_per_level_route(case, rows, N, eps, seed):
     # carleson and hilbert_maximal (and claim 3.1's legs) form the
     # differences and whole-piece logs once per block and run the levels on
-    # them; each value must have the bits of the sup over one full kernel
-    # call per level, on mirrored grids and off them, where a level whose
-    # phases underflow takes the unmirrored kernel.  The per-level kernels
+    # them, for every row of a family; each value must have the bits of the
+    # sup over one public call per level on its row's function, also where
+    # a point lies on a breakpoint or a phase underflows.  The public calls
     # are pinned to the dense products by test_blocked_kernel_equals_dense_product
-    bps, x, _ = case
+    bps, x = case
     values = np.random.default_rng(seed).standard_normal((rows, bps.size - 1))
     N, eps = np.sort(N), np.sort(eps)
     pairs = [
-        (operators._sn_sup(bps, values, N, x), _per_level_sup(operators._sn_rows, N, bps, values, x)),
-        (operators._truncated_sup(bps, values, eps, x), _per_level_sup(operators._truncated_rows, eps, bps, values, x)),
+        (operators._sn_sup(bps, values, N, x), _per_level_sup(dirichlet_sn, N, bps, values, x)),
+        (operators._truncated_sup(bps, values, eps, x), _per_level_sup(hilbert_truncated, eps, bps, values, x)),
     ]
     f = PiecewiseConstant1D(bps, values[0])
     pairs.append((blockspaces.carleson(f, N, x), pairs[0][1][0]))
     pairs.append((blockspaces.hilbert_maximal(f, eps, x), pairs[1][1][0]))
     for got, want in pairs:
         assert got.tobytes() == want.tobytes()
-
-
-def test_claim_3_1_grids_take_the_mirrored_kernel():
-    # the shell grid of the carleson and hilbert legs and the dirichlet_sn
-    # leg's panels are symmetric about 0; a change that broke that would
-    # silently cost claim 3.1 about 40 % of its time
-    x0, _ = shell_grid(*verify._BLOCK_SHELLS, verify._SHELL_NODES)
-    params = verify._BLOCK_GRID[0]
-    for k in range(verify._K_RANGE[0], verify._K_RANGE[1] + 1):
-        bps = np.asarray(make_canonical_block(params, k).data.breakpoints)
-        assert operators._mirrored(np.ldexp(x0, k), bps, 1.0), k
-        panels = verify._SN_PANELS
-        x, _ = panel_nodes(oscillation_edges(bps, panels["x_max"], panels["spacing"]), panels["nodes"])
-        assert operators._mirrored(x, bps, 2.0 * math.pi), k
-    bps = np.asarray(make_canonical_block(params, 0).data.breakpoints)
-    for N in geometric_schedule(*verify._N_SCHEDULE):
-        assert operators._mirrored(x0, bps, 2.0 * math.pi * N), N
 
 
 def test_maximal_1d_exact_memory_is_bounded():

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import blockspaces
-from blockspaces import THEOREM_IDS, WeightParams, maximal_1d_exact, run_theorem
-from blockspaces import carleson, geometric_schedule, hilbert_maximal, verify
+from blockspaces import THEOREM_IDS, PiecewiseConstant1D, WeightParams, maximal_1d_exact, run_theorem
+from blockspaces import carleson, geometric_schedule, hilbert, hilbert_maximal, verify
 from blockspaces.blocks import make_canonical_block
 from blockspaces.io import dumps, report_to_dict
 from blockspaces.quadrature import shell_grid, weighted_norm_from_samples
@@ -139,6 +139,38 @@ def test_family_legs_equal_the_public_operators_at_each_scale():
             assert x.tobytes() == np.ldexp(x0, k).tobytes()
             assert w.tobytes() == np.ldexp(w0, k).tobytes()
             assert row.tobytes() == public(f, k, x).tobytes()
+
+
+def test_mirrored_legs_equal_the_full_grid_bit_for_bit():
+    # the hilbert and carleson legs evaluate the positive half of the shell
+    # grid and give the negative half as -1 (odd Hf) or +1 (even S_N f)
+    # times those values reversed.  That the bits match the whole grid's
+    # rests on the BLAS summing each 4-term dot product of the 4-breakpoint
+    # blocks in an order that reversal keeps, as the goldens rest on its sums
+    x0, _ = shell_grid(*verify._BLOCK_SHELLS, verify._SHELL_NODES)
+    assert x0.tobytes() == (-x0[::-1]).tobytes()
+    lo, hi = verify._BLOCK_SCALES[0], verify._BLOCK_SCALES[-1]
+    ks = [lo, lo // 2, -300, -6, 0, 6, 300, hi // 2, hi]
+    N = geometric_schedule(*verify._N_SCHEDULE)
+    for params in verify._BLOCK_GRID:
+        blocks = [(make_canonical_block(params, k).data, k) for k in ks]
+        for (f, k), (row, _, _) in zip(blocks, verify._block_values("hilbert", blocks), strict=True):
+            assert row.tobytes() == hilbert(f, np.ldexp(x0, k)).tobytes(), (params, k)
+        bps = np.asarray(blocks[ks.index(0)][0].breakpoints)
+        want = verify._sn_sup(bps, np.array([f.values for f, _ in blocks]), N, x0)
+        for (row, _, _), expected, k in zip(verify._block_values("carleson", blocks), want, ks, strict=True):
+            assert row.tobytes() == expected.tobytes(), (params, k)
+
+
+def test_mirrored_legs_reject_blocks_that_are_not_even():
+    # the mirror holds for even blocks only, which make_canonical_block always builds
+    for f in (
+        PiecewiseConstant1D((-1.0, -0.5, 0.5, 1.0), (1.0, 0.0, 2.0)),
+        PiecewiseConstant1D((-1.0, -0.5, 0.25, 1.0), (1.0, 0.0, 1.0)),
+    ):
+        for op in verify._MIRRORED_LEGS:
+            with pytest.raises(ValueError, match="not even"):
+                list(verify._block_values(op, [(f, 0)]))
 
 
 def test_maximal_leg_is_the_exact_evaluator_on_the_shell_grid():
