@@ -3,7 +3,10 @@
 Everything here is evaluated through closed forms.  The Hilbert transform
 and the partial sum S_N of a piecewise-constant f are one jump sum,
 (1/pi) sum_j c_j g(x - b_j) over the jumps c_j of f at its breakpoints b_j,
-with g = log|.| or g = Si(2 pi N .).  The maximal truncated Hilbert transform
+with g = log|.| or g = Si(2 pi N .).  `hilbert` sums the logs only for the
+breakpoints in and next to the octave of |x| and takes the others by the
+far-field series of the fast multipole method, one table of coefficients
+per group of breakpoints (see there).  The maximal truncated Hilbert transform
 and the Carleson operator are one sup over levels: the pointwise max of
 |T f| over an explicit geometric schedule of truncations or frequencies.
 The uncentered maximal function is the max of |f|(x) and the averages
@@ -17,8 +20,9 @@ Hilbert forms and `maximal_1d_exact`) run over row blocks of about
 memory does not grow with the number of points and each temporary stays
 in cache.  The jump-sum kernels allocate their block buffers once per
 call and reuse them for every block, so the blocks do not fault in fresh
-pages one after another.  The blocks reproduce the dense results bit for
-bit and do not depend on the BLAS thread count.  The lattice maximal
+pages one after another.  The blocks of S_N and H_eps reproduce the dense
+results bit for bit, and every kernel's bits are the same for any BLAS
+thread count.  The lattice maximal
 function filters each window width only over the cells that window can
 reach from the support of |f|.
 
@@ -229,17 +233,245 @@ def _one_row(f: PiecewiseConstant1D) -> tuple[np.ndarray, np.ndarray]:
 def hilbert(f: PiecewiseConstant1D, grid) -> np.ndarray:
     """Principal-value convolution with 1/(pi x), exact away from breakpoints.
 
-    Hf(x) = (1/pi) sum_i v_i (log|x - b_i| - log|x - b_i+1|); the only error
-    is floating-point rounding.  Abscissae within the exclusion radius of a
-    breakpoint raise DomainEvaluationError; an EvalGrid cleared for f is not
-    checked again.
+    Hf(x) = (1/pi) sum_j c_j log|x - b_j| over the jumps c_j of f at its
+    breakpoints b_j.  Each point x, 2^k <= |x| < 2^(k+1), takes the sum in
+    its own scale 2^k (the jumps sum to 0, so log 2^k drops out) and splits
+    the breakpoints in three groups (_hilbert_rows):
+
+    * inner, |b_j| <= 2^(k-1): the multipole form
+      C_I log|x 2^-k| - sum_m A_m x^-m / m, A_m = sum_I c_j b_j^m, with
+      C_I = sum_I c_j the exact difference of the values bounding the run;
+    * outer, |b_j| >= 2^(k+2): the local form
+      sum_O c_j log|b_j 2^-k| - sum_m B_m x^m / m, B_m = sum_O c_j b_j^-m;
+    * near, the others: their logs.
+
+    The ratio r of either series, |b_j / x| or |x / b_j| over its group, is
+    at most 1/2, and a series stops at the first m with r^m <= 2^-56, so its
+    tail is below 2^-56 r sum |c_j| over the group.  Far from the support no
+    log of nearly equal numbers is cancelled.  Hf(2^j x) of f(2^-j .) has
+    the bits of Hf(x) while every number stays normal, Hf of an even f is
+    odd bit for bit, and a value depends on its point alone.  A non-finite
+    x gives NaN.
+
+    Abscissae within the exclusion radius of a breakpoint raise
+    DomainEvaluationError; an EvalGrid cleared for f is not checked again.
     """
     x = _as_points(grid)
     if f.is_zero:
         return np.zeros_like(x)
     if not (isinstance(grid, EvalGrid) and grid.cleared == _clearance(f)):
         _require_pv_clear(f, x)
-    return _jump_sum(f, x, lambda d: np.log(np.abs(d, out=d), out=d))
+    return _hilbert_rows(*_one_row(f), x)[0]
+
+
+#: terms of a far series at most: its ratio is at most 1/2, and (1/2)^56 = 2^-56
+_HILBERT_TERMS = 56
+
+#: the octave of x = 0, and the scale exponent of an empty inner (-) or outer (+)
+#: group: past every float's exponent, so 2^-_NO_OCTAVE underflows to 0
+_NO_OCTAVE = 4096
+
+
+def _hilbert_rows(bps: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """hilbert of each row of values on the sorted breakpoints bps at x, one row per function.
+
+    A point's groups depend on its octave alone, and an inner or an outer
+    group is a run of breakpoints that many octaves share: there are at
+    most one more than the octaves of the breakpoints.  Each group's series
+    coefficients are built once (_far_tables), in the scale 2^K of its own
+    largest (inner) or smallest (outer) octave, where no power overflows,
+    and a point reaches them through w = 2^K / x or x / 2^K.  Both series of
+    all points run in one Horner loop (_horner); the near logs go per octave
+    (_near_logs).
+
+    Rounding: a value depends on its point and row alone, whatever else the
+    call holds.  Every sum over breakpoints runs per sign of b_j in the order
+    of increasing |b_j|, the negative side first, so on an even f the sides
+    cancel or double exactly.
+    """
+    rows, m, n = values.shape[0], bps.size, x.size
+    V = np.zeros((rows, m + 1))  # V[j] is f left of b_j, so c_j = V[j + 1] - V[j]
+    V[:, 1:-1] = values
+    c = V[:, 1:] - V[:, :-1]
+    # each side's (|b_j|, b_j, c_j) in the order of increasing |b_j|; b_j = 0
+    # is inner at every octave and takes part through C_I alone.  The c_j go
+    # row-major, so that every sum over them runs along one row alone
+    neg, pos = np.flatnonzero(bps < 0)[::-1], np.flatnonzero(bps > 0)
+    sides = [(np.abs(bps[i]), bps[i], np.ascontiguousarray(c[:, i])) for i in (neg, pos)]
+
+    mant, k = np.frexp(x)
+    k -= 1
+    u = np.multiply(mant, 2.0, out=mant)  # x 2^-k exactly
+    special = np.flatnonzero(~np.isfinite(u) | (u == 0.0))
+    u_or_1 = u
+    if special.size:  # x = 0 takes the octave below all, where every b_j is outer; NaN goes in at the end
+        k[special], u[special] = -_NO_OCTAVE, 0.0
+        u_or_1 = u.copy()
+        u_or_1[special] = 1.0
+    low = int(k.min(initial=0))
+    present = np.bincount(k - low) > 0
+    octaves = np.flatnonzero(present) + low
+    at = (np.cumsum(present) - 1).astype(np.int32)[k - low]
+    # per side and octave, how many breakpoints are inner (|b_j| <= 2^(k-1),
+    # the first ones) and how many outer (|b_j| >= 2^(k+2), the last ones)
+    with np.errstate(over="ignore"):  # 2^(k+2) = inf past the float range: no outer group
+        edges = np.ldexp(1.0, octaves - 1), np.ldexp(1.0, octaves + 2)
+    inner = np.array([a.searchsorted(edges[0], side="right") for a, _, _ in sides])
+    outer = np.array([a.size - a.searchsorted(edges[1]) for a, _, _ in sides])
+    in_sets, in_id = _distinct_columns(inner)
+    out_sets, out_id = _distinct_columns(outer)
+    A, K_in, ratio_in = _far_tables(sides, in_sets, rows, True)
+    B, K_out, ratio_out, logs = _far_tables(sides, out_sets, rows, False)
+    # the exact sums of c_j over the inner run and over the two outer runs
+    C_in = V[:, m - pos.size + in_sets[1]] - V[:, neg.size - in_sets[0]]
+    C_out = V[:, out_sets[0]] - V[:, m - out_sets[1]]
+
+    in_id, out_id = in_id[at], out_id[at]
+    w = np.empty(2 * n)  # the inner series' w, then the outer series'
+    np.ldexp(np.divide(1.0, u_or_1, out=w[:n]), K_in[in_id] - k, out=w[:n])
+    np.ldexp(u, k - K_out[out_id], out=w[n:])
+    series = _horner(
+        np.concatenate([A, B], axis=1),
+        np.concatenate([in_id, out_id + A.shape[1]]),  # the outer tables follow the inner ones
+        w,
+        np.concatenate([ratio_in, ratio_out]),
+    )
+    out = _near_logs(sides, inner, outer, octaves, at, u, rows)
+    out += C_in[:, in_id] * np.log(np.abs(u_or_1))
+    out += logs[:, out_id] + C_out[:, out_id] * ((K_out[out_id] - k) * math.log(2.0))
+    out -= series[:, :n]
+    out -= series[:, n:]
+    out /= math.pi
+    if special.size:
+        out[:, ~np.isfinite(x)] = np.nan
+    return out
+
+
+def _distinct_columns(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct columns of counts, in order of first appearance, and each column's index among them."""
+    index: dict = {}
+    ids = [index.setdefault(col, len(index)) for col in zip(*counts.tolist())]
+    return np.array(list(index), dtype=np.int64).reshape(-1, counts.shape[0]).T, np.array(ids, dtype=np.int32)
+
+
+def _far_tables(sides, groups: np.ndarray, rows: int, inner: bool):
+    """Series coefficients, scale exponents and ratio bounds of each inner or outer group.
+
+    Column i of groups holds group i's counts per side: the first (inner)
+    or last (outer) of each side's breakpoints by |b_j|.  With beta_j =
+    b_j 2^-K, the inner tables hold A_m / m = sum_j c_j beta_j^m / m, K the
+    least exponent with |b_j| < 2^K, and the outer ones B_m / m =
+    sum_j c_j beta_j^-m / m, K the greatest with 2^K <= |b_j|; the tables
+    are (terms, groups, rows).  The ratio bound is max |beta_j| (inner) or
+    1 / min |beta_j| (outer), 0 for an empty group, whose K is
+    -_NO_OCTAVE (inner) or _NO_OCTAVE (outer).  The outer groups also give
+    sum_j c_j log|beta_j|, (rows, groups).
+    """
+    terms, count = _HILBERT_TERMS, groups.shape[1]
+    table = np.zeros((terms, count, rows))
+    scale, ratio = np.empty(count, dtype=np.int32), np.zeros(count)
+    logs = np.zeros((rows, count))
+    for s, counts in enumerate(groups.T.tolist()):
+        if inner:
+            group = [(a[:g], b[:g], cs[:, :g]) for (a, b, cs), g in zip(sides, counts) if g]
+            edge = max((a[-1] for a, _, _ in group), default=0.0)
+            K = math.frexp(edge)[1] if edge else -_NO_OCTAVE
+        else:
+            group = [(a[-g:], b[-g:], cs[:, -g:]) for (a, b, cs), g in zip(sides, counts) if g]
+            edge = min((a[0] for a, _, _ in group), default=0.0)
+            K = math.frexp(edge)[1] - 1 if edge else _NO_OCTAVE
+        scale[s] = K
+        if edge:
+            ratio[s] = math.ldexp(edge, -K) if inner else 1.0 / math.ldexp(edge, -K)
+        for _, b, cs in group:  # the negative side first, each in increasing |b_j|
+            beta = np.ldexp(b, -K)
+            powers = np.empty((terms, b.size))
+            powers[:] = beta if inner else 1.0 / beta
+            np.multiply.accumulate(powers, axis=0, out=powers)  # row m - 1 holds beta^(+-m)
+            # each (row, m) sums its own products along the contiguous last axis
+            table[:, s] += np.add.reduce(np.multiply(powers, cs[:, None, :]), axis=2).T
+            if not inner:
+                logs[:, s] += np.add.reduce(np.log(np.abs(beta)) * cs, axis=1)
+    table /= np.arange(1.0, terms + 1.0)[:, None, None]
+    return (table, scale, ratio) if inner else (table, scale, ratio, logs)
+
+
+def _horner(table: np.ndarray, group: np.ndarray, w: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """sum_m table[m - 1, group] w^m at each point, for each row: (rows, points).
+
+    A point's ratio is r = |w| ratio[group] <= 1/2, and it takes the terms
+    up to the first m with r^m <= 2^-56, none where r = 0.  The points go
+    in the order of decreasing terms, so the points that still take a term
+    lead the order; each starts its Horner steps at its own last term.  Each
+    step's coefficients are gathered by `take`, for as many steps at once as
+    fill about _BLOCK_BYTES.
+    """
+    terms = np.abs(w)
+    terms *= ratio[group]
+    with np.errstate(divide="ignore"):  # r = 0 takes no term
+        np.log(terms, out=terms)
+    np.divide(-56.0 * math.log(2.0), terms, out=terms)
+    # at most 56 terms: a stable argsort of the uint8 terms skipped is a radix sort
+    skipped = (_HILBERT_TERMS - np.minimum(np.ceil(terms, out=terms), _HILBERT_TERMS)).astype(np.uint8)
+    del terms
+    order = np.argsort(skipped, kind="stable")
+    # active[m]: how many points take term m, the first of the order
+    active = np.cumsum(np.bincount(skipped, minlength=_HILBERT_TERMS + 1))[::-1].tolist()
+    w, group = w[order, None], group[order]
+    rows = table.shape[2]
+    acc = np.zeros((order.size, rows))
+    steps = max(1, _BLOCK_BYTES // (8 * rows * max(1, active[1])))
+    coef = np.empty((steps, active[1], rows))
+    top = max((m for m in range(_HILBERT_TERMS + 1) if active[m]), default=0)
+    n = None
+    for first in range(top, 0, -steps):
+        last = max(first - steps, 0)
+        most = active[last + 1]  # the most points of the chunk's steps take its lowest term
+        gathered = table[last:first].take(group[:most], axis=1, out=coef[: first - last, :most], mode="clip")
+        for m, coef_m in zip(range(first, last, -1), gathered[::-1]):
+            if active[m] != n:  # the active prefix changes only where the terms do
+                n = active[m]
+                a, wa = acc[:n], w[:n]
+            np.multiply(a, wa, out=a)
+            np.add(a, coef_m[:n], out=a)
+    acc *= w
+    out = np.empty((rows, order.size))
+    out[:, order] = acc.T
+    return out
+
+
+def _near_logs(sides, inner, outer, octaves: np.ndarray, at: np.ndarray, u: np.ndarray, rows: int) -> np.ndarray:
+    """sum over the near breakpoints of c_j log|u - b_j 2^-k| at each point, for each row: (rows, points).
+
+    inner and outer give the counts per side and octave.  Each octave's
+    points go in blocks of about _BLOCK_BYTES through one buffer allocated
+    per call; each value is one dot product per side, in numpy's order for
+    that point and row alone.
+    """
+    out = np.zeros((rows, u.size))
+    sizes = np.array([[a.size] for a, _, _ in sides])
+    near = np.flatnonzero((sizes - inner - outer).sum(axis=0))
+    if not near.size:
+        return out
+    by_octave = np.argsort(at.astype(np.uint16 if octaves.size < 1 << 16 else np.int64), kind="stable")
+    starts = np.searchsorted(at[by_octave], np.arange(octaves.size + 1)).tolist()
+    buf = np.empty(_BLOCK_BYTES // 8)
+    for o in near.tolist():
+        runs = [(b[i : b.size - j], cs[:, i : b.size - j]) for (_, b, cs), i, j in zip(sides, inner[:, o], outer[:, o])]
+        split = runs[0][0].size
+        beta = np.ldexp(np.concatenate([runs[0][0], runs[1][0]]), -int(octaves[o]))
+        cn = np.concatenate([runs[0][1], runs[1][1]], axis=1)
+        points = by_octave[starts[o] : starts[o + 1]]
+        size = max(1, buf.size // beta.size)
+        for lo in range(0, points.size, size):
+            idx = points[lo : lo + size]
+            d = _differences(u[idx], beta, buf[: idx.size * beta.size].reshape(idx.size, beta.size))
+            np.log(np.abs(d, out=d), out=d)
+            for r in range(rows):
+                out[r, idx] = np.einsum("ij,j->i", d[:, :split], cn[r, :split]) + np.einsum(
+                    "ij,j->i", d[:, split:], cn[r, split:]
+                )
+    return out
 
 
 def hilbert_truncated(f: PiecewiseConstant1D, eps: float, grid) -> np.ndarray:

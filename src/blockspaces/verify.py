@@ -50,6 +50,7 @@ from .quadrature import (
 )
 from .operators import (
     _BLOCK_BYTES,
+    _hilbert_rows,
     _sn_error_on_lattice,
     _sn_sup,
     _truncated_sup,
@@ -166,23 +167,22 @@ def _block_values(op: str, blocks):
     without samples by _sn_leg_integrals.)
 
     Scaling the grid, the breakpoints and eps by 2^k and N by 2^-k leaves
-    every S_N phase and truncated log ratio bit for bit unchanged.  So
-    hilbert_maximal and carleson pull every block back to scale 0 with
-    ldexp(., -k) and take the sup over the scale-0 schedule of one S_N or
-    H_eps kernel per level, built on the scale-0 grid and applied to all
-    blocks' values as rows; each row has the bits of its own scale's call.
-    hilbert's log kernel is not scale-invariant in bits, so that leg and the
-    maximal leg run once per block, each operator looked up by its name
-    when called.
+    every S_N phase, truncated log ratio and hilbert's scaled point, group
+    and series bit for bit unchanged.  So hilbert, hilbert_maximal and
+    carleson pull every block back to scale 0 with ldexp(., -k) and run one
+    family call on the scale-0 grid (and schedule) with all blocks' values
+    as rows; each row has the bits of its own scale's call.  The maximal
+    leg runs once per block.
 
     The legs of _MIRRORED_LEGS take only the grid's positive half, its
     second half, and give the negative half as parity times those values
-    reversed.  Their blocks must be even, which the canonical blocks are:
-    x - b_j at -x is -(x - b_{m-1-j}) exactly, log|.| is even and Si odd, so
-    the jump sum at -x has the terms at x, negated (H) or not (S_N), in
-    reverse order, and the 4-term sums of the 4-breakpoint blocks give the
-    same bits in either order.  H* and the maximal leg are not bit-symmetric
-    in their computed values and take the whole grid.
+    reversed.  Their blocks must be even, which the canonical blocks are.
+    hilbert sums each sign of b_j on its own, so Hf is odd bit for bit on
+    an even f (see _hilbert_rows).  For S_N, x - b_j at -x is
+    -(x - b_{m-1-j}) exactly and Si is odd, so the jump sum at -x has the
+    terms at x in reverse order, and the 4-term sums of the 4-breakpoint
+    blocks give the same bits in either order.  H* and the maximal leg are
+    not bit-symmetric in their computed values and take the whole grid.
     """
     x0, w0 = shell_grid(*_BLOCK_SHELLS, _SHELL_NODES)
     parity, x = _MIRRORED_LEGS.get(op), x0
@@ -192,18 +192,18 @@ def _block_values(op: str, blocks):
                 raise ValueError(f"{op} mirrors its values on even blocks, got a block that is not even")
         x = x0[x0.size // 2 :]
     families = {
-        "carleson": (_sn_sup, _N_SCHEDULE), "hilbert_maximal": (_truncated_sup, _EPS_SCHEDULE)
+        "carleson": lambda bps, values: _sn_sup(bps, values, geometric_schedule(*_N_SCHEDULE), x),
+        "hilbert_maximal": lambda bps, values: _truncated_sup(bps, values, geometric_schedule(*_EPS_SCHEDULE), x),
+        "hilbert": lambda bps, values: _hilbert_rows(bps, values, x),
     }
     if op in families:
-        sup, schedule = families[op]
         pulled = [np.ldexp(f.breakpoints, -k) for f, k in blocks]
         bps, values = pulled[0], np.array([f.values for f, _ in blocks])
         if any(not np.array_equal(other, bps) for other in pulled):
             raise ValueError(f"{op} blocks must be dilations of one another by powers of 2")
-        rows = sup(bps, values, geometric_schedule(*schedule), x)
+        rows = families[op](bps, values)
     else:
-        evaluate = {"hilbert": hilbert, "hl_maximal": maximal_1d_exact}[op]
-        rows = (evaluate(f, np.ldexp(x, k)) for f, k in blocks)
+        rows = (maximal_1d_exact(f, np.ldexp(x, k)) for f, k in blocks)
     for row, (_, k) in zip(rows, blocks):
         if parity is not None:
             row = np.concatenate([parity * row[::-1], row])
@@ -504,7 +504,14 @@ def _hilbert_sharpness() -> VerificationReport:
     _maximal_sharpness.
     """
     f = PiecewiseConstant1D.indicator(1.0, 2.0)
-    hf = lambda x: hilbert(f, x)
+    evaluated: dict = {}  # the grid points share their node sets: each set is evaluated once
+
+    def hf(x):
+        key = x.tobytes()
+        if key not in evaluated:
+            evaluated[key] = hilbert(f, x)
+        return evaluated[key]
+
     measurements: dict = {}
     verdicts: list[Verdict] = []
 
@@ -612,25 +619,20 @@ def _decomposition_independence(seed: int) -> VerificationReport:
     for s in seeds:
         decomps[f"presplit[{s}]"] = _presplit_decomposition(f, params, s)
 
+    # f and every block, on all their breakpoints, are the rows of one
+    # hilbert family, on the shell nodes clear of every exclusion radius
+    terms = [(name, t) for name, d in decomps.items() for t in d.terms]
+    functions = [f] + [t.block.data for _, t in terms]
+    sing = np.asarray(sorted(set().union(*(g.breakpoints for g in functions))))
     x, w = shell_grid(-20, 5, 16)
-    bps = set(f.breakpoints)
-    for d in decomps.values():
-        for t in d.terms:
-            bps.update(t.block.data.breakpoints)
-    sing = np.asarray(sorted(bps))
-    r = max(pv_exclusion_radius(t.block.data) for d in decomps.values() for t in d.terms)
-    keep = nearest_breakpoint(x, sing)[1] > r
+    keep = nearest_breakpoint(x, sing)[1] > max(pv_exclusion_radius(g) for g in functions)
     x, w = x[keep], w[keep]
-
-    def apply_terms(d: Decomposition) -> np.ndarray:
-        out = np.zeros_like(x)
-        for t in d.terms:
-            out += t.lam * hilbert(t.block.data, x)
-        return out
-
-    direct = hilbert(f, x)
+    values = _hilbert_rows(sing, np.array([g._piece_values_at(sing[:-1]) for g in functions]), x)
+    direct = values[0]
     denom = weighted_norm_from_samples(direct, x, w, params.p, params.alpha)
-    routed = {name: apply_terms(d) for name, d in decomps.items()}
+    routed = {name: np.zeros_like(x) for name in decomps}
+    for (name, t), row in zip(terms, values[1:]):
+        routed[name] += t.lam * row
     names = list(routed)
     measurements: dict = {
         "routes": names,

@@ -1,15 +1,18 @@
 """Bounded working sets: the row-blocked kernels and the streamed e(N).
 
-dirichlet_sn, hilbert and hilbert_truncated evaluate their points x
-breakpoints kernels over row blocks.  Each must equal the dense
-`kernel @ coeffs` bit for bit, and each row of the sups over a family of
-functions on shared breakpoints must equal the calls on its function alone.  The dense
-product is itself thread-dependent on large matrices (OpenBLAS splits the
-rows between threads), so the oracle runs in a subprocess with one BLAS
-thread, and the blocked kernels run here with the process's default thread
-count.  The oracle clips every piece for hilbert_truncated; the kernel clips
-only the pieces holding x - eps or x + eps, and must still give the same
-bits.
+dirichlet_sn and hilbert_truncated evaluate their points x breakpoints
+kernels over row blocks.  Each must equal the dense `kernel @ coeffs` bit
+for bit, and each row of the sups over a family of functions on shared
+breakpoints must equal the calls on its function alone.  The dense product
+is itself thread-dependent on large matrices (OpenBLAS splits the rows
+between threads), so the oracle runs in a subprocess with one BLAS thread,
+and the blocked kernels run here with the process's default thread count.
+The oracle clips every piece for hilbert_truncated; the kernel clips only
+the pieces holding x - eps or x + eps, and must still give the same bits.
+
+hilbert takes its far breakpoints by series, so it meets the dense log sum
+within perfbench's oracle budget, 1e-12 (sum of |piece terms| + 1), and
+instead each of its values must depend on its point alone.
 """
 
 import os
@@ -70,7 +73,10 @@ for nb in map(int, data["breakpoints"]):
         xx = x[:, None]
         si = sine_integral(2.0 * math.pi * N * (xx - bps[None, :]))
         out[f"dirichlet_sn-{nb}-{size}"] = si @ c / math.pi
-        out[f"hilbert-{nb}-{size}"] = np.log(np.abs(xx - bps[None, :])) @ c / math.pi
+        logs = np.log(np.abs(xx - bps[None, :]))
+        out[f"hilbert-{nb}-{size}"] = logs @ c / math.pi
+        terms = v * (logs[:, :-1] - logs[:, 1:]) / math.pi
+        out[f"hilbert-budget-{nb}-{size}"] = 1e-12 * (np.abs(terms).sum(axis=1) + 1.0)
         bl = np.minimum(b, xx - float(data["eps"]))
         ar = np.maximum(a, xx + float(data["eps"]))
         trunc = clipped_log(xx - a, xx - bl, a < bl) + clipped_log(ar - xx, b - xx, ar < b)
@@ -135,7 +141,33 @@ def test_blocked_kernel_equals_dense_product(op, nb, dense):
         got = KERNELS[op](f, nb, _points(size))
         want = dense[f"{op}-{nb}-{size}"]
         assert got.shape == want.shape == (size,)
-        assert np.array_equal(got, want), f"{op}, {nb} breakpoints, {size} points"
+        if op == "hilbert":
+            budget = dense[f"hilbert-budget-{nb}-{size}"]
+            assert np.all(np.abs(got - want) <= budget), f"{nb} breakpoints, {size} points"
+        else:
+            assert np.array_equal(got, want), f"{op}, {nb} breakpoints, {size} points"
+
+
+@pytest.mark.parametrize("nb", BREAKPOINTS)
+def test_hilbert_values_depend_on_their_point_alone(nb):
+    # hilbert groups the points by octave and sorts them by series length,
+    # so a call's other points decide where a point sits in every buffer;
+    # its bits must not move, for any subset or order of the points, and a
+    # family row must have the bits of the call on its function alone
+    f = _function(nb)
+    x = _points(8193)
+    full = hilbert(f, x)
+    rng = np.random.default_rng(nb)
+    for size in (1, 2, 3, 64, 65, 1000):
+        pick = rng.choice(x.size, size, replace=False)
+        assert hilbert(f, x[pick]).tobytes() == full[pick].tobytes(), size
+    order = rng.permutation(x.size)
+    assert hilbert(f, x[order]).tobytes() == full[order].tobytes()
+    bps, v = np.asarray(f.breakpoints), np.asarray(f.values)
+    values = np.stack([v, -0.5 * v, rng.standard_normal(v.size)])
+    rows = operators._hilbert_rows(bps, values, x[:1000])
+    for row, coeffs in zip(rows, values, strict=True):
+        assert row.tobytes() == hilbert(PiecewiseConstant1D(bps, coeffs), x[:1000]).tobytes()
 
 
 SUPS = {
@@ -172,6 +204,9 @@ def test_block_buffers_are_allocated_once_per_call(op, monkeypatch):
     # allocates beyond them: less than one 64 x 1024 buffer
     f = _function(1025)
     x = _points(64 * 65)
+    if op == "hilbert":
+        _near_blocks_share_one_buffer(f, x, monkeypatch)
+        return
     rowwise, built, blocks = operators._rowwise, [], []
 
     def counting_rowwise(kernel_for, x, ncols, coeffs):
@@ -200,6 +235,32 @@ def test_block_buffers_are_allocated_once_per_call(op, monkeypatch):
     assert built == [64]
     assert len(blocks) == 65
     assert max(blocks) < 64 * 1024 * 8, blocks
+
+
+def _near_blocks_share_one_buffer(f, x, monkeypatch):
+    # hilbert's near logs go in blocks through one _BLOCK_BYTES buffer per
+    # call: every block's differences are a view of it, the memory held
+    # grows by less than one 64 x 1024 buffer from the first block to the
+    # last, and the call's peak stays below 2 MiB (the dense 4160 x 1025
+    # logs would take 34 MB; measured 1.0 MB, of which about 130 bytes per
+    # point are the far series' per-point arrays)
+    differences, buffers, held = operators._differences, set(), []
+
+    def counting(xb, bps, out):
+        buffers.add(id(out.base))
+        held.append(tracemalloc.get_traced_memory()[0])
+        return differences(xb, bps, out)
+
+    monkeypatch.setattr(operators, "_differences", counting)
+    tracemalloc.start()
+    try:
+        hilbert(f, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(held) > 1 and len(buffers) == 1
+    assert max(held) - min(held) < 64 * 1024 * 8, held
+    assert peak < 2 * 1024 * 1024, peak
 
 
 # -- sups over levels and over a family of functions -----------------------------

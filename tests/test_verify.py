@@ -69,12 +69,12 @@ def test_out_of_hypothesis_verdicts_are_abstentions():
 def test_block_bound_applies_each_operator_once_per_block(monkeypatch):
     # both parameter points of claim 3.1 give the same canonical block at
     # every scale, so each operator runs once per block, not once per
-    # (block, point).  hilbert and the maximal leg run once per scale, and
-    # so does dirichlet_sn, on the panels off the lattice Z/4.  The lattice
-    # cells of all 13 blocks go to one kernel call of 13 rows (each block
-    # is its own mirror).  S_N and H_eps run once per level, on a family of
-    # 13 rows, one per scale: 41 N levels and 33 eps levels, where one run
-    # per scale would be 13 x 41 and 13 x 33
+    # (block, point).  The maximal leg runs once per scale, and so does
+    # dirichlet_sn, on the panels off the lattice Z/4.  The lattice cells of
+    # all 13 blocks go to one kernel call of 13 rows (each block is its own
+    # mirror), and so do hilbert's values on the scale-0 grid.  S_N and H_eps
+    # run once per level, on a family of 13 rows, one per scale: 41 N levels
+    # and 33 eps levels, where one run per scale would be 13 x 41 and 13 x 33
     a, b = verify._BLOCK_GRID
     for k in range(-6, 7):
         assert make_canonical_block(a, k).data == make_canonical_block(b, k).data
@@ -94,8 +94,14 @@ def test_block_bound_applies_each_operator_once_per_block(monkeypatch):
 
         return fake
 
-    for name in ("hilbert", "dirichlet_sn", "maximal_1d_exact"):
+    for name in ("dirichlet_sn", "maximal_1d_exact"):
         monkeypatch.setattr(verify, name, per_block(name))
+
+    def per_family(bps, values, x):
+        calls.append(("hilbert", len(values)))
+        return np.ones((len(values), x.size))
+
+    monkeypatch.setattr(verify, "_hilbert_rows", per_family)
     monkeypatch.setattr(verify, "_sn_sup", per_level("S_N"))
     monkeypatch.setattr(verify, "_truncated_sup", per_level("H_eps"))
     lattice, kernel = [], verify._sn_error_on_lattice
@@ -109,17 +115,19 @@ def test_block_bound_applies_each_operator_once_per_block(monkeypatch):
     assert lattice == [13]
     assert len(calls) == len(set(calls))
     assert Counter(c[0] for c in calls) == {
-        "hilbert": 13, "dirichlet_sn": 13, "maximal_1d_exact": 13, "S_N": 41, "H_eps": 33,
+        "hilbert": 1, "dirichlet_sn": 13, "maximal_1d_exact": 13, "S_N": 41, "H_eps": 33,
     }
+    assert ("hilbert", 13) in calls
     assert {c[2] for c in calls if len(c) == 3} == {13}
     assert len(rep.verdicts) == 9
 
 
 def test_family_legs_reject_blocks_that_are_not_dilations_of_one_another():
-    # carleson and hilbert_maximal evaluate every block on the scale-0 grid,
-    # which holds only for blocks that 2^-k pulls back to one set of breakpoints
+    # hilbert, carleson and hilbert_maximal evaluate every block on the
+    # scale-0 grid, which holds only for blocks that 2^-k pulls back to one
+    # set of breakpoints
     f = make_canonical_block(verify._BLOCK_GRID[0], 0).data
-    for op in ("carleson", "hilbert_maximal"):
+    for op in ("hilbert", "carleson", "hilbert_maximal"):
         with pytest.raises(ValueError, match="dilations of one another"):
             list(verify._block_values(op, [(f, 0), (f, 1)]))
 
