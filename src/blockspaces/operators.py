@@ -18,23 +18,25 @@ Working sets stay bounded.  The points x breakpoints kernels (S_N, both
 Hilbert forms and `maximal_1d_exact`) run over row blocks of about
 256 KiB per float64 temporary instead of one dense array, so their peak
 memory does not grow with the number of points and each temporary stays
-in cache.  The jump-sum kernels allocate their block buffers once per
-call and reuse them for every block, so the blocks do not fault in fresh
-pages one after another.  The blocks of S_N and H_eps reproduce the dense
-results bit for bit, and every kernel's bits are the same for any BLAS
-thread count.  The lattice maximal
-function filters each window width only over the cells that window can
-reach from the support of |f|.
+in cache.  The S_N and H_eps kernels allocate their block buffers once
+per call and reuse them for every block, so the blocks do not fault in
+fresh pages one after another.  The blocks of S_N and H_eps reproduce the
+dense results bit for bit, and every kernel's bits are the same for any
+BLAS thread count.  The lattice maximal function filters each window
+width only over the cells that window can reach from the support of |f|.
 
-The two sups (`_sn_sup`, `_truncated_sup`) also serve a family of
-functions on shared breakpoints, one row of values per function: each
-block's kernel is built once and multiplied with each row as its own
-matrix-vector product, so every row has the bits of the call on its
-function alone.  They form each block's level-independent part once, the
-differences x - b_j and, for H_eps, every whole piece's log, and run every
-level on it before the next block.  Claim 3.1 evaluates its 13 dilated
-blocks as one such family over the levels of its carleson and
-hilbert_maximal schedules.
+S_N and H_eps each have one kernel (`_sn_rows`, `_truncated_rows`), a
+family over the levels N or eps, which serves both the fixed level
+(`dirichlet_sn`, `hilbert_truncated`: one level) and the sup (`carleson`,
+`hilbert_maximal`: the max of |T f| over the levels).  Each block forms
+its level-independent part once, the differences x - b_j and, for H_eps,
+every whole piece's log, and runs every level on it before the next
+block.  The kernels also serve a family of functions on shared
+breakpoints, one row of values per function: each block's kernel is
+built once and multiplied with each row as its own matrix-vector product,
+so every row has the bits of the call on its function alone.  Claim 3.1
+evaluates its 13 dilated blocks as one such family over the levels of
+its carleson and hilbert_maximal schedules.
 
 The two fixed-N partial-sum integrals, claim 6.3's error norm e(N) and
 claim 3.1's dirichlet_sn leg, evaluate S_N f - f at the Gauss-Legendre
@@ -158,20 +160,21 @@ def _require_pv_clear(f: PiecewiseConstant1D, x: np.ndarray) -> None:
         )
 
 
-def _rowwise(kernel_for, x: np.ndarray, ncols: int, coeffs: np.ndarray, levels=None) -> np.ndarray:
-    """kernel(x) @ c for each row c of coeffs, for a kernel giving one row of ncols per point.
+def _rowwise(kernel_for, x: np.ndarray, ncols: int, coeffs: np.ndarray, levels, sup: bool) -> np.ndarray:
+    """A family of kernels giving one row of ncols per point, times each row c of coeffs.
 
-    The result has one row per row of coeffs.  kernel_for(rows) allocates
-    the kernel's block buffers, once per call, for blocks of at most `rows`
-    points, and returns the kernel, which takes one block of points.  Each
-    block's kernel is built once and multiplied with every row c as the
-    1-D `block @ c`, so each row is equal bit for bit to the dense product
-    for its c alone, whose kernel matrix the blocks never hold at once.
+    kernel_for(rows) allocates the family's block buffers, once per call,
+    for blocks of at most `rows` points, and returns prepare.  prepare(xb)
+    does a block's work that no level changes and returns at, and
+    at(level) is the block's kernel at that level.  Each block runs every
+    level before the next block starts.  With sup the result is max over
+    the levels of |kernel @ c|; without, levels holds one level and the
+    result is kernel @ c.  It has one row per row of coeffs.
 
-    With levels, a family of kernels: kernel(xb) does the block's work that
-    no level changes and returns at, and at(level) is the block's kernel
-    at that level.  The result is then max over the levels of |kernel @ c|,
-    and each block runs every level before the next block starts.
+    Each block's kernel is built once and multiplied with every row c as
+    the 1-D `block @ c`, so each row is equal bit for bit to the dense
+    product for its c alone, whose kernel matrix the blocks never hold at
+    once.
     """
     # OpenBLAS dgemv sums rows in groups of 4, so each row's reduction order
     # is the dense one only if every block starts at a multiple of 4;
@@ -186,17 +189,16 @@ def _rowwise(kernel_for, x: np.ndarray, ncols: int, coeffs: np.ndarray, levels=N
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     bounds = list(zip(starts, starts[1:] + [n]))
-    kernel = kernel_for(max((hi - lo for lo, hi in bounds), default=0))
-    out = np.empty((coeffs.shape[0], n)) if levels is None else np.zeros((coeffs.shape[0], n))
+    prepare = kernel_for(max((hi - lo for lo, hi in bounds), default=0))
+    out = np.zeros((coeffs.shape[0], n))
     for lo, hi in bounds:
-        built = kernel(x[lo:hi])
-        for block in (built,) if levels is None else map(built, levels):
+        for block in map(prepare(x[lo:hi]), levels):
             # one gemv per row: a gemm over all rows would not pin each row's reduction order
             for row, c in zip(out, coeffs):
-                if levels is None:
-                    row[lo:hi] = block @ c
-                else:
+                if sup:
                     np.maximum(row[lo:hi], np.abs(block @ c), out=row[lo:hi])
+                else:
+                    row[lo:hi] = block @ c
     return out
 
 
@@ -207,22 +209,6 @@ def _differences(xb: np.ndarray, bps: np.ndarray, out: np.ndarray) -> np.ndarray
     np.copyto(out, xb[:, None])
     out -= bps
     return out
-
-
-def _jump_sum(f: PiecewiseConstant1D, x: np.ndarray, g) -> np.ndarray:
-    """(1/pi) sum_i v_i (g(x - b_i) - g(x - b_i+1)), summed as (1/pi) sum_j c_j g(x - b_j).
-
-    v_i are f's values and c_j its jump at its breakpoint b_j.  Each block
-    of points x breakpoints differences goes into one buffer allocated per
-    call, and g acts on it elementwise and may overwrite it.
-    """
-    bps, values = _one_row(f)
-
-    def kernel_for(rows):
-        buf = np.empty((rows, bps.size))
-        return lambda xb: g(_differences(xb, bps, buf[: xb.size]))
-
-    return _rowwise(kernel_for, x, bps.size, np.diff(values, prepend=0.0, append=0.0))[0] / math.pi
 
 
 def _one_row(f: PiecewiseConstant1D) -> tuple[np.ndarray, np.ndarray]:
@@ -489,46 +475,27 @@ def hilbert_truncated(f: PiecewiseConstant1D, eps: float, grid) -> np.ndarray:
     x = _as_points(grid)
     if f.is_zero:
         return np.zeros_like(x)
-    bps, values = _one_row(f)
-    prepare_for = _clipped_logs(bps, values.shape[1], levels=False)
-
-    def kernel_for(rows):
-        prepare = prepare_for(rows)
-        return lambda xb: prepare(xb)(eps)
-
-    return _rowwise(kernel_for, x, values.shape[1], values)[0] / math.pi
+    return _truncated_rows(*_one_row(f), [eps], x, sup=False)[0]
 
 
-def _truncated_sup(bps: np.ndarray, values: np.ndarray, levels, x: np.ndarray) -> np.ndarray:
-    """hilbert_maximal of each row of values on the breakpoints bps, over the levels eps.
+def _truncated_rows(bps: np.ndarray, values: np.ndarray, levels, x: np.ndarray, sup: bool = True) -> np.ndarray:
+    """hilbert_truncated of each row of values on the breakpoints bps, at the levels eps.
 
-    Each block of points forms x - b_j and every whole piece's log once; a
-    level only masks, clips its at most two pieces per point and runs the
-    gemvs.  Each row has the bits of max over the levels of |hilbert_truncated|
-    of its function: fl(|g| / pi) is monotone in |g|, so dividing the sup
-    of |g| once gives the sup of the divided values.
+    With sup the max over the levels of its absolute value (hilbert_maximal),
+    without it the one level's value.  Each block of points forms the
+    differences x - b_j and log((x - a) / (x - b)) of every piece [a, b]
+    once; a level copies those logs, puts 0 for the pieces that are not
+    wholly outside [x - eps, x + eps], clips its at most two pieces per
+    point and runs the gemvs.  A sup row has the bits of max over the levels
+    of |hilbert_truncated| of its function: fl(|g| / pi) is monotone in
+    |g|, so dividing the sup of |g| once gives the sup of the divided values.
     """
     pieces = values.shape[1]
-    return _rowwise(_clipped_logs(bps, pieces), x, pieces, values, levels=[float(e) for e in levels]) / math.pi
-
-
-def _clipped_logs(bps: np.ndarray, pieces: int, levels: bool = True):
-    """_rowwise's kernel_for of the truncated Hilbert kernels, a family over eps.
-
-    prepare(xb) forms the differences x - b_j and log((x - a) / (x - b)) of
-    every piece [a, b] once; at(eps) gives that log for the pieces wholly
-    outside [x - eps, x + eps], 0 for the others, plus the clipped logs.
-    Without levels at runs once per block, and the logs are formed in the
-    buffer it returns, which holds one block less in cache.
-    """
     a, b = bps[:-1], bps[1:]
 
     def kernel_for(rows):
-        diffs = np.empty((rows, bps.size))
-        logs = np.empty((rows, pieces))
-        whole_logs = np.empty((rows, pieces)) if levels else logs
-        outside = np.empty((rows, pieces), dtype=bool)
-        beyond = np.empty((rows, pieces), dtype=bool)
+        diffs, whole_logs, logs = np.empty((rows, bps.size)), np.empty((rows, pieces)), np.empty((rows, pieces))
+        meets, other = np.empty((rows, pieces), dtype=bool), np.empty((rows, pieces), dtype=bool)
 
         def prepare(xb):
             n = xb.size
@@ -538,14 +505,15 @@ def _clipped_logs(bps: np.ndarray, pieces: int, levels: bool = True):
                 np.log(logs_of_whole, out=logs_of_whole)
 
             def at(eps):
-                t, whole, other = logs[:n], outside[:n], beyond[:n]
+                t, inside = logs[:n], meets[:n]
                 lo, hi = xb - eps, xb + eps
-                np.less_equal(b, lo[:, None], out=whole)
-                whole |= np.greater_equal(a, hi[:, None], out=other)
-                if levels:
-                    np.copyto(t, logs_of_whole)
-                # log 1 = +0 for the other pieces, as the clipped form gives
-                np.copyto(t, 0.0, where=np.logical_not(whole, out=other))
+                np.copyto(t, logs_of_whole)
+                # log 1 = +0 for the pieces that meet (x - eps, x + eps), as the
+                # clipped form gives.  No piece meets it at a NaN x, so every
+                # piece counts as whole there and its NaN log reaches the sum
+                np.greater(b, lo[:, None], out=inside)
+                inside &= np.less(a, hi[:, None], out=other[:n])
+                np.copyto(t, 0.0, where=inside)
                 # the piece holding x - eps, clipped to [a, x - eps], then the one
                 # holding x + eps, clipped to [x + eps, b]: left + right, in that order
                 k = np.minimum(np.searchsorted(b, lo, side="right"), pieces - 1)
@@ -560,7 +528,7 @@ def _clipped_logs(bps: np.ndarray, pieces: int, levels: bool = True):
 
         return prepare
 
-    return kernel_for
+    return _rowwise(kernel_for, x, pieces, values, [float(e) for e in levels], sup) / math.pi
 
 
 def geometric_schedule(lo: float, hi: float) -> np.ndarray:
@@ -598,7 +566,7 @@ def hilbert_maximal(f: PiecewiseConstant1D, eps_schedule, grid) -> np.ndarray:
     x = _as_points(grid)
     if f.is_zero:
         return np.zeros_like(x)
-    return _truncated_sup(*_one_row(f), levels, x)[0]
+    return _truncated_rows(*_one_row(f), levels, x)[0]
 
 
 def modulate(values, x, N: float) -> np.ndarray:
@@ -617,23 +585,18 @@ def dirichlet_sn(f: PiecewiseConstant1D, N: float, grid) -> np.ndarray:
     x = _as_points(grid)
     if f.is_zero:
         return np.zeros_like(x)
-    scale = 2.0 * math.pi * N
-    return _jump_sum(f, x, lambda d: _si_of_phase(d, scale, d))
+    return _sn_rows(*_one_row(f), [N], x, sup=False)[0]
 
 
-def _si_of_phase(d: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
-    """Si(scale d), the phases scale d written over out."""
-    with np.errstate(over="ignore"):  # an overflowing phase is exact: Si(+-inf) = +-pi/2
-        np.multiply(d, scale, out=out)
-    return sine_integral(out)
+def _sn_rows(bps: np.ndarray, values: np.ndarray, levels, x: np.ndarray, sup: bool = True) -> np.ndarray:
+    """dirichlet_sn of each row of values on the breakpoints bps, at the levels N.
 
-
-def _sn_sup(bps: np.ndarray, values: np.ndarray, levels, x: np.ndarray) -> np.ndarray:
-    """carleson of each row of values on the breakpoints bps: max over the levels N of |S_N f|.
-
-    Each block of points forms x - b_j once; a level only scales them into
-    a second buffer, takes Si and runs the gemvs.  Each row has the bits of
-    max over the levels of |dirichlet_sn| of its function, as in _truncated_sup.
+    With sup the max over the levels of its absolute value (carleson),
+    without it the one level's value: (1/pi) sum_j c_j Si(2 pi N (x - b_j))
+    over the jumps c_j of f at b_j.  Each block of points forms x - b_j
+    once; a level only scales them into a second buffer, takes Si and runs
+    the gemvs.  A sup row has the bits of max over the levels of
+    |dirichlet_sn| of its function, as in _truncated_rows.
     """
     c = np.diff(values, prepend=0.0, append=0.0)
 
@@ -641,13 +604,19 @@ def _sn_sup(bps: np.ndarray, values: np.ndarray, levels, x: np.ndarray) -> np.nd
         diffs, phases = np.empty((rows, bps.size)), np.empty((rows, bps.size))
 
         def prepare(xb):
-            d = _differences(xb, bps, diffs[: xb.size])
-            return lambda scale: _si_of_phase(d, scale, phases[: xb.size])
+            d, t = _differences(xb, bps, diffs[: xb.size]), phases[: xb.size]
+
+            def at(scale):
+                with np.errstate(over="ignore"):  # an overflowing phase is exact: Si(+-inf) = +-pi/2
+                    np.multiply(d, scale, out=t)
+                return sine_integral(t)
+
+            return at
 
         return prepare
 
     scales = [2.0 * math.pi * float(N) for N in levels]
-    return _rowwise(kernel_for, x, bps.size, c, levels=scales) / math.pi
+    return _rowwise(kernel_for, x, bps.size, c, scales, sup) / math.pi
 
 
 #: (|t|, k): from |t| on, k terms of Si's asymptotic series leave a remainder
@@ -915,7 +884,7 @@ def carleson(
     if f.is_zero:
         return np.zeros_like(x)
     bps, row = _one_row(f)
-    values = _sn_sup(bps, row, sched, x)[0]
+    values = _sn_rows(bps, row, sched, x)[0]
     if refine_tolerance is None:
         return values
     for _ in range(max_refinements):
@@ -923,8 +892,9 @@ def carleson(
         # np.setdiff1d(finer, sched): searchsorted finds the one candidate in the sorted sched
         new = _sorted_unique(finer)
         new = new[sched[np.minimum(np.searchsorted(sched, new), sched.size - 1)] != new]
-        refined = np.maximum(values, _sn_sup(bps, row, new, x)[0])
-        delta = float(np.max(refined - values)) if x.size else 0.0
+        refined = np.maximum(values, _sn_rows(bps, row, new, x)[0])
+        # fmax passes over a NaN point's NaN move, so it cannot hold the loop open
+        delta = float(np.fmax.reduce(refined - values, initial=0.0))
         values, sched = refined, finer
         if delta < refine_tolerance:
             break

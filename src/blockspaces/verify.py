@@ -52,8 +52,8 @@ from .operators import (
     _BLOCK_BYTES,
     _hilbert_rows,
     _sn_error_on_lattice,
-    _sn_sup,
-    _truncated_sup,
+    _sn_rows,
+    _truncated_rows,
     carleson,
     dirichlet_sn,
     geometric_schedule,
@@ -192,8 +192,8 @@ def _block_values(op: str, blocks):
                 raise ValueError(f"{op} mirrors its values on even blocks, got a block that is not even")
         x = x0[x0.size // 2 :]
     families = {
-        "carleson": lambda bps, values: _sn_sup(bps, values, geometric_schedule(*_N_SCHEDULE), x),
-        "hilbert_maximal": lambda bps, values: _truncated_sup(bps, values, geometric_schedule(*_EPS_SCHEDULE), x),
+        "carleson": lambda bps, values: _sn_rows(bps, values, geometric_schedule(*_N_SCHEDULE), x),
+        "hilbert_maximal": lambda bps, values: _truncated_rows(bps, values, geometric_schedule(*_EPS_SCHEDULE), x),
         "hilbert": lambda bps, values: _hilbert_rows(bps, values, x),
     }
     if op in families:

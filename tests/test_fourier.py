@@ -224,17 +224,37 @@ def test_carleson_refinement_evaluates_only_inserted_levels(monkeypatch):
     f = chi(1.0, 2.0)
     sched = geometric_schedule(0.25, 64.0)
     x = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
-    calls, sup = [], operators._sn_sup
+    calls, sup = [], operators._sn_rows
 
     def counting_sup(bps, values, levels, x):
         calls.extend(levels)
         return sup(bps, values, levels, x)
 
-    monkeypatch.setattr(operators, "_sn_sup", counting_sup)
+    monkeypatch.setattr(operators, "_sn_rows", counting_sup)
     got = carleson(f, sched, x, refine_tolerance=100.0)
     assert len(calls) == 65 == len(set(calls))
     assert np.array_equal(got, carleson(f, refine_schedule(sched), x))
 
+
+
+def test_a_nan_point_does_not_hold_carleson_refinement_open(monkeypatch):
+    # a NaN point's sup moves by NaN at every doubling, and NaN is below no
+    # tolerance: refinement must stop on the other points as it does
+    # without it, here after one doubling, not run to its cap of 8
+    f = PiecewiseConstant1D((0.0, 1.0, 3.0), (1.0, -2.0))
+    (r,) = carleson(f, [1.0, 2.0], [0.5], refine_tolerance=1e-3)
+    calls, rows = [], operators._sn_rows
+
+    def counting_rows(bps, values, levels, x):
+        calls.append(len(levels))
+        return rows(bps, values, levels, x)
+
+    monkeypatch.setattr(operators, "_sn_rows", counting_rows)
+    for x, want in (([0.5], [r]), ([np.nan, 0.5], [np.nan, r]), ([], [])):
+        calls.clear()
+        got = carleson(f, [1.0, 2.0], x, refine_tolerance=1e-3)
+        assert calls == [2, 1], x
+        np.testing.assert_array_equal(got, want)
 
 def test_carleson_refines_the_sorted_schedule():
     # refinement splits the gaps between neighbouring levels, so their order must not matter

@@ -68,6 +68,25 @@ def test_non_finite_points_give_nan():
         assert np.isnan(got[:3]).all() and got[3] == abs(f(1.5))
 
 
+
+def test_every_operator_gives_nan_at_a_nan_point():
+    # a NaN point reaches every term of each sum and sup, and leaves the
+    # other points' bits alone; the truncated Hilbert forms once counted no
+    # piece as wholly outside [x - eps, x + eps] there and gave 0
+    f = PiecewiseConstant1D((0.0, 1.0, 3.0), (1.0, -2.0))
+    ops = {
+        "hilbert": blockspaces.hilbert,
+        "hilbert_truncated": lambda f, x: blockspaces.hilbert_truncated(f, 0.25, x),
+        "hilbert_maximal": lambda f, x: blockspaces.hilbert_maximal(f, [0.25, 0.5], x),
+        "dirichlet_sn": lambda f, x: blockspaces.dirichlet_sn(f, 2.0, x),
+        "carleson": lambda f, x: blockspaces.carleson(f, [1.0, 2.0], x),
+        "maximal_1d_exact": maximal_1d_exact,
+    }
+    for name, op in ops.items():
+        got = op(f, np.array([np.nan, 0.5]))
+        assert np.isnan(got[0]), name
+        assert got[1:].tobytes() == op(f, np.array([0.5])).tobytes() and got[1] != 0.0, name
+
 @pytest.mark.xfail(
     strict=True,
     reason="FOUND on maximal_1d_exact in CHANGES.md: one ulp right of a breakpoint, a candidate's "

@@ -102,8 +102,8 @@ def test_block_bound_applies_each_operator_once_per_block(monkeypatch):
         return np.ones((len(values), x.size))
 
     monkeypatch.setattr(verify, "_hilbert_rows", per_family)
-    monkeypatch.setattr(verify, "_sn_sup", per_level("S_N"))
-    monkeypatch.setattr(verify, "_truncated_sup", per_level("H_eps"))
+    monkeypatch.setattr(verify, "_sn_rows", per_level("S_N"))
+    monkeypatch.setattr(verify, "_truncated_rows", per_level("H_eps"))
     lattice, kernel = [], verify._sn_error_on_lattice
 
     def counting_kernel(bps, *args):
@@ -165,7 +165,7 @@ def test_mirrored_legs_equal_the_full_grid_bit_for_bit():
         for (f, k), (row, _, _) in zip(blocks, verify._block_values("hilbert", blocks), strict=True):
             assert row.tobytes() == hilbert(f, np.ldexp(x0, k)).tobytes(), (params, k)
         bps = np.asarray(blocks[ks.index(0)][0].breakpoints)
-        want = verify._sn_sup(bps, np.array([f.values for f, _ in blocks]), N, x0)
+        want = verify._sn_rows(bps, np.array([f.values for f, _ in blocks]), N, x0)
         for (row, _, _), expected, k in zip(verify._block_values("carleson", blocks), want, ks, strict=True):
             assert row.tobytes() == expected.tobytes(), (params, k)
 
