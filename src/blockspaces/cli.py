@@ -115,7 +115,10 @@ def parse_grid(text: str) -> np.ndarray:
             raise InputError(f"grid count must be an integer, got {parts[2]!r}") from exc
         if count < 1:
             raise InputError(f"grid count must be >= 1, got {count}")
-        return np.linspace(a, b, count)
+        try:
+            return np.linspace(a, b, count)
+        except MemoryError as exc:
+            raise InputError(f"--grid count {count} is more points than memory holds") from exc
     return np.asarray([_parse_number(t) for t in text.split(",")], dtype=float)
 
 

@@ -28,15 +28,16 @@ width only over the cells that window can reach from the support of |f|.
 S_N and H_eps each have one kernel (`_sn_rows`, `_truncated_rows`), a
 family over the levels N or eps, which serves both the fixed level
 (`dirichlet_sn`, `hilbert_truncated`: one level) and the sup (`carleson`,
-`hilbert_maximal`: the max of |T f| over the levels).  Each block forms
-its level-independent part once, the differences x - b_j and, for H_eps,
-every whole piece's log, and runs every level on it before the next
-block.  The kernels also serve a family of functions on shared
-breakpoints, one row of values per function: each block's kernel is
-built once and multiplied with each row as its own matrix-vector product,
-so every row has the bits of the call on its function alone.  Claim 3.1
-evaluates its 13 dilated blocks as one such family over the levels of
-its carleson and hilbert_maximal schedules.
+`hilbert_maximal`: the max of |T f| over the levels).  Each block of H_eps
+forms its level-independent part once, the differences x - b_j and every
+whole piece's log, and runs every level on it before the next block; a
+block of S_N forms x - b_j again for each level, in its one buffer.  The
+kernels also serve a family of functions on shared breakpoints, one row
+of values per function: each block's kernel is built once and multiplied
+with each row as its own matrix-vector product, so every row has the
+bits of the call on its function alone.  Claim 3.1 evaluates its 13
+dilated blocks as one such family over the levels of its carleson and
+hilbert_maximal schedules.
 
 The two fixed-N partial-sum integrals, claim 6.3's error norm e(N) and
 claim 3.1's dirichlet_sn leg, evaluate S_N f - f at the Gauss-Legendre
@@ -45,7 +46,7 @@ nodes of the cells of width 1/(4N) of the lattice Z/(4N)
 call.  There every Si phase is a quarter turn times an integer m plus a
 fixed offset per node and per fractional part d of 4N b_j, so
 R(t) = Si(t) - sgn(t) pi/2 is one table over (m, node) per offset,
-computed once per lattice point for every breakpoint of every row with
+computed at a lattice point once for every breakpoint of every row with
 that offset, and each row sums its jumps times windows of the table.  Its
 cos and sin come from four signed entries, so no trig runs per point, and
 f is never cancelled against the limits pi/2.
@@ -244,7 +245,7 @@ def hilbert(f: PiecewiseConstant1D, grid) -> np.ndarray:
     """
     x = _as_points(grid)
     if f.is_zero:
-        return np.zeros_like(x)
+        return np.where(np.isnan(x), np.nan, 0.0)
     if not (isinstance(grid, EvalGrid) and grid.cleared == _clearance(f)):
         _require_pv_clear(f, x)
     return _hilbert_rows(*_one_row(f), x)[0]
@@ -474,7 +475,7 @@ def hilbert_truncated(f: PiecewiseConstant1D, eps: float, grid) -> np.ndarray:
         raise ValueError(f"eps must be positive, got {eps}")
     x = _as_points(grid)
     if f.is_zero:
-        return np.zeros_like(x)
+        return np.where(np.isnan(x), np.nan, 0.0)
     return _truncated_rows(*_one_row(f), [eps], x, sup=False)[0]
 
 
@@ -565,7 +566,7 @@ def hilbert_maximal(f: PiecewiseConstant1D, eps_schedule, grid) -> np.ndarray:
     levels = _levels(eps_schedule, "eps")
     x = _as_points(grid)
     if f.is_zero:
-        return np.zeros_like(x)
+        return np.where(np.isnan(x), np.nan, 0.0)
     return _truncated_rows(*_one_row(f), levels, x)[0]
 
 
@@ -584,7 +585,7 @@ def dirichlet_sn(f: PiecewiseConstant1D, N: float, grid) -> np.ndarray:
         raise ValueError(f"N must be positive, got {N}")
     x = _as_points(grid)
     if f.is_zero:
-        return np.zeros_like(x)
+        return np.where(np.isnan(x), np.nan, 0.0)
     return _sn_rows(*_one_row(f), [N], x, sup=False)[0]
 
 
@@ -593,22 +594,22 @@ def _sn_rows(bps: np.ndarray, values: np.ndarray, levels, x: np.ndarray, sup: bo
 
     With sup the max over the levels of its absolute value (carleson),
     without it the one level's value: (1/pi) sum_j c_j Si(2 pi N (x - b_j))
-    over the jumps c_j of f at b_j.  Each block of points forms x - b_j
-    once; a level only scales them into a second buffer, takes Si and runs
-    the gemvs.  A sup row has the bits of max over the levels of
-    |dirichlet_sn| of its function, as in _truncated_rows.
+    over the jumps c_j of f at b_j.  A level forms x - b_j in the block's
+    one buffer, scales them there, takes Si and runs the gemvs: one
+    subtraction per level costs less than a second buffer of the block's
+    size.  A sup row has the bits of max over the levels of |dirichlet_sn|
+    of its function, as in _truncated_rows.
     """
     c = np.diff(values, prepend=0.0, append=0.0)
 
     def kernel_for(rows):
-        diffs, phases = np.empty((rows, bps.size)), np.empty((rows, bps.size))
+        phases = np.empty((rows, bps.size))
 
         def prepare(xb):
-            d, t = _differences(xb, bps, diffs[: xb.size]), phases[: xb.size]
-
             def at(scale):
+                t = _differences(xb, bps, phases[: xb.size])
                 with np.errstate(over="ignore"):  # an overflowing phase is exact: Si(+-inf) = +-pi/2
-                    np.multiply(d, scale, out=t)
+                    t *= scale
                 return sine_integral(t)
 
             return at
@@ -707,13 +708,15 @@ def _sn_error_on_lattice(
     With 4N b_j = n_j + d_j exactly, n_j an integer and 0 <= d_j < 1, every
     phase is t_j = (pi/2) (m + a_k), m = l - n_j and a_k = (1 + t_k)/2 - d_j.
     So R(t_j) / pi is one table over (m, k) per offset d_j, shared by every
-    breakpoint of every row with that offset: per chunk, a table covers the
-    union of the windows [lo - n_j, hi - n_j) of its breakpoints, up to two
-    chunks wide.  The jumps of all rows go by offset, then by window, so
-    each table is built once per chunk, and each row sums its c_j
-    table[window_j] in the order of its own (d_j, -n_j).  The two tables
-    used last are kept, and a new table copies the columns it shares with
-    one of them (the next chunk's windows overlap this chunk's).
+    breakpoint of every row with that offset.  The jumps of all rows go by
+    offset, then by window [lo - n_j, hi - n_j), ascending, and each row
+    sums its c_j table[window_j] in the order of its own (d_j, -n_j).  The
+    call holds one table, of two chunks: a window it does not hold starts a
+    span, which the next windows of its offset join while they overlap or
+    touch it and it stays at most two chunks wide.  A span that starts
+    inside the held one of its offset (the next chunk's windows overlap
+    this chunk's) shifts the columns they share to the front and computes
+    only the rest.
     cos t_j and sin t_j are +-cos or +-sin of (pi/2) a_k, by m mod 4, and no
     trig runs per point (see _r_table for the series).
 
@@ -753,55 +756,33 @@ def _sn_error_on_lattice(
     k = nodes.size
     err = np.empty((len(bps), k, width))
     work = [np.empty((k, width)) for _ in range(3)]
-    tables = []  # (d_j, m0, m1, R over [m0, m1)) for the two tables used last, the older first
-
-    def table_from(d, m0: int, m1: int) -> np.ndarray:
-        """A table of offset d whose first column is m0 and which reaches m1."""
-        for i, (od, o0, o1, table) in enumerate(tables):
-            if od == d and o0 <= m0 and m1 <= o1:
-                tables.append(tables.pop(i))
-                return table[:, m0 - o0 :]
-        # a table that holds [m0, o1) already has those values, which depend on m alone
-        held = next((t for t in tables if t[0] == d and t[1] <= m0 < t[2]), None)
-        if len(tables) < 2:
-            table = np.empty((k, 2 * width))
-        else:
-            table = tables.pop(next(i for i, t in enumerate(tables) if t is not held))[3]
-        start = m0
-        if held is not None:
-            _, o0, start, old = held
-            table[:, : start - m0] = old[:, m0 - o0 : start - o0]
-        _r_table(*phases[d], start, table[:, start - m0 : m1 - m0], work)
-        tables.append((d, m0, m1, table))
-        return table
-
+    table, held = np.empty((k, 2 * width)), (None, 0, 0)  # table[:, : m1 - m0] is R over [m0, m1) of offset d
     for lo in range(first, first + panels, width):
         cells = min(width, first + panels - lo)
         out = err[:, :, :cells]
         out.fill(0.0)
-        span = _spans([(d, lo - n) for _, n, _, d in jumps], cells, 2 * width)
-        for row, n, cj, d in jumps:
-            m0, m1 = span[d, lo - n]
-            window = table_from(d, m0, m1)[:, lo - n - m0 : lo - n - m0 + cells]
+        for i, (row, n, cj, d) in enumerate(jumps):
+            start = lo - n
+            hd, m0, m1 = held
+            if not (hd == d and m0 <= start and start + cells <= m1):
+                # a new span from this window: the next windows of offset d, ascending, join
+                # it while they overlap or touch it and it stays at most two chunks wide
+                stop = start + cells
+                for _, n_next, _, d_next in jumps[i + 1 :]:
+                    if d_next != d or lo - n_next > stop or lo - n_next + cells - start > 2 * width:
+                        break
+                    stop = lo - n_next + cells
+                # the columns it shares with the held span move to the front: they depend on m alone
+                shared = m1 - start if hd == d and m0 <= start < m1 else 0
+                for r in table:  # row by row, so the overlapping copy needs no temporary
+                    r[:shared] = r[start - m0 : start - m0 + shared]
+                _r_table(*phases[d], start + shared, table[:, shared : stop - start], work)
+                held, m0 = (d, start, stop), start
+            window = table[:, start - m0 : start - m0 + cells]
             if cj != 1.0:  # into a work buffer, which _r_table is done with
                 window = np.multiply(window, cj, out=work[0][:, :cells])
             out[row] += window
         yield lo, out
-
-
-def _spans(windows, size: int, cap: int) -> dict:
-    """(d, start) -> (m0, m1): the span [m0, m1) that holds the window [start, start + size) of offset d.
-
-    Each offset's windows, in ascending order, join the span before them
-    while they overlap or touch it and it stays at most cap wide.
-    """
-    spans, span = {}, None
-    for d, start in sorted(set(windows)):
-        if span is None or span[0] != d or start > span[2] or start + size - span[1] > cap:
-            span = [d, start, start + size]
-        span[2] = start + size
-        spans[d, start] = span
-    return {key: (m0, m1) for key, (_, m0, m1) in spans.items()}
 
 
 def _spectral_hilbert(samples: np.ndarray) -> np.ndarray:
@@ -882,7 +863,7 @@ def carleson(
     sched = _levels(N_schedule, "N")  # sorted: refine_schedule splits the gaps between neighbours
     x = _as_points(grid)
     if f.is_zero:
-        return np.zeros_like(x)
+        return np.where(np.isnan(x), np.nan, 0.0)
     bps, row = _one_row(f)
     values = _sn_rows(bps, row, sched, x)[0]
     if refine_tolerance is None:

@@ -524,6 +524,9 @@ _APPLY = ["apply", "--input", "{i12}", "--op", "maximal"]
         (_APPLY + ["--grid", "1:2"], 2, {}, "error: --grid wants a:b:count"),
         (_APPLY + ["--grid", "0:1:x"], 2, {}, "error: grid count must be an integer"),
         (_APPLY + ["--grid", "0:1:0"], 2, {}, "error: grid count must be >= 1"),
+        # 10^14 points are 728 TiB, past the 128 TiB user address space, so
+        # the allocation fails at once under any overcommit setting
+        (_APPLY + ["--grid", "0:1:100000000000000"], 2, {}, "error: --grid count 100000000000000"),
         (["norm", "--params", "1,1,2,0"], 2, {}, "required: --input"),
         (["norm", "--input", "missing.json", "--params", "1,1,2,0"], 2, {}, "error: cannot read"),
         (["apply", "--input", "{i12}", "--grid", "0:1:3"], 2, {}, "required: --op"),
@@ -543,7 +546,7 @@ _APPLY = ["apply", "--input", "{i12}", "--op", "maximal"]
         (["norm", "--input", "{sub}", "--params", "1,1/2,2,-3/2"], 4, {}, "numerical error: "),
     ],
     ids=[
-        "grid-two-fields", "grid-count-not-integer", "grid-count-zero", "no-input",
+        "grid-two-fields", "grid-count-not-integer", "grid-count-zero", "grid-count-unallocatable", "no-input",
         "unreadable-input", "apply-no-op", "apply-no-grid", "verify-no-theorem", "sweep-no-op",
         "e-of-N-no-input", "grid-comma-list", "out-with-extension", "homogeneous-alpha-minus-1",
         "lambda-underflows", "upper-bound-lambda-underflows", "norm-overflows",

@@ -308,9 +308,9 @@ def test_partial_sums_commute_with_dyadic_dilation(seed, j):
 GL_NODES = _gl_rule(_E_NODES)[0]
 
 
-def lattice_kernel(bps, values, N, first, panels):
+def lattice_kernel(bps, values, N, first, panels, width=None):
     """The kernel's values of each row over all its chunks, as a (rows x panels x nodes) array."""
-    chunks = _sn_error_on_lattice(np.atleast_2d(bps), np.atleast_2d(values), N, first, panels, GL_NODES)
+    chunks = _sn_error_on_lattice(np.atleast_2d(bps), np.atleast_2d(values), N, first, panels, GL_NODES, width)
     return np.concatenate([err.copy() for _, err in chunks], axis=2).transpose(0, 2, 1)
 
 
@@ -386,6 +386,22 @@ def test_lattice_value_is_the_value_alone(case, data):
     ends = [first, *cuts, first + panels]
     parts = [lattice_kernel(f.breakpoints, f.values, N, lo, hi - lo)[0] for lo, hi in zip(ends, ends[1:])]
     assert np.array_equal(bits(np.concatenate(parts)), bits(alone))
+
+
+@pytest.mark.parametrize("N, width", [(48.0, 64), (1.0, 3)])
+@pytest.mark.parametrize(
+    "f", [chi(0.25, 0.5), PiecewiseConstant1D([0.25, 0.3, 0.5], [1.0, -2.0])], ids=["one-offset", "two-offsets"]
+)
+def test_narrow_chunks_keep_the_lattice_bits(f, N, width):
+    # narrow chunks over 1000 cells reach every way the kernel shares its
+    # table: at N = 48 the jumps of chi[1/4, 1/2] are 48 cells apart, so its
+    # table is built afresh, shifts the columns a new span shares with it and
+    # fills the rest, and holds a later chunk's window whole; at N = 1 chunks
+    # of 3 cells bring windows that end one column past the table; a second
+    # offset builds a table per offset and chunk.  Every value is the
+    # default width's, bit for bit
+    wide = lattice_kernel(f.breakpoints, f.values, N, 1, 1000)
+    assert np.array_equal(bits(lattice_kernel(f.breakpoints, f.values, N, 1, 1000, width=width)), bits(wide))
 
 
 @pytest.mark.parametrize("nodes", [4, 8, 16, 24])

@@ -72,8 +72,8 @@ def test_non_finite_points_give_nan():
 def test_every_operator_gives_nan_at_a_nan_point():
     # a NaN point reaches every term of each sum and sup, and leaves the
     # other points' bits alone; the truncated Hilbert forms once counted no
-    # piece as wholly outside [x - eps, x + eps] there and gave 0
-    f = PiecewiseConstant1D((0.0, 1.0, 3.0), (1.0, -2.0))
+    # piece as wholly outside [x - eps, x + eps] there and gave 0, and every
+    # operator but maximal_1d_exact gave 0 there for the zero function
     ops = {
         "hilbert": blockspaces.hilbert,
         "hilbert_truncated": lambda f, x: blockspaces.hilbert_truncated(f, 0.25, x),
@@ -82,10 +82,13 @@ def test_every_operator_gives_nan_at_a_nan_point():
         "carleson": lambda f, x: blockspaces.carleson(f, [1.0, 2.0], x),
         "maximal_1d_exact": maximal_1d_exact,
     }
-    for name, op in ops.items():
-        got = op(f, np.array([np.nan, 0.5]))
-        assert np.isnan(got[0]), name
-        assert got[1:].tobytes() == op(f, np.array([0.5])).tobytes() and got[1] != 0.0, name
+    nonzero = PiecewiseConstant1D((0.0, 1.0, 3.0), (1.0, -2.0))
+    for f in (nonzero, PiecewiseConstant1D.zero(), PiecewiseConstant1D((0, 1), (0,))):
+        for name, op in ops.items():
+            got = op(f, np.array([np.nan, 0.5]))
+            assert np.isnan(got[0]), name
+            assert got[1:].tobytes() == op(f, np.array([0.5])).tobytes(), name
+            assert (got[1] != 0.0) == (f is nonzero), name
 
 @pytest.mark.xfail(
     strict=True,
