@@ -365,6 +365,21 @@ def test_partial_sum_error_norm_streams_its_lattice_tables():
     assert peak < 3.25 * 1024 * 1024, peak
 
 
+def test_e_panels_form_their_lattice_edges_per_chunk(monkeypatch):
+    # e(1024) has 4N x_max = 1M lattice cells per side: each _lattice_edges
+    # call forms at most one chunk's 8193 edges, never all 1M + 1, and the
+    # split cells come back as a few sorted indices, not a (2, 1M) cell mask
+    f, params = PiecewiseConstant1D.indicator(0.25, 0.5), WeightParams(1, 1.0, 2.0, -0.5)
+    edges, panels = [], verify._lattice_panels(f.breakpoints, 1024.0, verify._X_MAX, 1)
+    lattice_edges = verify._lattice_edges
+    monkeypatch.setattr(verify, "_lattice_edges", lambda ls, *args: edges.append(ls.size) or lattice_edges(ls, *args))
+    partial_sum_error_norm(f, params, 1024.0)
+    assert panels[1] == 1024 * 1024
+    assert edges and max(edges) <= 8193, max(edges)
+    for cells in panels[2]:
+        assert cells.dtype.kind == "i" and 0 < cells.size < 16 and np.all(np.diff(cells) > 0), cells
+
+
 def test_sn_leg_memory_is_bounded():
     # claim 3.1's dirichlet_sn leg: one lattice kernel call of 13 rows in
     # chunks of 1024 cells, 8 nodes each, measured 2.43 MiB.  dirichlet_sn on
