@@ -116,8 +116,22 @@ def _shell_coefficients(
     for k in ks:
         norm_s = _shell_norm(f, k, restrict_type, params.s)
         if norm_s is not None:
-            out.append((k, DyadicAnnulus(k).ball_measure ** params.block_coefficient_exponent * norm_s))
+            out.append((k, _shell_coefficient(k, params.block_coefficient_exponent, norm_s)))
     return out
+
+
+def _shell_coefficient(k: int, exponent: float, norm_s: float) -> float:
+    """lambda_k = |B_k|^exponent norm_s.
+
+    Near k = -1074 with exponent < 0, |B_k|^exponent = 2^((k + 1) exponent)
+    overflows while norm_s is tiny; only there the power of each half of
+    2^(k + 1), ldexp(1, j) and ldexp(1, k + 1 - j), scales norm_s in turn.
+    """
+    try:
+        return DyadicAnnulus(k).ball_measure ** exponent * norm_s
+    except OverflowError:
+        j = (k + 1) // 2
+        return math.ldexp(1.0, j) ** exponent * (math.ldexp(1.0, k + 1 - j) ** exponent * norm_s)
 
 
 def _shell_terms(

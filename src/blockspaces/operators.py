@@ -30,14 +30,27 @@ family over the levels N or eps, which serves both the fixed level
 (`dirichlet_sn`, `hilbert_truncated`: one level) and the sup (`carleson`,
 `hilbert_maximal`: the max of |T f| over the levels).  Each block of H_eps
 forms its level-independent part once, the differences x - b_j and every
-whole piece's log, and runs every level on it before the next block; a
-block of S_N forms x - b_j again for each level, in its one buffer.  The
+whole piece's log, and runs every level on it before the next block, the
+last level masking the logs in place; a block of S_N forms x - b_j again
+for each level, in its one buffer.  The
 kernels also serve a family of functions on shared breakpoints, one row
 of values per function: each block's kernel is built once and multiplied
 with each row as its own matrix-vector product, so every row has the
 bits of the call on its function alone.  Claim 3.1 evaluates its 13
 dilated blocks as one such family over the levels of its carleson and
 hilbert_maximal schedules.
+
+S_N f is band-limited, so `dirichlet_sn` may take it at few points
+instead of many.  An explicit bound on the Chebyshev interpolant of an
+entire function of exponential type 2 pi N (_sn_degree) gives, from the
+span of the finite points alone, the least degree n that meets
+2^-53 sum_j |c_j|.  Where (n + 1)(points + 4 breakpoints) <= points x
+breakpoints, `_sn_rows` runs at the n + 1 Chebyshev points of the span
+and the barycentric formula gives every finite point
+(_sn_interpolated); elsewhere `_sn_rows` runs at every point.  So a
+routed value depends on the span of its grid, within the bound plus
+rounding of the direct value.  `carleson` and the lattice kernel below
+are not routed.
 
 The two fixed-N partial-sum integrals, claim 6.3's error norm e(N) and
 claim 3.1's dirichlet_sn leg, evaluate S_N f - f at the Gauss-Legendre
@@ -485,17 +498,21 @@ def _truncated_rows(bps: np.ndarray, values: np.ndarray, levels, x: np.ndarray, 
     With sup the max over the levels of its absolute value (hilbert_maximal),
     without it the one level's value.  Each block of points forms the
     differences x - b_j and log((x - a) / (x - b)) of every piece [a, b]
-    once; a level copies those logs, puts 0 for the pieces that are not
-    wholly outside [x - eps, x + eps], clips its at most two pieces per
-    point and runs the gemvs.  A sup row has the bits of max over the levels
-    of |hilbert_truncated| of its function: fl(|g| / pi) is monotone in
-    |g|, so dividing the sup of |g| once gives the sup of the divided values.
+    once; a level copies those logs (the last level masks them in place),
+    puts 0 for the pieces that are not wholly outside [x - eps, x + eps],
+    clips its at most two pieces per point and runs the gemvs.  A sup row
+    has the bits of max over the levels of |hilbert_truncated| of its
+    function: fl(|g| / pi) is monotone in |g|, so dividing the sup of |g|
+    once gives the sup of the divided values.
     """
     pieces = values.shape[1]
     a, b = bps[:-1], bps[1:]
+    levels = [float(e) for e in levels]
+    last = len(levels) - 1
 
     def kernel_for(rows):
-        diffs, whole_logs, logs = np.empty((rows, bps.size)), np.empty((rows, pieces)), np.empty((rows, pieces))
+        diffs, whole_logs = np.empty((rows, bps.size)), np.empty((rows, pieces))
+        logs = np.empty((rows, pieces)) if last else None  # one level needs no copy
         meets, other = np.empty((rows, pieces), dtype=bool), np.empty((rows, pieces), dtype=bool)
 
         def prepare(xb):
@@ -505,10 +522,14 @@ def _truncated_rows(bps: np.ndarray, values: np.ndarray, levels, x: np.ndarray, 
                 np.divide(d[:, :-1], d[:, 1:], out=logs_of_whole)
                 np.log(logs_of_whole, out=logs_of_whole)
 
-            def at(eps):
-                t, inside = logs[:n], meets[:n]
+            def at(level):
+                index, eps = level
+                inside = meets[:n]
                 lo, hi = xb - eps, xb + eps
-                np.copyto(t, logs_of_whole)
+                t = logs_of_whole
+                if index < last:  # a later level reads the logs again
+                    t = logs[:n]
+                    np.copyto(t, logs_of_whole)
                 # log 1 = +0 for the pieces that meet (x - eps, x + eps), as the
                 # clipped form gives.  No piece meets it at a NaN x, so every
                 # piece counts as whole there and its NaN log reaches the sum
@@ -529,7 +550,7 @@ def _truncated_rows(bps: np.ndarray, values: np.ndarray, levels, x: np.ndarray, 
 
         return prepare
 
-    return _rowwise(kernel_for, x, pieces, values, [float(e) for e in levels], sup) / math.pi
+    return _rowwise(kernel_for, x, pieces, values, list(enumerate(levels)), sup) / math.pi
 
 
 def geometric_schedule(lo: float, hi: float) -> np.ndarray:
@@ -580,13 +601,142 @@ def dirichlet_sn(f: PiecewiseConstant1D, N: float, grid) -> np.ndarray:
 
     S_N f(x) = (1/pi) sum_i v_i (Si(2 pi N (x - b_i)) - Si(2 pi N (x - b_i+1))).
     Entire in x, so breakpoints are admissible abscissae.
+
+    S_N f is entire of exponential type 2 pi N, so on the span
+    [c - h, c + h] of the finite points a Chebyshev interpolant of low
+    degree meets it to 2^-53 sum_j |c_j| over the jumps c_j of f.  The
+    least such degree n comes from an explicit bound (_sn_degree), before
+    any value is taken.  Where (n + 1)(points + 4 breakpoints) <= points x
+    breakpoints (_sn_nodes), S_N f is taken by the direct kernel at the
+    n + 1 Chebyshev points of the second kind and interpolated at the
+    finite points by the barycentric formula (_sn_interpolated); a point
+    on a node takes that node's value, and a non-finite point its value
+    from the direct kernel.  Every other call is the direct kernel
+    (_sn_rows) at every point.  A routed value depends on the span of its
+    grid, not on its point alone: within the bound plus rounding it is the
+    direct kernel's value, not its bits.  Scaling f's breakpoints and the
+    grid by 2^k and N by 2^-k keeps the bits while every number stays normal.
     """
     if not N > 0:
         raise ValueError(f"N must be positive, got {N}")
     x = _as_points(grid)
     if f.is_zero:
         return np.where(np.isnan(x), np.nan, 0.0)
-    return _sn_rows(*_one_row(f), [N], x, sup=False)[0]
+    bps, values = _one_row(f)
+    finite = np.isfinite(x)
+    xf = x if finite.all() else x[finite]  # no copy of a finite grid
+    route = _sn_nodes(bps, values[0], N, xf)
+    if route is None:
+        return _sn_rows(bps, values, [N], x, sup=False)[0]
+    out = np.empty(x.size)
+    out[finite] = _sn_interpolated(bps, values, N, xf, *route)
+    if xf.size < x.size:
+        out[~finite] = _sn_rows(bps, values, [N], x[~finite], sup=False)[0]
+    return out
+
+
+#: log rho of the Bernstein ellipses _sn_degree tries, 2^(i/16) from 2^-8 to
+#: 2^9: below, rho - 1 < 0.004 needs degrees past any routed call; above,
+#: cosh(log rho) nears the float range
+_LOG_RHO = np.exp2(np.arange(-128, 145) / 16.0)
+
+
+def _sn_degree(bps: np.ndarray, c: np.ndarray, N: float, center: float, half: float) -> float:
+    """The least degree n whose Chebyshev interpolant of S_N f on [center - half, center + half] is within 2^-53 sum |c_j|.
+
+    In z = (x - center) / half, S_N f = (1/pi) sum_j c_j Si(sigma (center -
+    b_j + half z)), sigma = 2 pi N, is entire.  On the Bernstein ellipse
+    E_rho, whose semi-axes are a = cosh(log rho) and b = sinh(log rho),
+    |z| <= a and |Im z| <= b; with |Si(w)| <= |w| e^|Im w| this gives
+    |S_N f| <= M_rho = (sigma / pi) sum_j |c_j| (half a + |center - b_j|) e^(sigma half b).
+    The interpolant in the n + 1 Chebyshev points of the second kind is
+    then within 4 M_rho rho^-n / (rho - 1) of S_N f on [-1, 1] (Trefethen,
+    Approximation Theory and Approximation Practice, Thm 8.2).  The result
+    is the least n >= 1 for which one rho of _LOG_RHO puts this at most
+    2^-53 sum_j |c_j|, and inf (or NaN) where none does.
+    """
+    w = np.abs(c)
+    w /= w.max()  # the bound is linear in the |c_j|: scaled, they cannot overflow
+    spread = float(w @ np.abs(center - bps)) / float(w.sum())  # sum |c_j| |center - b_j| / sum |c_j|
+    sigma = 2.0 * math.pi * N
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_bound = (
+            math.log(4.0 * sigma / math.pi)
+            + np.log(half * np.cosh(_LOG_RHO) + spread)
+            + sigma * half * np.sinh(_LOG_RHO)
+            - np.log(np.expm1(_LOG_RHO))
+        )
+        # np.maximum keeps a NaN, which the dispatch rule then rejects
+        return float(np.maximum(np.min(np.ceil((log_bound + 53.0 * math.log(2.0)) / _LOG_RHO)), 1.0))
+
+
+def _sn_nodes(bps: np.ndarray, values: np.ndarray, N: float, x: np.ndarray) -> tuple | None:
+    """(center, half, n) of the interpolation route for S_N f at the finite points x, or None for the direct kernel.
+
+    The route takes (n + 1) x breakpoints Si arguments at the nodes and
+    points x (n + 1) barycentric terms, the direct kernel points x
+    breakpoints Si arguments.  Weighing a barycentric term as a quarter of
+    an Si argument, which it costs at most (about 2.7 ns against 14-40 ns),
+    the route runs where its cost is at most a quarter of the direct
+    kernel's, which leaves room for its fixed cost of about 0.1 ms:
+    (n + 1)(points + 4 breakpoints) <= points x breakpoints, that is
+    n + 1 <= 1 / (1/breakpoints + 4/points), below both breakpoints and
+    points / 4.  Every measured shape that met the rule ran in at most
+    0.67 of the direct time (README, "Performance and memory").
+    """
+    points, size = x.size, bps.size
+    if not 2 * (points + 4 * size) <= points * size:  # not even n = 1 meets the rule
+        return None
+    lo, hi = float(x.min()), float(x.max())
+    center, half = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
+    if not half > 0.0:
+        return None
+    n = _sn_degree(bps, np.diff(values, prepend=0.0, append=0.0), N, center, half)
+    if not (n + 1) * (points + 4 * size) <= points * size:  # False for an infinite or NaN n
+        return None
+    return center, half, int(n)
+
+
+def _sn_interpolated(bps: np.ndarray, values: np.ndarray, N: float, x: np.ndarray, center: float, half: float, n: int):
+    """S_N f at the finite points x by its interpolant in the n + 1 Chebyshev points of [center - half, center + half].
+
+    The nodes are z_k = sin(pi (2k - n) / 2n), ascending and exactly odd
+    (z_(n-k) = -z_k), and S_N f is taken by _sn_rows at center + half z_k.
+    Each point maps to z = (x - center) / half and takes the barycentric
+    formula of the second kind, sum_k q_k S_k / sum_k q_k with
+    q_k = w_k / (z - z_k), w_k = (-1)^k halved at both ends (Berrut and
+    Trefethen, "Barycentric Lagrange Interpolation", SIAM Review 2004); a
+    point whose sums are not finite lies on a node, or within an underflow
+    of one, and takes that node's value.  The data are taken at the
+    rounded nodes and the formula in z with the exact z_k, so rounding a
+    node costs what rounding a point costs the direct kernel.  The sums are
+    _rowwise's gemvs with the rows S_k and 1, over 64-aligned row blocks
+    of about _BLOCK_BYTES in one buffer.
+    """
+    k = np.arange(n + 1)
+    z = np.sin((0.5 * math.pi) * (2 * k - n) / n)
+    s = _sn_rows(bps, values, [N], center + half * z, sup=False)[0]
+    w = np.where(k % 2, -1.0, 1.0)
+    w[[0, -1]] *= 0.5
+
+    def kernel_for(rows):
+        buf = np.empty((rows, n + 1))
+
+        def prepare(xb):
+            def at(_):
+                return np.divide(w, _differences((xb - center) / half, z, buf[: xb.size]), out=buf[: xb.size])
+
+            return at
+
+        return prepare
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a point on a node, mended below
+        num, den = _rowwise(kernel_for, x, n + 1, np.stack([s, np.ones(n + 1)]), [None], sup=False)
+        out = num / den
+    on_node = np.flatnonzero(~np.isfinite(out))
+    if on_node.size:
+        out[on_node] = s[nearest_breakpoint((x[on_node] - center) / half, z)[0]]
+    return out
 
 
 def _sn_rows(bps: np.ndarray, values: np.ndarray, levels, x: np.ndarray, sup: bool = True) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Bounded working sets: the row-blocked kernels and the streamed e(N).
 
-dirichlet_sn and hilbert_truncated evaluate their points x breakpoints
-kernels over row blocks.  Each must equal the dense `kernel @ coeffs` bit
+The direct S_N kernel (operators._sn_rows, which dirichlet_sn runs unless
+it routes a call through its Chebyshev interpolant) and hilbert_truncated
+evaluate their points x breakpoints kernels over row blocks.  Each must equal the dense `kernel @ coeffs` bit
 for bit, and each row of the sups over a family of functions on shared
 breakpoints must equal the calls on its function alone.  The dense product
 is itself thread-dependent on large matrices (OpenBLAS splits the rows
@@ -126,8 +127,13 @@ def dense(tmp_path_factory):
     return out
 
 
+def direct_sn(f, N, x):
+    """dirichlet_sn by the direct kernel at every point, which its interpolation route bypasses."""
+    return operators._sn_rows(*operators._one_row(f), [N], x, sup=False)[0]
+
+
 KERNELS = {
-    "dirichlet_sn": lambda f, nb, x: dirichlet_sn(f, FREQUENCY[nb], x),
+    "dirichlet_sn": lambda f, nb, x: direct_sn(f, FREQUENCY[nb], x),
     "hilbert": lambda f, nb, x: hilbert(f, x),
     "hilbert_truncated": lambda f, nb, x: hilbert_truncated(f, EPS, x),
 }
@@ -146,6 +152,36 @@ def test_blocked_kernel_equals_dense_product(op, nb, dense):
             assert np.all(np.abs(got - want) <= budget), f"{nb} breakpoints, {size} points"
         else:
             assert np.array_equal(got, want), f"{op}, {nb} breakpoints, {size} points"
+
+
+ROUTED = """
+import sys
+import numpy as np
+from blockspaces import PiecewiseConstant1D, dirichlet_sn
+
+data = np.load(sys.argv[1])
+f = PiecewiseConstant1D(tuple(data["bps"]), tuple(data["v"]))
+np.save(sys.argv[2], np.concatenate([dirichlet_sn(f, float(data["N"]), data[f"x{size}"]) for size in data["sizes"]]))
+"""
+
+
+def test_routed_sn_bits_do_not_depend_on_blas_threads(tmp_path):
+    # dirichlet_sn takes these calls through its Chebyshev interpolant, whose
+    # gemvs run over 64-aligned row blocks as _rowwise's do: one BLAS thread,
+    # two and this process's default give the same bits
+    f, N, sizes = _function(1025), FREQUENCY[1025], (4097, 8193, 32769)
+    bps, v = np.asarray(f.breakpoints), np.asarray(f.values)
+    for size in sizes:
+        assert operators._sn_nodes(bps, v, N, _points(size)) is not None, size
+    np.savez(tmp_path / "in.npz", bps=bps, v=v, N=N, sizes=np.array(sizes), **{f"x{s}": _points(s) for s in sizes})
+    want = np.concatenate([dirichlet_sn(f, N, _points(size)) for size in sizes])
+    for threads in ("1", "2"):
+        subprocess.run(
+            [sys.executable, "-c", ROUTED, str(tmp_path / "in.npz"), str(tmp_path / "out.npy")],
+            env=_env(OPENBLAS_NUM_THREADS=threads),
+            check=True,
+        )
+        assert np.load(tmp_path / "out.npy").tobytes() == want.tobytes(), threads
 
 
 @pytest.mark.parametrize("nb", BREAKPOINTS)
@@ -317,13 +353,15 @@ def test_sup_routes_equal_the_per_level_route(case, rows, N, eps, seed):
     # differences and whole-piece logs once per block and run the levels on
     # them, for every row of a family; each value must have the bits of the
     # sup over one public call per level on its row's function, also where
-    # a point lies on a breakpoint or a phase underflows.  The public calls
-    # are pinned to the dense products by test_blocked_kernel_equals_dense_product
+    # a point lies on a breakpoint or a phase underflows.  The per-level
+    # calls (S_N's direct kernel, which dirichlet_sn may bypass, and
+    # hilbert_truncated) are pinned to the dense products by
+    # test_blocked_kernel_equals_dense_product
     bps, x = case
     values = np.random.default_rng(seed).standard_normal((rows, bps.size - 1))
     N, eps = np.sort(N), np.sort(eps)
     pairs = [
-        (operators._sn_rows(bps, values, N, x), _per_level_sup(dirichlet_sn, N, bps, values, x)),
+        (operators._sn_rows(bps, values, N, x), _per_level_sup(direct_sn, N, bps, values, x)),
         (operators._truncated_rows(bps, values, eps, x), _per_level_sup(hilbert_truncated, eps, bps, values, x)),
     ]
     f = PiecewiseConstant1D(bps, values[0])

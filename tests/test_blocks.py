@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from blockspaces import (
     Block,
-    DyadicAnnulus,
     HypothesisViolation,
     PiecewiseConstant1D,
     WeightParams,
@@ -29,7 +28,7 @@ from blockspaces import (
     validate_block,
     weighted_lp_norm,
 )
-from blockspaces.blocks import _nonhomogeneous_cost, _shell_coefficients, _shell_norm, split_pieces
+from blockspaces.blocks import _nonhomogeneous_cost, _shell_coefficient, _shell_coefficients, _shell_norm, split_pieces
 from strategies import sweep_functions
 
 P0 = WeightParams(1, 1.0, 2.0, 0.0)
@@ -210,7 +209,7 @@ def _total_cost_by_restriction(f, params):
         fk = restrict_to_annulus(f, k)
         if fk.is_zero:
             return None
-        return DyadicAnnulus(k).ball_measure ** params.block_coefficient_exponent * weighted_lp_norm(fk, params.s, 0.0)
+        return _shell_coefficient(k, params.block_coefficient_exponent, weighted_lp_norm(fk, params.s, 0.0))
 
     cost = sum(abs(v) ** params.pbar for v in map(lam, range(0, k_tail, -1)) if v is not None)
     if restrict_to_annulus(f, k_tail).is_zero:
@@ -234,18 +233,24 @@ def _total_cost_by_restriction(f, params):
     s=2.0,
     alpha=-1.0,
 )
+@example(  # |B_k|^-1 = 2^-(k + 1) overflows on the shells k <= -1025 that hold (5e-324, 1]
+    f=PiecewiseConstant1D((5e-324, 1.0), (1.0,)),
+    p=0.5,
+    s=1.0,
+    alpha=-1.0,
+)
 def test_total_cost_is_the_restriction_route_bit_for_bit(f, p, s, alpha):
     params = WeightParams(1, p, s, alpha)
+    assert homogeneous_total_cost(f, params).hex() == _total_cost_by_restriction(f, params).hex()
 
-    def outcome(cost):
-        # a breakpoint near 2^-1074 takes both routes to shells whose
-        # |B_k|^-e overflows: they must raise alike
-        try:
-            return cost(f, params).hex()
-        except OverflowError as err:
-            return repr(err)
 
-    assert outcome(homogeneous_total_cost) == outcome(_total_cost_by_restriction)
+def test_cost_is_finite_where_the_ball_power_overflows():
+    # every shell k = 0..-1073 of (5e-324, 1] has lambda_k = 2^-(k + 1) (2^(k - 1)) = 1/4,
+    # though 2^-(k + 1) itself overflows past k = -1025
+    f, params = PiecewiseConstant1D((5e-324, 1.0), (1.0,)), WeightParams(1, 0.5, 1.0, -1.0)
+    lams = _shell_coefficients(f, params, range(0, -1074, -1), restrict_type=False)
+    assert [lam for _, lam in lams] == [0.25] * 1074
+    assert homogeneous_total_cost(f, params) == _total_cost_by_restriction(f, params) == 537.0
 
 
 @settings(deadline=None, max_examples=100)

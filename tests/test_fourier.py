@@ -563,3 +563,74 @@ def test_partial_sum_integrals_are_per_function():
         for f, row in zip(fs, together):
             alone = _partial_sum_integrals([f], pairs[::-1], 2.0, 8.0, 2, minus_f, 64)[0][::-1]
             assert row.tobytes() == alone.tobytes()
+
+
+# -- dirichlet_sn's interpolation route -------------------------------------------
+
+
+@st.composite
+def routed_cases(draw):
+    """(f, N, x): a seeded step function and points that dirichlet_sn routes through its interpolant.
+
+    100 to 300 breakpoints on [-2, 2] and 600 to 2000 points on a span
+    that may hold all of them, some or none, and may lie far from 0.  Among
+    the points are repeated ones, breakpoints, interior Chebyshev nodes of
+    the span, NaN and +-inf.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bps = np.unique(rng.uniform(-2.0, 2.0, draw(st.integers(100, 300))))
+    f = PiecewiseConstant1D(bps, rng.standard_normal(bps.size - 1) * draw(st.sampled_from([1e-3, 1.0, 1e3])))
+    N = draw(st.sampled_from([2.0**-20, 2.0**-6, 0.25, 1.0]))
+    center = draw(st.sampled_from([0.0, 0.5, -1.5, 1000.0]))
+    half = draw(st.sampled_from([0.25, 1.0, 2.0]))
+    x = rng.uniform(center - half, center + half, draw(st.integers(600, 2000)))
+    route = operators._sn_nodes(bps, np.asarray(f.values), N, x)
+    assert route is not None  # every drawn shape meets the dispatch rule
+    c, h, n = route
+    nodes = c + h * np.sin(0.5 * math.pi * (2 * np.arange(1, n) - n) / n)
+    inside = bps[(bps > x.min()) & (bps < x.max())]
+    extra = [x[: draw(st.integers(0, 20))], nodes[: draw(st.integers(0, n - 1))], inside[: draw(st.integers(0, 20))]]
+    extra.append(np.array(draw(st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), max_size=4))))
+    x = np.concatenate([x, *extra])
+    return f, N, rng.permutation(x)
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=routed_cases())
+def test_routed_sn_is_the_direct_kernel_within_its_bound(case):
+    # the interpolant is within 2^-53 sum |c_j| of S_N f (_sn_degree's bound)
+    # and the direct kernel within its rounding; 16 units of 2^-53 sum |c_j|
+    # cover both roundings (the direct sum's, and its data's times the
+    # Lebesgue constant, below 6 at n <= 1000).  Measured: at most 3.1 units
+    # over 400 such cases.  A non-finite point takes the direct kernel on the
+    # non-finite points alone: NaN at NaN, sum c_j (+-1/2) at +-inf
+    f, N, x = case
+    c = np.abs(np.diff(np.asarray(f.values), prepend=0.0, append=0.0)).sum()
+    got, want = dirichlet_sn(f, N, x), operators._sn_rows(*operators._one_row(f), [N], x, sup=False)[0]
+    number = ~np.isnan(x)
+    assert np.array_equal(np.isnan(got), ~number) and np.array_equal(np.isnan(want), ~number)
+    assert np.all(np.abs(got[number] - want[number]) <= (1.0 + 16.0) * 2.0**-53 * c)
+    # the route is dilation covariant: every node, phase and z scales exactly
+    assert dirichlet_sn(f.dilate(0.25), 4.0 * N, 0.25 * x).tobytes() == got.tobytes()
+
+
+def test_routed_sn_takes_si_at_the_nodes_alone(monkeypatch):
+    # large-input's shape: 1024 pieces over 2^-6 < |x| < 2^8 and 2048 points
+    # over the same range, at N = 2^-10 and 2^-9.  The direct kernel passes
+    # 2048 x 1025 arguments to sine_integral; the route passes (n + 1) x 1025,
+    # with n = 18 and 23 for this seed
+    rng = np.random.default_rng(0)
+
+    def spread(count):
+        return np.exp2(rng.uniform(-6.0, 8.0, count)) * rng.choice((-1.0, 1.0), count)
+
+    bps = np.unique(spread(1025))
+    f = PiecewiseConstant1D(bps, np.round(rng.standard_normal(bps.size - 1), 6))
+    x = spread(2048)
+    seen, si = [], operators.sine_integral
+    monkeypatch.setattr(operators, "sine_integral", lambda t: seen.append(np.size(t)) or si(t))
+    for N in (2.0**-10, 2.0**-9):
+        seen.clear()
+        dirichlet_sn(f, N, x)
+        _, _, n = operators._sn_nodes(bps, np.asarray(f.values), N, x)
+        assert n + 1 <= 32 and 0 < sum(seen) <= (n + 1) * bps.size, (n, seen)
