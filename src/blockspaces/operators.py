@@ -28,12 +28,13 @@ width only over the cells that window can reach from the support of |f|.
 S_N and H_eps each have one kernel (`_sn_rows`, `_truncated_rows`), a
 family over the levels N or eps, which serves both the fixed level
 (`dirichlet_sn`, `hilbert_truncated`: one level) and the sup (`carleson`,
-`hilbert_maximal`: the max of |T f| over the levels).  Each block of H_eps
-forms its level-independent part once, the differences x - b_j and every
-whole piece's log, and runs every level on it before the next block, the
-last level masking the logs in place; a block of S_N forms x - b_j again
-for each level, in its one buffer.  The
-kernels also serve a family of functions on shared breakpoints, one row
+`hilbert_maximal`: the max of |T f| over the levels).  A block is one
+generator, which does the work no level changes and then yields the
+block's kernel at each level.  A block of H_eps forms the differences
+x - b_j and every whole piece's log once and masks the logs in place,
+level by level in increasing eps; a block of S_N forms x - b_j again for
+each level, in its one buffer.  The kernels also serve a family of
+functions on shared breakpoints, one row
 of values per function: each block's kernel is built once and multiplied
 with each row as its own matrix-vector product, so every row has the
 bits of the call on its function alone.  Claim 3.1 evaluates its 13
@@ -174,16 +175,16 @@ def _require_pv_clear(f: PiecewiseConstant1D, x: np.ndarray) -> None:
         )
 
 
-def _rowwise(kernel_for, x: np.ndarray, ncols: int, coeffs: np.ndarray, levels, sup: bool) -> np.ndarray:
+def _rowwise(kernel_for, x: np.ndarray, ncols: int, coeffs: np.ndarray, sup: bool) -> np.ndarray:
     """A family of kernels giving one row of ncols per point, times each row c of coeffs.
 
     kernel_for(rows) allocates the family's block buffers, once per call,
-    for blocks of at most `rows` points, and returns prepare.  prepare(xb)
-    does a block's work that no level changes and returns at, and
-    at(level) is the block's kernel at that level.  Each block runs every
-    level before the next block starts.  With sup the result is max over
-    the levels of |kernel @ c|; without, levels holds one level and the
-    result is kernel @ c.  It has one row per row of coeffs.
+    for blocks of at most `rows` points, and returns blocks.  The generator
+    blocks(xb) does a block's work that no level changes, then yields the
+    block's kernel at each level, each used up before the next is made.
+    With sup the result is max over the levels of |kernel @ c|; without,
+    blocks yields one kernel and the result is kernel @ c.  It has one row
+    per row of coeffs.
 
     Each block's kernel is built once and multiplied with every row c as
     the 1-D `block @ c`, so each row is equal bit for bit to the dense
@@ -203,10 +204,10 @@ def _rowwise(kernel_for, x: np.ndarray, ncols: int, coeffs: np.ndarray, levels, 
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     bounds = list(zip(starts, starts[1:] + [n]))
-    prepare = kernel_for(max((hi - lo for lo, hi in bounds), default=0))
+    blocks = kernel_for(max((hi - lo for lo, hi in bounds), default=0))
     out = np.zeros((coeffs.shape[0], n))
     for lo, hi in bounds:
-        for block in map(prepare(x[lo:hi]), levels):
+        for block in blocks(x[lo:hi]):
             # one gemv per row: a gemm over all rows would not pin each row's reduction order
             for row, c in zip(out, coeffs):
                 if sup:
@@ -258,7 +259,7 @@ def hilbert(f: PiecewiseConstant1D, grid) -> np.ndarray:
     """
     x = _as_points(grid)
     if f.is_zero:
-        return np.where(np.isnan(x), np.nan, 0.0)
+        return np.where(np.isfinite(x), 0.0, np.nan)
     if not (isinstance(grid, EvalGrid) and grid.cleared == _clearance(f)):
         _require_pv_clear(f, x)
     return _hilbert_rows(*_one_row(f), x)[0]
@@ -483,12 +484,16 @@ def hilbert_truncated(f: PiecewiseConstant1D, eps: float, grid) -> np.ndarray:
     row of differences x - b_j shared by all pieces gives with the bits of
     the clipped form, since a - x = -(x - a) exactly.  Only the pieces that
     hold x - eps or x + eps, at most two per point, are clipped.
+
+    Where x - eps or x + eps rounds to x inside a piece [a, b], a clip would
+    be a log of 0 or 1/0: the piece adds log((x - a) / (b - x)), the exact
+    sum of its clips, instead.  A non-finite x gives NaN.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     x = _as_points(grid)
     if f.is_zero:
-        return np.where(np.isnan(x), np.nan, 0.0)
+        return np.where(np.isfinite(x), 0.0, np.nan)
     return _truncated_rows(*_one_row(f), [eps], x, sup=False)[0]
 
 
@@ -498,38 +503,32 @@ def _truncated_rows(bps: np.ndarray, values: np.ndarray, levels, x: np.ndarray, 
     With sup the max over the levels of its absolute value (hilbert_maximal),
     without it the one level's value.  Each block of points forms the
     differences x - b_j and log((x - a) / (x - b)) of every piece [a, b]
-    once; a level copies those logs (the last level masks them in place),
+    once.  The levels go in increasing eps, in place on those logs: a level
     puts 0 for the pieces that are not wholly outside [x - eps, x + eps],
-    clips its at most two pieces per point and runs the gemvs.  A sup row
-    has the bits of max over the levels of |hilbert_truncated| of its
-    function: fl(|g| / pi) is monotone in |g|, so dividing the sup of |g|
-    once gives the sup of the divided values.
+    which include every piece a smaller level changed, clips its at most
+    two pieces per point and yields the logs.  A sup row has the bits of max
+    over the levels of |hilbert_truncated| of its function: fl(|g| / pi) is
+    monotone in |g|, so dividing the sup of |g| once gives the sup of the
+    divided values.
     """
     pieces = values.shape[1]
     a, b = bps[:-1], bps[1:]
-    levels = [float(e) for e in levels]
-    last = len(levels) - 1
+    levels = sorted(float(e) for e in levels)
 
     def kernel_for(rows):
-        diffs, whole_logs = np.empty((rows, bps.size)), np.empty((rows, pieces))
-        logs = np.empty((rows, pieces)) if last else None  # one level needs no copy
+        diffs, logs = np.empty((rows, bps.size)), np.empty((rows, pieces))
         meets, other = np.empty((rows, pieces), dtype=bool), np.empty((rows, pieces), dtype=bool)
 
-        def prepare(xb):
+        def blocks(xb):
             n = xb.size
-            d, logs_of_whole = _differences(xb, bps, diffs[:n]), whole_logs[:n]
+            d, t, inside = _differences(xb, bps, diffs[:n]), logs[:n], meets[:n]
             with np.errstate(all="ignore"):  # only the whole pieces' logs are read
-                np.divide(d[:, :-1], d[:, 1:], out=logs_of_whole)
-                np.log(logs_of_whole, out=logs_of_whole)
-
-            def at(level):
-                index, eps = level
-                inside = meets[:n]
+                np.divide(d[:, :-1], d[:, 1:], out=t)
+                np.log(t, out=t)
+            # where x - eps or x + eps rounds to x at some level, it does at the least
+            near = np.flatnonzero((xb - levels[0] == xb) | (xb + levels[0] == xb))
+            for eps in levels:
                 lo, hi = xb - eps, xb + eps
-                t = logs_of_whole
-                if index < last:  # a later level reads the logs again
-                    t = logs[:n]
-                    np.copyto(t, logs_of_whole)
                 # log 1 = +0 for the pieces that meet (x - eps, x + eps), as the
                 # clipped form gives.  No piece meets it at a NaN x, so every
                 # piece counts as whole there and its NaN log reaches the sum
@@ -538,19 +537,23 @@ def _truncated_rows(bps: np.ndarray, values: np.ndarray, levels, x: np.ndarray, 
                 np.copyto(t, 0.0, where=inside)
                 # the piece holding x - eps, clipped to [a, x - eps], then the one
                 # holding x + eps, clipped to [x + eps, b]: left + right, in that order
-                k = np.minimum(np.searchsorted(b, lo, side="right"), pieces - 1)
-                (i,) = np.nonzero((a[k] < lo) & (lo < b[k]))
-                t[i, k[i]] += np.log((xb[i] - a[k[i]]) / (xb[i] - lo[i]))
-                k = np.maximum(np.searchsorted(a, hi) - 1, 0)
-                (i,) = np.nonzero((a[k] < hi) & (hi < b[k]))
-                t[i, k[i]] += np.log((hi[i] - xb[i]) / (b[k[i]] - xb[i]))
-                return t
+                with np.errstate(divide="ignore", invalid="ignore"):  # a log of 0 or 1/0, replaced below
+                    k = np.minimum(np.searchsorted(b, lo, side="right"), pieces - 1)
+                    (i,) = np.nonzero((a[k] < lo) & (lo < b[k]))
+                    t[i, k[i]] += np.log((xb[i] - a[k[i]]) / (xb[i] - lo[i]))
+                    j = np.maximum(np.searchsorted(a, hi) - 1, 0)
+                    (i,) = np.nonzero((a[j] < hi) & (hi < b[j]))
+                    t[i, j[i]] += np.log((hi[i] - xb[i]) / (b[j[i]] - xb[i]))
+                # where x - eps or x + eps rounds to x, x - eps is x or the float below
+                # it, so k holds x if a piece does: that piece takes its clips' exact sum
+                i = near[(lo[near] == xb[near]) | (hi[near] == xb[near])]
+                i = i[(a[k[i]] < xb[i]) & (xb[i] < b[k[i]])]
+                t[i, k[i]] = np.log((xb[i] - a[k[i]]) / (b[k[i]] - xb[i]))
+                yield t
 
-            return at
+        return blocks
 
-        return prepare
-
-    return _rowwise(kernel_for, x, pieces, values, list(enumerate(levels)), sup) / math.pi
+    return _rowwise(kernel_for, x, pieces, values, sup) / math.pi
 
 
 def geometric_schedule(lo: float, hi: float) -> np.ndarray:
@@ -587,7 +590,7 @@ def hilbert_maximal(f: PiecewiseConstant1D, eps_schedule, grid) -> np.ndarray:
     levels = _levels(eps_schedule, "eps")
     x = _as_points(grid)
     if f.is_zero:
-        return np.where(np.isnan(x), np.nan, 0.0)
+        return np.where(np.isfinite(x), 0.0, np.nan)
     return _truncated_rows(*_one_row(f), levels, x)[0]
 
 
@@ -722,16 +725,13 @@ def _sn_interpolated(bps: np.ndarray, values: np.ndarray, N: float, x: np.ndarra
     def kernel_for(rows):
         buf = np.empty((rows, n + 1))
 
-        def prepare(xb):
-            def at(_):
-                return np.divide(w, _differences((xb - center) / half, z, buf[: xb.size]), out=buf[: xb.size])
+        def blocks(xb):
+            yield np.divide(w, _differences((xb - center) / half, z, buf[: xb.size]), out=buf[: xb.size])
 
-            return at
-
-        return prepare
+        return blocks
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a point on a node, mended below
-        num, den = _rowwise(kernel_for, x, n + 1, np.stack([s, np.ones(n + 1)]), [None], sup=False)
+        num, den = _rowwise(kernel_for, x, n + 1, np.stack([s, np.ones(n + 1)]), sup=False)
         out = num / den
     on_node = np.flatnonzero(~np.isfinite(out))
     if on_node.size:
@@ -745,29 +745,27 @@ def _sn_rows(bps: np.ndarray, values: np.ndarray, levels, x: np.ndarray, sup: bo
     With sup the max over the levels of its absolute value (carleson),
     without it the one level's value: (1/pi) sum_j c_j Si(2 pi N (x - b_j))
     over the jumps c_j of f at b_j.  A level forms x - b_j in the block's
-    one buffer, scales them there, takes Si and runs the gemvs: one
-    subtraction per level costs less than a second buffer of the block's
-    size.  A sup row has the bits of max over the levels of |dirichlet_sn|
-    of its function, as in _truncated_rows.
+    one buffer, scales them there, takes Si and yields it: one subtraction
+    per level costs less than a second buffer of the block's size.  A sup
+    row has the bits of max over the levels of |dirichlet_sn| of its
+    function, as in _truncated_rows.
     """
     c = np.diff(values, prepend=0.0, append=0.0)
+    scales = [2.0 * math.pi * float(N) for N in levels]
 
     def kernel_for(rows):
         phases = np.empty((rows, bps.size))
 
-        def prepare(xb):
-            def at(scale):
+        def blocks(xb):
+            for scale in scales:
                 t = _differences(xb, bps, phases[: xb.size])
                 with np.errstate(over="ignore"):  # an overflowing phase is exact: Si(+-inf) = +-pi/2
                     t *= scale
-                return sine_integral(t)
+                yield sine_integral(t)
 
-            return at
+        return blocks
 
-        return prepare
-
-    scales = [2.0 * math.pi * float(N) for N in levels]
-    return _rowwise(kernel_for, x, bps.size, c, scales, sup) / math.pi
+    return _rowwise(kernel_for, x, bps.size, c, sup) / math.pi
 
 
 #: (|t|, k): from |t| on, k terms of Si's asymptotic series leave a remainder

@@ -237,9 +237,9 @@ def test_block_buffers_are_allocated_once_per_call(op, monkeypatch):
     # 1024 pieces give 64-row blocks, so 64 * 65 points run 65 of them.  A
     # counting fake of _rowwise's kernel family sees how often the buffers
     # are built, and tracemalloc (which sees numpy's data) how much each
-    # block allocates beyond them, from its prepare to the end of its one
-    # level: less than one 64 x 1024 buffer, plus for S_N the two that
-    # sine_integral's series takes (t^2 and its accumulator)
+    # block allocates beyond them, from the block's start to the yield of
+    # its one level: less than one 64 x 1024 buffer, plus for S_N the two
+    # that sine_integral's series takes (t^2 and its accumulator)
     f = _function(1025)
     x = _points(64 * 65)
     if op == "hilbert":
@@ -250,22 +250,17 @@ def test_block_buffers_are_allocated_once_per_call(op, monkeypatch):
     def counting_rowwise(kernel_for, *args):
         def counting_kernel_for(rows):
             built.append(rows)
-            prepare = kernel_for(rows)
+            kernel_blocks = kernel_for(rows)
 
-            def counting_prepare(xb):
+            def counting_blocks(xb):
                 tracemalloc.reset_peak()
                 start, _ = tracemalloc.get_traced_memory()
-                at = prepare(xb)
-
-                def counting_at(level):
-                    out = at(level)
+                for block in kernel_blocks(xb):
                     _, peak = tracemalloc.get_traced_memory()
                     blocks.append(peak - start)
-                    return out
+                    yield block
 
-                return counting_at
-
-            return counting_prepare
+            return counting_blocks
 
         return rowwise(counting_kernel_for, *args)
 
@@ -353,13 +348,14 @@ def test_sup_routes_equal_the_per_level_route(case, rows, N, eps, seed):
     # differences and whole-piece logs once per block and run the levels on
     # them, for every row of a family; each value must have the bits of the
     # sup over one public call per level on its row's function, also where
-    # a point lies on a breakpoint or a phase underflows.  The per-level
-    # calls (S_N's direct kernel, which dirichlet_sn may bypass, and
-    # hilbert_truncated) are pinned to the dense products by
-    # test_blocked_kernel_equals_dense_product
+    # a point lies on a breakpoint or a phase underflows.  eps goes in the
+    # drawn order: _truncated_rows sorts it and masks its logs in place, in
+    # increasing eps.  The per-level calls (S_N's direct kernel, which
+    # dirichlet_sn may bypass, and hilbert_truncated) are pinned to the
+    # dense products by test_blocked_kernel_equals_dense_product
     bps, x = case
     values = np.random.default_rng(seed).standard_normal((rows, bps.size - 1))
-    N, eps = np.sort(N), np.sort(eps)
+    N = np.sort(N)
     pairs = [
         (operators._sn_rows(bps, values, N, x), _per_level_sup(direct_sn, N, bps, values, x)),
         (operators._truncated_rows(bps, values, eps, x), _per_level_sup(hilbert_truncated, eps, bps, values, x)),

@@ -236,6 +236,16 @@ def test_apply_breakpoint_pv_exits_4(tmp_path, i12, capsys):
     assert "1.0" in err  # the offending abscissa is named
 
 
+def test_apply_truncation_below_half_an_ulp_is_finite(tmp_path, i12):
+    # x +- eps rounds to x at every grid point inside [1, 2]
+    out = tmp_path / "a"
+    argv = ["apply", "--input", i12, "--op", "hilbert_truncated", "--schedule", "1e-300", "--grid", "1.25:1.75:3"]
+    assert main([*argv, "--out", str(out)]) == 0
+    rows = read_csv(str(tmp_path / "a.csv"))
+    assert [x for x, _ in rows] == [1.25, 1.5, 1.75]
+    assert all(math.isfinite(v) for _, v in rows)
+
+
 def test_apply_carleson_anchor(tmp_path, i12):
     out = tmp_path / "a"
     rc = main(

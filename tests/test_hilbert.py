@@ -189,6 +189,26 @@ def test_truncation_at_breakpoint_is_finite_and_silent():
     np.testing.assert_allclose(got, [-want, want], rtol=1e-15)
 
 
+def test_truncation_below_half_an_ulp_is_finite_and_silent():
+    # x - eps or x + eps rounds to x: the piece holding x adds the exact sum
+    # of its two clips, log((x - a) / (b - x)), where they would be log of 1/0
+    # and of 0, and H_eps f(x) is the value of every eps below the distance
+    # to the nearest breakpoint.  1.0 is a power of 2, so only x + eps rounds
+    # to it at 2^-53, and x - eps falls on the breakpoint 1 - 2^-53
+    f = PiecewiseConstant1D((-1.0, 1.0 - 2.0**-53, 2.0), (1.0, -2.0))
+    x = np.array([1.5, 1.0 + 2.0**-20, 1.0, -0.5, 0.5, 3.0, 2.0**-30])
+    clear = hilbert_truncated(f, float(nearest_breakpoint(x, np.asarray(f.breakpoints))[1].min()) / 2, x)
+    wide = np.abs(hilbert_truncated(f, 2.0**-10, x))
+    for eps in (2.0**-53, 1e-300, 5e-324):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = hilbert_truncated(f, eps, x)
+            sup = hilbert_maximal(f, [2.0**-10, eps], x)
+        # the logs summed are at most about 36, so a few of their ulps
+        np.testing.assert_allclose(got, clear, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(sup, np.maximum(np.abs(clear), wide), rtol=0, atol=1e-14)
+
+
 def test_truncation_rejects_bad_eps():
     with pytest.raises(ValueError):
         hilbert_truncated(chi(0.0, 1.0), 0.0, np.array([2.0]))

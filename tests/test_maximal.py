@@ -73,7 +73,9 @@ def test_every_operator_gives_nan_at_a_nan_point():
     # a NaN point reaches every term of each sum and sup, and leaves the
     # other points' bits alone; the truncated Hilbert forms once counted no
     # piece as wholly outside [x - eps, x + eps] there and gave 0, and every
-    # operator but maximal_1d_exact gave 0 there for the zero function
+    # operator but maximal_1d_exact gave 0 there for the zero function.  At
+    # +-inf the Hilbert forms and maximal_1d_exact give NaN and S_N and its
+    # sup give 0, for the zero function too (the Hilbert forms once gave 0)
     ops = {
         "hilbert": blockspaces.hilbert,
         "hilbert_truncated": lambda f, x: blockspaces.hilbert_truncated(f, 0.25, x),
@@ -85,10 +87,12 @@ def test_every_operator_gives_nan_at_a_nan_point():
     nonzero = PiecewiseConstant1D((0.0, 1.0, 3.0), (1.0, -2.0))
     for f in (nonzero, PiecewiseConstant1D.zero(), PiecewiseConstant1D((0, 1), (0,))):
         for name, op in ops.items():
-            got = op(f, np.array([np.nan, 0.5]))
+            got = op(f, np.array([np.nan, np.inf, -np.inf, 0.5]))
             assert np.isnan(got[0]), name
-            assert got[1:].tobytes() == op(f, np.array([0.5])).tobytes(), name
-            assert (got[1] != 0.0) == (f is nonzero), name
+            at_inf = [0.0, 0.0] if name in ("dirichlet_sn", "carleson") else [np.nan, np.nan]
+            np.testing.assert_array_equal(got[1:3], at_inf, err_msg=name)
+            assert got[3:].tobytes() == op(f, np.array([0.5])).tobytes(), name
+            assert (got[3] != 0.0) == (f is nonzero), name
 
 @pytest.mark.xfail(
     strict=True,
