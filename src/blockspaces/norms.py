@@ -38,8 +38,16 @@ def weight_integral(a: float, b: float, alpha: float) -> float:
     return _halfline_weight_integral(0.0, -a, alpha) + _halfline_weight_integral(0.0, b, alpha)
 
 
+def _root(mass: float, p: float) -> float:
+    """mass^(1/p); math.inf past the float range, as for a divergent integral."""
+    try:
+        return mass ** (1.0 / p)
+    except OverflowError:
+        return math.inf
+
+
 def weighted_lp_norm(f: PiecewiseConstant1D, p: float, alpha: float) -> float:
-    """(int |f|^p |x|^alpha dx)^(1/p); math.inf when the integral diverges.
+    """(int |f|^p |x|^alpha dx)^(1/p); math.inf when the integral diverges or the norm is past the float range.
 
     p = math.inf computes the essential sup over pieces and ignores alpha
     (the weight does not change null sets while alpha > -1).
@@ -58,7 +66,7 @@ def weighted_lp_norm(f: PiecewiseConstant1D, p: float, alpha: float) -> float:
         if math.isinf(w):
             return math.inf
         mass += abs(v) ** p * w
-    return mass ** (1.0 / p)
+    return _root(mass, p)
 
 
 def restrict_to_annulus(
@@ -107,7 +115,7 @@ def _shell_norm(
     mass = 0.0
     for v, lo, hi in runs:
         mass += v**s * weight_integral(lo, hi, alpha)
-    return mass ** (1.0 / s)
+    return _root(mass, s)
 
 
 @dataclass(frozen=True)

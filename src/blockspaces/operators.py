@@ -30,14 +30,15 @@ family over the levels N or eps, which serves both the fixed level
 (`dirichlet_sn`, `hilbert_truncated`: one level) and the sup (`carleson`,
 `hilbert_maximal`: the max of |T f| over the levels).  A block is one
 generator, which does the work no level changes and then yields the
-block's kernel at each level.  A block of H_eps forms the differences
-x - b_j and every whole piece's log once and masks the logs in place,
-level by level in increasing eps; a block of S_N forms x - b_j again for
-each level, in its one buffer.  The kernels also serve a family of
-functions on shared breakpoints, one row
-of values per function: each block's kernel is built once and multiplied
-with each row as its own matrix-vector product, so every row has the
-bits of the call on its function alone.  Claim 3.1 evaluates its 13
+block's kernel at each level.  A block of H_eps takes the logs of the
+distances |x - b_j| once, each point's row scaled by the octave of its
+farthest breakpoint, and a level clamps them from below at log eps and
+yields the pieces' differences L(a) - L(b); a block of S_N forms x - b_j
+again for each level, in its one buffer.  The kernels also serve a
+family of functions on shared breakpoints, one row of values per
+function: each block's kernel is built once and multiplied with each row
+as its own matrix-vector product, so every row has the bits of the call
+on its function alone.  Claim 3.1 evaluates its 13
 dilated blocks as one such family over the levels of its carleson and
 hilbert_maximal schedules.
 
@@ -476,18 +477,17 @@ def _near_logs(sides, inner, outer, octaves: np.ndarray, at: np.ndarray, u: np.n
 
 
 def hilbert_truncated(f: PiecewiseConstant1D, eps: float, grid) -> np.ndarray:
-    """Integral of f(y)/(pi (x-y)) over |x - y| > eps, by exact interval clipping.
+    """Integral of f(y)/(pi (x-y)) over |x - y| > eps, by clamped logs.
 
-    Piece [a, b] adds log((x - a) / (x - min(b, x - eps))) where a < x - eps,
-    plus log((max(a, x + eps) - x) / (b - x)) where x + eps < b.  A piece
-    wholly outside [x - eps, x + eps] adds log((x - a) / (x - b)), which one
-    row of differences x - b_j shared by all pieces gives with the bits of
-    the clipped form, since a - x = -(x - a) exactly.  Only the pieces that
-    hold x - eps or x + eps, at most two per point, are clipped.
-
-    Where x - eps or x + eps rounds to x inside a piece [a, b], a clip would
-    be a log of 0 or 1/0: the piece adds log((x - a) / (b - x)), the exact
-    sum of its clips, instead.  A non-finite x gives NaN.
+    With L(y) = max(log|x - y|, log eps), -dL/dy is 1/(x - y) where
+    |x - y| > eps and 0 elsewhere, so a piece [a, b] of value v adds
+    v (L(a) - L(b)) / pi.  No piece is clipped at x - eps or x + eps, which
+    may round to x, and on a breakpoint L is log eps.  Each point scales its
+    distances and eps by 2^-k, exactly, where 2^k is the octave of its
+    farthest breakpoint: the far breakpoints' logs are near 0 and lose
+    little to cancellation, and H_eps f(2^j x) of f(2^-j .) at 2^j eps has
+    the bits of H_eps f(x) while every number stays normal.  An eps past
+    every breakpoint gives exactly 0.  A non-finite x gives NaN.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -502,53 +502,33 @@ def _truncated_rows(bps: np.ndarray, values: np.ndarray, levels, x: np.ndarray, 
 
     With sup the max over the levels of its absolute value (hilbert_maximal),
     without it the one level's value.  Each block of points forms the
-    differences x - b_j and log((x - a) / (x - b)) of every piece [a, b]
-    once.  The levels go in increasing eps, in place on those logs: a level
-    puts 0 for the pieces that are not wholly outside [x - eps, x + eps],
-    which include every piece a smaller level changed, clips its at most
-    two pieces per point and yields the logs.  A sup row has the bits of max
-    over the levels of |hilbert_truncated| of its function: fl(|g| / pi) is
-    monotone in |g|, so dividing the sup of |g| once gives the sup of the
-    divided values.
+    distances |x - b_j|, scales each point's row by 2^-k and takes the logs
+    once.  A level clamps them from below at log(eps 2^-k) in a second
+    buffer, takes the piece differences L(a) - L(b) in a third and yields
+    them.  A sup row has the bits of max over the levels of
+    |hilbert_truncated| of its function: fl(|g| / pi) is monotone in |g|,
+    so dividing the sup of |g| once gives the sup of the divided values.
     """
     pieces = values.shape[1]
-    a, b = bps[:-1], bps[1:]
-    levels = sorted(float(e) for e in levels)
 
     def kernel_for(rows):
-        diffs, logs = np.empty((rows, bps.size)), np.empty((rows, pieces))
-        meets, other = np.empty((rows, pieces), dtype=bool), np.empty((rows, pieces), dtype=bool)
+        logs, clamped, diffs = np.empty((rows, bps.size)), np.empty((rows, bps.size)), np.empty((rows, pieces))
 
         def blocks(xb):
-            n = xb.size
-            d, t, inside = _differences(xb, bps, diffs[:n]), logs[:n], meets[:n]
-            with np.errstate(all="ignore"):  # only the whole pieces' logs are read
-                np.divide(d[:, :-1], d[:, 1:], out=t)
-                np.log(t, out=t)
-            # where x - eps or x + eps rounds to x at some level, it does at the least
-            near = np.flatnonzero((xb - levels[0] == xb) | (xb + levels[0] == xb))
+            d, ell, t = logs[: xb.size], clamped[: xb.size], diffs[: xb.size]
+            np.abs(_differences(xb, bps, d), out=d)
+            # 2^-k takes the farthest breakpoint, the first or the last, into [1/2, 1)
+            far = np.maximum(d[:, 0], d[:, -1])
+            k = np.frexp(far)[1]
+            np.ldexp(d, -k[:, None], out=d)
+            with np.errstate(divide="ignore"):  # log 0 = -inf on a breakpoint, which a floor lifts
+                np.log(d, out=d)
             for eps in levels:
-                lo, hi = xb - eps, xb + eps
-                # log 1 = +0 for the pieces that meet (x - eps, x + eps), as the
-                # clipped form gives.  No piece meets it at a NaN x, so every
-                # piece counts as whole there and its NaN log reaches the sum
-                np.greater(b, lo[:, None], out=inside)
-                inside &= np.less(a, hi[:, None], out=other[:n])
-                np.copyto(t, 0.0, where=inside)
-                # the piece holding x - eps, clipped to [a, x - eps], then the one
-                # holding x + eps, clipped to [x + eps, b]: left + right, in that order
-                with np.errstate(divide="ignore", invalid="ignore"):  # a log of 0 or 1/0, replaced below
-                    k = np.minimum(np.searchsorted(b, lo, side="right"), pieces - 1)
-                    (i,) = np.nonzero((a[k] < lo) & (lo < b[k]))
-                    t[i, k[i]] += np.log((xb[i] - a[k[i]]) / (xb[i] - lo[i]))
-                    j = np.maximum(np.searchsorted(a, hi) - 1, 0)
-                    (i,) = np.nonzero((a[j] < hi) & (hi < b[j]))
-                    t[i, j[i]] += np.log((hi[i] - xb[i]) / (b[j[i]] - xb[i]))
-                # where x - eps or x + eps rounds to x, x - eps is x or the float below
-                # it, so k holds x if a piece does: that piece takes its clips' exact sum
-                i = near[(lo[near] == xb[near]) | (hi[near] == xb[near])]
-                i = i[(a[k[i]] < xb[i]) & (xb[i] < b[k[i]])]
-                t[i, k[i]] = np.log((xb[i] - a[k[i]]) / (b[k[i]] - xb[i]))
+                # an eps past the farthest breakpoint counts as its distance: every L is equal, every piece adds 0
+                floor = np.ldexp(np.minimum(float(eps), far), -k)
+                with np.errstate(divide="ignore", invalid="ignore"):  # log 0 where eps 2^-k underflows; inf - inf at x = +-inf
+                    np.maximum(d, np.log(floor, out=floor)[:, None], out=ell)
+                    np.subtract(ell[:, :-1], ell[:, 1:], out=t)
                 yield t
 
         return blocks

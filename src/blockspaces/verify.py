@@ -167,12 +167,12 @@ def _block_values(op: str, blocks):
     without samples by _sn_leg_integrals.)
 
     Scaling the grid, the breakpoints and eps by 2^k and N by 2^-k leaves
-    every S_N phase, truncated log ratio and hilbert's scaled point, group
-    and series bit for bit unchanged.  So hilbert, hilbert_maximal and
-    carleson pull every block back to scale 0 with ldexp(., -k) and run one
-    family call on the scale-0 grid (and schedule) with all blocks' values
-    as rows; each row has the bits of its own scale's call.  The maximal
-    leg runs once per block.
+    every S_N phase, H_eps's octave-scaled distance and eps, and hilbert's
+    scaled point, group and series bit for bit unchanged.  So hilbert,
+    hilbert_maximal and carleson pull every block back to scale 0 with
+    ldexp(., -k) and run one family call on the scale-0 grid (and schedule)
+    with all blocks' values as rows; each row has the bits of its own
+    scale's call.  The maximal leg runs once per block.
 
     The legs of _MIRRORED_LEGS take only the grid's positive half, its
     second half, and give the negative half as parity times those values
@@ -181,8 +181,11 @@ def _block_values(op: str, blocks):
     an even f (see _hilbert_rows).  For S_N, x - b_j at -x is
     -(x - b_{m-1-j}) exactly and Si is odd, so the jump sum at -x has the
     terms at x in reverse order, and the 4-term sums of the 4-breakpoint
-    blocks give the same bits in either order.  H* and the maximal leg are
-    not bit-symmetric in their computed values and take the whole grid.
+    blocks give the same bits in either order.  H* and the maximal leg
+    take the whole grid.  H*'s clamped-log terms at -x are those at x,
+    negated and reversed, bit for bit; but the 3-term dot product with the
+    values (v, 0, v) rounds the two orders apart where v is not a power of
+    2, as at every odd k.
     """
     x0, w0 = shell_grid(*_BLOCK_SHELLS, _SHELL_NODES)
     parity, x = _MIRRORED_LEGS.get(op), x0

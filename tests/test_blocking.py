@@ -8,23 +8,29 @@ breakpoints must equal the calls on its function alone.  The dense product
 is itself thread-dependent on large matrices (OpenBLAS splits the rows
 between threads), so the oracle runs in a subprocess with one BLAS thread,
 and the blocked kernels run here with the process's default thread count.
-The oracle clips every piece for hilbert_truncated; the kernel clips only
-the pieces holding x - eps or x + eps, and must still give the same bits.
+For hilbert_truncated the dense product is of the clamped logs
+L(b_j) = max(log|x - b_j|, log eps), each point's distances and eps scaled
+by 2^-k for the octave 2^k of its farthest breakpoint, over the pieces'
+L(a) - L(b); the blocks must give its bits.  Its accuracy is pinned apart
+from it, against each piece clipped to the outside of [x - eps, x + eps]
+in exact arithmetic, at perfbench's oracle budget.
 
 hilbert takes its far breakpoints by series, so it meets the dense log sum
 within perfbench's oracle budget, 1e-12 (sum of |piece terms| + 1), and
 instead each of its values must depend on its point alone.
 """
 
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import blockspaces
@@ -59,16 +65,11 @@ import numpy as np
 from blockspaces.sine_integral import sine_integral
 
 
-def clipped_log(num, den, mask):
-    return np.log(np.divide(num, den, out=np.ones(mask.shape), where=mask))
-
-
 data = dict(np.load(sys.argv[1]))
 out = {}
 for nb in map(int, data["breakpoints"]):
     bps, v, N = data[f"bps{nb}"], data[f"v{nb}"], float(data[f"N{nb}"])
     c = np.diff(np.concatenate([[0.0], v, [0.0]]))
-    a, b = bps[:-1][None, :], bps[1:][None, :]
     for size in map(int, data["sizes"]):
         x = data[f"x{size}"]
         xx = x[:, None]
@@ -78,10 +79,12 @@ for nb in map(int, data["breakpoints"]):
         out[f"hilbert-{nb}-{size}"] = logs @ c / math.pi
         terms = v * (logs[:, :-1] - logs[:, 1:]) / math.pi
         out[f"hilbert-budget-{nb}-{size}"] = 1e-12 * (np.abs(terms).sum(axis=1) + 1.0)
-        bl = np.minimum(b, xx - float(data["eps"]))
-        ar = np.maximum(a, xx + float(data["eps"]))
-        trunc = clipped_log(xx - a, xx - bl, a < bl) + clipped_log(ar - xx, b - xx, ar < b)
-        out[f"hilbert_truncated-{nb}-{size}"] = (trunc @ v) / math.pi
+        dist = np.abs(xx - bps[None, :])
+        far = dist.max(axis=1, keepdims=True)
+        k = np.frexp(far)[1]
+        floor = np.log(np.ldexp(np.minimum(float(data["eps"]), far), -k))
+        clamped = np.maximum(np.log(np.ldexp(dist, -k)), floor)
+        out[f"hilbert_truncated-{nb}-{size}"] = ((clamped[:, :-1] - clamped[:, 1:]) @ v) / math.pi
 np.savez(sys.argv[2], **out)
 """
 
@@ -152,6 +155,54 @@ def test_blocked_kernel_equals_dense_product(op, nb, dense):
             assert np.all(np.abs(got - want) <= budget), f"{nb} breakpoints, {size} points"
         else:
             assert np.array_equal(got, want), f"{op}, {nb} breakpoints, {size} points"
+
+
+def _clipped_terms(f: PiecewiseConstant1D, eps: float, x: float) -> list[float]:
+    """(1/pi) v log((x - a) / (x - lo)) and v log((hi - x) / (b - x)) of each piece [a, b] of f.
+
+    Each piece is clipped to its parts [a, lo] left of x - eps and [hi, b]
+    right of x + eps, in exact arithmetic, so x +- eps never rounds to x.
+    """
+    X, E = Fraction(x), Fraction(eps)
+    terms = []
+    for a, b, v in zip(map(Fraction, f.breakpoints), map(Fraction, f.breakpoints[1:]), f.values):
+        lo, hi = min(b, X - E), max(a, X + E)
+        if a < lo:
+            terms.append(v * (math.log(X - a) - math.log(X - lo)) / math.pi)
+        if hi < b:
+            terms.append(v * (math.log(hi - X) - math.log(b - X)) / math.pi)
+    return terms
+
+
+@st.composite
+def step_functions_and_points(draw):
+    """(f, x): a step function on [-4, 4] and points on, one ulp beside and between its breakpoints."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bps = np.unique(np.concatenate([rng.uniform(-4.0, 4.0, draw(st.integers(2, 8))), [0.0] * draw(st.booleans())]))
+    assume(bps.size > 1)
+    f = PiecewiseConstant1D(tuple(bps), tuple(rng.standard_normal(bps.size - 1)))
+    beside = np.nextafter(bps, rng.choice([-np.inf, np.inf], bps.size))
+    return f, np.concatenate([bps, beside, rng.uniform(-6.0, 6.0, 8), [0.0]])
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    case=step_functions_and_points(),
+    # 2^-60 and 1e-300 are below half an ulp of every nonzero point but the
+    # ones near 0.  An eps that 2^-k underflows (below about 2^-1070 here)
+    # would be log 0 = -inf, which on a breakpoint gives NaN: not drawn
+    eps=st.one_of(st.sampled_from([1e-300, 2.0**-60, 2.0**-20, 0.3, 2.0, 1e10]), st.floats(1e-8, 10.0)),
+)
+def test_truncated_kernel_meets_the_clipped_pieces(case, eps):
+    # hilbert_truncated by clamped logs against each piece clipped to the
+    # outside of [x - eps, x + eps] in exact arithmetic and summed by fsum,
+    # within perfbench's oracle budget 1e-12 (sum of |terms| + 1), also on a
+    # breakpoint and where x +- eps rounds to x
+    f, x = case
+    got = hilbert_truncated(f, eps, x)
+    for xi, value in zip(x, got):
+        terms = _clipped_terms(f, eps, float(xi))
+        assert abs(value - math.fsum(terms)) <= 1e-12 * (math.fsum(map(abs, terms)) + 1.0), (xi, eps)
 
 
 ROUTED = """
@@ -344,13 +395,12 @@ def _per_level_sup(operator, levels, bps, values, x):
     seed=st.integers(0, 2**16),
 )
 def test_sup_routes_equal_the_per_level_route(case, rows, N, eps, seed):
-    # carleson and hilbert_maximal (and claim 3.1's legs) form the
-    # differences and whole-piece logs once per block and run the levels on
-    # them, for every row of a family; each value must have the bits of the
-    # sup over one public call per level on its row's function, also where
-    # a point lies on a breakpoint or a phase underflows.  eps goes in the
-    # drawn order: _truncated_rows sorts it and masks its logs in place, in
-    # increasing eps.  The per-level calls (S_N's direct kernel, which
+    # carleson and hilbert_maximal (and claim 3.1's legs) run their levels
+    # on each block for every row of a family (H_eps on logs it takes once
+    # per block); each value must have the bits of the sup over one public
+    # call per level on its row's function, also where a point lies on a
+    # breakpoint or a phase underflows.  eps goes in the drawn order,
+    # unsorted.  The per-level calls (S_N's direct kernel, which
     # dirichlet_sn may bypass, and hilbert_truncated) are pinned to the
     # dense products by test_blocked_kernel_equals_dense_product
     bps, x = case

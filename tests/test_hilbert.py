@@ -185,16 +185,19 @@ def test_truncation_at_breakpoint_is_finite_and_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = hilbert_truncated(chi(-1.0, 1.0), 0.25, np.array([-1.0, 1.0]))
+        # 1 +- 1e-300 rounds to 1, and H_eps chi_[1, 2](1) = (1/pi) log eps
+        tiny = hilbert_truncated(chi(1.0, 2.0), 1e-300, np.array([1.0, 2.0]))
     want = math.log(8.0) / math.pi
     np.testing.assert_allclose(got, [-want, want], rtol=1e-15)
+    want = math.log(1e300) / math.pi
+    np.testing.assert_allclose(tiny, [-want, want], rtol=1e-14, atol=0)
 
 
 def test_truncation_below_half_an_ulp_is_finite_and_silent():
-    # x - eps or x + eps rounds to x: the piece holding x adds the exact sum
-    # of its two clips, log((x - a) / (b - x)), where they would be log of 1/0
-    # and of 0, and H_eps f(x) is the value of every eps below the distance
-    # to the nearest breakpoint.  1.0 is a power of 2, so only x + eps rounds
-    # to it at 2^-53, and x - eps falls on the breakpoint 1 - 2^-53
+    # x - eps or x + eps rounds to x, and H_eps f(x) is the value of every
+    # eps below the distance to the nearest breakpoint: the clamped logs
+    # never form x +- eps.  1.0 is a power of 2, so only x + eps rounds to
+    # it at 2^-53, and x - eps falls on the breakpoint 1 - 2^-53
     f = PiecewiseConstant1D((-1.0, 1.0 - 2.0**-53, 2.0), (1.0, -2.0))
     x = np.array([1.5, 1.0 + 2.0**-20, 1.0, -0.5, 0.5, 3.0, 2.0**-30])
     clear = hilbert_truncated(f, float(nearest_breakpoint(x, np.asarray(f.breakpoints))[1].min()) / 2, x)
@@ -218,6 +221,19 @@ def test_large_eps_sees_nothing():
     f = chi(-1.0, 1.0)
     out = hilbert_truncated(f, 100.0, np.array([0.5]))
     assert out[0] == 0.0
+    # exactly 0 on and off the breakpoints, also where eps 2^-k would
+    # overflow (a support near 1e-300 and eps = 1e10), and NaN at
+    # non-finite points
+    g = PiecewiseConstant1D((1e-300, 2e-300, 3e-300), (1.0, -2.0))
+    x = np.array([0.0, 1e-300, 1.5e-300, 3e-300, -1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps in (1e10, 1e300, 4.0):
+            assert hilbert_truncated(g, eps, x).tobytes() == np.zeros(x.size).tobytes(), eps
+        assert hilbert_maximal(g, [1e10, 1e300], x).tobytes() == np.zeros(x.size).tobytes()
+        assert hilbert_truncated(f, 2.0, [-1.0, 0.0, 1.0]).tobytes() == np.zeros(3).tobytes()
+        assert np.isnan(hilbert_truncated(g, 1e10, [np.nan, np.inf, -np.inf])).all()
+        assert np.isnan(hilbert_maximal(g, [1e-300, 1e10], [np.nan, np.inf, -np.inf])).all()
 
 
 # -- maximal truncation -------------------------------------------------------
@@ -319,8 +335,9 @@ def dyadic_functions(draw):
 )
 def test_partial_sums_and_truncations_commute_with_power_of_two_dilation(f, x, N, eps, k):
     # D_k f = f(2^-k .) at 2^k x: every difference x - b_j is scaled by 2^k
-    # exactly, N by 2^-k and eps by 2^k, so each Si phase and each clipped
-    # log ratio is the same number and the results agree bit for bit.  H
+    # exactly, N by 2^-k and eps by 2^k, so each Si phase and each clamped
+    # log in its point's octave is the same number and the results agree
+    # bit for bit.  H
     # scales each point by its own octave 2^k' and each breakpoint group by
     # its own 2^K, and those shift by k too.  Its points keep clear of the
     # breakpoints, which the dilation keeps

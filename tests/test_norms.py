@@ -61,6 +61,17 @@ def test_norm_anchors():
     assert weighted_lp_norm(chi(0.0, 1.0), 1.0, -1.0) == math.inf
 
 
+def test_norm_past_the_float_range_is_inf():
+    # the weighted mass, about 4.2e154, is finite, but its square (p = 1/2) is
+    # past the largest float: the norm is inf, as a divergent one is, and the
+    # profile's remainder (the same mass) too, not an OverflowError
+    f = PiecewiseConstant1D((-1.0, -2.225073858507203e-309), (1.0,))
+    assert weighted_lp_norm(f, 0.5, -1.5) == math.inf
+    profile = norm_profile(f, WeightParams(1, 0.5, 2.0, -1.5), (-6, 6))
+    assert profile.remainder == profile.total == math.inf
+    assert all(math.isfinite(t.contribution) for t in profile.terms)
+
+
 def test_sup_norm_ignores_weight():
     f = PiecewiseConstant1D((0.0, 1.0, 2.0), (3.0, -5.0))
     assert weighted_lp_norm(f, math.inf, -0.5) == 5.0
@@ -166,7 +177,7 @@ def _profile_by_restriction(f, params, k_range):
 
 
 @settings(deadline=None, max_examples=100)
-@example(  # the remainder's mass ** (1/p) overflows: both routes raise OverflowError
+@example(  # the remainder's mass ** (1/p) is past the float range: both routes give inf
     f=PiecewiseConstant1D((-1.0, -2.225073858507203e-309), (1.0,)), p=0.5, alpha=-1.5, k_lo=-6, width=12
 )
 @given(
