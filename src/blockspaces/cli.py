@@ -29,20 +29,11 @@ import numpy as np
 
 from . import io as bsio
 from ._version import __version__
-from .blocks import decompose_homogeneous, decompose_nonhomogeneous, rl_norm_upper_bound
-from .norms import norm_profile, weighted_lp_norm
-from .operators import (
-    carleson,
-    dirichlet_sn,
-    geometric_schedule,
-    hilbert,
-    hilbert_maximal,
-    hilbert_truncated,
-    maximal_1d_exact,
-)
-from .params import DomainEvaluationError, HypothesisViolation, WeightParams
-from .verify import _K_RANGE, _block_norms
-from .verify import _X_MAX, THEOREM_IDS, partial_sum_error_norm, run_theorem
+from .params import _K_RANGE, THEOREM_IDS, DomainEvaluationError, HypothesisViolation, WeightParams
+
+# each subcommand imports the modules it runs in its handler, so a run loads
+# only those: norm adds norms, decompose blocks, apply operators, and only
+# verify and sweep load the harnesses of verify
 
 
 class InputError(ValueError):
@@ -153,13 +144,19 @@ def _write(cfg: RunConfig, report: dict, rows=None, header=("x", "value")) -> st
 
 def cmd_norm(cfg: RunConfig) -> int:
     """weighted norm and per-shell profile of a function spec"""
-    f = _load_input(cfg)
-    norm = weighted_lp_norm(f, cfg.params.p, cfg.params.alpha)
+    from .norms import norm_profile, weight_integral, weighted_lp_norm
+
+    f, alpha = _load_input(cfg), cfg.params.alpha
+    norm = weighted_lp_norm(f, cfg.params.p, alpha)
+    # a finite norm past the float range is "inf" too; the integral diverges
+    # only where a nonzero piece has an infinite weight integral
+    pieces = zip(f.breakpoints, f.breakpoints[1:], f.values)
+    divergent = any(v != 0.0 and math.isinf(weight_integral(a, b, alpha)) for a, b, v in pieces)
     profile = norm_profile(f, cfg.params, _K_RANGE)
     report = bsio.jsonsafe(
         {
             "norm": norm,
-            "divergent": not math.isfinite(norm),
+            "divergent": divergent,
             "profile": {
                 "terms": [asdict(t) for t in profile.terms],
                 "remainder": profile.remainder,
@@ -177,6 +174,8 @@ _HOMOGENEOUS_K_MIN = -12
 
 def cmd_decompose(cfg: RunConfig) -> int:
     """split a function into scaled blocks and report the cost"""
+    from .blocks import decompose_homogeneous, decompose_nonhomogeneous, rl_norm_upper_bound
+
     f, params = _load_input(cfg), cfg.params
     if cfg.op == "homogeneous":
         dec = decompose_homogeneous(f, params, _HOMOGENEOUS_K_MIN)
@@ -195,32 +194,35 @@ def cmd_decompose(cfg: RunConfig) -> int:
     return 0
 
 
-#: operator -> (default levels, evaluation on (f, levels, points, tolerance))
+#: operator -> (default levels: none, one, or the (lo, hi) of a sup's geometric_schedule;
+#: evaluation on (the operators module, f, levels, points, tolerance))
 _APPLY_OPS = {
-    "hilbert": ((), lambda f, s, x, t: hilbert(f, x)),
-    "hilbert_truncated": ((0.25,), lambda f, s, x, t: hilbert_truncated(f, s[0], x)),
-    "hilbert_maximal": (
-        tuple(geometric_schedule(2.0**-6, 4.0)), lambda f, s, x, t: hilbert_maximal(f, s, x)
-    ),
-    "sn": ((8.0,), lambda f, s, x, t: dirichlet_sn(f, s[0], x)),
+    "hilbert": ((), lambda op, f, s, x, t: op.hilbert(f, x)),
+    "hilbert_truncated": ((0.25,), lambda op, f, s, x, t: op.hilbert_truncated(f, s[0], x)),
+    "hilbert_maximal": ((2.0**-6, 4.0), lambda op, f, s, x, t: op.hilbert_maximal(f, s, x)),
+    "sn": ((8.0,), lambda op, f, s, x, t: op.dirichlet_sn(f, s[0], x)),
     "carleson": (
-        tuple(geometric_schedule(0.25, 64.0)),
-        lambda f, s, x, t: carleson(f, s, x, refine_tolerance=1e-8 if t is None else t),
+        (0.25, 64.0),
+        lambda op, f, s, x, t: op.carleson(f, s, x, refine_tolerance=1e-8 if t is None else t),
     ),
-    "maximal": ((), lambda f, s, x, t: maximal_1d_exact(f, x)),
+    "maximal": ((), lambda op, f, s, x, t: op.maximal_1d_exact(f, x)),
 }
 
 
 def cmd_apply(cfg: RunConfig) -> int:
     """evaluate an operator on a grid, emit CSV + JSON"""
+    from . import operators
+
     f = _load_input(cfg)
     points = parse_grid(cfg.grid)
     default, evaluate = _APPLY_OPS[cfg.op]
+    if len(default) == 2:
+        default = tuple(operators.geometric_schedule(*default))
     schedule = cfg.schedule or default
     # an operator with a one-level default reads exactly one level
     if len(default) == 1 and len(schedule) != 1:
         raise InputError(f"{cfg.op} needs one level in --schedule, got {len(schedule)}")
-    values = evaluate(f, schedule, points, cfg.tolerance)
+    values = evaluate(operators, f, schedule, points, cfg.tolerance)
     report = {
         "operator": cfg.op,
         "schedule": list(schedule),
@@ -243,6 +245,8 @@ def _report_curves(report_dict: dict) -> list[tuple[str, list]]:
 
 def cmd_verify(cfg: RunConfig) -> int:
     """run a verification harness by claim id (or 'all')"""
+    from .verify import run_theorem
+
     ids = THEOREM_IDS if cfg.theorem == "all" else (cfg.theorem,)
     base = _out_base(cfg)
     all_passed = True
@@ -267,6 +271,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     """emit a curve: e-of-N or a block-scale operator sweep"""
+    from .verify import _X_MAX, _block_norms, partial_sum_error_norm
+
     report = {}
     if cfg.op == "e-of-N":
         f = _load_input(cfg)

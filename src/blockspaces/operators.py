@@ -526,8 +526,13 @@ def _truncated_rows(bps: np.ndarray, values: np.ndarray, levels, x: np.ndarray, 
             for eps in levels:
                 # an eps past the farthest breakpoint counts as its distance: every L is equal, every piece adds 0
                 floor = np.ldexp(np.minimum(float(eps), far), -k)
+                under = floor == 0.0
                 with np.errstate(divide="ignore", invalid="ignore"):  # log 0 where eps 2^-k underflows; inf - inf at x = +-inf
-                    np.maximum(d, np.log(floor, out=floor)[:, None], out=ell)
+                    np.log(floor, out=floor)
+                    if under.any():
+                        # eps 2^-k is below the least subnormal: log eps - k log 2 keeps its floor finite
+                        floor[under] = math.log(eps) - k[under] * math.log(2.0)
+                    np.maximum(d, floor[:, None], out=ell)
                     np.subtract(ell[:, :-1], ell[:, 1:], out=t)
                 yield t
 

@@ -136,3 +136,11 @@ class DyadicAnnulus:
         if self.restrict_type and self.k == 0:
             return self.ball_measure
         return 0.5 * self.ball_measure
+
+
+#: the claim ids verify.run_theorem runs, in report order; they live here, apart
+#: from the harnesses, so that the CLI parses --theorem without importing verify
+THEOREM_IDS = ("2.1", "2.2", "3.1", "4.1", "5.2", "5.3", "6.1.pointwise", "6.3")
+
+#: the block scales k claim 3.1 sweeps (and the CLI's default scales and norm profile shells)
+_K_RANGE = (-6, 6)

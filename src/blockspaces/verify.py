@@ -36,7 +36,7 @@ from .blocks import (
     split_pieces,
 )
 from .norms import weighted_lp_norm
-from .params import WeightParams
+from .params import _K_RANGE, THEOREM_IDS, WeightParams
 from .piecewise import PiecewiseConstant1D, _sorted_unique
 from .quadrature import (
     _gl_rule,
@@ -127,8 +127,6 @@ def _curve(xs, ys) -> list:
 # scale-uniformity of operator norms on canonical blocks
 
 
-#: the block scales k the claim sweeps (and the CLI's default scales and norm profile shells)
-_K_RANGE = (-6, 6)
 #: dyadic shells (2^j_min, 2^(j_max+1)] of the grid the covariant operators are measured on
 _BLOCK_SHELLS = (-40, 40)
 #: Gauss-Legendre nodes per shell of that grid
@@ -1067,18 +1065,22 @@ def _inclusions(theorem: str) -> VerificationReport:
 
 
 #: claim id -> harness for one seed, in report order
-_HARNESSES = {
-    "2.1": lambda seed: _inclusions("2.1"),
-    "2.2": lambda seed: _inclusions("2.2"),
-    "3.1": _uniform_block_bound,
-    "4.1": lambda seed: _maximal_sharpness(),
-    "5.2": lambda seed: _hilbert_sharpness(),
-    "5.3": _decomposition_independence,
-    "6.1.pointwise": lambda seed: _pointwise_convergence(),
-    "6.3": lambda seed: _norm_convergence(),
-}
-
-THEOREM_IDS = tuple(_HARNESSES)
+_HARNESSES = dict(
+    zip(
+        THEOREM_IDS,
+        (
+            lambda seed: _inclusions("2.1"),
+            lambda seed: _inclusions("2.2"),
+            _uniform_block_bound,
+            lambda seed: _maximal_sharpness(),
+            lambda seed: _hilbert_sharpness(),
+            _decomposition_independence,
+            lambda seed: _pointwise_convergence(),
+            lambda seed: _norm_convergence(),
+        ),
+        strict=True,
+    )
+)
 
 
 def run_theorem(theorem: str, seed: int = 0) -> VerificationReport:

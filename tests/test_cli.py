@@ -366,7 +366,7 @@ def test_verify_unknown_claim_exits_2(tmp_path, capsys):
 
 
 def test_verify_failure_names_failed_verdicts(tmp_path, monkeypatch, capsys):
-    import blockspaces.cli as cli
+    from blockspaces import verify
     from blockspaces.verify import Verdict, VerificationReport
 
     verdicts = (
@@ -375,7 +375,8 @@ def test_verify_failure_names_failed_verdicts(tmp_path, monkeypatch, capsys):
         Verdict("outside", "ratio", 1.05, 9.0, None, out_of_hypothesis=True),
     )
     report = VerificationReport("5.3", {}, {"ratio": 1.5}, verdicts)
-    monkeypatch.setattr(cli, "run_theorem", lambda tid, seed: report)
+    # cmd_verify imports run_theorem from verify when it runs
+    monkeypatch.setattr(verify, "run_theorem", lambda tid, seed: report)
     assert main(["verify", "--theorem", "5.3", "--out", str(tmp_path / "v")]) == 5
     out, err = capsys.readouterr()
     assert out.startswith("5.3: FAIL")
@@ -544,7 +545,8 @@ _APPLY = ["apply", "--input", "{i12}", "--op", "maximal"]
         (["verify"], 2, {}, "required: --theorem"),
         (["sweep", "--params", "1,1,2,0"], 2, {}, "required: --op"),
         (["sweep", "--op", "e-of-N", "--params", "1,1,2,0"], 2, {}, "e-of-N needs --input"),
-        (_APPLY + ["--grid", "0.5,3/2,2.5"], 0, {"apply.csv": None, "apply.json": [0.5, 1.5, 2.5]}, ""),
+        (_APPLY + ["--grid", "0.5,3/2,2.5"], 0, {"apply.csv": None, "apply.json": {"grid": [0.5, 1.5, 2.5]}},
+         ""),
         (["norm", "--input", "{i12}", "--params", "1,1,2,0", "--out", "n.json"], 0, {"n.json": None}, ""),
         (["decompose", "--input", "{i12}", "--params", "1,1,2,-1", "--op", "homogeneous"], 3, {},
          "hypothesis violation"),
@@ -553,8 +555,9 @@ _APPLY = ["apply", "--input", "{i12}", "--op", "maximal"]
         (["decompose", "--input", "{tiny}", "--params", "1,1/2,2,-3/4", "--op", "upper-bound"], 4, {},
          "numerical error: "),
         # p = 1/2: the weighted mass, about 4.2e154, squares past the largest float,
-        # and the norm is reported as "inf" like a divergent one
-        (["norm", "--input", "{sub}", "--params", "1,1/2,2,-3/2"], 0, {"norm.json": None}, ""),
+        # so the norm is reported as "inf", but every weight integral is finite
+        (["norm", "--input", "{sub}", "--params", "1,1/2,2,-3/2"], 0,
+         {"norm.json": {"norm": "inf", "divergent": False}}, ""),
     ],
     ids=[
         "grid-two-fields", "grid-count-not-integer", "grid-count-zero", "grid-count-unallocatable", "no-input",
@@ -565,7 +568,7 @@ _APPLY = ["apply", "--input", "{i12}", "--op", "maximal"]
 )
 def test_exit_code_contract(tmp_path, monkeypatch, capsys, i12, argv, code, outputs, stderr):
     # outputs: every file the run writes in the working directory, with the
-    # grid its JSON report must echo where one is given.  A missing flag is a
+    # fields its JSON report must hold where they are given.  A missing flag is a
     # usage error (argparse exits 2); a bad value or file returns 2 with "error: ...".
     specs = {
         "i12": i12,
@@ -582,9 +585,10 @@ def test_exit_code_contract(tmp_path, monkeypatch, capsys, i12, argv, code, outp
     assert rc == code
     assert stderr in capsys.readouterr().err
     assert sorted(p.name for p in work.iterdir()) == sorted(outputs)
-    for name, grid in outputs.items():
-        if grid is not None:
-            assert json.loads((work / name).read_text())["grid"] == grid
+    for name, fields in outputs.items():
+        if fields is not None:
+            report = json.loads((work / name).read_text())
+            assert {k: report[k] for k in fields} == fields
 
 
 # -- the flags each subcommand reads ------------------------------------------------

@@ -212,6 +212,26 @@ def test_truncation_below_half_an_ulp_is_finite_and_silent():
         np.testing.assert_allclose(sup, np.maximum(np.abs(clear), wide), rtol=0, atol=1e-14)
 
 
+def test_subnormal_truncation_on_a_breakpoint_meets_its_closed_form():
+    # eps 2^-k underflows to 0 on these breakpoints (k = 3 at 0 and 4, k = 2
+    # at 1), so the floor is log eps - k log 2: H_eps chi_[0, 4] is
+    # -+log(4/eps)/pi at 0 and 4, and H_eps of 1 on [0, 1], 2 on [1, 4] is
+    # (log eps - 2 log 3)/pi at 1
+    eps = 5e-324
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ends = hilbert_truncated(chi(0.0, 4.0), eps, np.array([0.0, 4.0]))
+        step = hilbert_truncated(PiecewiseConstant1D((0.0, 1.0, 4.0), (1.0, 2.0)), eps, np.array([1.0]))
+        sup = hilbert_maximal(chi(0.0, 4.0), [eps, 1.0], np.array([0.0, 4.0]))
+    want = (math.log(eps) - math.log(4.0)) / math.pi
+    assert want == pytest.approx(-237.4, abs=0.05)
+    np.testing.assert_allclose(ends, [want, -want], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(sup, [-want, -want], rtol=1e-15, atol=0)
+    want = (math.log(eps) - 2.0 * math.log(3.0)) / math.pi
+    assert want == pytest.approx(-237.66, abs=0.005)
+    np.testing.assert_allclose(step, [want], rtol=1e-15, atol=0)
+
+
 def test_truncation_rejects_bad_eps():
     with pytest.raises(ValueError):
         hilbert_truncated(chi(0.0, 1.0), 0.0, np.array([2.0]))

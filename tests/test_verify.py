@@ -31,7 +31,12 @@ def test_unknown_id_rejected():
 
 
 def test_package_exports_exactly_its_public_names():
-    # the harnesses are private: run_theorem is the one way to run a claim
+    # the harnesses are private: run_theorem is the one way to run a claim.
+    # The namespace is lazy: dir() lists its names, and each binds on first
+    # access, to an object that is never a submodule
+    assert sorted(dir(blockspaces)) == sorted(blockspaces.__all__)
+    for name in blockspaces.__all__:
+        assert not isinstance(getattr(blockspaces, name), types.ModuleType), name
     public = {
         name
         for name, value in vars(blockspaces).items()
