@@ -111,12 +111,23 @@ class Decomposition:
 def _shell_coefficients(
     f: PiecewiseConstant1D, params: WeightParams, ks, restrict_type: bool
 ) -> list[tuple[int, float]]:
-    """(k, lambda_k) for each k of ks, in order, whose shell holds a nonzero piece of f."""
+    """(k, lambda_k) for each k of ks, in order, whose shell holds a nonzero piece of f.
+
+    Where lambda_k is 0 (|v|^s underflows) or 1/lambda_k overflows, it is
+    recomputed as |B_k|^e m ||f_k / m||, m the largest |v| on the shell.
+    """
     out = []
+    exponent = params.block_coefficient_exponent
     for k in ks:
         norm_s = _shell_norm(f, k, restrict_type, params.s)
         if norm_s is not None:
-            out.append((k, _shell_coefficient(k, params.block_coefficient_exponent, norm_s)))
+            lam = _shell_coefficient(k, exponent, norm_s)
+            if lam == 0.0 or math.isinf(1.0 / lam):
+                fk = restrict_to_annulus(f, k, restrict_type)
+                m = max(map(abs, fk.values))
+                unit = PiecewiseConstant1D(fk.breakpoints, [v / m for v in fk.values])
+                lam = _shell_coefficient(k, exponent, m * _shell_norm(unit, k, restrict_type, params.s))
+            out.append((k, lam))
     return out
 
 
@@ -137,13 +148,16 @@ def _shell_coefficient(k: int, exponent: float, norm_s: float) -> float:
 def _shell_terms(
     f: PiecewiseConstant1D, params: WeightParams, ks, restrict_type: bool
 ) -> tuple[DecompositionTerm, ...]:
-    """The nonzero shell restrictions of f, in the order of ks, normalized to (lambda, block)."""
-    return tuple(
-        DecompositionTerm(
-            lam, Block(params, k, restrict_type, restrict_to_annulus(f, k, restrict_type) * (1.0 / lam))
-        )
-        for k, lam in _shell_coefficients(f, params, ks, restrict_type)
-    )
+    """The nonzero shell restrictions of f, in the order of ks, normalized to (lambda, block).
+
+    A block is f_k (1/lambda), or f_k / lambda piece by piece where 1/lambda overflows.
+    """
+    terms = []
+    for k, lam in _shell_coefficients(f, params, ks, restrict_type):
+        fk, inverse = restrict_to_annulus(f, k, restrict_type), 1.0 / lam
+        block = fk * inverse if math.isfinite(inverse) else PiecewiseConstant1D(fk.breakpoints, [v / lam for v in fk.values])
+        terms.append(DecompositionTerm(lam, Block(params, k, restrict_type, block)))
+    return tuple(terms)
 
 
 def _require_unit_ball_support(f: PiecewiseConstant1D) -> None:

@@ -271,17 +271,23 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     """emit a curve: e-of-N or a block-scale operator sweep"""
-    from .verify import _X_MAX, _block_norms, partial_sum_error_norm
+    from .verify import _block_norms, _partial_sum_error
 
     report = {}
     if cfg.op == "e-of-N":
-        f = _load_input(cfg)
+        f, params = _load_input(cfg), cfg.params
         schedule = cfg.schedule or tuple(2.0**j for j in range(11))
-        rows = [(N, partial_sum_error_norm(f, cfg.params, N)) for N in schedule]
+        parts = [_partial_sum_error(f, params, N) for N in schedule]
+        rows = [(N, total ** (1.0 / params.p)) for N, (total, _, _) in zip(schedule, parts)]
         header = ("N", "error_norm")
-        # outside -1 < alpha < p - 1 the norm is infinite unless |S_N f - f| ~ C/|x|
-        # cancels in its leading term; the rows are then the integral cut at x_max
-        report = {"x_max": _X_MAX, "in_main_range": cfg.params.in_main_range}
+        # for alpha < p - 1 each row integrates on its near zone [-X_N, X_N] and adds the
+        # tails past X_N in closed form.  Otherwise the tails diverge unless |S_N f - f| ~ C/|x|
+        # cancels in its leading term, and X_N is 256, where the integral is cut
+        report = {
+            "near_zone_end": [x_n for _, x_n, _ in parts],
+            "far_tails": params.alpha < params.p - 1,
+            "in_main_range": params.in_main_range,
+        }
     else:
         op = "dirichlet_sn" if cfg.op == "sn" else cfg.op
         schedule = cfg.schedule or range(_K_RANGE[0], _K_RANGE[1] + 1)

@@ -20,6 +20,7 @@ report depends only on the seed it is given.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,7 +37,7 @@ from .blocks import (
     split_pieces,
 )
 from .norms import weighted_lp_norm
-from .params import _K_RANGE, THEOREM_IDS, WeightParams
+from .params import _K_RANGE, THEOREM_IDS, DomainEvaluationError, WeightParams
 from .piecewise import PiecewiseConstant1D, _sorted_unique
 from .quadrature import (
     _gl_rule,
@@ -62,6 +63,7 @@ from .operators import (
     nearest_breakpoint,
     pv_exclusion_radius,
 )
+from .sine_integral import _auxiliary_taylor
 
 EXACT_ROUTE_RATIO = 1.05
 SEED_STABILITY_RATIO = 2.0
@@ -670,6 +672,7 @@ def _decomposition_independence(seed: int) -> VerificationReport:
 # fixed-N partial-sum integrals: e(N) and claim 3.1's dirichlet_sn leg
 
 
+#: where e(N) is cut when its tails diverge (alpha >= p - 1)
 _X_MAX = 256.0
 
 #: half-line functions per lattice kernel call, whose err buffer holds one _BLOCK_BYTES for each
@@ -866,31 +869,220 @@ def _lattice_integrals(rows, splits, pairs, N: float, x_max: float, sub: int, mi
     return sums
 
 
-def partial_sum_error_norm(f: PiecewiseConstant1D, params: WeightParams, N: float) -> float:
-    """e(N) = weighted norm of S_N f - f on [-256, 256].
+#: e(N)'s near zone ends _TAIL_GAP lattice cells (16/N) or more past the support, where every Si phase is >= 32 pi
+_TAIL_GAP = 64
+#: the most lattice cells per side a near zone may take: 4N _X_MAX at N = 2^11
+_NEAR_CELLS = 2**21
+#: K, the integration-by-parts terms of each far tail
+_TAIL_TERMS = 5
+#: Gauss-Legendre nodes per panel of a far tail's mean part, whose panels reach 2^_TAIL_REACH times the support
+_TAIL_NODES, _TAIL_REACH = 12, 40
+#: Gauss-Jacobi nodes of the antiderivatives of |cos u|^p
+_JACOBI_NODES = 32
 
-    Panels resolve both the oscillation (spacing 1/(4N)) and the weight
-    singularity at 0 (geometric grading to 2^-40), with _E_NODES
-    Gauss-Legendre nodes each; the domain truncation is the one documented
-    approximation.  The integral is _partial_sum_integrals' with sub = 1:
-    the uniform panels that no grading edge or breakpoint splits are cells
-    of the lattice Z/(4N) when 1024N is an integer, and take the exact-phase
-    lattice kernel.
+
+def _near_zone_end(f: PiecewiseConstant1D, N: float) -> float:
+    """X_N, the least multiple of 1/(4N) at or above max |b_j| + 16/N; DomainEvaluationError past _NEAR_CELLS cells."""
+    if not N > 0:
+        raise ValueError(f"N must be positive, got {N}")
+    cells = math.ceil(4 * Fraction(N) * Fraction(max(map(abs, f.breakpoints), default=0.0))) + _TAIL_GAP
+    if cells > _NEAR_CELLS:
+        raise DomainEvaluationError(
+            f"e(N) at N = {N!r} needs {cells} lattice cells per side to reach 16/N past the support, over {_NEAR_CELLS}"
+        )
+    return float(cells / (4 * Fraction(N)))
+
+
+def _mean_cos_power(p: float) -> float:
+    """M_p = Gamma(p + 1) / (2^p Gamma(p/2 + 1)^2), the mean of |cos u|^p."""
+    return math.exp(math.lgamma(p + 1) - p * math.log(2.0) - 2 * math.lgamma(p / 2 + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _jacobi_rule(p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the _JACOBI_NODES-point Gauss rule for the weight y^p on [0, 1] (Golub-Welsch)."""
+    s, k = 2 * np.arange(_JACOBI_NODES) + p, np.arange(1, _JACOBI_NODES)
+    off = 2 * k * (k + p) / (s[1:] * np.sqrt(s[1:] ** 2 - 1))
+    x, v = np.linalg.eigh(np.diag(p * p / (s * (s + 2))) + np.diag(off, 1) + np.diag(off, -1))
+    rule = (1 + x) / 2, v[0] ** 2 / (p + 1)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
+def _cos_power_integrals(u: float, p: float, orders: int) -> np.ndarray:
+    """I_k(u) = int_0^u (u - s)^(k-1) / (k-1)! (cos^p s - M_p) ds for k = 1, ..., orders and 0 <= u <= pi/2.
+
+    With s = pi/2 - r and a = pi/2 - u, the cos^p part is the difference of
+    int_0^c (r - a)^(k-1) / (k-1)! sin^p r dr at c = pi/2 and c = a, each by
+    the Gauss rule for r^p on [0, c] times (sin r / r)^p, which is analytic.
     """
-    (total,) = _partial_sum_integrals([f], [(params.p, params.alpha)], N, _X_MAX, 1)[0]
-    return float(total) ** (1.0 / params.p)
+    y, w = _jacobi_rule(p)
+    a, ks = 0.5 * math.pi - u, np.arange(orders)
+    sums = np.zeros(orders)
+    for c, sign in ((0.5 * math.pi, 1.0), (a, -1.0)):
+        if c > 0.0:
+            r = c * y
+            sums += sign * c ** (p + 1) * ((r - a) ** ks[:, None] @ (w * (np.sin(r) / r) ** p))
+    factorials = np.array([math.factorial(k) for k in range(orders + 1)], dtype=float)
+    return sums / factorials[:-1] - _mean_cos_power(p) * u ** (ks + 1) / factorials[1:]
+
+
+@functools.lru_cache(maxsize=None)
+def _antiderivative_constants(p: float) -> dict[int, float]:
+    """The constants C_j, j even, that make Q_k = I_k + sum_j C_j u^(k-j) / (k-j)! have zero mean for k <= _TAIL_TERMS."""
+    top = _cos_power_integrals(0.5 * math.pi, p, _TAIL_TERMS + 1).tolist()
+    constants = {}
+    for j in range(2, _TAIL_TERMS + 1, 2):
+        # the mean over [-pi/2, pi/2] of the even I_j is (2/pi) I_(j+1)(pi/2), and of u^m / m! it is (pi/2)^m / (m+1)!
+        mean = 2 / math.pi * top[j] + sum(c * (0.5 * math.pi) ** (j - i) / math.factorial(j - i + 1) for i, c in constants.items())
+        constants[j] = -mean
+    return constants
+
+
+def _cos_power_antiderivatives(theta: float, p: float) -> list[float]:
+    """Q_1, ..., Q_K at theta: Q_1 the zero-mean antiderivative of |cos u|^p - M_p, and Q_(k+1) that of Q_k.
+
+    Each Q_k has period pi and the parity of k, so it is the I_k of the
+    reduced |u| <= pi/2 plus the polynomial that _antiderivative_constants fixes.
+    """
+    u = theta - math.pi * round(theta / math.pi)
+    v = abs(u)
+    integrals = _cos_power_integrals(v, p, _TAIL_TERMS)
+    out = []
+    for k, value in enumerate(integrals.tolist(), 1):
+        value += sum(c * v ** (k - j) / math.factorial(k - j) for j, c in _antiderivative_constants(p).items() if j <= k)
+        out.append(-value if u < 0 and k % 2 else value)
+    return out
+
+
+def _jet_quotient(a, b) -> list:
+    """The Taylor coefficients of a / b through len(a) terms, from those of a and b."""
+    out = []
+    for n, an in enumerate(a):
+        out.append((an - sum(b[i] * out[n - i] for i in range(1, n + 1))) / b[0])
+    return out
+
+
+def _far_tail(bps: np.ndarray, jumps: np.ndarray, N: float, x_n: float, p: float, alpha: float) -> tuple[float, list]:
+    """int_{x_n}^inf |S_N f|^p x^alpha dx for f with jumps c_j at bps, |b_j| <= x_n - 16/N; and its K terms.
+
+    There every t_j = 2 pi N (x - b_j) >= 32 pi, where Si(t) = pi/2 -
+    Re(W(t) e^(it)) with W = F - iG (sine_integral._auxiliary_taylor).  The
+    jumps sum to 0, so S_N f(x) = -(|Z|/pi) cos(theta), with
+    Z(x) = sum_j c_j e^(-2 pi i N b_j) W(t_j) and theta = 2 pi N x + arg Z.
+    Put h = (|Z|/pi)^p x^alpha, H_0 = h/theta' and H_(k+1) = H_k'/theta'.
+    With |cos u|^p = M_p + (|cos u|^p - M_p) and K integrations by parts
+    against the zero-mean antiderivatives Q_k of the second part,
+
+        tail = M_p int_{x_n}^inf h dx - sum_{k<K} (-1)^k H_k(x_n) Q_(k+1)(theta(x_n)).
+
+    The H_k come from Taylor coefficients at x_n: Z's are exact sums over
+    the jumps, and log h and theta' follow from Z'/Z.  h is smooth and does
+    not oscillate.  Its integral takes _TAIL_NODES Gauss-Legendre nodes on
+    each panel [r + 2^i d, r + 2^(i+1) d], r = max |b_j| and d = x_n - r,
+    whose singularities (the b_j and 0) are at least a panel's length away,
+    out to 2^_TAIL_REACH times max(r, d); past that h is a power law to
+    O(r/x), and h(x) x / gamma adds the rest, gamma + 1 its decay rate over
+    the last panel.  The terms returned are (-1)^k H_k(x_n) Q_(k+1)(theta(x_n)).
+    """
+    if not np.any(jumps):
+        return 0.0, [0.0] * _TAIL_TERMS
+    omega = 2 * math.pi * N
+    rotated = jumps * np.exp(-2j * math.pi * ((N * bps) % 1.0))
+    z = (_auxiliary_taylor(omega * (x_n - bps), _TAIL_TERMS + 1) @ rotated * omega ** np.arange(_TAIL_TERMS + 1)).tolist()
+    rate = _jet_quotient([n * c for n, c in enumerate(z[1:], 1)], z)  # Z'/Z
+    theta_rate = [omega * (n == 0) + q.imag for n, q in enumerate(rate)]
+    log_h_rate = [p * q.real + alpha * (-1) ** n / x_n ** (n + 1) for n, q in enumerate(rate)]
+    h = [math.exp(p * math.log(abs(z[0]) / math.pi) + alpha * math.log(x_n))]
+    for n in range(1, _TAIL_TERMS):
+        h.append(sum(log_h_rate[k] * h[n - 1 - k] for k in range(n)) / n)
+    theta = 2 * math.pi * ((N * x_n) % 0.5) + math.atan2(z[0].imag, z[0].real)
+    H, terms = _jet_quotient(h, theta_rate), []
+    for k, q in enumerate(_cos_power_antiderivatives(theta, p)):
+        terms.append((-1) ** k * H[0] * q)
+        H = _jet_quotient([n * c for n, c in enumerate(H[1:], 1)], theta_rate)
+    r = float(np.max(np.abs(bps)))
+    d = x_n - r
+    edges = r + d * np.ldexp(1.0, np.arange(_TAIL_REACH + max(0, math.ceil(math.log2(r / d))) + 1))
+    edges[0] = x_n
+    x, w = panel_nodes(edges, _TAIL_NODES)
+    x = np.concatenate([x, edges[-2:]])
+    amplitude = np.empty(x.size)
+    rows = max(1, _BLOCK_BYTES // (16 * bps.size))
+    for i in range(0, x.size, rows):
+        amplitude[i : i + rows] = np.abs(_auxiliary_taylor(omega * np.subtract.outer(x[i : i + rows], bps), 1)[0] @ rotated)
+    with np.errstate(divide="ignore"):
+        log_h = p * np.log(amplitude / math.pi) + alpha * np.log(x)
+    values = np.exp(log_h)
+    gamma = -1.0 - (log_h[-1] - log_h[-2]) / math.log(edges[-1] / edges[-2])
+    gamma = gamma if gamma > p - alpha - 1 else p - alpha - 1  # h decays at least like x^(alpha - p)
+    mean = float(w @ values[:-2] + values[-1] * edges[-1] / gamma)
+    return _mean_cos_power(p) * mean - sum(terms), terms
+
+
+def _far_tails(f: PiecewiseConstant1D, N: float, x_n: float, p: float, alpha: float) -> list[tuple[float, list]]:
+    """_far_tail past x_n of f, then of x -> f(-x), the tail left of -x_n; none for f = 0."""
+    if not f.breakpoints:
+        return []
+    bps, jumps = np.asarray(f.breakpoints), np.diff(f.values, prepend=0.0, append=0.0)
+    return [_far_tail(b, c, N, x_n, p, alpha) for b, c in ((bps, jumps), (-bps[::-1], -jumps[::-1]))]
+
+
+def _partial_sum_error(f: PiecewiseConstant1D, params: WeightParams, N: float) -> tuple[float, float, float]:
+    """(int |S_N f - f|^p |x|^alpha dx, the near zone's end, the size of its tails' last terms).
+
+    For alpha < p - 1 the integral is _partial_sum_integrals' on the near
+    zone [-X_N, X_N], X_N = _near_zone_end(f, N), plus _far_tails.  For
+    alpha >= p - 1 the tails do not converge, and it is the integral on
+    [-_X_MAX, _X_MAX] alone, with last term size 0.
+    """
+    p, alpha = params.p, params.alpha
+    if not alpha < p - 1:
+        ((total,),) = _partial_sum_integrals([f], [(p, alpha)], N, _X_MAX, 1)
+        return float(total), _X_MAX, 0.0
+    x_n = _near_zone_end(f, N)
+    ((total,),) = _partial_sum_integrals([f], [(p, alpha)], N, x_n, 1)
+    total, last = float(total), 0.0
+    for tail, terms in _far_tails(f, N, x_n, p, alpha):
+        total += tail
+        last += abs(terms[-1])
+    return total, x_n, last
+
+
+def partial_sum_error_norm(f: PiecewiseConstant1D, params: WeightParams, N: float) -> float:
+    """e(N) = weighted norm of S_N f - f on the line.
+
+    For alpha < p - 1, panels resolve both the oscillation (spacing 1/(4N))
+    and the weight singularity at 0 (geometric grading to 2^-40), with
+    _E_NODES Gauss-Legendre nodes each, on the near zone [-X_N, X_N], X_N
+    the least multiple of 1/(4N) at or above max |b_j| + 16/N; the tails
+    past it are in closed form (_far_tails).  The near zone's integral is
+    _partial_sum_integrals' with sub = 1: the uniform panels that no grading
+    edge or breakpoint splits are cells of the lattice Z/(4N) when 4N X_N is
+    an integer in floating point, and take the exact-phase lattice kernel.
+    A near zone of more than _NEAR_CELLS cells per side raises
+    DomainEvaluationError.  For alpha >= p - 1 the norm is infinite unless
+    S_N f - f cancels its C/|x| decay, and e(N) is the integral on
+    [-256, 256] alone.
+    """
+    return _partial_sum_error(f, params, N)[0] ** (1.0 / params.p)
 
 
 def _norm_convergence() -> VerificationReport:
     """e(N) = ||S_N f - f|| for N = 1, 2, ..., 2^10: eventually decreasing, small terminal ratio.
 
     f = indicator(1/4, 1/2) and (n, p, s, alpha) = (1, 1, 2, -1/2), inside the
-    hypotheses -1 < alpha < p - 1, p <= s of the convergence claim.
+    hypotheses -1 < alpha < p - 1, p <= s of the convergence claim.  Each
+    e(N) integrates on its near zone [-X_N, X_N] and adds its two far tails
+    in closed form (partial_sum_error_norm); the provenance gives each X_N
+    and the summed size of the two tails' last terms, the first one left out.
     """
     f = PiecewiseConstant1D.indicator(0.25, 0.5)
     params = WeightParams(1, 1.0, 2.0, -0.5)
     sched = 2.0 ** np.arange(0, 11)
-    errs = np.array([partial_sum_error_norm(f, params, N) for N in sched])
+    parts = [_partial_sum_error(f, params, N) for N in sched]
+    errs = np.array([total ** (1.0 / params.p) for total, _, _ in parts])
     terminal_ratio = float(errs[-1] / errs[0])
     note = f"e(N_max)/e(N_min) over N in [{sched[0]:g}, {sched[-1]:g}]"
     return VerificationReport(
@@ -908,8 +1100,13 @@ def _norm_convergence() -> VerificationReport:
         provenance=dict(
             f={"breakpoints": list(f.breakpoints), "values": list(f.values)},
             N_schedule=[float(N) for N in sched],
-            x_max=_X_MAX,
-            quadrature=f"panels at spacing 1/(4N), geometric grading to 2^-40 at 0, {_E_NODES}-node GL",
+            near_zone_end=[x_n for _, x_n, _ in parts],
+            far_tail_terms=_TAIL_TERMS,
+            far_tail_last_term=[last for _, _, last in parts],
+            quadrature=(
+                f"on [-X_N, X_N]: panels at spacing 1/(4N), geometric grading to 2^-40 at 0, {_E_NODES}-node GL; "
+                f"past X_N: M_p int h dx plus {_TAIL_TERMS} integration-by-parts terms"
+            ),
         ),
     )
 

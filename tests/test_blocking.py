@@ -432,13 +432,14 @@ def test_maximal_1d_exact_memory_is_bounded():
 
 
 def test_partial_sum_error_norm_streams_its_lattice_tables():
-    # e(1024) holds, per chunk of 8192 cells, one shared Si table of at most
-    # two chunks, work buffers of one chunk each, and each side's errors.  A
+    # e(1024) of chi[-256, 256] has 4N X_N = 1M + 64 lattice cells per side.
+    # It holds, per chunk of 8192 cells, one shared Si table of at most two
+    # chunks, work buffers of one chunk each, and each side's errors.  A
     # table over every lattice point would add 32 MiB.  It forms each chunk's
     # 8193 edges and keeps the split cells as index arrays, instead of all
     # 1M + 1 edges and a (2, 1M) cell mask (10 MiB of the 13.2 MiB peak they
-    # gave).  Measured 3.02 MiB; a second cached table made it 3.52 MiB
-    f, params = PiecewiseConstant1D.indicator(0.25, 0.5), WeightParams(1, 1.0, 2.0, -0.5)
+    # gave).  Measured 2.76 MiB with its closed-form far tails
+    f, params = PiecewiseConstant1D.indicator(-256.0, 256.0), WeightParams(1, 1.0, 2.0, -0.5)
     partial_sum_error_norm(f, params, 1.0)
     tracemalloc.start()
     try:
@@ -450,15 +451,16 @@ def test_partial_sum_error_norm_streams_its_lattice_tables():
 
 
 def test_e_panels_form_their_lattice_edges_per_chunk(monkeypatch):
-    # e(1024) has 4N x_max = 1M lattice cells per side: each _lattice_edges
-    # call forms at most one chunk's 8193 edges, never all 1M + 1, and the
-    # split cells come back as a few sorted indices, not a (2, 1M) cell mask
-    f, params = PiecewiseConstant1D.indicator(0.25, 0.5), WeightParams(1, 1.0, 2.0, -0.5)
-    edges, panels = [], verify._lattice_panels(f.breakpoints, 1024.0, verify._X_MAX, 1)
+    # e(1024) of chi[-256, 256] has 1M + 64 lattice cells per side: each
+    # _lattice_edges call forms at most one chunk's 8193 edges, never all of
+    # them, and the split cells come back as a few sorted indices, not a
+    # (2, 1M) cell mask
+    f, params = PiecewiseConstant1D.indicator(-256.0, 256.0), WeightParams(1, 1.0, 2.0, -0.5)
+    edges, panels = [], verify._lattice_panels(f.breakpoints, 1024.0, verify._near_zone_end(f, 1024.0), 1)
     lattice_edges = verify._lattice_edges
     monkeypatch.setattr(verify, "_lattice_edges", lambda ls, *args: edges.append(ls.size) or lattice_edges(ls, *args))
     partial_sum_error_norm(f, params, 1024.0)
-    assert panels[1] == 1024 * 1024
+    assert panels[1] == 1024 * 1024 + 64
     assert edges and max(edges) <= 8193, max(edges)
     for cells in panels[2]:
         assert cells.dtype.kind == "i" and 0 < cells.size < 16 and np.all(np.diff(cells) > 0), cells
@@ -480,22 +482,38 @@ def test_sn_leg_memory_is_bounded():
     assert peak < 3 * 1024 * 1024, peak
 
 
-def test_partial_sum_error_norm_memory_is_bounded():
-    # e(2^11) streams its 16.8M quadrature nodes; the dense form peaked at
-    # 2474 MiB, and the dirichlet_sn stream at 201 MiB.  The literal is the
-    # value of the lattice kernel weighed per node row, 8.4e-16 relative from
-    # the dense form's 0.001031502908723846.  The child reads its own VmHWM: on Linux its
-    # ru_maxrss keeps the high-water mark of the process that forked it.
+def _e_of_n_in_a_child(breakpoints, N) -> tuple[str, int]:
+    """repr of e(N) of the indicator on breakpoints at (1, 1, 2, -1/2), and VmHWM in KiB, from a fresh interpreter.
+
+    The child reads its own VmHWM: on Linux its ru_maxrss keeps the
+    high-water mark of the process that forked it.
+    """
     code = (
         "import re\n"
         "from blockspaces import PiecewiseConstant1D, WeightParams\n"
         "from blockspaces.verify import partial_sum_error_norm\n"
-        "f = PiecewiseConstant1D.indicator(0.25, 0.5)\n"
-        "e = partial_sum_error_norm(f, WeightParams(1, 1.0, 2.0, -0.5), 2048.0)\n"
+        f"f = PiecewiseConstant1D.indicator(*{breakpoints!r})\n"
+        f"e = partial_sum_error_norm(f, WeightParams(1, 1.0, 2.0, -0.5), {N!r})\n"
         "hwm = re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read()).group(1)\n"
         "print(repr(e), hwm)\n"
     )
     run = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True)
     value, hwm_kib = run.stdout.split()
-    assert float(value) == 0.001031502908723847
-    assert int(hwm_kib) / 1024 < 100
+    return value, int(hwm_kib)
+
+
+def test_partial_sum_error_norm_memory_is_bounded():
+    # e(2^11) of chi[1/4, 1/2] integrates on its near zone, 4N X_N = 4160
+    # lattice cells per side, and adds the tails past X_N in closed form.
+    # Out to x_max = 256 it streamed 16.8M quadrature nodes, at 0.001031502908723847;
+    # the dense form peaked at 2474 MiB, and the dirichlet_sn stream at 201 MiB
+    value, hwm_kib = _e_of_n_in_a_child((0.25, 0.5), 2048.0)
+    assert float(value) == 0.001031504766395448
+    assert hwm_kib / 1024 < 100
+
+
+def test_partial_sum_error_norm_memory_is_bounded_on_a_wide_support():
+    # e(1024) of chi[-256, 256] still streams 2^20 + 64 lattice cells per side
+    value, hwm_kib = _e_of_n_in_a_child((-256.0, 256.0), 1024.0)
+    assert float(value) == 0.00013412900613712857
+    assert hwm_kib / 1024 < 100

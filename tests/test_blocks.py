@@ -7,7 +7,6 @@ several anchors below are asserted bit-exactly.
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -209,7 +208,13 @@ def _total_cost_by_restriction(f, params):
         fk = restrict_to_annulus(f, k)
         if fk.is_zero:
             return None
-        return _shell_coefficient(k, params.block_coefficient_exponent, weighted_lp_norm(fk, params.s, 0.0))
+        value = _shell_coefficient(k, params.block_coefficient_exponent, weighted_lp_norm(fk, params.s, 0.0))
+        if value == 0.0 or math.isinf(1.0 / value):
+            # |v|^s underflowed or 1/lambda overflows: lambda is m ||f_k / m||, m = max |v|
+            m = max(map(abs, fk.values))
+            unit = PiecewiseConstant1D(fk.breakpoints, [v / m for v in fk.values])
+            value = _shell_coefficient(k, params.block_coefficient_exponent, m * weighted_lp_norm(unit, params.s, 0.0))
+        return value
 
     cost = sum(abs(v) ** params.pbar for v in map(lam, range(0, k_tail, -1)) if v is not None)
     if restrict_to_annulus(f, k_tail).is_zero:
@@ -239,6 +244,12 @@ def _total_cost_by_restriction(f, params):
     s=1.0,
     alpha=-1.0,
 )
+@example(  # the value's square underflows, so lambda takes the rescale m ||f_k / m||
+    f=PiecewiseConstant1D((0.25, 0.5), (2.2250738585072014e-308,)),
+    p=0.5,
+    s=2.0,
+    alpha=-0.5,
+)
 def test_total_cost_is_the_restriction_route_bit_for_bit(f, p, s, alpha):
     params = WeightParams(1, p, s, alpha)
     assert homogeneous_total_cost(f, params).hex() == _total_cost_by_restriction(f, params).hex()
@@ -264,15 +275,27 @@ def test_nonhomogeneous_cost_is_the_decomposition_cost_bit_for_bit(f, p, s, alph
     params = WeightParams(1, p, s, alpha)
     try:
         want = decompose_nonhomogeneous(f, params).coefficient_cost
-    except (ZeroDivisionError, ValueError):
-        # a shell whose lambda is 0 (its L^s norm underflows) or below
-        # 1/DBL_MAX gives its block no finite scale 1/lambda (CHANGES.md);
-        # the cost still counts that lambda
+    except ZeroDivisionError:
+        # a shell whose lambda is 0 even as |B_k|^e m ||f_k / m||, m its
+        # largest |v|, gives its block no scale (CHANGES.md); the cost still
+        # counts that lambda.  One whose 1/lambda overflows divides by lambda
         lams = [lam for _, lam in _shell_coefficients(f, params, range(0, 5), True)]
-        assert any(abs(lam) * sys.float_info.max < 1.0 for lam in lams)
+        assert 0.0 in lams
         return
     # repr tells the doubles apart bit for bit, and both are the int 0 for f = 0
     assert repr(_nonhomogeneous_cost(f, params)) == repr(want)
+
+
+@pytest.mark.parametrize("value, s", [(1.9234716284469627e-187, 2.0), (2.225073858507203e-309, math.inf)])
+def test_nonhomogeneous_decomposition_where_the_shell_norm_underflows(value, s):
+    # |v|^2 underflows to 0, so the first shell norm reads 0; the second
+    # lambda is subnormal and 1/lambda overflows.  Both raised; lambda is now
+    # |B_0|^e m ||f_0 / m|| with m = |v|, and the block f_0 / lambda
+    f = PiecewiseConstant1D((0.0, 1.0), (value,))
+    params = WeightParams(1, 0.5, s, -0.75)
+    dec = decompose_nonhomogeneous(f, params)
+    assert dec.synthesize() == f
+    assert dec.coefficient_cost == _nonhomogeneous_cost(f, params) > 0.0
 
 
 # -- exact geometric tail -----------------------------------------------------
@@ -398,11 +421,12 @@ def test_no_split_of_f_beats_the_upper_bound(f, p, s, alpha, fractions):
 
 def test_perturbed_bound_counts_a_piece_whose_lambda_underflows():
     # the piece (0, 1/2) holds only 1.9e-187, whose square underflows: its
-    # lambda is 0, which no block can be scaled by, but the cost still counts it
+    # lambda is m ||f_0 / m||, m = 1.9e-187, which scales its block, and the
+    # cost counts it
     f = PiecewiseConstant1D((0.0, 0.5, 1.0), (1.9234716284469627e-187, 1.0))
     params = WeightParams(1, 0.5, 2.0, -0.75)
-    with pytest.raises(ZeroDivisionError):
-        decompose_nonhomogeneous(f.restrict(0.0, 0.5), params)
+    piece = f.restrict(0.0, 0.5)
+    assert decompose_nonhomogeneous(piece, params).synthesize() == piece
     bound = rl_norm_upper_bound(f, params)
     assert bound == rl_norm_upper_bound(f, params, "greedy+perturbations", 3) == 0.7071067811865477
     split = sum(_nonhomogeneous_cost(piece, params) for piece in split_pieces(f, [0.5]))

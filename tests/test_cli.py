@@ -9,6 +9,7 @@ import json
 import math
 import re
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,21 @@ def test_decompose_round_trip_lossless(tmp_path, i12):
     for t in rep["terms"]:
         total = total + t["lambda"] * function_from_dict(t["block"])
     assert total.equal_as_functions(load_function(i12))
+
+
+def test_decompose_data_whose_shell_norm_underflows(tmp_path):
+    # |v|^2 underflows, so the shell's L^2 norm reads 0; this exited 4 with
+    # "float division by zero", and now re-synthesizes f
+    spec = {"breakpoints": [0, 1], "values": [1.9234716284469627e-187]}
+    f = write_spec(tmp_path / "tiny.json", spec)
+    argv = ["decompose", "--op", "nonhomogeneous", "--input", f, "--params", "1,1/2,2,-3/4"]
+    assert main(argv + ["--out", str(tmp_path / "d")]) == 0
+    rep = json.loads((tmp_path / "d.json").read_text())
+    from blockspaces.io import function_from_dict
+
+    ((term),) = rep["terms"]
+    assert term["lambda"] * function_from_dict(term["block"]) == PiecewiseConstant1D(**spec)
+    assert rep["coefficient_cost"] > 0.0
 
 
 def test_decompose_hypothesis_violation_exits_3(tmp_path, ball, capsys):
@@ -445,6 +461,19 @@ def test_sweep_error_curve_rejects_zero_cutoff(tmp_path, ball, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_sweep_error_curve_refuses_a_near_zone_past_its_cap(tmp_path, capsys):
+    # the near zone must reach 16/N past the support: with a breakpoint at
+    # 1e200 its lattice cells are past any cap, which is a domain error, found
+    # before any integration starts
+    f = write_spec(tmp_path / "far.json", {"breakpoints": [0, 1e200], "values": [1]})
+    argv = ["sweep", "--input", f, "--op", "e-of-N", "--params", "1,1,2,-1/2", "--schedule", "1"]
+    start = time.perf_counter()
+    assert main(argv + ["--out", str(tmp_path / "s")]) == 4
+    assert time.perf_counter() - start < 1.0
+    assert "lattice cells per side" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize(
     "route", [["--op", "e-of-N", "--input", "{ball}"], ["--op", "hilbert"]], ids=["e-of-N", "hilbert"]
 )
@@ -550,10 +579,12 @@ _APPLY = ["apply", "--input", "{i12}", "--op", "maximal"]
         (["norm", "--input", "{i12}", "--params", "1,1,2,0", "--out", "n.json"], 0, {"n.json": None}, ""),
         (["decompose", "--input", "{i12}", "--params", "1,1,2,-1", "--op", "homogeneous"], 3, {},
          "hypothesis violation"),
-        # the value's square underflows, so the shell's lambda is 0 and its block has no scale
-        (["decompose", "--input", "{tiny}", "--params", "1,1/2,2,-3/4"], 4, {}, "numerical error: "),
-        (["decompose", "--input", "{tiny}", "--params", "1,1/2,2,-3/4", "--op", "upper-bound"], 4, {},
-         "numerical error: "),
+        # the value's square underflows, so the shell's L^2 norm reads 0; lambda is
+        # m ||f / m|| with m the value, which scales the block (it exited 4 here)
+        (["decompose", "--input", "{tiny}", "--params", "1,1/2,2,-3/4"], 0,
+         {"decompose.json": {"coefficient_cost": 4.385740106808613e-94}}, ""),
+        (["decompose", "--input", "{tiny}", "--params", "1,1/2,2,-3/4", "--op", "upper-bound"], 0,
+         {"decompose.json": {"quasinorm_upper_bound": 1.9234716284469624e-187}}, ""),
         # p = 1/2: the weighted mass, about 4.2e154, squares past the largest float,
         # so the norm is reported as "inf", but every weight integral is finite
         (["norm", "--input", "{sub}", "--params", "1,1/2,2,-3/2"], 0,

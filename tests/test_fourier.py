@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from blockspaces import (
     DomainEvaluationError,
     PiecewiseConstant1D,
-    WeightParams,
     carleson,
     dirichlet_sn,
     dirichlet_sn_via_hilbert,
@@ -53,7 +52,6 @@ from blockspaces.verify import (
     _lattice_edges,
     _lattice_panels,
     _partial_sum_integrals,
-    partial_sum_error_norm,
 )
 
 chi = PiecewiseConstant1D.indicator
@@ -486,15 +484,17 @@ def test_lattice_edges_are_the_uniform_edges(N):
 def test_split_lattice_cells_keep_their_bits(N, want):
     # breakpoints off the lattice and, at N = 3, the grading edge 1/8 split
     # lattice cells, which the lattice route must leave to dirichlet_sn; the
-    # values are those of the (2, 1024N) cell mask this route replaced
+    # values are those of the (2, 1024N) cell mask this route replaced, on
+    # [-256, 256] (e(N)'s near zone ends at 4N X_N cells, no double here)
     f = PiecewiseConstant1D((-300.0, -1.0 / 3.0, 0.0, 0.7, 255.99), (1.0, 2.0, 3.0, -1.0))
-    assert partial_sum_error_norm(f, WeightParams(1, 1.0, 2.0, -0.5), N).hex() == want
+    ((total,),) = _partial_sum_integrals([f], [(1.0, -0.5)], N, _X_MAX, 1)
+    assert total.hex() == want
 
 
 def test_non_lattice_N_keeps_its_bits():
     # 1024 N = 307.2 is no integer: every panel goes through dirichlet_sn as before
-    e = partial_sum_error_norm(chi(0.25, 0.5), WeightParams(1, 1.0, 2.0, -0.5), 0.3)
-    assert e == 0.9854439963904995
+    ((total,),) = _partial_sum_integrals([chi(0.25, 0.5)], [(1.0, -0.5)], 0.3, _X_MAX, 1)
+    assert total == 0.9854439963904995
 
 
 # -- claim 3.1's dirichlet_sn leg on the lattice Z/4 -------------------------------

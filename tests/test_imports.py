@@ -85,6 +85,37 @@ def test_claim_ids_load_every_module_the_harnesses_reach(tmp_path):
     assert loaded_after(ran, tmp_path) == loaded_after(imports, tmp_path)
 
 
+#: the modules of a run of verify or sweep: every harness module but the CLI's own
+HARNESS = {
+    "blockspaces._si_table", "blockspaces.blocks", "blockspaces.lattice", "blockspaces.norms",
+    "blockspaces.operators", "blockspaces.quadrature", "blockspaces.sine_integral", "blockspaces.verify",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--op", "e-of-N", "--params", "1,1,2,-1/2", "--schedule", "1,2"], ["verify", "--theorem", "6.3"]],
+    ids=["sweep-e-of-N", "verify-6.3"],
+)
+def test_e_of_n_loads_no_scipy(tmp_path, spec, argv):
+    # e(N)'s closed-form tails take Si's auxiliary series and a Gauss-Jacobi
+    # rule from numpy.linalg: the run loads the harness modules, and outside
+    # the standard library only blockspaces and numpy (scipy.special alone
+    # would add about 0.18 s of import)
+    argv = argv + (["--input", spec] if argv[0] == "sweep" else []) + ["--out", str(tmp_path / "out")]
+    code = (
+        "import json, sys\n"
+        "top = lambda: {m.split('.')[0] for m in sys.modules} - set(sys.stdlib_module_names)\n"
+        "start = top()\n"  # what the interpreter's site hooks load
+        "from blockspaces.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(json.dumps(sorted(top() - start)))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=ENV, capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == ["blockspaces", "numpy"]
+    assert loaded_after(f"from blockspaces.cli import main\nmain({argv!r})", tmp_path)["blockspaces"] == sorted(CLI | HARNESS)
+
+
 def test_python_m_runs_the_cli(tmp_path, spec, capsys):
     argv = ["norm", "--input", spec, "--params", "1,1,2,0", "--out", str(tmp_path / "n")]
     code = main(argv)

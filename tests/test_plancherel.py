@@ -56,8 +56,8 @@ def test_sn_panels_keep_the_low_frequency_mass():
 @pytest.mark.parametrize(
     "N, bound",
     [
-        (1, 7.6e-5),  # truncation at |x| = 256
-        (4, 2.8e-9),  # the 4-node Gauss-Legendre error
+        (1, 8.4e-9),  # the 4-node Gauss-Legendre error; the tails past X_N are closed form
+        (4, 2.8e-9),
         (64, 3.2e-9),
     ],
 )
@@ -75,14 +75,14 @@ def test_partial_sum_error_matches_the_fourier_tail(N, bound):
 @pytest.mark.parametrize(
     "N, bound",
     [
-        (1, 2.1e-4),  # almost all of it truncation at |x| = 256
-        (4, 5.7e-5),
+        (1, 4.1e-8),
+        (4, 5.0e-8),
     ],
 )
 def test_partial_sum_error_matches_the_fourier_tail_on_random_functions(N, bound):
     # the same identity on claims 2.1 and 2.2's seeded 8-piece functions, a
-    # fixed family so that it cannot flake: today's level is 2.09e-4 at N = 1
-    # (seed 1) and 5.62e-5 at N = 4 (seed 1)
+    # fixed family so that it cannot flake: today's level is 4.08e-8 at N = 1
+    # (seed 4) and 4.96e-8 at N = 4 (seed 5), the near zone's quadrature error
     for seed in range(8):
         f = _random_test_function(seed)
         got = partial_sum_error_norm(f, WeightParams(1, 2.0, 2.0, 0.0), float(N))
