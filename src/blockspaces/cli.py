@@ -24,16 +24,19 @@ import re
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import io as bsio
 from ._version import __version__
 from .params import _K_RANGE, THEOREM_IDS, DomainEvaluationError, HypothesisViolation, WeightParams
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # each subcommand imports the modules it runs in its handler, so a run loads
 # only those: norm adds norms, decompose blocks, apply operators, and only
-# verify and sweep load the harnesses of verify
+# verify and sweep load the harnesses of verify; numpy comes with the
+# operators (and --grid's parser), so norm and decompose never load it
 
 
 class InputError(ValueError):
@@ -95,6 +98,8 @@ def parse_schedule(text: str) -> tuple[float, ...]:
 
 def parse_grid(text: str) -> np.ndarray:
     """Either "a:b:count" (inclusive linspace) or a comma list of points."""
+    import numpy as np
+
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:

@@ -58,15 +58,20 @@ def weighted_lp_norm(f: PiecewiseConstant1D, p: float, alpha: float) -> float:
         raise TypeError(f"unsupported function type {type(f).__name__}")
     if math.isinf(p):
         return max((abs(v) for v in f.values), default=0.0)
+    return _root(_mass(zip(f.breakpoints, f.breakpoints[1:], f.values), p, alpha), p)
+
+
+def _mass(pieces, p: float, alpha: float) -> float:
+    """Sum of |v|^p int_a^b |x|^alpha dx over the pieces (a, b, v), left to right; math.inf once one diverges."""
     mass = 0.0
-    for a, b, v in zip(f.breakpoints, f.breakpoints[1:], f.values):
+    for a, b, v in pieces:
         if v == 0.0:
             continue
         w = weight_integral(a, b, alpha)
         if math.isinf(w):
             return math.inf
         mass += abs(v) ** p * w
-    return _root(mass, p)
+    return mass
 
 
 def restrict_to_annulus(
@@ -118,6 +123,21 @@ def _shell_norm(
     return _root(mass, s)
 
 
+def _outside_shells(f: PiecewiseConstant1D, r: float, R: float):
+    """f's pieces (a, b, v) outside r < |x| <= R, cut at -R, -r, r and R, left to right.
+
+    These are the nonzero pieces of f - f.restrict(-R, -r) - f.restrict(r, R),
+    without forming the two differences over all of f's breakpoints.
+    """
+    for a, b, v in zip(f.breakpoints, f.breakpoints[1:], f.values):
+        if v == 0.0:
+            continue
+        cuts = [a, *(c for c in (-R, -r, r, R) if a < c < b), b]
+        for lo, hi in zip(cuts, cuts[1:]):
+            if not (-R <= lo and hi <= -r or r <= lo and hi <= R):
+                yield lo, hi, v
+
+
 @dataclass(frozen=True)
 class ProfileTerm:
     k: int
@@ -155,8 +175,7 @@ def norm_profile(
         contribution = (_shell_norm(f, k, False, p, alpha) or 0.0) ** p
         comparable = DyadicAnnulus(k).ball_measure ** alpha * (_shell_norm(f, k, False, p) or 0.0) ** p
         terms.append(ProfileTerm(k, contribution, comparable))
-    # f outside r < |x| <= R, the shells' union, in the pieces the shells cut it into
     r, R = 2.0 ** (k_lo - 1), 2.0**k_hi
-    remainder = weighted_lp_norm(f - f.restrict(-R, -r) - f.restrict(r, R), p, alpha) ** p
+    remainder = _root(_mass(_outside_shells(f, r, R), p, alpha), p) ** p
     mass = sum(t.contribution for t in terms) + remainder
     return NormProfile(params=params, terms=tuple(terms), remainder=remainder, total=mass)

@@ -48,22 +48,24 @@ def test_package_import_loads_only_its_version(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, modules",
+    "argv, modules, numpy",
     [
-        (["norm", "--params", "1,1,2,0"], {"blockspaces.norms"}),
-        (["decompose", "--params", "1,1,2,0"], {"blockspaces.norms", "blockspaces.blocks"}),
+        (["norm", "--params", "1,1,2,0"], {"blockspaces.norms"}, False),
+        (["decompose", "--params", "1,1,2,0"], {"blockspaces.norms", "blockspaces.blocks"}, False),
         (
             ["apply", "--op", "hilbert", "--grid", "0.5,1.5,2.5"],
             {"blockspaces.operators", "blockspaces.lattice", "blockspaces.sine_integral", "blockspaces._si_table"},
+            True,
         ),
     ],
     ids=["norm", "decompose", "apply"],
 )
-def test_a_subcommand_loads_the_modules_it_runs(tmp_path, spec, argv, modules):
-    # neither verify nor quadrature, and norm leaves the operators unloaded
+def test_a_subcommand_loads_the_modules_it_runs(tmp_path, spec, argv, modules, numpy):
+    # neither verify nor quadrature, and norm leaves the operators unloaded;
+    # norm and decompose sum closed forms over tuples and load no numpy
     argv = argv + ["--input", spec, "--out", str(tmp_path / "out")]
     code = f"from blockspaces.cli import main\nassert main({argv!r}) == 0"
-    assert loaded_after(code, tmp_path)["blockspaces"] == sorted(CLI | modules)
+    assert loaded_after(code, tmp_path) == {"blockspaces": sorted(CLI | modules), "numpy": numpy}
 
 
 def test_sine_integral_is_the_function_after_its_submodule_loads(tmp_path):

@@ -58,6 +58,46 @@ def test_constructor_validation():
         PiecewiseConstant1D(((0.0, 1.0), (2.0, 3.0)), (1.0,))
     with pytest.raises((ValueError, TypeError)):
         PiecewiseConstant1D((0.0, 1.0), (None,))
+    # read as np.asarray(x, dtype=float) reads it: a string or a number is 0-d,
+    # a nested list or a 2-D array is not flat, None is NaN
+    for bp, vals, message in (
+        ("01", "1", "flat sequences"),
+        ([[0, 1]], [1], "flat sequences"),
+        (np.array([[0.0, 1.0]]), [1.0], "flat sequences"),
+        (1.0, [1.0], "flat sequences"),
+        ([0, None], [1], "breakpoints must be finite"),
+        ([0, 1], [None], "values must be finite"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            PiecewiseConstant1D(bp, vals)
+    with pytest.raises(TypeError):
+        PiecewiseConstant1D((x for x in (0.0, 1.0)), (1.0,))
+    accepted = (
+        PiecewiseConstant1D([0, 1], ["2"]),
+        PiecewiseConstant1D([np.float32(0.5), np.int64(1)], [np.float64(2.0)]),
+        PiecewiseConstant1D([False, True], [True]),
+        PiecewiseConstant1D(np.array([0.0, 1.0]), np.array([2.0])),
+    )
+    assert [(f.breakpoints, f.values) for f in accepted] == [
+        ((0.0, 1.0), (2.0,)), ((0.5, 1.0), (2.0,)), ((0.0, 1.0), (1.0,)), ((0.0, 1.0), (2.0,))
+    ]
+    assert all(type(x) is float for f in accepted for x in f.breakpoints + f.values)
+    # where the breakpoints of a sum coincide, the left operand's zero survives
+    assert np.signbit((chi(-0.0, 1.0) + chi(0.0, 2.0)).breakpoints).tolist() == [True, False, False]
+    assert np.signbit((chi(0.0, 2.0) + chi(-0.0, 1.0)).breakpoints).tolist() == [False, False, False]
+
+
+def test_arithmetic_that_overflows_is_refused():
+    # a derived function skips the breakpoint checks but not the value checks
+    big = chi(0.0, 1.0, 1e308)
+    for make in (lambda: big * 10.0, lambda: big + big, lambda: big - (-big), lambda: 2.0 * big):
+        with pytest.raises(ValueError, match="values must be finite"):
+            make()
+    with pytest.raises(ValueError, match="breakpoints must be finite"):
+        big.restrict(0.5, float("nan"))
+    # a dilation still checks its breakpoints: 2 * 1e308 overflows
+    with pytest.raises(ValueError, match="breakpoints must be finite"):
+        chi(1.0, 2.0).dilate(1e308)
 
 
 def test_evaluation_convention():
@@ -183,7 +223,8 @@ def test_sorted_unique_is_union1d_and_unique_bit_for_bit(a, b, c):
 
 
 def test_restriction_and_sums_leave_numpy_ma_unloaded():
-    # np.union1d's np.unique imports numpy.ma (about 10 ms)
+    # the algebra works on tuples; np.union1d's np.unique would also import
+    # numpy.ma (about 10 ms)
     code = (
         "import sys\n"
         "from blockspaces import PiecewiseConstant1D, WeightParams, decompose_nonhomogeneous, norm_profile\n"
@@ -191,10 +232,11 @@ def test_restriction_and_sums_leave_numpy_ma_unloaded():
         "params = WeightParams(1, 1.0, 2.0, -0.5)\n"
         "norm_profile(f, params, (-6, 6))\n"
         "decompose_nonhomogeneous(f, params)\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "(f + f.restrict(-2.0, 1.0) - 2.0 * f).simplify().abs()\n"
+        "print('numpy' in sys.modules, 'numpy.ma' in sys.modules)\n"
     )
     run = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True)
-    assert run.stdout.split() == ["False"]
+    assert run.stdout.split() == ["False", "False"]
 
 
 
