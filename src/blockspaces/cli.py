@@ -287,7 +287,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         header = ("N", "error_norm")
         # for alpha < p - 1 each row integrates on its near zone [-X_N, X_N] and adds the
         # tails past X_N in closed form.  Otherwise the tails diverge unless |S_N f - f| ~ C/|x|
-        # cancels in its leading term, and X_N is 256, where the integral is cut
+        # cancels in its leading term, and the integral is cut at 256: X_N is clipped there,
+        # and the tails end there
         report = {
             "near_zone_end": [x_n for _, x_n, _ in parts],
             "far_tails": params.alpha < params.p - 1,

@@ -51,26 +51,12 @@ breakpoints, `_sn_rows` runs at the n + 1 Chebyshev points of the span
 and the barycentric formula gives every finite point
 (_sn_interpolated); elsewhere `_sn_rows` runs at every point.  So a
 routed value depends on the span of its grid, within the bound plus
-rounding of the direct value.  `carleson` and the lattice kernel below
-are not routed.
-
-The two fixed-N partial-sum integrals, claim 6.3's error norm e(N) and
-claim 3.1's dirichlet_sn leg, evaluate S_N f - f at the Gauss-Legendre
-nodes of the cells of width 1/(4N) of the lattice Z/(4N)
-(`_sn_error_on_lattice`), each function and x -> f(-x) as rows of one
-call.  There every Si phase is a quarter turn times an integer m plus a
-fixed offset per node and per fractional part d of 4N b_j, so
-R(t) = Si(t) - sgn(t) pi/2 is one table over (m, node) per offset,
-computed at a lattice point once for every breakpoint of every row with
-that offset, and each row sums its jumps times windows of the table.  Its
-cos and sin come from four signed entries, so no trig runs per point, and
-f is never cancelled against the limits pi/2.
+rounding of the direct value.  `carleson` is not routed.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,15 +64,7 @@ import numpy as np
 from .lattice import LatticeFunction
 from .params import DomainEvaluationError
 from .piecewise import PiecewiseConstant1D, _sorted_unique
-from .sine_integral import (
-    _ASYMPTOTIC_CUTOFF,
-    _ASYMPTOTIC_TERMS,
-    _FAR_BOUND,
-    _FAR_TERMS,
-    _asymptotic_remainder,
-    _asymptotic_series,
-    sine_integral,
-)
+from .sine_integral import sine_integral
 
 #: 2^(j/4) for j = 0..3: a schedule steps by quarter octaves, balancing cost vs sup accuracy
 _QUARTER_OCTAVES = np.array([1.0, 2.0 ** 0.25, 2.0 ** 0.5, 2.0 ** 0.75])
@@ -751,171 +729,6 @@ def _sn_rows(bps: np.ndarray, values: np.ndarray, levels, x: np.ndarray, sup: bo
         return blocks
 
     return _rowwise(kernel_for, x, bps.size, c, sup) / math.pi
-
-
-#: (|t|, k): from |t| on, k terms of Si's asymptotic series leave a remainder
-#: below 2^-64 / |t|, under the size 1/|t| of R; the least power of 2 for each k
-_R_BANDS = tuple(
-    (next(2.0**e for e in range(64) if _asymptotic_remainder(k, 2.0**e) * 2**e < _FAR_BOUND), k)
-    for k in range(_FAR_TERMS, 1, -1)
-)
-
-
-def _si_minus_limit(v, turns, m0: int, terms: int, u, p, q) -> np.ndarray:
-    """R(t) = Si(t) - sgn(t) pi/2 = -cos(t) P(u)/t - sin(t) Q(u) u, u = 1/t^2, for |t| >= 44.
-
-    Node-major: t = (pi/2) (m + a_k) in row k and column m - m0.  v is 1/t,
-    and turns[k, i] is -cos t for m = i mod 4, scaled by the factor that
-    scales R (-sin t is the entry for m - 1); the rows repeat with period 4
-    and are at least 3 columns longer than v.  u, p and q are buffers of v's
-    shape; R is written over p.
-    """
-    n = v.shape[1]
-    np.multiply(v, v, out=u)
-    _asymptotic_series(u, terms, p, q)
-    p *= v
-    p *= turns[:, m0 % 4 : m0 % 4 + n]
-    q *= u
-    q *= turns[:, (m0 - 1) % 4 : (m0 - 1) % 4 + n]
-    p += q
-    return p
-
-
-def _r_table(a: np.ndarray, turns: np.ndarray, m0: int, out: np.ndarray, work) -> None:
-    """R(t) / pi at t = (pi/2) (m + a_k), m = m0, m0 + 1, ..., into the (nodes x m) out.
-
-    turns are _si_minus_limit's, scaled by -1/pi, and work holds three
-    (nodes x width) buffers; out is filled width columns at a time.
-
-    Each 64-aligned block of m takes the fewest terms of Si's asymptotic
-    series its least |t| needs (_R_BANDS); a block with an |t| < 1024 takes
-    22 terms on t = (pi/2) fl(m + a_k), and there |t| < 44 goes through
-    sine_integral.  Every other block takes 1/t = (2/pi) / fl(m + a_k).  So
-    each value depends on m, a_k and the scaled turns alone.
-    """
-    m1 = m0 + out.shape[1]
-    # each block's first m, as floats: m0 may be far beyond int64 (|n_j| up to 2^1000)
-    blocks = 64.0 * (m0 // 64) + 64.0 * np.arange((m1 - 1) // 64 - m0 // 64 + 1)
-    least = 0.5 * math.pi * np.maximum(np.maximum(blocks - 1.0, -64.0 - blocks), 0.0)
-    band = np.searchsorted([t for t, _ in _R_BANDS], least, side="right")
-    changes = (np.flatnonzero(np.diff(band)) + 1).tolist()
-    starts = [m0, *(64 * (m0 // 64 + i) for i in changes)]
-    width = work[0].shape[1]
-    for start, stop, b in zip(starts, starts[1:] + [m1], band[[0, *changes]].tolist()):
-        for lo in range(start, stop, width):
-            hi = min(lo + width, stop)
-            v, u, q = (w[:, : hi - lo] for w in work)
-            p = out[:, lo - m0 : hi - m0]
-            np.add(float(lo) + np.arange(hi - lo, dtype=float), a[:, None], out=v)  # fl(m + a_k)
-            if b:
-                np.divide(2.0 / math.pi, v, out=v)
-                _si_minus_limit(v, turns, lo, _R_BANDS[b - 1][1], u, p, q)
-                continue
-            t = v * (0.5 * math.pi)
-            with np.errstate(all="ignore"):  # the |t| < 44 this spoils are replaced next
-                _si_minus_limit(np.divide(1.0, t, out=v), turns, lo, _ASYMPTOTIC_TERMS, u, p, q)
-            small = np.abs(t) < _ASYMPTOTIC_CUTOFF
-            ts = t[small]
-            p[small] = (sine_integral(ts) - np.sign(ts) * (0.5 * math.pi)) * (1.0 / math.pi)
-
-
-def _sn_error_on_lattice(
-    bps, values, N: float, first: int, panels: int, nodes: np.ndarray, width: int | None = None
-) -> Iterator[tuple[int, np.ndarray]]:
-    """S_N f - f for each row f at x = (l + (1 + t_k)/2) / (4N), l = first, ..., first + panels - 1.
-
-    Row i of bps and of values gives the breakpoints and values of one f
-    (rows may differ in length), and t_k are the nodes, in (-1, 1): the
-    points are nodes in the cells of width h = 1/(4N) of the lattice hZ,
-    taken exactly.  A generator: per
-    chunk of at most `width` cells [lo, hi), by default _BLOCK_BYTES // (8
-    nodes.size), it yields (lo, err), err[i, k, l - lo] the value of row i
-    at node k of cell l.  err is node-major, and the next chunk overwrites it.
-
-    The value is (1/pi) sum_j c_j R(t_j) over the jumps c_j at b_j, with
-    t_j = 2 pi N (x - b_j) and R(t) = Si(t) - sgn(t) pi/2.  The jumps sum
-    to 0, so the limits sgn(t_j) pi/2 sum to pi f(x) and are never formed
-    and then cancelled.  Breakpoints past the points count like the others,
-    and a point on a breakpoint gets R(0) = 0 there, so f's two-sided mean.
-
-    With 4N b_j = n_j + d_j exactly, n_j an integer and 0 <= d_j < 1, every
-    phase is t_j = (pi/2) (m + a_k), m = l - n_j and a_k = (1 + t_k)/2 - d_j.
-    So R(t_j) / pi is one table over (m, k) per offset d_j, shared by every
-    breakpoint of every row with that offset.  The jumps of all rows go by
-    offset, then by window [lo - n_j, hi - n_j), ascending, and each row
-    sums its c_j table[window_j] in the order of its own (d_j, -n_j).  The
-    call holds one table, of two chunks: a window it does not hold starts a
-    span, which the next windows of its offset join while they overlap or
-    touch it and it stays at most two chunks wide.  A span that starts
-    inside the held one of its offset (the next chunk's windows overlap
-    this chunk's) shifts the columns they share to the front and computes
-    only the rest.
-    cos t_j and sin t_j are +-cos or +-sin of (pi/2) a_k, by m mod 4, and no
-    trig runs per point (see _r_table for the series).
-
-    Rounding: m + a_k is rounded once, and a value depends on m, k and d_j
-    alone, not on `first`, the chunk or the other breakpoints, and a row's
-    sum depends on that row alone.  The table is scaled by fl(-1/pi)
-    (fl(1/pi) where |t| < 44 goes through sine_integral), so a term of a
-    jump c_j that is a power of 2 (+-1 included) has the bits of the
-    per-breakpoint form, whose scale is fl(-c_j/pi); any other c_j is off by
-    at most one rounding per term.
-    """
-    width = width or _BLOCK_BYTES // (8 * nodes.size)
-    # (1 + t_k)/2 = s_k / 2e, where e is the largest denominator of a node, a power of 2
-    e = max(t.as_integer_ratio()[1] for t in nodes.tolist())
-    s = [int(t * e) + e for t in nodes.tolist()]
-    num_n, den_n = (4.0 * N).as_integer_ratio()
-    jumps, phases = [], {}  # (row, n_j, c_j, d_j) in breakpoint order; d_j -> (a, turns)
-    for row, (b_row, v_row) in enumerate(zip(bps, values)):
-        c_row = np.diff(np.asarray(v_row, dtype=float), prepend=0.0, append=0.0)
-        for b, cj in zip(np.asarray(b_row, dtype=float).tolist(), c_row.tolist()):
-            num, den = b.as_integer_ratio()
-            n, r = divmod(num * num_n, den * den_n)  # 4N b_j = n_j + r / (den den_n)
-            if cj == 0.0 or abs(n) > 2**1000:  # |R(t_j)| < 2^-999 there
-                continue
-            g = math.gcd(r, den * den_n)
-            d = r // g, den * den_n // g  # d_j in lowest terms, so equal offsets get one key
-            jumps.append((row, n, cj, d))
-            if d not in phases:
-                # a_k = A_k / D; each float below is one correctly rounded int division
-                A, D = [sk * d[1] - 2 * e * d[0] for sk in s], 2 * e * d[1]
-                cos_a = [math.sin(0.5 * math.pi * ((D - abs(ak)) / D)) for ak in A]
-                sin_a = [math.sin(0.5 * math.pi * (abs(ak) / D)) * (1 if ak >= 0 else -1) for ak in A]
-                # -cos((pi/2) (m + a)) / pi for m mod 4 = 0, 1, 2, 3; -sin is the entry for m - 1
-                turns = np.array([cos_a, [-x for x in sin_a], [-x for x in cos_a], sin_a]) * (-1.0 / math.pi)
-                phases[d] = np.array([ak / D for ak in A]), np.tile(turns.T, width // 4 + 2)
-    jumps.sort(key=lambda jump: (jump[3], -jump[1]))  # stable: a row keeps its own order
-    k = nodes.size
-    err = np.empty((len(bps), k, width))
-    work = [np.empty((k, width)) for _ in range(3)]
-    table, held = np.empty((k, 2 * width)), (None, 0, 0)  # table[:, : m1 - m0] is R over [m0, m1) of offset d
-    for lo in range(first, first + panels, width):
-        cells = min(width, first + panels - lo)
-        out = err[:, :, :cells]
-        out.fill(0.0)
-        for i, (row, n, cj, d) in enumerate(jumps):
-            start = lo - n
-            hd, m0, m1 = held
-            if not (hd == d and m0 <= start and start + cells <= m1):
-                # a new span from this window: the next windows of offset d, ascending, join
-                # it while they overlap or touch it and it stays at most two chunks wide
-                stop = start + cells
-                for _, n_next, _, d_next in jumps[i + 1 :]:
-                    if d_next != d or lo - n_next > stop or lo - n_next + cells - start > 2 * width:
-                        break
-                    stop = lo - n_next + cells
-                # the columns it shares with the held span move to the front: they depend on m alone
-                shared = m1 - start if hd == d and m0 <= start < m1 else 0
-                for r in table:  # row by row, so the overlapping copy needs no temporary
-                    r[:shared] = r[start - m0 : start - m0 + shared]
-                _r_table(*phases[d], start + shared, table[:, shared : stop - start], work)
-                held, m0 = (d, start, stop), start
-            window = table[:, start - m0 : start - m0 + cells]
-            if cj != 1.0:  # into a work buffer, which _r_table is done with
-                window = np.multiply(window, cj, out=work[0][:, :cells])
-            out[row] += window
-        yield lo, out
 
 
 def _spectral_hilbert(samples: np.ndarray) -> np.ndarray:

@@ -113,10 +113,10 @@ def _si_taylor_table(t: np.ndarray) -> np.ndarray:
         acc += row.take(seg, out=term, mode="clip")  # seg is in range; "raise" would copy via a buffer
     return acc
 
-def _asymptotic_series(u: np.ndarray, terms: int, pacc=None, qacc=None) -> tuple[np.ndarray, np.ndarray]:
-    """P(u) and Q(u) through their first `terms` (>= 2) terms, by Horner, into pacc and qacc if given."""
-    pacc = np.multiply(u, _ASY_P[terms - 1], out=pacc)
-    qacc = np.multiply(u, _ASY_Q[terms - 1], out=qacc)
+def _asymptotic_series(u: np.ndarray, terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """P(u) and Q(u) through their first `terms` (>= 2) terms, by Horner."""
+    pacc = np.multiply(u, _ASY_P[terms - 1])
+    qacc = np.multiply(u, _ASY_Q[terms - 1])
     for cp, cq in zip(_ASY_P[terms - 2 : 0 : -1], _ASY_Q[terms - 2 : 0 : -1]):
         pacc += cp
         pacc *= u

@@ -40,10 +40,7 @@ from .norms import weighted_lp_norm
 from .params import _K_RANGE, THEOREM_IDS, DomainEvaluationError, WeightParams
 from .piecewise import PiecewiseConstant1D, _sorted_unique
 from .quadrature import (
-    _gl_rule,
     _grading,
-    _node_rows,
-    oscillation_edges,
     panel_nodes,
     shell_grid,
     weighted_norm_from_samples,
@@ -52,7 +49,6 @@ from .quadrature import (
 from .operators import (
     _BLOCK_BYTES,
     _hilbert_rows,
-    _sn_error_on_lattice,
     _sn_rows,
     _truncated_rows,
     carleson,
@@ -139,17 +135,38 @@ _EPS_SCHEDULE = (2.0 ** -6, 4.0)
 _N_SCHEDULE = (2.0 ** -4, 2.0 ** 6)
 #: Gauss-Legendre nodes in each panel of e(N) and of the dirichlet_sn leg
 _E_NODES = 4
-#: the dirichlet_sn leg's cutoff N, the panels per lattice cell 1/(4N), and its cells
-#: per lattice chunk: the blocks' breakpoints (|4 b_j| <= 256) shift a chunk's
-#: windows by at most 512 cells, so each offset's windows share one Si table
-_SN_N, _SN_SUB, _SN_CHUNK = 1.0, 2, 1024
+#: the dirichlet_sn leg's cutoff N and its panels per 1/(4N)
+_SN_N, _SN_SUB = 1.0, 2
 #: dirichlet_sn's absolute panels: Gauss-Legendre nodes on panels of a spacing out to x_max
 _SN_PANELS = {"x_max": 1024.0, "spacing": 1 / (4 * _SN_N * _SN_SUB), "nodes": _E_NODES}
 
 
 def _sn_leg_integrals(blocks, pairs) -> np.ndarray:
-    """The dirichlet_sn leg's integrals of |S_1 f|^p |x|^alpha on _SN_PANELS, per block f and (p, alpha)."""
-    return _partial_sum_integrals(blocks, pairs, _SN_N, _SN_PANELS["x_max"], _SN_SUB, False, _SN_CHUNK)
+    """The dirichlet_sn leg's integrals of |S_1 f|^p |x|^alpha on [-1024, 1024], per even block f and (p, alpha).
+
+    The near zone [-X, X], X = _near_zone_end(f, 1, 1024), takes the
+    _SN_PANELS panels inside it (_partial_sum_integrals without f).  The
+    rest of [-1024, 1024] is the tail from X to 1024 in closed form
+    (_far_tail), doubled: S_1 f is even.  A near zone that reaches 1024
+    takes no tail.
+    """
+    _require_even("dirichlet_sn", blocks)
+    x_end = _SN_PANELS["x_max"]
+    out = np.empty((len(blocks), len(pairs)))
+    for f, total in zip(blocks, out):
+        x_n = _near_zone_end(f, _SN_N, x_end)
+        total[:] = _partial_sum_integrals([f], pairs, _SN_N, x_n, _SN_SUB, False)[0]
+        if x_n < x_end:
+            bps, jumps = np.asarray(f.breakpoints), np.diff(f.values, prepend=0.0, append=0.0)
+            total += [2.0 * tail for tail, _ in _far_tail(bps, jumps, _SN_N, x_n, pairs, x_end)]
+    return out
+
+
+def _require_even(op: str, fs) -> None:
+    """ValueError unless every f of fs is even, as the canonical blocks are."""
+    for f in fs:
+        if f.breakpoints != tuple(-b for b in f.breakpoints[::-1]) or f.values != f.values[::-1]:
+            raise ValueError(f"{op} takes even blocks, got a block that is not even")
 
 
 #: each leg's parity on even blocks: on the symmetric shell grid Hf is odd and S_N f even
@@ -163,8 +180,9 @@ def _block_values(op: str, blocks):
     are measured on quadrature grids and schedules scaled by 2^k, so their
     scale invariance is isolated from discretization choices.  (dirichlet_sn
     at N = 1 is measured on an absolute oscillation-resolving grid, because
-    no scaled grid is faithful to a fixed-frequency cutoff, and integrated
-    without samples by _sn_leg_integrals.)
+    no scaled grid is faithful to a fixed-frequency cutoff: _sn_leg_integrals
+    integrates it on its near zone and adds the rest out to 1024 in closed
+    form, with no samples to yield.)
 
     Scaling the grid, the breakpoints and eps by 2^k and N by 2^-k leaves
     every S_N phase, H_eps's octave-scaled distance and eps, and hilbert's
@@ -190,9 +208,7 @@ def _block_values(op: str, blocks):
     x0, w0 = shell_grid(*_BLOCK_SHELLS, _SHELL_NODES)
     parity, x = _MIRRORED_LEGS.get(op), x0
     if parity is not None:
-        for f, _ in blocks:
-            if f.breakpoints != tuple(-b for b in f.breakpoints[::-1]) or f.values != f.values[::-1]:
-                raise ValueError(f"{op} mirrors its values on even blocks, got a block that is not even")
+        _require_even(op, (f for f, _ in blocks))
         x = x0[x0.size // 2 :]
     families = {
         "carleson": lambda bps, values: _sn_rows(bps, values, geometric_schedule(*_N_SCHEDULE), x),
@@ -675,203 +691,64 @@ def _decomposition_independence(seed: int) -> VerificationReport:
 #: where e(N) is cut when its tails diverge (alpha >= p - 1)
 _X_MAX = 256.0
 
-#: half-line functions per lattice kernel call, whose err buffer holds one _BLOCK_BYTES for each
-_LATTICE_ROWS = 16
+#: panels per chunk of _partial_sum_integrals' stream
+_PANEL_CHUNK = 2048
 
 
-def _lattice_edges(ls: np.ndarray, N: float, x_max: float, sub: int) -> np.ndarray:
-    """The uniform edges l h / sub, h = 1/(4N), for the indices ls, bit for bit as _uniform_edges has them.
+def _edge_chunks(bps, x_max: float, spacing: float):
+    """oscillation_edges(bps, x_max, spacing) as ascending chunks of at most _PANEL_CHUNK panels.
 
-    For 4N x_max sub an integer count: np.linspace forms l * step with
-    step = fl(x_max / count), which is fl(h / sub), and pins edge count to x_max.
+    Each chunk starts at the last edge of the one before.  It forms its
+    uniform edges l (x_max / count), count = ceil(x_max / spacing), with
+    +-x_max at l = +-count, as np.linspace forms them; inserts the grading
+    edges and the breakpoints inside it; and keeps its first _PANEL_CHUNK
+    panels.  So the chunks hold oscillation_edges' edges, bit for bit
+    (up to the sign of 0), without forming them all at once.
     """
-    return np.where(ls == 4.0 * N * x_max * sub, x_max, ls * (1.0 / (4.0 * N * sub)))
-
-
-def _lattice_cells(N: float, x_max: float) -> int:
-    """The number 4N x_max of lattice cells of width 1/(4N) in [0, x_max], or 0 if it is no integer."""
-    cells = 4 * Fraction(N) * Fraction(x_max)
-    return int(cells) if cells.denominator == 1 else 0
-
-
-def _lattice_panels(bps, N: float, x_max: float, sub: int) -> tuple[list[np.ndarray], int, list[np.ndarray]]:
-    """The panels of oscillation_edges(bps, x_max, 1/(4N sub)), split for the lattice route.
-
-    Returns (runs, count, split).  When count = 4N x_max is an integer, the
-    uniform edges l h / sub, h = 1/(4N), l = 0..count sub, are the lattice
-    (h / sub)Z (_lattice_edges forms any of them), and split[0] and split[1]
-    hold, as sorted indices, the cells [l h, (l + 1) h] and
-    [-(l + 1) h, -l h] that are not `sub` panels: l = 0, and those with a
-    grading edge or breakpoint inside.  Every other cell with 1 <= l < count
-    is.  runs holds the edges of every other panel, one ascending array per
-    run of adjacent split cells, where the two runs that meet at 0 are one.
-    When 4N x_max is not an integer, count is 0 and the one run is
-    oscillation_edges itself.
-    """
-    h, spacing = 1.0 / (4.0 * N), 1.0 / (4.0 * N * sub)
-    count = _lattice_cells(N, x_max)
-    if not count or count * sub != math.ceil(x_max / spacing):  # _uniform_edges' step count
-        none = np.zeros(0, dtype=int)
-        return [oscillation_edges(bps, x_max, spacing)], 0, [none, none]
+    count = math.ceil(x_max / spacing)
+    step = x_max / count
     grading = _grading(x_max)
-    inner = np.concatenate([-grading, grading, [b for b in bps if abs(b) <= x_max]])
-    v = np.abs(inner)
-    edge = lambda cells: _lattice_edges(cells * sub, N, x_max, sub)
-    # the last edge at or below each v, as a searchsorted over all edges would
-    # find it: the quotient is within one cell of it
-    cell = np.minimum((v / h).astype(int), count)
-    cell -= edge(cell) > v
-    cell += (cell < count) & (edge(cell + 1) <= v)
-    inside = edge(cell) < v  # inside cell l of its side, not one of its ends
-    runs, split = [], []
-    for negative, sign in ((False, 1.0), (True, -1.0)):
-        cells = _sorted_unique(cell[inside & ((inner < 0) == negative)], [0])
-        split.append(cells)
-        ends = sign * inner[sign * inner > 0]
-        side = []
-        for run in np.split(cells, np.flatnonzero(np.diff(cells) > 1) + 1):
-            uniform = _lattice_edges(np.arange(run[0] * sub, (run[-1] + 1) * sub + 1), N, x_max, sub)
-            edges = _sorted_unique(uniform, ends[(uniform[0] < ends) & (ends < uniform[-1])])
-            side.append(edges if sign > 0 else -edges[::-1])
-        runs.append(side)
-    (at_zero, *right), (left_of_zero, *left) = runs  # both sides' first runs hold cell 0
-    return [*left, np.concatenate([left_of_zero[:-1], at_zero]), *right], count, split
+    inner = _sorted_unique(-grading, grading, [b for b in bps if abs(b) <= x_max])
+    start, l = -x_max, 1 - count  # the chunk's first edge, and the first uniform edge past it
+    while start < x_max:
+        ls = np.arange(l, min(l + _PANEL_CHUNK, count) + 1)
+        uniform = ls * step
+        if ls[-1] == count:
+            uniform[-1] = x_max
+        inside = inner[(start < inner) & (inner < uniform[-1])]
+        edges = _sorted_unique([start], uniform, inside)[: _PANEL_CHUNK + 1]
+        yield edges
+        start = float(edges[-1])
+        l += int(np.searchsorted(uniform, start, side="right"))
 
 
-def _partial_sum_integrals(
-    fs, pairs, N: float, x_max: float, sub: int, minus_f: bool = True, width: int | None = None
-) -> np.ndarray:
+def _partial_sum_integrals(fs, pairs, N: float, x_max: float, sub: int, minus_f: bool = True) -> np.ndarray:
     """Integrals of |S_N f - f|^p |x|^alpha (or of |S_N f|^p |x|^alpha without minus_f) on [-x_max, x_max].
 
     One row per f of fs, one column per (p, alpha) of pairs.  The panels are
     those of oscillation_edges(f.breakpoints, x_max, 1/(4N sub)), which
     resolve both the oscillation and the weight singularity at 0
     (geometric grading to 2^-40), with _E_NODES Gauss-Legendre nodes each.
-
-    When 4N x_max is an integer, the cells [l h, (l + 1) h], h = 1/(4N), that
-    no grading edge or breakpoint splits are `sub` equal panels each (see
-    _lattice_panels).  They go to operators._sn_error_on_lattice, with the
-    _E_NODES sub nodes of those panels as the nodes of one cell, which takes
-    their Si phases exactly and never cancels f against the limits pi/2.
-    The nodes are symmetric, so a cell and its mirror share the weights
-    w (|x|^alpha) of one chunk, and the mirror's values are those of
-    x -> f(-x) on the cell: each f and x -> f(-x) are rows of one kernel
-    call (one row if they are equal), which share its Si remainders, one per
-    lattice point and offset.  Without minus_f a cell inside a support adds
-    f's value on it.  Each chunk is weighed per node row: abs, **p, then a
-    dot product with the weights, summed per row over the chunks, so a row's
-    integral depends on that row alone.  Rows go _LATTICE_ROWS to a call,
-    whose chunks are `width` cells (the kernel's default without it).
-
-    Every other panel goes through dirichlet_sn, one call per f and chunk
-    of panels whose nodes take _BLOCK_BYTES, into one array of terms summed
-    once per pair; when 4N x_max is not an integer, that is every panel,
-    and oscillation_edges and the terms grow with N.  The lattice route
-    forms each chunk's edges on its own and skips the split cells by index,
-    so none of its arrays grows with 4N x_max.
+    They are streamed in chunks of at most _PANEL_CHUNK panels
+    (_edge_chunks), so no array grows with 4N x_max: each chunk takes
+    dirichlet_sn (minus f) at its nodes and adds its weighted terms to each
+    pair's sum.  A function's integrals depend on that function alone.
     """
     if not N > 0:
         raise ValueError(f"N must be positive, got {N}")
     out = np.zeros((len(fs), len(pairs)))
-    rows, splits, sides, index = [], [], [], {}  # half-line functions, their split cells, each f's two
-    count = 0
     for f, total in zip(fs, out):
-        runs, count, split = _lattice_panels(f.breakpoints, N, x_max, sub)
-        total[:] = _panel_integrals(f, runs, pairs, N, minus_f)
-        bps, values = np.asarray(f.breakpoints, dtype=float), np.asarray(f.values, dtype=float)
-        mine = []
-        for row, cells in zip(((bps, values), (-bps[::-1], values[::-1])), split):
-            key = tuple(row[0].tolist()), tuple(row[1].tolist())
-            if key not in index:
-                index[key] = len(rows)
-                rows.append(row)
-                splits.append(cells)
-            mine.append(index[key])
-        sides.append(mine)
-    if count:
-        sums = np.concatenate([
-            _lattice_integrals(rows[i : i + _LATTICE_ROWS], splits[i : i + _LATTICE_ROWS], pairs, N, x_max, sub, minus_f, width)
-            for i in range(0, len(rows), _LATTICE_ROWS)
-        ])
-        for total, (right, left) in zip(out, sides):
-            total += sums[right]
-            total += sums[left]
+        for edges in _edge_chunks(f.breakpoints, x_max, 1.0 / (4.0 * N * sub)):
+            x, w = panel_nodes(edges, _E_NODES)
+            values = dirichlet_sn(f, N, x) - f(x) if minus_f else dirichlet_sn(f, N, x)
+            for q, (p, alpha) in enumerate(pairs):
+                total[q] += np.sum(weighted_power_terms(values, x, w, p, alpha))
     return out
 
 
-def _panel_integrals(f: PiecewiseConstant1D, runs, pairs, N: float, minus_f: bool) -> list[float]:
-    """The integrals of _partial_sum_integrals over the panels between the edges of each run, by dirichlet_sn."""
-    chunk = _BLOCK_BYTES // (8 * _E_NODES)  # panels whose nodes fill one temporary
-    terms = np.empty((len(pairs), _E_NODES * sum(edges.size - 1 for edges in runs)))
-    filled = 0
-    for edges in runs:
-        for i in range(0, edges.size - 1, chunk):
-            x, w = panel_nodes(edges[i : i + chunk + 1], _E_NODES)
-            values = dirichlet_sn(f, N, x) - f(x) if minus_f else dirichlet_sn(f, N, x)
-            for row, (p, alpha) in zip(terms, pairs):
-                row[filled : filled + x.size] = weighted_power_terms(values, x, w, p, alpha)
-            filled += x.size
-    return [float(np.sum(row)) for row in terms]
-
-
-def _cell_nodes(sub: int) -> np.ndarray:
-    """The nodes, in (-1, 1), of sub equal _E_NODES-node Gauss-Legendre panels of [-1, 1], panel j's first."""
-    t = _gl_rule(_E_NODES)[0]
-    return np.concatenate([(t + (2 * j + 1 - sub)) / sub for j in range(sub)])
-
-
-def _cell_panel_nodes(lo: int, n: int, N: float, x_max: float, sub: int, out: np.ndarray):
-    """Nodes and weights of the sub panels of the cells lo, ..., lo + n - 1, as _cell_nodes orders them.
-
-    Returns (x, w), (sub _E_NODES x n) each: row j _E_NODES + k holds node
-    k of panel j of each cell, with the bits panel_nodes gives it.  out is a
-    (2, _E_NODES, n sub) or larger buffer.
-    """
-    x, w = out[:, :, : n * sub]
-    _node_rows(_lattice_edges(np.arange(lo * sub, (lo + n) * sub + 1), N, x_max, sub), x, w)
-    return (a.reshape(_E_NODES, n, sub).transpose(2, 0, 1).reshape(sub * _E_NODES, n) for a in (x, w))
-
-
-def _lattice_integrals(rows, splits, pairs, N: float, x_max: float, sub: int, minus_f: bool, width) -> np.ndarray:
-    """The integrals of _partial_sum_integrals over the lattice cells 1 <= l < 4N x_max of each half-line row.
-
-    rows are (breakpoints, values) and splits their split cells; one row of
-    integrals per row, one column per pair.  The node and weight buffers are
-    allocated once, at the first chunk (from cell 1), which is the widest.
-    """
-    nodes = _cell_nodes(sub)
-    count, h = _lattice_cells(N, x_max), 1.0 / (4.0 * N)
-    functions = [PiecewiseConstant1D(*row) for row in rows]
-    alphas = list(dict.fromkeys(alpha for _, alpha in pairs))
-    sums = np.zeros((len(rows), len(pairs)))
-    for lo, err in _sn_error_on_lattice(*zip(*rows), N, 1, count - 1, nodes, width):
-        n = err.shape[2]
-        if lo == 1:
-            panels = np.empty((2, _E_NODES, n * sub))
-            weights = np.empty((len(alphas), nodes.size, n))
-        xs, ws = _cell_panel_nodes(lo, n, N, x_max, sub, panels)
-        for alpha, wa in zip(alphas, weights):
-            wa = wa[:, :n]
-            np.power(xs, alpha, out=wa)  # x > 0
-            wa *= ws
-        for f, cells, e, total in zip(functions, splits, err, sums):
-            if not minus_f:
-                on_cells = f((np.arange(lo, lo + n) + 0.5) * h)  # f is constant on a cell it does not split
-                inside = np.flatnonzero(on_cells)
-                e[:, inside] += on_cells[inside]
-            i, j = np.searchsorted(cells, [lo, lo + n])
-            e[:, cells[i:j] - lo] = 0.0  # the split cells are other panels
-            np.abs(e, out=e)
-            for q, (p, alpha) in enumerate(pairs):
-                powers = e if p == 1.0 else e**p  # e ** 1.0 == e
-                wa = weights[alphas.index(alpha), :, :n]
-                total[q] += sum(float(row @ wk) for row, wk in zip(powers, wa))
-    return sums
-
-
-#: e(N)'s near zone ends _TAIL_GAP lattice cells (16/N) or more past the support, where every Si phase is >= 32 pi
+#: e(N)'s near zone ends _TAIL_GAP cells of width 1/(4N) (16/N) or more past the support, where every Si phase is >= 32 pi
 _TAIL_GAP = 64
-#: the most lattice cells per side a near zone may take: 4N _X_MAX at N = 2^11
+#: the most cells of width 1/(4N) per side a near zone may take: 4N _X_MAX at N = 2^11
 _NEAR_CELLS = 2**21
 #: K, the integration-by-parts terms of each far tail
 _TAIL_TERMS = 5
@@ -881,16 +758,23 @@ _TAIL_NODES, _TAIL_REACH = 12, 40
 _JACOBI_NODES = 32
 
 
-def _near_zone_end(f: PiecewiseConstant1D, N: float) -> float:
-    """X_N, the least multiple of 1/(4N) at or above max |b_j| + 16/N; DomainEvaluationError past _NEAR_CELLS cells."""
+def _near_zone_end(f: PiecewiseConstant1D, N: float, x_end: float = math.inf) -> float:
+    """min(X_N, x_end), X_N the least multiple of 1/(4N) at or above max |b_j| + 16/N.
+
+    DomainEvaluationError where that end is more than _NEAR_CELLS cells of
+    width 1/(4N) from 0.
+    """
     if not N > 0:
         raise ValueError(f"N must be positive, got {N}")
-    cells = math.ceil(4 * Fraction(N) * Fraction(max(map(abs, f.breakpoints), default=0.0))) + _TAIL_GAP
+    scale = 4 * Fraction(N)
+    cells = math.ceil(scale * Fraction(max(map(abs, f.breakpoints), default=0.0))) + _TAIL_GAP
+    if x_end < cells / scale:
+        cells = scale * Fraction(x_end)
     if cells > _NEAR_CELLS:
         raise DomainEvaluationError(
-            f"e(N) at N = {N!r} needs {cells} lattice cells per side to reach 16/N past the support, over {_NEAR_CELLS}"
+            f"e(N) at N = {N!r} needs {math.ceil(cells)} lattice cells per side to reach 16/N past the support, over {_NEAR_CELLS}"
         )
-    return float(cells / (4 * Fraction(N)))
+    return float(cells / scale)
 
 
 def _mean_cos_power(p: float) -> float:
@@ -964,8 +848,8 @@ def _jet_quotient(a, b) -> list:
     return out
 
 
-def _far_tail(bps: np.ndarray, jumps: np.ndarray, N: float, x_n: float, p: float, alpha: float) -> tuple[float, list]:
-    """int_{x_n}^inf |S_N f|^p x^alpha dx for f with jumps c_j at bps, |b_j| <= x_n - 16/N; and its K terms.
+def _far_tail(bps: np.ndarray, jumps: np.ndarray, N: float, x_n: float, pairs, x_end: float = math.inf) -> list:
+    """int_{x_n}^{x_end} |S_N f|^p x^alpha dx and its K terms, per (p, alpha) of pairs, for f with jumps c_j at bps, |b_j| <= x_n - 16/N.
 
     There every t_j = 2 pi N (x - b_j) >= 32 pi, where Si(t) = pi/2 -
     Re(W(t) e^(it)) with W = F - iG (sine_integral._auxiliary_taylor).  The
@@ -975,76 +859,111 @@ def _far_tail(bps: np.ndarray, jumps: np.ndarray, N: float, x_n: float, p: float
     With |cos u|^p = M_p + (|cos u|^p - M_p) and K integrations by parts
     against the zero-mean antiderivatives Q_k of the second part,
 
-        tail = M_p int_{x_n}^inf h dx - sum_{k<K} (-1)^k H_k(x_n) Q_(k+1)(theta(x_n)).
+        tail = M_p int_{x_n}^{x_end} h dx - [sum_{k<K} (-1)^k H_k Q_(k+1)(theta)] from x_end to x_n,
 
-    The H_k come from Taylor coefficients at x_n: Z's are exact sums over
-    the jumps, and log h and theta' follow from Z'/Z.  h is smooth and does
-    not oscillate.  Its integral takes _TAIL_NODES Gauss-Legendre nodes on
-    each panel [r + 2^i d, r + 2^(i+1) d], r = max |b_j| and d = x_n - r,
-    whose singularities (the b_j and 0) are at least a panel's length away,
-    out to 2^_TAIL_REACH times max(r, d); past that h is a power law to
-    O(r/x), and h(x) x / gamma adds the rest, gamma + 1 its decay rate over
-    the last panel.  The terms returned are (-1)^k H_k(x_n) Q_(k+1)(theta(x_n)).
+    where the bracket is 0 at x_end = inf.  Z's Taylor jets at each end
+    and the amplitude |Z| at the nodes do not depend on (p, alpha), so one
+    call serves every pair (_ibp_terms).  h is smooth and does not
+    oscillate.  Its integral takes _TAIL_NODES Gauss-Legendre nodes on each
+    panel [r + 2^i d, r + 2^(i+1) d], r = max |b_j| and d = x_n - r, whose
+    singularities (the b_j and 0) are at least a panel's length away.  A
+    finite x_end clips the panels there.  Out to infinity they reach 2^_TAIL_REACH
+    times max(r, d); past that h is a power law to O(r/x), and h(x) x / gamma
+    adds the rest, gamma + 1 its decay rate over the last panel.  The terms
+    returned are the bracket's, (-1)^k H_k Q_(k+1)(theta) at x_n less those at
+    x_end.  A tail whose Z is 0 at either end, where S_N f is 0 to rounding, is 0.
     """
+    zero = [(0.0, [0.0] * _TAIL_TERMS) for _ in pairs]
     if not np.any(jumps):
-        return 0.0, [0.0] * _TAIL_TERMS
-    omega = 2 * math.pi * N
+        return zero
+    bounded = x_end < math.inf
     rotated = jumps * np.exp(-2j * math.pi * ((N * bps) % 1.0))
-    z = (_auxiliary_taylor(omega * (x_n - bps), _TAIL_TERMS + 1) @ rotated * omega ** np.arange(_TAIL_TERMS + 1)).tolist()
-    rate = _jet_quotient([n * c for n, c in enumerate(z[1:], 1)], z)  # Z'/Z
-    theta_rate = [omega * (n == 0) + q.imag for n, q in enumerate(rate)]
-    log_h_rate = [p * q.real + alpha * (-1) ** n / x_n ** (n + 1) for n, q in enumerate(rate)]
-    h = [math.exp(p * math.log(abs(z[0]) / math.pi) + alpha * math.log(x_n))]
-    for n in range(1, _TAIL_TERMS):
-        h.append(sum(log_h_rate[k] * h[n - 1 - k] for k in range(n)) / n)
-    theta = 2 * math.pi * ((N * x_n) % 0.5) + math.atan2(z[0].imag, z[0].real)
-    H, terms = _jet_quotient(h, theta_rate), []
-    for k, q in enumerate(_cos_power_antiderivatives(theta, p)):
-        terms.append((-1) ** k * H[0] * q)
-        H = _jet_quotient([n * c for n, c in enumerate(H[1:], 1)], theta_rate)
+    ends = [_ibp_terms(rotated, bps, N, x, pairs) for x in (x_n, x_end)[: 1 + bounded]]
+    if any(at is None for at in ends):
+        return zero
+    terms = [[a - b for a, b in zip(*both)] for both in zip(*ends)] if bounded else ends[0]
     r = float(np.max(np.abs(bps)))
     d = x_n - r
-    edges = r + d * np.ldexp(1.0, np.arange(_TAIL_REACH + max(0, math.ceil(math.log2(r / d))) + 1))
+    if bounded:
+        reach = max(1, math.ceil(math.log2((x_end - r) / d)))
+    else:
+        reach = _TAIL_REACH + max(0, math.ceil(math.log2(r / d)))
+    edges = r + d * np.ldexp(1.0, np.arange(reach + 1))
     edges[0] = x_n
+    if bounded:
+        edges = np.append(edges[edges < x_end], x_end)
     x, w = panel_nodes(edges, _TAIL_NODES)
-    x = np.concatenate([x, edges[-2:]])
+    if not bounded:
+        x = np.concatenate([x, edges[-2:]])  # the last panel's ends, where the power law is read
+    omega = 2 * math.pi * N
     amplitude = np.empty(x.size)
     rows = max(1, _BLOCK_BYTES // (16 * bps.size))
     for i in range(0, x.size, rows):
         amplitude[i : i + rows] = np.abs(_auxiliary_taylor(omega * np.subtract.outer(x[i : i + rows], bps), 1)[0] @ rotated)
-    with np.errstate(divide="ignore"):
-        log_h = p * np.log(amplitude / math.pi) + alpha * np.log(x)
-    values = np.exp(log_h)
-    gamma = -1.0 - (log_h[-1] - log_h[-2]) / math.log(edges[-1] / edges[-2])
-    gamma = gamma if gamma > p - alpha - 1 else p - alpha - 1  # h decays at least like x^(alpha - p)
-    mean = float(w @ values[:-2] + values[-1] * edges[-1] / gamma)
-    return _mean_cos_power(p) * mean - sum(terms), terms
+    out = []
+    for (p, alpha), pair_terms in zip(pairs, terms):
+        with np.errstate(divide="ignore"):
+            log_h = p * np.log(amplitude / math.pi) + alpha * np.log(x)
+        values = np.exp(log_h)
+        if bounded:
+            mean = float(w @ values)
+        else:
+            gamma = -1.0 - (log_h[-1] - log_h[-2]) / math.log(edges[-1] / edges[-2])
+            gamma = gamma if gamma > p - alpha - 1 else p - alpha - 1  # h decays at least like x^(alpha - p)
+            mean = float(w @ values[:-2] + values[-1] * edges[-1] / gamma)
+        out.append((_mean_cos_power(p) * mean - sum(pair_terms), pair_terms))
+    return out
 
 
-def _far_tails(f: PiecewiseConstant1D, N: float, x_n: float, p: float, alpha: float) -> list[tuple[float, list]]:
-    """_far_tail past x_n of f, then of x -> f(-x), the tail left of -x_n; none for f = 0."""
-    if not f.breakpoints:
+def _ibp_terms(rotated: np.ndarray, bps: np.ndarray, N: float, x: float, pairs) -> list | None:
+    """_far_tail's terms (-1)^k H_k(x) Q_(k+1)(theta(x)), k < K, per (p, alpha) of pairs; None where Z(x) = 0.
+
+    Z's Taylor coefficients at x are exact sums over the jumps, and log h
+    and theta' follow from Z'/Z.
+    """
+    omega = 2 * math.pi * N
+    z = (_auxiliary_taylor(omega * (x - bps), _TAIL_TERMS + 1) @ rotated * omega ** np.arange(_TAIL_TERMS + 1)).tolist()
+    if z[0] == 0:
+        return None
+    rate = _jet_quotient([n * c for n, c in enumerate(z[1:], 1)], z)  # Z'/Z
+    theta_rate = [omega * (n == 0) + q.imag for n, q in enumerate(rate)]
+    theta = 2 * math.pi * ((N * x) % 0.5) + math.atan2(z[0].imag, z[0].real)
+    out = []
+    for p, alpha in pairs:
+        log_h_rate = [p * q.real + alpha * (-1) ** n / x ** (n + 1) for n, q in enumerate(rate)]
+        h = [math.exp(p * math.log(abs(z[0]) / math.pi) + alpha * math.log(x))]
+        for n in range(1, _TAIL_TERMS):
+            h.append(sum(log_h_rate[k] * h[n - 1 - k] for k in range(n)) / n)
+        H, terms = _jet_quotient(h, theta_rate), []
+        for k, q in enumerate(_cos_power_antiderivatives(theta, p)):
+            terms.append((-1) ** k * H[0] * q)
+            H = _jet_quotient([n * c for n, c in enumerate(H[1:], 1)], theta_rate)
+        out.append(terms)
+    return out
+
+
+def _far_tails(f: PiecewiseConstant1D, N: float, x_n: float, pairs, x_end: float = math.inf) -> list[list]:
+    """_far_tail from x_n to x_end of f, then of x -> f(-x), the tail from -x_end to -x_n; none for f = 0 or x_n >= x_end."""
+    if not f.breakpoints or not x_n < x_end:
         return []
     bps, jumps = np.asarray(f.breakpoints), np.diff(f.values, prepend=0.0, append=0.0)
-    return [_far_tail(b, c, N, x_n, p, alpha) for b, c in ((bps, jumps), (-bps[::-1], -jumps[::-1]))]
+    return [_far_tail(b, c, N, x_n, pairs, x_end) for b, c in ((bps, jumps), (-bps[::-1], -jumps[::-1]))]
 
 
 def _partial_sum_error(f: PiecewiseConstant1D, params: WeightParams, N: float) -> tuple[float, float, float]:
     """(int |S_N f - f|^p |x|^alpha dx, the near zone's end, the size of its tails' last terms).
 
-    For alpha < p - 1 the integral is _partial_sum_integrals' on the near
-    zone [-X_N, X_N], X_N = _near_zone_end(f, N), plus _far_tails.  For
-    alpha >= p - 1 the tails do not converge, and it is the integral on
-    [-_X_MAX, _X_MAX] alone, with last term size 0.
+    The integral runs out to x_end = inf for alpha < p - 1, and to
+    x_end = _X_MAX otherwise, where the tails do not converge.  It is
+    _partial_sum_integrals' on the near zone [-X, X], X =
+    _near_zone_end(f, N, x_end), plus _far_tails from X to x_end.
     """
     p, alpha = params.p, params.alpha
-    if not alpha < p - 1:
-        ((total,),) = _partial_sum_integrals([f], [(p, alpha)], N, _X_MAX, 1)
-        return float(total), _X_MAX, 0.0
-    x_n = _near_zone_end(f, N)
+    x_end = math.inf if alpha < p - 1 else _X_MAX
+    x_n = _near_zone_end(f, N, x_end)
     ((total,),) = _partial_sum_integrals([f], [(p, alpha)], N, x_n, 1)
     total, last = float(total), 0.0
-    for tail, terms in _far_tails(f, N, x_n, p, alpha):
+    for ((tail, terms),) in _far_tails(f, N, x_n, [(p, alpha)], x_end):
         total += tail
         last += abs(terms[-1])
     return total, x_n, last
@@ -1053,18 +972,17 @@ def _partial_sum_error(f: PiecewiseConstant1D, params: WeightParams, N: float) -
 def partial_sum_error_norm(f: PiecewiseConstant1D, params: WeightParams, N: float) -> float:
     """e(N) = weighted norm of S_N f - f on the line.
 
-    For alpha < p - 1, panels resolve both the oscillation (spacing 1/(4N))
-    and the weight singularity at 0 (geometric grading to 2^-40), with
-    _E_NODES Gauss-Legendre nodes each, on the near zone [-X_N, X_N], X_N
-    the least multiple of 1/(4N) at or above max |b_j| + 16/N; the tails
-    past it are in closed form (_far_tails).  The near zone's integral is
-    _partial_sum_integrals' with sub = 1: the uniform panels that no grading
-    edge or breakpoint splits are cells of the lattice Z/(4N) when 4N X_N is
-    an integer in floating point, and take the exact-phase lattice kernel.
-    A near zone of more than _NEAR_CELLS cells per side raises
-    DomainEvaluationError.  For alpha >= p - 1 the norm is infinite unless
-    S_N f - f cancels its C/|x| decay, and e(N) is the integral on
-    [-256, 256] alone.
+    Panels resolve both the oscillation (spacing 1/(4N)) and the weight
+    singularity at 0 (geometric grading to 2^-40), with _E_NODES
+    Gauss-Legendre nodes each, on the near zone [-X_N, X_N], X_N the least
+    multiple of 1/(4N) at or above max |b_j| + 16/N, where dirichlet_sn
+    minus f is taken at every node (_partial_sum_integrals); the tails past
+    it are in closed form (_far_tails).  For alpha < p - 1 the tails run to
+    infinity.  For alpha >= p - 1 the norm is infinite unless S_N f - f
+    cancels its C/|x| decay, and e(N) is the integral on [-256, 256] alone:
+    X_N is clipped at 256 and the tails end there.  A near zone of more
+    than _NEAR_CELLS cells of width 1/(4N) per side raises
+    DomainEvaluationError.
     """
     return _partial_sum_error(f, params, N)[0] ** (1.0 / params.p)
 

@@ -431,14 +431,12 @@ def test_maximal_1d_exact_memory_is_bounded():
     assert peak < 2 * 1024 * 1024, peak
 
 
-def test_partial_sum_error_norm_streams_its_lattice_tables():
-    # e(1024) of chi[-256, 256] has 4N X_N = 1M + 64 lattice cells per side.
-    # It holds, per chunk of 8192 cells, one shared Si table of at most two
-    # chunks, work buffers of one chunk each, and each side's errors.  A
-    # table over every lattice point would add 32 MiB.  It forms each chunk's
-    # 8193 edges and keeps the split cells as index arrays, instead of all
-    # 1M + 1 edges and a (2, 1M) cell mask (10 MiB of the 13.2 MiB peak they
-    # gave).  Measured 2.76 MiB with its closed-form far tails
+def test_partial_sum_error_norm_streams_its_panels():
+    # e(1024) of chi[-256, 256] has 4N X_N = 2^20 + 64 cells of width 1/(4N)
+    # per side.  Its panels stream in chunks of at most _PANEL_CHUNK, each
+    # forming its own edges, so it holds one chunk's nodes, values and terms
+    # at a time.  Measured 1.25 MiB with its closed-form far tails; the
+    # lattice kernel this route replaced peaked at 2.76 MiB
     f, params = PiecewiseConstant1D.indicator(-256.0, 256.0), WeightParams(1, 1.0, 2.0, -0.5)
     partial_sum_error_norm(f, params, 1.0)
     tracemalloc.start()
@@ -451,26 +449,24 @@ def test_partial_sum_error_norm_streams_its_lattice_tables():
 
 
 def test_e_panels_form_their_lattice_edges_per_chunk(monkeypatch):
-    # e(1024) of chi[-256, 256] has 1M + 64 lattice cells per side: each
-    # _lattice_edges call forms at most one chunk's 8193 edges, never all of
-    # them, and the split cells come back as a few sorted indices, not a
-    # (2, 1M) cell mask
+    # e(1024) of chi[-256, 256] has 2^20 + 64 cells of width 1/(4N) per
+    # side, the lattice (1/(4N))Z: each dirichlet_sn call takes the nodes of
+    # at most one chunk of _PANEL_CHUNK panels, never all of them
     f, params = PiecewiseConstant1D.indicator(-256.0, 256.0), WeightParams(1, 1.0, 2.0, -0.5)
-    edges, panels = [], verify._lattice_panels(f.breakpoints, 1024.0, verify._near_zone_end(f, 1024.0), 1)
-    lattice_edges = verify._lattice_edges
-    monkeypatch.setattr(verify, "_lattice_edges", lambda ls, *args: edges.append(ls.size) or lattice_edges(ls, *args))
+    sizes, sn = [], verify.dirichlet_sn
+    monkeypatch.setattr(verify, "dirichlet_sn", lambda g, N, x: sizes.append(x.size) or sn(g, N, x))
     partial_sum_error_norm(f, params, 1024.0)
-    assert panels[1] == 1024 * 1024 + 64
-    assert edges and max(edges) <= 8193, max(edges)
-    for cells in panels[2]:
-        assert cells.dtype.kind == "i" and 0 < cells.size < 16 and np.all(np.diff(cells) > 0), cells
+    assert verify._near_zone_end(f, 1024.0) * 4096 == 2**20 + 64
+    assert max(sizes) <= 4 * verify._PANEL_CHUNK, max(sizes)
+    assert sum(sizes) >= 4 * 2 * (2**20 + 64), sum(sizes)
 
 
 def test_sn_leg_memory_is_bounded():
-    # claim 3.1's dirichlet_sn leg: one lattice kernel call of 13 rows in
-    # chunks of 1024 cells, 8 nodes each, measured 2.43 MiB.  dirichlet_sn on
-    # all 65832 nodes of each block peaked at 5.2 MiB, and chunks of 4096
-    # cells, whose err buffer is 13 x 256 KiB, at 9.4 MiB
+    # claim 3.1's dirichlet_sn leg: per block, the near zone's panels (at
+    # most one chunk of 2048, 8192 nodes) and a closed-form tail to 1024,
+    # measured 1.45 MiB.  The lattice kernel this route replaced peaked at
+    # 2.43 MiB, and dirichlet_sn on all 65832 nodes of each block on
+    # [-1024, 1024] at 5.2 MiB
     ks = list(range(verify._K_RANGE[0], verify._K_RANGE[1] + 1))
     verify._block_norms("dirichlet_sn", verify._BLOCK_GRID, ks)
     tracemalloc.start()
@@ -504,16 +500,20 @@ def _e_of_n_in_a_child(breakpoints, N) -> tuple[str, int]:
 
 def test_partial_sum_error_norm_memory_is_bounded():
     # e(2^11) of chi[1/4, 1/2] integrates on its near zone, 4N X_N = 4160
-    # lattice cells per side, and adds the tails past X_N in closed form.
-    # Out to x_max = 256 it streamed 16.8M quadrature nodes, at 0.001031502908723847;
-    # the dense form peaked at 2474 MiB, and the dirichlet_sn stream at 201 MiB
+    # cells of width 1/(4N) per side, and adds the tails past X_N in closed
+    # form.  Out to x_max = 256 it streamed 16.8M quadrature nodes, at
+    # 0.001031502908723847; the dense form peaked at 2474 MiB, and the
+    # dirichlet_sn stream at 201 MiB.  The value is dirichlet_sn - f's on
+    # every panel; the exact-phase lattice kernel read 0.001031504766395448
     value, hwm_kib = _e_of_n_in_a_child((0.25, 0.5), 2048.0)
-    assert float(value) == 0.001031504766395448
+    assert float(value) == 0.0010315047663954381
     assert hwm_kib / 1024 < 100
 
 
 def test_partial_sum_error_norm_memory_is_bounded_on_a_wide_support():
-    # e(1024) of chi[-256, 256] still streams 2^20 + 64 lattice cells per side
+    # e(1024) of chi[-256, 256] still streams 2^20 + 64 cells per side.
+    # dirichlet_sn - f cancels f against the limits +-pi/2 of its Si terms,
+    # 2.7e-12 relative from the lattice kernel's 0.00013412900613712857
     value, hwm_kib = _e_of_n_in_a_child((-256.0, 256.0), 1024.0)
-    assert float(value) == 0.00013412900613712857
+    assert float(value) == 0.00013412900613676593
     assert hwm_kib / 1024 < 100

@@ -540,6 +540,19 @@ def test_sweep_block_scale_stays_in_float_range(tmp_path, capsys):
         assert max(norm, base) / min(norm, base) < 1.05  # the exact-route ratio of claim 3.1
 
 
+def test_sweep_sn_block_scale_stays_in_float_range(tmp_path):
+    # the dirichlet_sn leg at the ends of the scale range: at k = -982 every
+    # x - b_j rounds to x, so the far field Z rounds to 0 and so does the
+    # tail; from k = 10 on the near zone reaches 1024 and takes no tail, so
+    # k = 10 keeps the norm of the panels on [-1024, 1024]
+    argv = ["sweep", "--op", "sn", "--params", "1,1,2,-1/2", "--schedule=-982,10,982"]
+    assert main(argv + ["--out", str(tmp_path / "s")]) == 0
+    rows = read_csv(str(tmp_path / "s.csv"))
+    assert [k for k, _ in rows] == [-982.0, 10.0, 982.0]
+    assert all(math.isfinite(norm) for _, norm in rows)
+    assert abs(rows[1][1] / 1.1722478234095148 - 1.0) <= 1e-13
+
+
 def test_sweep_rejects_fractional_scales(tmp_path):
     rc = main(
         ["sweep", "--op", "hilbert", "--params", "1,1,2,-1/2", "--schedule", "0.5", "--out", str(tmp_path / "s")]

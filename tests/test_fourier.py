@@ -5,16 +5,14 @@ cross-check it.  Route-agreement bounds here assert the measured sampling
 error of the spectral route (one straddled grid cell per jump: O(h) in L^inf
 near jumps, O(h^2) at fixed interior points), not an idealized rate.
 
-e(N)'s lattice kernel evaluates S_N f - f at the exact points of the lattice
-Z/(4N) from exact phases; it must agree with dirichlet_sn - f at the nearest
-doubles, and with 40-digit mpmath, and e(N)'s panels must be those of
-oscillation_edges.
+e(N) and claim 3.1's dirichlet_sn leg integrate dirichlet_sn (minus f) on
+their near zones, on panels streamed in chunks: the chunks must hold the
+panels of oscillation_edges, bit for bit, and the leg must keep the norms of
+quadrature on every panel of [-1024, 1024] where its integrand has no kink.
 """
 
 import math
-from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +21,7 @@ from hypothesis import strategies as st
 from blockspaces import (
     DomainEvaluationError,
     PiecewiseConstant1D,
+    WeightParams,
     carleson,
     dirichlet_sn,
     dirichlet_sn_via_hilbert,
@@ -35,24 +34,16 @@ from blockspaces import (
     sine_integral,
     verify,
 )
-from blockspaces.operators import _sn_error_on_lattice
 from blockspaces.quadrature import (
     _gl_rule,
+    _grading,
     _node_rows,
     _uniform_edges,
     oscillation_edges,
     panel_nodes,
     weighted_norm_from_samples,
 )
-from blockspaces.verify import (
-    _E_NODES,
-    _X_MAX,
-    _cell_nodes,
-    _cell_panel_nodes,
-    _lattice_edges,
-    _lattice_panels,
-    _partial_sum_integrals,
-)
+from blockspaces.verify import _PANEL_CHUNK, _X_MAX, _edge_chunks, _partial_sum_integrals
 
 chi = PiecewiseConstant1D.indicator
 
@@ -301,111 +292,17 @@ def test_partial_sums_commute_with_dyadic_dilation(seed, j):
     assert np.array_equal(got, carleson(f, sched, x, refine_tolerance=1e-12, max_refinements=2))
 
 
-# -- e(N)'s lattice kernel ------------------------------------------------------
-
-GL_NODES = _gl_rule(_E_NODES)[0]
-
-
-def lattice_kernel(bps, values, N, first, panels, width=None):
-    """The kernel's values of each row over all its chunks, as a (rows x panels x nodes) array."""
-    chunks = _sn_error_on_lattice(np.atleast_2d(bps), np.atleast_2d(values), N, first, panels, GL_NODES, width)
-    return np.concatenate([err.copy() for _, err in chunks], axis=2).transpose(0, 2, 1)
-
-
-def lattice_points(N, first, panels):
-    """The exact points (l + (1 + t_k)/2) / (4N) of the kernel's rows, in its order."""
-    h = 1 / (4 * Fraction(N))
-    return [(l + (1 + Fraction(t)) / 2) * h for l in range(first, first + panels) for t in GL_NODES.tolist()]
-
-
-@st.composite
-def lattice_cases(draw):
-    """N, a step function with breakpoints on and off the lattice Z/(4N), some past +-256, and panels."""
-    N = draw(st.sampled_from([0.25, 1.0, 3.0, 64.0]))
-    reach = int(1.2 * 4 * N * _X_MAX)
-    on = draw(st.lists(st.integers(-reach, reach), max_size=4))
-    off = draw(st.lists(st.floats(-1.2 * _X_MAX, 1.2 * _X_MAX), max_size=4))
-    bps = sorted({float(k / (4 * Fraction(N))) for k in on} | set(off))
-    if len(bps) < 2:
-        bps = [-300.0, 0.3]
-    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=len(bps) - 1, max_size=len(bps) - 1))
-    # the panels next to a breakpoint (|t| < 44 and the 22-term rows) or anywhere
-    near = math.floor(4 * N * draw(st.sampled_from(bps))) + draw(st.integers(-720, 80))
-    first = draw(st.one_of(st.just(near), st.integers(-reach, reach)))
-    return N, PiecewiseConstant1D(bps, values), first, draw(st.integers(1, 140))
-
-
-@settings(deadline=None, max_examples=150)
-@given(case=lattice_cases())
-def test_lattice_kernel_equals_dirichlet_sn_minus_f(case):
-    # at the double x nearest each exact lattice point x*: the budget per
-    # jump c_j is |c_j| 2^-45 for the two routes' rounding (Si errs by up to
-    # 40 ulps of 1 on its Maclaurin branch, in each route), 4 * 2^-1074 for a
-    # subnormal c_j, and 2N |c_j| |x - x*|, as |d/dx Si(2 pi N (x - b))| <=
-    # 2 pi N.  Points with a breakpoint in [x, x*] are left out: f jumps there
-    N, f, first, panels = case
-    exact = lattice_points(N, first, panels)
-    x = np.array([float(p) for p in exact])
-    offset = np.array([float(abs(Fraction(xf) - p)) for xf, p in zip(x.tolist(), exact)])
-    bps = np.asarray(f.breakpoints)
-    got = lattice_kernel(bps, f.values, N, first, panels).ravel()
-    want = dirichlet_sn(f, N, x) - f(x)
-    jumps = np.abs(np.diff(np.concatenate([[0.0], f.values, [0.0]]))).sum()
-    budget = jumps * (2.0**-45 + 2.0 * N * offset) + 4 * 2.0**-1074 * len(f.breakpoints)
-    between = np.array([any(min(xf, p) <= b <= max(xf, p) for b in f.breakpoints) for xf, p in zip(x, exact)])
-    assert np.all((np.abs(got - want) <= budget) | between)
+# -- the panels of e(N) and of claim 3.1's dirichlet_sn leg ------------------------
 
 
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-@settings(deadline=None, max_examples=60)
-@given(case=lattice_cases(), data=st.data())
-def test_lattice_value_is_the_value_alone(case, data):
-    # a value depends on its lattice point, node and offset alone: not on the
-    # range or the cuts it is asked for (some ranges cross the kernel's chunks
-    # of 8192 cells), nor on a second row whose breakpoints share f's offsets
-    # (f's own breakpoints, their mirrors, lattice points) or have others,
-    # some so far that 4N b_j is beyond int64
-    N, f, first, panels = case
-    panels = data.draw(st.one_of(st.just(panels), st.integers(8000, 17000)))
-    h = 1 / (4 * Fraction(N))
-    shared = [*f.breakpoints, *(-b for b in f.breakpoints), *(float(k * h) for k in range(-40, 40))]
-    other = st.one_of(st.sampled_from(shared), st.floats(-1.2 * _X_MAX, 1.2 * _X_MAX), st.sampled_from([-1e200, 2.0**70]))
-    size = len(f.breakpoints)
-    g_bps = sorted(data.draw(st.lists(other, min_size=size, max_size=size, unique=True)))
-    g_values = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=size - 1, max_size=size - 1))
-    alone = lattice_kernel(f.breakpoints, f.values, N, first, panels)[0]
-    both = lattice_kernel([f.breakpoints, g_bps], [f.values, g_values], N, first, panels)
-    assert np.array_equal(bits(both[0]), bits(alone))
-    assert np.array_equal(bits(both[1]), bits(lattice_kernel(g_bps, g_values, N, first, panels)[0]))
-    cuts = sorted(data.draw(st.sets(st.integers(first + 1, first + panels - 1), max_size=3))) if panels > 1 else []
-    ends = [first, *cuts, first + panels]
-    parts = [lattice_kernel(f.breakpoints, f.values, N, lo, hi - lo)[0] for lo, hi in zip(ends, ends[1:])]
-    assert np.array_equal(bits(np.concatenate(parts)), bits(alone))
-
-
-@pytest.mark.parametrize("N, width", [(48.0, 64), (1.0, 3)])
-@pytest.mark.parametrize(
-    "f", [chi(0.25, 0.5), PiecewiseConstant1D([0.25, 0.3, 0.5], [1.0, -2.0])], ids=["one-offset", "two-offsets"]
-)
-def test_narrow_chunks_keep_the_lattice_bits(f, N, width):
-    # narrow chunks over 1000 cells reach every way the kernel shares its
-    # table: at N = 48 the jumps of chi[1/4, 1/2] are 48 cells apart, so its
-    # table is built afresh, shifts the columns a new span shares with it and
-    # fills the rest, and holds a later chunk's window whole; at N = 1 chunks
-    # of 3 cells bring windows that end one column past the table; a second
-    # offset builds a table per offset and chunk.  Every value is the
-    # default width's, bit for bit
-    wide = lattice_kernel(f.breakpoints, f.values, N, 1, 1000)
-    assert np.array_equal(bits(lattice_kernel(f.breakpoints, f.values, N, 1, 1000, width=width)), bits(wide))
-
-
 @pytest.mark.parametrize("nodes", [4, 8, 16, 24])
 def test_node_rows_are_the_broadcast_formula(nodes):
     # x = c + r t_k and w = r w_k per panel of centre c and half-width r,
-    # bit for bit, panel-major from panel_nodes and node-major for e(N)'s lattice
+    # bit for bit, panel-major from panel_nodes and node-major from _node_rows
     rng = np.random.default_rng(nodes)
     edges = np.unique(np.concatenate([rng.uniform(-300.0, 300.0, 200), rng.uniform(-1e-3, 1e-3, 57)]))
     t, w = _gl_rule(nodes)
@@ -418,150 +315,101 @@ def test_node_rows_are_the_broadcast_formula(nodes):
     assert np.array_equal(bits(rows_x), bits(want_x.T)) and np.array_equal(bits(rows_w), bits(want_w.T))
 
 
-@pytest.mark.parametrize("N", [64.0, 1024.0])
-def test_lattice_kernel_against_mpmath_at_far_nodes(N):
-    # chi[1/4, 1/2] at lattice nodes far from its jumps, on both sides: within
-    # 8 ulps of (1/pi) sum_j |c_j| |R(t_j)|, R(t) = Si(t) - sgn(t) pi/2.  The
-    # two R(t_j) nearly cancel there, which costs dirichlet_sn - f its
-    # digits: it forms Si(t_j) ~ pi/2 and subtracts f
-    f = chi(0.25, 0.5)
-    count = int(4 * N * _X_MAX)
-    for first in (-count, -count // 2, count // 8, count - 16):
-        got = lattice_kernel(f.breakpoints, f.values, N, first, 16)
-        for value, point in zip(got.ravel().tolist(), lattice_points(N, first, 16)):
-            with mpmath.workdps(40):
-                x = mpmath.mpf(point.numerator) / point.denominator
-                r = [mpmath.si(2 * mpmath.pi * N * (x - b)) - mpmath.sign(x - b) * mpmath.pi / 2 for b in (0.25, 0.5)]
-                want, scale = (r[0] - r[1]) / mpmath.pi, (abs(r[0]) + abs(r[1])) / mpmath.pi
-                assert abs(value - want) <= 8 * 2.0**-53 * scale
+def streamed_edges(bps, x_max, spacing):
+    """The edges of _edge_chunks, each chunk's first edge dropped after the first chunk; checks the chunk size."""
+    chunks = list(_edge_chunks(bps, x_max, spacing))
+    assert all(chunk.size - 1 <= _PANEL_CHUNK for chunk in chunks)
+    assert all(a[-1] == b[0] for a, b in zip(chunks, chunks[1:]))
+    return np.concatenate([chunks[0], *(chunk[1:] for chunk in chunks[1:])])
+
+
+def _assert_chunks_are_the_oscillation_panels(N, x_max, sub):
+    # breakpoints off the lattice (1/(4N sub))Z, one past 256 and one at 0;
+    # the edges have oscillation_edges' bits, up to the sign of 0, which
+    # np.unique keeps from either of -0 and +0 and no node depends on
+    f = PiecewiseConstant1D((-300.0, -1.0 / 3.0, 0.0, 0.7, 255.99), (1.0, 2.0, 3.0, -1.0))
+    got = streamed_edges(f.breakpoints, x_max, 1.0 / (4.0 * N * sub))
+    want = oscillation_edges(f.breakpoints, x_max, 1.0 / (4.0 * N * sub))
+    assert got.size == want.size and np.array_equal(bits(got + 0.0), bits(want + 0.0))
 
 
 @pytest.mark.parametrize("N", [1.0, 3.0, 1024.0])
 def test_lattice_and_other_panels_are_the_oscillation_panels(N):
-    # breakpoints off the lattice, one past 256 and one at 0; N = 3 also has
-    # the grading edge 1/8 inside a lattice cell
-    _assert_lattice_panels_are_the_oscillation_panels(N, _X_MAX, 1)
+    # e(N)'s panels, one per cell of width 1/(4N): N = 3 also has the
+    # grading edge 1/8 inside a cell, and N = 1024 streams 1025 chunks
+    _assert_chunks_are_the_oscillation_panels(N, _X_MAX, 1)
 
 
-@pytest.mark.parametrize("N", [1.0, 3.0])
+@pytest.mark.parametrize("N", [1.0, 3.0, 1024.0])
 def test_two_panel_cells_are_the_oscillation_panels(N):
-    # as claim 3.1's dirichlet_sn leg takes them at N = 1: x_max = 1024 and
-    # two panels per lattice cell
-    _assert_lattice_panels_are_the_oscillation_panels(N, 1024.0, 2)
-
-
-def _assert_lattice_panels_are_the_oscillation_panels(N, x_max, sub):
-    f = PiecewiseConstant1D((-300.0, -1.0 / 3.0, 0.0, 0.7, 255.99), (1.0, 2.0, 3.0, -1.0))
-    runs, count, split = _lattice_panels(f.breakpoints, N, x_max, sub)
-    assert count == 4 * N * x_max
-    uniform = np.linspace(0.0, x_max, count * sub + 1)
-    pairs = [np.stack([e[:-1], e[1:]], axis=1) for e in runs]
-    for cells, sign in zip(split, (1.0, -1.0)):
-        assert np.array_equal(cells, np.unique(cells)) and cells[0] == 0
-        l = (sub * np.setdiff1d(np.arange(count), cells)[:, None] + np.arange(sub)).ravel()
-        ends = np.stack([sign * uniform[l], sign * uniform[l + 1]], axis=1)
-        pairs.append(ends if sign > 0 else ends[:, ::-1])
-    got = np.concatenate(pairs)
-    got = got[np.argsort(got[:, 0], kind="stable")]
-    edges = oscillation_edges(f.breakpoints, x_max, 1.0 / (4.0 * N * sub))
-    assert np.array_equal(got, np.stack([edges[:-1], edges[1:]], axis=1))
+    # as claim 3.1's dirichlet_sn leg takes them at N = 1: two panels per
+    # cell of width 1/(4N), out to 1024 (to 64 at N = 1024, 2^19 panels a
+    # side, so that the reference stays small)
+    _assert_chunks_are_the_oscillation_panels(N, min(1024.0, 65536.0 / N), 2)
 
 
 @pytest.mark.parametrize("N", [*(2.0**j for j in range(11)), 0.25, 3.0, 161 / 1024])
 def test_lattice_edges_are_the_uniform_edges(N):
-    # every N of claim 6.3's schedule, and others with 1024N an integer; at
-    # N = 161/1024 the last edge 161 fl(1/(4N)) is not 256 but linspace's is
-    uniform = _uniform_edges(_X_MAX, 1.0 / (4.0 * N))
-    count = uniform.size - 1
-    assert count == 1024 * N
-    assert _lattice_edges(np.arange(count + 1), N, _X_MAX, 1).tobytes() == uniform.tobytes()
-    for lo in range(1, count, 8192):  # the chunks e(N) forms them in, from cell 1
-        n = min(8192, count - lo)
-        assert _lattice_edges(np.arange(lo, lo + n + 1), N, _X_MAX, 1).tobytes() == uniform[lo : lo + n + 1].tobytes()
+    # every N of claim 6.3's schedule, and others with 1024N an integer: the
+    # uniform edges l fl(256 / 1024N) of the chunks are np.linspace's, bit for
+    # bit; at N = 161/1024 the last edge 161 fl(1/(4N)) is not 256 but linspace's is
+    got = streamed_edges((), _X_MAX, 1.0 / (4.0 * N))
+    want = _uniform_edges(_X_MAX, 1.0 / (4.0 * N))
+    assert want.size - 1 == 1024 * N
+    positive = got[got > 0]
+    assert positive.tobytes() == np.union1d(want[1:], _grading(_X_MAX)).tobytes()
+    assert (-got[got < 0][::-1]).tobytes() == positive.tobytes()
 
 
-@pytest.mark.parametrize("N, want", [(3.0, "0x1.22be70a1489b4p+0"), (161 / 1024, "0x1.069cb7eb63a47p+3")])
-def test_split_lattice_cells_keep_their_bits(N, want):
-    # breakpoints off the lattice and, at N = 3, the grading edge 1/8 split
-    # lattice cells, which the lattice route must leave to dirichlet_sn; the
-    # values are those of the (2, 1024N) cell mask this route replaced, on
-    # [-256, 256] (e(N)'s near zone ends at 4N X_N cells, no double here)
+@pytest.mark.parametrize("N, want", [(3.0, "0x1.22be70a1489b3p+0"), (161 / 1024, "0x1.069cb7eb63a48p+3")])
+def test_partial_sum_integrals_keep_their_bits(N, want):
+    # breakpoints off the lattice (1/(4N))Z and, at N = 3, the grading edge
+    # 1/8 split cells of width 1/(4N) on [-256, 256]; every panel goes through
+    # dirichlet_sn - f and each chunk adds its sum
     f = PiecewiseConstant1D((-300.0, -1.0 / 3.0, 0.0, 0.7, 255.99), (1.0, 2.0, 3.0, -1.0))
     ((total,),) = _partial_sum_integrals([f], [(1.0, -0.5)], N, _X_MAX, 1)
     assert total.hex() == want
 
 
 def test_non_lattice_N_keeps_its_bits():
-    # 1024 N = 307.2 is no integer: every panel goes through dirichlet_sn as before
+    # 1024 N = 307.2 is no integer: its 700 panels are one chunk, one sum as before
     ((total,),) = _partial_sum_integrals([chi(0.25, 0.5)], [(1.0, -0.5)], 0.3, _X_MAX, 1)
     assert total == 0.9854439963904995
 
 
-# -- claim 3.1's dirichlet_sn leg on the lattice Z/4 -------------------------------
+# -- claim 3.1's dirichlet_sn leg ----------------------------------------------------
 
-LEG = verify._SN_N, verify._SN_PANELS["x_max"], verify._SN_SUB
 LEG_SCALES = list(range(verify._K_RANGE[0], verify._K_RANGE[1] + 1))
 
 
-def leg_blocks():
-    # both points of claim 3.1's grid give these blocks (tests/test_verify.py)
-    return [make_canonical_block(verify._BLOCK_GRID[0], k).data for k in LEG_SCALES]
-
-
-def test_sn_leg_lattice_values_match_dirichlet_sn():
-    # (S_1 f - f) + f from the lattice kernel, at the leg's nodes in every
-    # cell of Z/4 a block leaves whole, against dirichlet_sn at the same
-    # nodes: per jump c_j at b_j, |c_j| 2^-45 for the two routes' Si
-    # rounding (as in test_lattice_kernel_equals_dirichlet_sn_minus_f), plus
-    # |c_j| min(2N, 1/(pi |x - b_j|)) 2 ulp(x) for the kernel taking the exact
-    # point and dirichlet_sn the rounded node (|d/dx Si(2 pi N (x - b))| / pi
-    # <= min(2N, 1/(pi |x - b|))), plus one rounding of |f| for adding f.
-    # Measured: at most 2.8e-15 absolute and 4 % of the budget
-    N, x_max, sub = LEG
-    count = int(4 * N * x_max)
-    for f in leg_blocks():
-        bps, values = np.asarray(f.breakpoints), np.asarray(f.values)
-        jumps = np.abs(np.diff(np.concatenate([[0.0], values, [0.0]])))
-        split = _lattice_panels(bps, N, x_max, sub)[2][0]
-        buffer = np.empty((2, _E_NODES, verify._SN_CHUNK * sub))
-        for lo, err in _sn_error_on_lattice([bps], [values], N, 1, count - 1, _cell_nodes(sub), verify._SN_CHUNK):
-            n = err.shape[2]
-            x, _ = _cell_panel_nodes(lo, n, N, x_max, sub, buffer)
-            got = err[0] + f((np.arange(lo, lo + n) + 0.5) / (4 * N))
-            want = dirichlet_sn(f, N, x.ravel()).reshape(x.shape)
-            slope = np.minimum(2 * N, 1 / (math.pi * np.abs(x[..., None] - bps))) @ jumps
-            budget = jumps.sum() * 2.0**-45 + slope * 2 * np.spacing(x) + 2.0**-53 * np.abs(got)
-            whole = ~np.isin(np.arange(lo, lo + n), split)
-            assert np.all((np.abs(got - want) <= budget)[:, whole])
-
-
 def test_sn_leg_norms_match_the_per_block_route():
-    # the leg's norms against dirichlet_sn on every node of its panels,
-    # weighed as one array of terms per block (the route before the lattice
-    # kernel served the leg): within 1e-13 relative; measured 4.6e-15
-    N, x_max, _ = LEG
-    spacing, nodes = verify._SN_PANELS["spacing"], verify._SN_PANELS["nodes"]
-    got = verify._block_norms("dirichlet_sn", verify._BLOCK_GRID, LEG_SCALES)
-    for i, f in enumerate(leg_blocks()):
+    # at p = 2, alpha = 0, |S_1 f|^2 has no kinks, and the leg's near zone
+    # plus closed-form tails to +-1024 must keep the norms of dirichlet_sn on
+    # every node of the leg's panels on [-1024, 1024], weighed per block:
+    # within 1e-13 relative at every scale (measured: 3.5e-14).  At p = 1 and
+    # 1/2 that reference is off by the kinks of |S_1 f| that its panels cut
+    # across, and the closed-form tails are not (tools/e_tail_audit.py --leg)
+    x_max, spacing, nodes = (verify._SN_PANELS[key] for key in ("x_max", "spacing", "nodes"))
+    params = WeightParams(1, 2.0, 2.0, 0.0)
+    got = verify._block_norms("dirichlet_sn", (params,), LEG_SCALES)[0]
+    for k, norm in zip(LEG_SCALES, got, strict=True):
+        f = make_canonical_block(params, k).data
         x, w = panel_nodes(oscillation_edges(f.breakpoints, x_max, spacing), nodes)
-        values = dirichlet_sn(f, N, x)
-        for params, norms in zip(verify._BLOCK_GRID, got):
-            want = weighted_norm_from_samples(values, x, w, params.p, params.alpha)
-            assert abs(norms[i] / want - 1.0) <= 1e-13, (params, LEG_SCALES[i])
+        want = weighted_norm_from_samples(dirichlet_sn(f, verify._SN_N, x), x, w, 2.0, 0.0)
+        assert abs(norm / want - 1.0) <= 1e-13, k
 
 
 def test_partial_sum_integrals_are_per_function():
     # a function's integrals have the same bits whatever functions share the
-    # call: more than _LATTICE_ROWS half-line rows go to several kernel calls,
-    # a symmetric f is one row, and both modes and pairs come per function
+    # call, in both modes and for the pairs in any order
     rng = np.random.default_rng(7)
     fs = [chi(0.25, 0.5), PiecewiseConstant1D((-1.0, -0.5, 0.5, 1.0), (1.0, 0.0, 1.0))]
     fs += [PiecewiseConstant1D(np.sort(rng.uniform(-3.0, 3.0, 4)), rng.standard_normal(3)) for _ in range(9)]
     pairs = [(1.0, -0.5), (0.5, -0.75), (2.0, 0.0)]
     for minus_f in (True, False):
-        together = _partial_sum_integrals(fs, pairs, 2.0, 8.0, 2, minus_f, 64)
+        together = _partial_sum_integrals(fs, pairs, 2.0, 8.0, 2, minus_f)
         for f, row in zip(fs, together):
-            alone = _partial_sum_integrals([f], pairs[::-1], 2.0, 8.0, 2, minus_f, 64)[0][::-1]
+            alone = _partial_sum_integrals([f], pairs[::-1], 2.0, 8.0, 2, minus_f)[0][::-1]
             assert row.tobytes() == alone.tobytes()
 
 

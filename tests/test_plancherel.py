@@ -46,7 +46,9 @@ def test_hilbert_grid_keeps_the_l2_norm():
 
 def test_sn_panels_keep_the_low_frequency_mass():
     # ||S_1 f||_2^2 = ||f||_2^2 - int_{|xi|>1} |f^|^2 on the dirichlet_sn
-    # leg's panels, through the lattice route it shares with e(N): +5.31e-11 today
+    # leg's near zone and its closed-form tails to +-1024: +5.31e-11 today.
+    # The leg is cut at 1024, which leaves out 7.2e-12 of the mass; with the
+    # tails to infinity the deviation would read 6.03e-11
     ((got,),) = _sn_leg_integrals([BLOCK], [(2.0, 0.0)])
     exact = 1 - _high_frequency_mass(BLOCK, 1)
     deviation = got - float(exact)
@@ -57,13 +59,15 @@ def test_sn_panels_keep_the_low_frequency_mass():
     "N, bound",
     [
         (1, 8.4e-9),  # the 4-node Gauss-Legendre error; the tails past X_N are closed form
+        (3, 7.3e-9),
         (4, 2.8e-9),
+        (48, 3.9e-8),
         (64, 3.2e-9),
     ],
 )
 def test_partial_sum_error_matches_the_fourier_tail(N, bound):
     # e(N)^2 = (2/pi^2) [sin^2(pi N/4)/N + (pi/4)(pi/2 - Si(pi N/2))] for chi[1/4, 1/2];
-    # the lattice route's only test at p != 1
+    # the near zone's only test at p != 1, at dyadic and non-dyadic N alike
     f = PiecewiseConstant1D.indicator(0.25, 0.5)
     pi = mpmath.pi
     exact = mpmath.sqrt(2 / pi**2 * (mpmath.sin(pi * N / 4) ** 2 / N + pi / 4 * (pi / 2 - mpmath.si(pi * N / 2))))

@@ -75,9 +75,9 @@ def test_block_bound_applies_each_operator_once_per_block(monkeypatch):
     # both parameter points of claim 3.1 give the same canonical block at
     # every scale, so each operator runs once per block, not once per
     # (block, point).  The maximal leg runs once per scale, and so does
-    # dirichlet_sn, on the panels off the lattice Z/4.  The lattice cells of
-    # all 13 blocks go to one kernel call of 13 rows (each block is its own
-    # mirror), and so do hilbert's values on the scale-0 grid.  S_N and H_eps
+    # dirichlet_sn, on the near zone of the block, whose panels fit one
+    # chunk.  hilbert's values on the scale-0 grid are one call of 13 rows
+    # (each block is its own mirror).  S_N and H_eps
     # run once per level, on a family of 13 rows, one per scale: 41 N levels
     # and 33 eps levels, where one run per scale would be 13 x 41 and 13 x 33
     a, b = verify._BLOCK_GRID
@@ -109,15 +109,7 @@ def test_block_bound_applies_each_operator_once_per_block(monkeypatch):
     monkeypatch.setattr(verify, "_hilbert_rows", per_family)
     monkeypatch.setattr(verify, "_sn_rows", per_level("S_N"))
     monkeypatch.setattr(verify, "_truncated_rows", per_level("H_eps"))
-    lattice, kernel = [], verify._sn_error_on_lattice
-
-    def counting_kernel(bps, *args):
-        lattice.append(len(bps))
-        return kernel(bps, *args)
-
-    monkeypatch.setattr(verify, "_sn_error_on_lattice", counting_kernel)
     rep = run_theorem("3.1")
-    assert lattice == [13]
     assert len(calls) == len(set(calls))
     assert Counter(c[0] for c in calls) == {
         "hilbert": 1, "dirichlet_sn": 13, "maximal_1d_exact": 13, "S_N": 41, "H_eps": 33,
@@ -176,7 +168,8 @@ def test_mirrored_legs_equal_the_full_grid_bit_for_bit():
 
 
 def test_mirrored_legs_reject_blocks_that_are_not_even():
-    # the mirror holds for even blocks only, which make_canonical_block always builds
+    # the mirror holds for even blocks only, which make_canonical_block always
+    # builds; so does the dirichlet_sn leg's doubled tail
     for f in (
         PiecewiseConstant1D((-1.0, -0.5, 0.5, 1.0), (1.0, 0.0, 2.0)),
         PiecewiseConstant1D((-1.0, -0.5, 0.25, 1.0), (1.0, 0.0, 1.0)),
@@ -184,6 +177,8 @@ def test_mirrored_legs_reject_blocks_that_are_not_even():
         for op in verify._MIRRORED_LEGS:
             with pytest.raises(ValueError, match="not even"):
                 list(verify._block_values(op, [(f, 0)]))
+        with pytest.raises(ValueError, match="not even"):
+            verify._sn_leg_integrals([f], [(1.0, -0.5)])
 
 
 def test_maximal_leg_is_the_exact_evaluator_on_the_shell_grid():

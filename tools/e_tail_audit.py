@@ -13,10 +13,21 @@ integration-by-parts terms.  Each tail's reference is mpmath's own:
   mpmath's Si and Ci, minus K terms whose derivatives come from Taylor
   coefficients formed with W' = -iW + i/t.
 
-The left tail is the right tail of x -> f(-x).  It needs the project and
-mpmath, nothing else; N = 1, 2, 4 take a few minutes on one core:
+The left tail is the right tail of x -> f(-x).
+
+With --leg it audits claim 3.1's dirichlet_sn leg instead: for the block
+at each scale of --k (default 0) and both of the claim's (p, alpha), the
+integral of |S_1 f|^p |x|^alpha over X < |x| < 1024, X = X_1, by mpmath
+split at the zeros of S_1 f, by the closed form the leg takes
+(`verify._far_tail`, doubled: the block is even) and by 4-node
+Gauss-Legendre on the leg's panels of width 1/8, which the leg took
+before; and the leg's norm with each.
+
+It needs the project and mpmath, nothing else; N = 1, 2, 4 take a few
+minutes on one core, and so does the leg at one scale:
 
     PYTHONPATH=src python3 tools/e_tail_audit.py [--N 1,2,4] [--p 1] [--alpha -1/2]
+    PYTHONPATH=src python3 tools/e_tail_audit.py --leg [--k 0]
 """
 
 from __future__ import annotations
@@ -25,9 +36,11 @@ import argparse
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
-from blockspaces import PiecewiseConstant1D
-from blockspaces.verify import _TAIL_TERMS, _far_tails, _near_zone_end, _partial_sum_integrals
+from blockspaces import PiecewiseConstant1D, dirichlet_sn, make_canonical_block, verify
+from blockspaces.quadrature import oscillation_edges, panel_nodes, weighted_power_terms
+from blockspaces.verify import _TAIL_TERMS, _far_tail, _far_tails, _near_zone_end, _partial_sum_integrals
 
 DPS = 30
 
@@ -42,8 +55,8 @@ def partial_sum(bps, cs, N):
     return lambda x: sum(c * mpmath.si(2 * mpmath.pi * N * (x - b)) for b, c in zip(bps, cs)) / mpmath.pi
 
 
-def stretch(bps, cs, N, a, b, p, alpha):
-    """int_a^b |S_N f|^p x^alpha dx, split at the zeros of S_N f."""
+def stretch(bps, cs, N, a, b, pairs):
+    """int_a^b |S_N f|^p x^alpha dx for each (p, alpha) of pairs, split at the zeros of S_N f."""
     s = partial_sum(bps, cs, N)
     step = mpmath.mpf(1) / (8 * N)
     edges, x, sx = [a], a, s(a)
@@ -54,7 +67,7 @@ def stretch(bps, cs, N, a, b, p, alpha):
             edges.append(mpmath.findroot(s, (x, y), solver="anderson"))
         x, sx = y, sy
     edges.append(b)
-    return mpmath.quad(lambda t: abs(s(t)) ** p * t**alpha, edges)
+    return [mpmath.quad(lambda t: abs(s(t)) ** p * t**alpha, edges) for p, alpha in pairs]
 
 
 def aux_w(t):
@@ -122,30 +135,22 @@ def asymptotic_tail(bps, cs, N, x, p, alpha, terms):
     return m * mean - total
 
 
-def main(argv=None) -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--N", default="1,2,4")
-    ap.add_argument("--p", default="1")
-    ap.add_argument("--alpha", default="-1/2")
-    args = ap.parse_args(argv)
-    p, alpha = float(Fraction(args.p)), float(Fraction(args.alpha))
-    if not alpha < p - 1:
-        raise SystemExit(f"the tails converge only for alpha < p - 1, got p = {p}, alpha = {alpha}")
-    mpmath.mp.dps = DPS
+def audit_e(Ns, p, alpha) -> None:
     f = PiecewiseConstant1D.indicator(0.25, 0.5)
     bps, cs = jumps_of(f)
     sides = {"right": (bps, cs), "left": ([-b for b in reversed(bps)], [-c for c in reversed(cs)])}
     print(f"f = chi[1/4, 1/2], p = {p:g}, alpha = {alpha:g}, K = {_TAIL_TERMS}, mpmath at {DPS} digits")
     print("N | X_N | near | side | tail | K terms | reference tail | rel. diff | e(N) | e(N) with reference tails | rel. diff")
-    for N in (float(Fraction(n)) for n in args.N.split(",")):
+    for N in Ns:
         x_n = _near_zone_end(f, N)
         ((near,),) = _partial_sum_integrals([f], [(p, alpha)], N, x_n, 1)
         near = float(near)
         ours, refs = near, mpmath.mpf(near)
         rows = []
-        for (name, (b, c)), (tail, terms) in zip(sides.items(), _far_tails(f, N, x_n, p, alpha)):
+        for (name, (b, c)), ((tail, terms),) in zip(sides.items(), _far_tails(f, N, x_n, [(p, alpha)])):
             x = mpmath.mpf(x_n)
-            ref = stretch(b, c, N, x, 8 * x, p, alpha) + asymptotic_tail(b, c, N, 8 * x, p, alpha, _TAIL_TERMS)
+            (near_ref,) = stretch(b, c, N, x, 8 * x, [(p, alpha)])
+            ref = near_ref + asymptotic_tail(b, c, N, 8 * x, p, alpha, _TAIL_TERMS)
             ours += tail
             refs += ref
             rows.append((name, tail, terms, ref))
@@ -156,6 +161,53 @@ def main(argv=None) -> None:
                 f"{N:g} | {x_n:g} | {near:.15g} | {name} | {tail:.15g} | {listed} | {mpmath.nstr(ref, 17)} | "
                 f"{mpmath.nstr((tail - ref) / ref, 3)} | {e:.15g} | {mpmath.nstr(e_ref, 17)} | {mpmath.nstr((e - e_ref) / e_ref, 3)}"
             )
+
+
+def audit_leg(ks) -> None:
+    N, x_end = verify._SN_N, verify._SN_PANELS["x_max"]
+    spacing, nodes = verify._SN_PANELS["spacing"], verify._SN_PANELS["nodes"]
+    pairs = [(params.p, params.alpha) for params in verify._BLOCK_GRID]
+    print(f"claim 3.1's dirichlet_sn leg on X < |x| < {x_end:g}, mpmath at {DPS} digits")
+    print("k | p | alpha | X | segment: mpmath | closed form | rel. diff | 4-node panels | rel. diff | norm: closed form | 4-node panels | mpmath | moved | toward mpmath")
+    for k in ks:
+        f = make_canonical_block(verify._BLOCK_GRID[0], k).data
+        x_n = _near_zone_end(f, N, x_end)
+        near = _partial_sum_integrals([f], pairs, N, x_n, verify._SN_SUB, False)[0]
+        bps, cs = jumps_of(f)
+        refs = [2 * r for r in stretch(bps, cs, N, mpmath.mpf(x_n), mpmath.mpf(x_end), pairs)]
+        closed = [2 * tail for tail, _ in _far_tail(np.asarray(f.breakpoints), np.diff(f.values, prepend=0.0, append=0.0), N, x_n, pairs, x_end)]
+        edges = oscillation_edges(f.breakpoints, x_end, spacing)
+        x, w = panel_nodes(edges[edges >= x_n], nodes)
+        values = dirichlet_sn(f, N, x)
+        panels = [2 * float(np.sum(weighted_power_terms(values, x, w, p, alpha))) for p, alpha in pairs]
+        for (p, alpha), n, ref, c, q in zip(pairs, near, refs, closed, panels):
+            norms = [(n + v) ** (1 / p) for v in (c, q)]
+            norm_ref = (n + ref) ** (1 / p)
+            moved = norms[0] / norms[1] - 1
+            toward = abs(norms[0] - norm_ref) < abs(norms[1] - norm_ref)
+            print(
+                f"{k} | {p:g} | {alpha:g} | {x_n:g} | {mpmath.nstr(ref, 17)} | {c:.17g} | {mpmath.nstr((c - ref) / ref, 3)} | "
+                f"{q:.17g} | {mpmath.nstr((q - ref) / ref, 3)} | {norms[0]:.17g} | {norms[1]:.17g} | {mpmath.nstr(norm_ref, 17)} | "
+                f"{moved:.3g} | {'yes' if toward else 'no'}"
+            )
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--N", default="1,2,4")
+    ap.add_argument("--p", default="1")
+    ap.add_argument("--alpha", default="-1/2")
+    ap.add_argument("--leg", action="store_true", help="audit claim 3.1's dirichlet_sn leg instead of e(N)")
+    ap.add_argument("--k", default="0", help="the leg's block scales, comma-separated")
+    args = ap.parse_args(argv)
+    mpmath.mp.dps = DPS
+    if args.leg:
+        audit_leg([int(k) for k in args.k.split(",")])
+        return
+    p, alpha = float(Fraction(args.p)), float(Fraction(args.alpha))
+    if not alpha < p - 1:
+        raise SystemExit(f"the tails converge only for alpha < p - 1, got p = {p}, alpha = {alpha}")
+    audit_e([float(Fraction(n)) for n in args.N.split(",")], p, alpha)
 
 
 if __name__ == "__main__":
